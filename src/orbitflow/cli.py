@@ -23,7 +23,6 @@ from .orbit import critical_points, potential
 DEFAULT_TOLERANCES = {
     "algebraic": 1e-10,
     "flow": 1e-6,
-    "kernel_cutoff": 1e-9,
     "transversality": 1e-8,
     "membership": 1e-8,
     "graph_residual": 1e-6,

@@ -1,9 +1,10 @@
 """Gradient field Z(x) = [x, [tau x, H]], its metric, linearization and flow.
 
 Z is minus the gradient of the real height h_H(x) = Re<H, x> with respect to
-the orbit metric m_x(u, v) = b_tau(ad(x)^-1 u, ad(x)^-1 v).  Trajectories are
-integrated with classical RK4 in the ambient matrix space followed by a
-spectral retraction back onto the isospectral set.
+the orbit metric m_x(u, v) = b_tau(ad(x)^-1 u, ad(x)^-1 v), where ad(x)^-1
+is the minimum-norm inverse, in closed form in the pair coordinates of x.
+Trajectories are integrated with classical RK4 in the ambient matrix space
+followed by the pair-chart retraction back onto the orbit.
 """
 
 from dataclasses import dataclass, field
@@ -22,9 +23,8 @@ from .liecore import (
     root_eval,
     tau,
 )
-from .orbit import OrbitPoint, critical_points, potential, retract
+from .orbit import OrbitPoint, critical_points, invert_pair, potential, retract, split
 
-KERNEL_CUTOFF = 1e-9
 TANGENCY_TOL = 1e-8
 CONV_TOL = 1e-9
 
@@ -39,14 +39,13 @@ def z_field(x, h):
     return bracket(xm, bracket(tau(xm), cartan_matrix(h)))
 
 
-def _ad_operator(xm):
-    """Matrix of ad(x) on column-flattened matrices."""
-    d = xm.shape[0]
-    eye = np.eye(d)
-    return np.kron(eye, xm) - np.kron(xm.T, eye)
+def _pair(pt):
+    if isinstance(pt, OrbitPoint):
+        return pt.line, pt.normal
+    return split(_mat(pt))[:2]
 
 
-def ad_inverse(pt, v, tangency_tol=TANGENCY_TOL, kernel_cutoff=KERNEL_CUTOFF):
+def ad_inverse(pt, v, tangency_tol=TANGENCY_TOL):
     """Solve ad(x) w = v with w orthogonal to the kernel of ad(x).
 
     This is the pseudo-inverse needed for the metric: the solution picked
@@ -54,23 +53,22 @@ def ad_inverse(pt, v, tangency_tol=TANGENCY_TOL, kernel_cutoff=KERNEL_CUTOFF):
     Z the negative metric gradient of the real height.  Raises
     TangencyError when v is not in the image of ad(x) within tolerance.
     """
-    xm = _mat(pt) if not isinstance(pt, OrbitPoint) else pt.x
     vm = _mat(v)
-    op = _ad_operator(xm)
-    w = np.linalg.pinv(op, rcond=kernel_cutoff) @ vm.ravel(order="F")
-    residual = np.linalg.norm(op @ w - vm.ravel(order="F"))
+    w, outside = invert_pair(*_pair(pt), vm)
+    residual = np.linalg.norm(outside)
     if residual > tangency_tol * max(1.0, np.linalg.norm(vm)):
         raise TangencyError(f"component outside im ad(x): {residual:.3e}")
-    return w.reshape(xm.shape, order="F")
+    return w
 
 
-def tangency_residual(pt, v, kernel_cutoff=KERNEL_CUTOFF):
-    """Relative size of the component of v outside im ad(x)."""
-    xm = _mat(pt) if not isinstance(pt, OrbitPoint) else pt.x
+def tangency_residual(pt, v):
+    """Relative size of the component of v outside im ad(x).
+
+    The component is taken along ker ad(x), which complements im ad(x)
+    because x is diagonalizable; it is what ad(x) ad_inverse(v) misses.
+    """
     vm = _mat(v)
-    op = _ad_operator(xm)
-    w = np.linalg.pinv(op, rcond=kernel_cutoff) @ vm.ravel(order="F")
-    return np.linalg.norm(op @ w - vm.ravel(order="F")) / max(np.linalg.norm(vm), 1e-300)
+    return np.linalg.norm(invert_pair(*_pair(pt), vm)[1]) / max(np.linalg.norm(vm), 1e-300)
 
 
 def metric_m(pt, u, v, tangency_tol=TANGENCY_TOL):
@@ -173,7 +171,7 @@ class Trajectory:
 
 def integrate(pt, h, direction="forward", step=None, max_steps=10000, conv_tol=CONV_TOL,
               stabilize="auto"):
-    """Flow an orbit point along +/-Z with RK4 plus spectral retraction.
+    """Flow an orbit point along +/-Z with RK4 plus pair-chart retraction.
 
     Stops when |Z| < conv_tol or after max_steps; when converged, the
     trajectory records the 1-based index of the limiting critical point.

@@ -23,7 +23,7 @@ from .liecore import (
     root_eval,
     weyl_action,
 )
-from .orbit import OrbitPoint, phi_pair, r_w0_basis
+from .orbit import assemble, pair_point
 from .util import random_unit_vector
 
 REJECT_TOL = 1e-6
@@ -100,76 +100,33 @@ def m_j_pm(n, j, sign):
     return GraphSpec(pref * diag.astype(complex), name=f"m{j}{sign}")
 
 
-def _orthonormal_completion(u):
-    """Columns [u | basis of u^perp], Gram-Schmidt in the dtype of u.
-
-    Works in extended precision when u is clongdouble, which the linalg
-    factorizations do not; near-incident pairs need that headroom.
-    """
-    d = len(u)
-    cols = [u / np.sqrt(np.vdot(u, u).real)]
-    for k in range(d):
-        v = np.zeros(d, dtype=u.dtype)
-        v[k] = 1.0
-        for b in cols:
-            v = v - np.vdot(b, v) * b
-        nrm = np.sqrt(np.vdot(v, v).real)
-        if nrm > 1e-8:
-            cols.append(v / nrm)
-        if len(cols) == d:
-            break
-    return np.stack(cols, axis=1)
-
-
-def _assemble_pair(u, normal, hyper):
-    """Matrix of the chart point with eigenline u and hyperplane basis
-    ``hyper`` whose unit normal is ``normal``.
-
-    In the orthonormal basis {normal, hyper} the matrix is diagonal
-    (n, -1, ..., -1) plus a first column nu (u, w_i) with
-    nu = (n+1)/(u, normal); assembling through this unitary basis avoids
-    the squared conditioning of a direct change-of-basis inversion.
-    """
-    d = len(u)
-    n = d - 1
-    t = np.vdot(normal, u)
-    nu = (n + 1.0) / t
-    m_beta = np.zeros((d, d), dtype=u.dtype)
-    m_beta[np.arange(d), np.arange(d)] = -1.0
-    m_beta[0, 0] = n
-    m_beta[1:, 0] = nu * (hyper.conj().T @ u)
-    q = np.concatenate([normal[:, None], hyper], axis=1)
-    return q @ m_beta @ q.conj().T, t
-
-
 def graph_point(u, g, tol=1e-8):
-    """Chart point Phi([u], m [u]^perp) on the graph of the twisted map."""
-    u = np.asarray(u, dtype=complex)
-    u = u / np.linalg.norm(u)
-    hyper = g.m_diag[:, None] * r_w0_basis(u)
-    x, t = _assemble_pair(u, g.m_diag * u, hyper)
-    if abs(t) < tol:
-        from .errors import TransversalityError
+    """Chart point Phi([u], m [u]^perp) on the graph of the twisted map.
 
-        raise TransversalityError(f"line lies in the twisted hyperplane ({abs(t):.3e})")
-    return OrbitPoint(x=x, line=u, hyper=hyper, transversality=float(abs(t)))
+    For unitary diagonal m the hyperplane m [u]^perp has normal m u.
+    """
+    u = np.asarray(u, dtype=complex)
+    return pair_point(u, g.m_diag * u, tol)
 
 
 def graph_membership(pt, g):
-    """Membership residual max_i |(w_i, m u)| of an orbit point in the graph.
+    """Membership residual |(I - nu nu^H) m u| of an orbit point in the graph.
 
-    Zero exactly when the (-1)-eigenspace is the m-twist of the eigenline's
-    orthogonal complement; for g = identity this is the Hermitian-ness test.
+    This is the length of the part of m u inside the hyperplane (normal
+    nu), i.e. of (w_i, m u) over any orthonormal hyperplane basis w_i.  It
+    vanishes exactly when the (-1)-eigenspace is the m-twist of the
+    eigenline's orthogonal complement; for g = identity this is the
+    Hermitian-ness test.
     """
     mu = g.m_diag * pt.line
-    return float(np.abs(pt.hyper.conj().T @ mu).max())
+    nu = pt.normal
+    return float(np.linalg.norm(mu - nu * np.vdot(nu, mu)))
 
 
 def untwist(pt, g):
     """Pull the hyperplane back by m; graph membership of pt under g equals
     identity membership of the untwisted point."""
-    w = np.conj(g.m_diag)[:, None] * pt.hyper
-    return phi_pair(pt.line, w)
+    return pair_point(pt.line, np.conj(g.m_diag) * pt.normal)
 
 
 def graph_tangent_basis(g, j):
@@ -319,9 +276,7 @@ def _measure_imag(u, twist_diag, h):
     u = u / np.sqrt(np.vdot(u, u).real)
     d = len(u)
     twisted = np.asarray(twist_diag, dtype=np.clongdouble) * u
-    normal = twisted / np.sqrt(np.vdot(twisted, twisted).real)
-    hyper = _orthonormal_completion(normal)[:, 1:]
-    x, _ = _assemble_pair(u, normal, hyper)
+    x = assemble(u, twisted / np.sqrt(np.vdot(twisted, twisted).real))
     f = 2.0 * d * np.einsum("i,ii->", np.asarray(h, dtype=np.clongdouble), x)
     return float(abs(f.imag)), float(np.abs(np.diag(x).imag).max())
 

@@ -18,9 +18,6 @@ import numpy as np
 
 from .errors import ShapeError
 
-TOL_ALGEBRAIC = 1e-10
-TOL_FLOW = 1e-6
-
 
 def _square(x):
     x = np.asarray(x, dtype=complex)
@@ -38,11 +35,6 @@ def _pair_dim(x, y):
 
 def bracket(x, y):
     return x @ y - y @ x
-
-
-def ad(x):
-    """Return ad(x) as a callable on matrices."""
-    return lambda y: bracket(x, y)
 
 
 def killing_form(x, y):
@@ -86,17 +78,6 @@ def root_eval(alpha, h):
     i, j = alpha
     h = np.asarray(h)
     return h[i - 1] - h[j - 1]
-
-
-def is_regular(h, tol=1e-12):
-    h = np.asarray(h)
-    d = len(h)
-    return all(abs(h[i] - h[j]) > tol for i in range(d) for j in range(i + 1, d))
-
-
-def is_dominant_regular(h, tol=1e-12):
-    h = np.asarray(h)
-    return all(h[k] - h[k + 1] > tol for k in range(len(h) - 1))
 
 
 def default_cartan(n):

@@ -2,47 +2,196 @@
 
 The orbit of H0 = diag(n, -1, ..., -1) is the isospectral set of traceless
 matrices with a simple eigenvalue n and eigenvalue -1 of multiplicity n.
-Points are represented in the transversal-pair chart: an eigenline in P^n
-together with a transversal hyperplane, glued by the linear map that acts
-as n on the line and as -1 on the hyperplane.
+Points are represented in the transversal-pair chart: an eigenline [u] in
+P^n together with a transversal hyperplane of unit normal v, glued by the
+linear map that acts as n on the line and as -1 on the hyperplane,
+
+    x + I = (n+1) u v^H / (v^H u).
+
+This module is the only one that knows that representation.  Its kernel
+is batch-first (leading axes index points) and runs in the dtype of its
+input, extended precision included:
+
+* ``split`` reads the pair off x + I as a rank-one factorization and
+  reports how far that moves x;
+* ``assemble`` is the formula above;
+* ``complement`` is an orthonormal basis of the hyperplane of a normal;
+* ``project_pair`` is the closed-form projection onto the tangent space
+  im ad(x) = {u b^H : b ⊥ u} + {c v^H : c ⊥ v}.
+
+Everything else here is a view over these four.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MembershipError, ShapeError, StepSizeError, TransversalityError, UnsupportedOrbitError
-from .liecore import cartan_matrix, hermitian_form, killing_form, minimal_cartan
-from .util import gram_schmidt_hermitian
+from .liecore import cartan_matrix, killing_form, minimal_cartan
 
 TRANSVERSALITY_TOL = 1e-8
 MEMBERSHIP_TOL = 1e-8
 DRIFT_LIMIT = 0.5
 
 
+def _vdot(a, b):
+    """Batched a^H b over the last axis."""
+    return (a.conj() * b).sum(axis=-1)
+
+
+def _unit(a):
+    return a / np.sqrt(_vdot(a, a).real)[..., None]
+
+
+def _matvec(m, v):
+    return (m @ v[..., None])[..., 0]
+
+
+def split(xs):
+    """Pair (u, v) of near-orbit matrices and how far the chart moves them.
+
+    On the orbit x + I has rank one, so its largest-norm column spans the
+    eigenline and its largest-norm row is the conjugate hyperplane normal;
+    both are returned normalized.  ``moved`` is |assemble(u, v) - x|_F,
+    zero up to rounding on the orbit and first order in the distance off
+    it.  Column and row swap under x -> m x^H m for diagonal unitary
+    involutions m, so the split commutes with those reflections.
+    """
+    xs = np.asarray(xs)
+    d = xs.shape[-1]
+    a = xs + np.eye(d, dtype=xs.dtype)
+    weight = a.real ** 2 + a.imag ** 2
+    col = np.argmax(weight.sum(axis=-2), axis=-1)[..., None, None]
+    row = np.argmax(weight.sum(axis=-1), axis=-1)[..., None, None]
+    u = _unit(np.take_along_axis(a, col, axis=-1)[..., 0])
+    v = _unit(np.take_along_axis(a, row, axis=-2)[..., 0, :].conj())
+    moved = np.sqrt((np.abs(assemble(u, v) - xs) ** 2).sum(axis=(-2, -1)))
+    return u, v, moved
+
+
+def assemble(u, v):
+    """Chart point (n+1) u v^H / (v^H u) - I of lines u and normals v."""
+    d = u.shape[-1]
+    outer = u[..., :, None] * v.conj()[..., None, :]
+    return d * outer / _vdot(v, u)[..., None, None] - np.eye(d, dtype=outer.dtype)
+
+
+def complement(v):
+    """Orthonormal basis, in columns, of the hyperplane normal to unit v.
+
+    The last d-1 columns of the Householder reflector that maps e_1 to a
+    multiple of v, written in plain arithmetic so that it keeps the dtype.
+    """
+    d = v.shape[-1]
+    v0 = v[..., :1]
+    mag = np.abs(v0)
+    phase = np.where(mag > 0, v0 / np.where(mag > 0, mag, 1.0), 1.0)
+    w = v + phase * np.eye(d, dtype=v.dtype)[0]
+    eye = np.eye(d, dtype=v.dtype)[:, 1:]
+    return eye - w[..., :, None] * w[..., None, 1:].conj() / (1.0 + mag[..., None])
+
+
+def project_pair(u, v, m):
+    """Hermitian-orthogonal projection of m onto {u b^H : b ⊥ u} + {c v^H : c ⊥ v}.
+
+    For unit u, v this is the tangent space of the orbit at the chart
+    point of (u, v).  The normal equations give b = P_u m^H u - (c^H u) P_u v
+    and c = P_v m v - (b^H v) P_v u, with P_w = I - w w^H; the two scalars
+    c^H u and b^H v are coupled through t = 1 - |v^H u|^2 and solved for in
+    closed form.
+    """
+    s2 = np.abs(_vdot(v, u)) ** 2
+    t = (1.0 - s2)[..., None]
+    mhu = _matvec(np.swapaxes(m, -1, -2).conj(), u)
+    beta0 = mhu - u * _vdot(u, mhu)[..., None]
+    gamma0 = _matvec(m, v)
+    gamma0 = gamma0 - v * _vdot(v, gamma0)[..., None]
+    p = _vdot(gamma0, u)[..., None]
+    q = _vdot(beta0, v)[..., None]
+    a = (p - t * q.conj()) / (s2 * (2.0 - s2))[..., None]
+    b = q - t * a.conj()
+    beta = beta0 - a * (v - u * _vdot(u, v)[..., None])
+    gamma = gamma0 - b * (u - v * _vdot(v, u)[..., None])
+    return u[..., :, None] * beta.conj()[..., None, :] + gamma[..., :, None] * v.conj()[..., None, :]
+
+
+def invert_pair(u, v, m):
+    """Minimum-norm w with [x, w] = m at the chart point x of (u, v), and
+    the part of m outside im ad(x), which [x, w] misses.
+
+    With P = u v^H / (v^H u) and x = (n+1) P - I, w0 = [P, m] / (n+1)
+    solves the equation on im ad(x), where [P, [P, m]] = m.  The kernel of
+    ad(x) is orthogonal to im ad(x^H), the tangent space of the swapped
+    pair (v, u), so projecting w0 there gives the minimum-norm solution.
+    The missed part is P m P + (I - P) m (I - P).
+    """
+    d = u.shape[-1]
+    s = _vdot(v, u)[..., None]
+    mu = _matvec(m, u) / s
+    vm = _matvec(np.swapaxes(m, -1, -2), v.conj()) / s
+    pm = u[..., :, None] * vm[..., None, :]
+    mp = mu[..., :, None] * v.conj()[..., None, :]
+    pmp = (_vdot(v, mu)[..., None] / s)[..., None] * u[..., :, None] * v.conj()[..., None, :]
+    return project_pair(v, u, (pm - mp) / d), m - pm - mp + 2.0 * pmp
+
+
+def retract_batch(xs):
+    """Snap stacked near-orbit matrices onto the orbit through the pair chart.
+
+    Raises StepSizeError when the chart moves some matrix further than
+    DRIFT_LIMIT in Frobenius norm (or the matrix is not finite).
+    """
+    u, v, moved = split(xs)
+    _check_moved(moved, DRIFT_LIMIT)
+    return assemble(u, v)
+
+
+def _check_moved(moved, drift_limit):
+    bad = np.flatnonzero(~(np.asarray(moved) <= drift_limit))
+    if bad.size:
+        raise StepSizeError(
+            f"retraction moved a point by {np.max(moved):.3e} > {drift_limit} "
+            f"(batch index {bad[0]}); reduce the integration step"
+        )
+
+
+def as_points(xs):
+    """OrbitPoints of stacked orbit matrices, keeping the matrices as given."""
+    u, v, _ = split(xs)
+    return [OrbitPoint(x=x.copy(), line=a, normal=b) for x, a, b in zip(xs, u, v)]
+
+
 @dataclass(frozen=True)
 class OrbitPoint:
-    """Orbit point with its cached eigenline/hyperplane splitting.
+    """Orbit point with its cached pair coordinates.
 
-    ``line`` is a unit vector spanning the eigenline for eigenvalue n,
-    ``hyper`` holds an orthonormal basis of the (-1)-eigenspace in its
-    columns, and ``transversality`` is |det [line | hyper]|, which is 1
-    exactly when the line is Hermitian-orthogonal to the hyperplane.
+    ``line`` is a unit vector spanning the eigenline for eigenvalue n and
+    ``normal`` the unit normal of the (-1)-eigenspace.
     """
 
     x: np.ndarray
     line: np.ndarray
-    hyper: np.ndarray
-    transversality: float
+    normal: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.x, self.line, self.hyper):
+        for arr in (self.x, self.line, self.normal):
             arr.setflags(write=False)
 
     @property
     def n(self):
         return self.x.shape[0] - 1
+
+    @property
+    def transversality(self):
+        """|normal^H line|: 1 exactly when the line is orthogonal to the
+        hyperplane, 0 on the incidence divisor."""
+        return float(abs(np.vdot(self.normal, self.line)))
+
+    @property
+    def hyper(self):
+        """Orthonormal basis of the (-1)-eigenspace in its columns."""
+        return complement(self.normal)
 
     def residual(self):
         return membership_residual(self.x)
@@ -66,70 +215,59 @@ def membership_residual(x):
     return np.linalg.norm(x @ x - (n - 1) * x - n * np.eye(d))
 
 
-def phi_pair(line, hyper, tol=TRANSVERSALITY_TOL):
-    """Orbit point of a transversal (line, hyperplane) pair.
+def pair_point(line, normal, tol=TRANSVERSALITY_TOL):
+    """Orbit point of an eigenline and a hyperplane given by its normal.
 
     Raises TransversalityError when the line lies in the hyperplane within
-    tolerance; the stored transversality value is the conditioning proxy.
+    tolerance; the point's transversality |v^H u| is the conditioning proxy.
+    """
+    u = _unit(np.asarray(line, dtype=complex).reshape(-1))
+    v = _unit(np.asarray(normal, dtype=complex).reshape(-1))
+    trans = float(abs(_vdot(v, u)))
+    if trans < tol:
+        raise TransversalityError(f"line lies in hyperplane within tolerance ({trans:.3e})")
+    return OrbitPoint(x=assemble(u, v), line=u, normal=v)
+
+
+def phi_pair(line, hyper, tol=TRANSVERSALITY_TOL):
+    """Orbit point of a transversal (line, hyperplane basis) pair.
+
+    The hyperplane normal is the part of the line left over by a least
+    squares fit in the hyperplane; its length is the transversality.
     """
     u = np.asarray(line, dtype=complex).reshape(-1)
     u = u / np.linalg.norm(u)
     w = np.asarray(hyper, dtype=complex)
     if w.ndim != 2 or w.shape[0] != u.shape[0] or w.shape[1] != u.shape[0] - 1:
         raise ShapeError(f"hyperplane basis has shape {w.shape}, expected ({len(u)}, {len(u)-1})")
-    w, _ = np.linalg.qr(w)
-    basis = np.hstack([u[:, None], w])
-    trans = abs(np.linalg.det(basis))
+    normal = u - w @ np.linalg.lstsq(w, u, rcond=None)[0]
+    trans = np.linalg.norm(normal)
     if trans < tol:
         raise TransversalityError(f"line lies in hyperplane within tolerance ({trans:.3e})")
-    n = len(u) - 1
-    diag = np.full(len(u), -1.0 + 0j)
-    diag[0] = n
-    x = basis @ np.diag(diag) @ np.linalg.inv(basis)
-    return OrbitPoint(x=x, line=u, hyper=w, transversality=trans)
+    return pair_point(u, normal, tol)
 
 
 def split_eigen(x, tol=MEMBERSHIP_TOL):
-    """Eigenline and hyperplane of an orbit matrix (inverse of phi_pair).
+    """Eigenline and hyperplane basis of an orbit matrix (inverse of phi_pair).
 
-    Raises MembershipError unless the spectrum is {n (simple), -1} within
-    tolerance.
+    Raises MembershipError when x is further than ``tol`` from the orbit
+    point its pair coordinates assemble to.
     """
-    x = np.asarray(x, dtype=complex)
-    d = x.shape[0]
-    n = d - 1
-    vals, vecs = np.linalg.eig(x)
-    order = np.argsort(np.abs(vals - n))
-    drift = max(abs(vals[order[0]] - n), np.abs(vals[order[1:]] + 1.0).max())
-    if drift > tol:
-        raise MembershipError(f"spectrum {np.sort_complex(vals)} is not {{{n}, -1}} (drift {drift:.3e})")
-    u = vecs[:, order[0]]
-    u = u / np.linalg.norm(u)
-    w, _ = np.linalg.qr(vecs[:, order[1:]])
-    return u, w
+    u, v, moved = split(np.asarray(x, dtype=complex))
+    if not moved <= tol:
+        raise MembershipError(f"matrix is {moved:.3e} off the orbit (tolerance {tol:.1e})")
+    return u, complement(v)
 
 
 def retract(x, drift_limit=DRIFT_LIMIT):
-    """Snap the spectrum of a near-orbit matrix back to {n, -1}.
+    """Snap a near-orbit matrix onto the orbit through the pair chart.
 
-    The canonical projection onto the isospectral set: diagonalize, replace
-    the eigenvalues by their targets, reassemble.  Raises StepSizeError when
-    an eigenvalue drifted further than ``drift_limit`` from its target.
+    Points on the orbit are fixed to rounding; off it the move is first
+    order in the distance.  Raises StepSizeError past ``drift_limit``.
     """
-    x = np.asarray(x, dtype=complex)
-    d = x.shape[0]
-    n = d - 1
-    vals, vecs = np.linalg.eig(x)
-    order = np.argsort(np.abs(vals - n))
-    drift = max(abs(vals[order[0]] - n), np.abs(vals[order[1:]] + 1.0).max())
-    if drift > drift_limit:
-        raise StepSizeError(
-            f"eigenvalue drift {drift:.3e} exceeds {drift_limit}; reduce the integration step"
-        )
-    u = vecs[:, order[0]]
-    u = u / np.linalg.norm(u)
-    w, _ = np.linalg.qr(vecs[:, order[1:]])
-    return phi_pair(u, w)
+    u, v, moved = split(np.asarray(x, dtype=complex))
+    _check_moved(moved, drift_limit)
+    return pair_point(u, v)
 
 
 def r_w0_basis(line):
@@ -138,11 +276,7 @@ def r_w0_basis(line):
     This is the right translation by the longest Weyl element in the pair
     chart: P^n -> P^n*, [u] -> [u]^perp.
     """
-    u = np.asarray(line, dtype=complex).reshape(-1, 1)
-    u = u / np.linalg.norm(u)
-    full, _, _ = np.linalg.svd(u, full_matrices=True)
-    # first left-singular vector spans [u]; the rest span the complement
-    return full[:, 1:]
+    return complement(_unit(np.asarray(line, dtype=complex).reshape(-1)))
 
 
 def potential(h, x):
@@ -165,38 +299,30 @@ def critical_points(generator):
         n = len(h) - 1
         if not np.allclose(np.sort(h), np.sort(minimal_cartan(n)), atol=1e-12) or h[0] != n:
             raise UnsupportedOrbitError(f"only the minimal orbit diag({n}, -1, ...) is supported")
-    d = n + 1
-    eye = np.eye(d, dtype=complex)
-    points = []
-    for j in range(d):
-        cols = [k for k in range(d) if k != j]
-        points.append(phi_pair(eye[:, j], eye[:, cols]))
-    return points
+    eye = np.eye(n + 1, dtype=complex)
+    return [pair_point(e, e) for e in eye]
 
 
 def tangent_frame(pt):
     """Hermitian-orthonormal complex basis of the tangent space im ad(x).
 
-    In the eigenbasis B = [line | hyper] the tangent space is spanned by the
-    first-row and first-column elementary matrices, i.e. the rank-one maps
-    between the eigenline and the hyperplane.
+    The rank-one maps u b^H and c v^H, with b and c running over
+    orthonormal bases of the complements of u and v, span the tangent
+    space; one QR of their flattening makes them orthonormal.
     """
-    basis = np.hstack([pt.line[:, None], pt.hyper])
-    binv = np.linalg.inv(basis)
-    d = basis.shape[0]
-    cands = []
-    for k in range(1, d):
-        cands.append(np.outer(basis[:, 0], binv[k, :]))
-        cands.append(np.outer(basis[:, k], binv[0, :]))
-    return gram_schmidt_hermitian(cands, hermitian_form)
+    u, v = pt.line, pt.normal
+    d = len(u)
+    cands = np.concatenate([
+        u[None, :, None] * complement(u).T.conj()[:, None, :],
+        complement(v).T[:, :, None] * v.conj()[None, None, :],
+    ])
+    q, _ = np.linalg.qr(cands.reshape(len(cands), -1).T)
+    return list(q.T.reshape(-1, d, d) / np.sqrt(2.0 * d))
 
 
 def tangent_project(pt, v):
     """Hermitian-orthogonal projection of an ambient matrix onto im ad(x)."""
-    out = np.zeros_like(pt.x)
-    for e in tangent_frame(pt):
-        out = out + hermitian_form(v, e) * e
-    return out
+    return project_pair(pt.line, pt.normal, np.asarray(v, dtype=complex))
 
 
 def point_json_dump(points, path_or_file, extra=None):

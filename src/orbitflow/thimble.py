@@ -24,9 +24,13 @@ from .errors import (
 from .liecore import b_norm, b_tau, cartan_matrix, root_eval
 from .orbit import (
     OrbitPoint,
+    as_points,
     potential,
+    project_pair,
     r_w0_basis,
     retract,
+    retract_batch,
+    split,
     tangent_frame,
     tangent_project,
 )
@@ -168,55 +172,10 @@ class ThimbleSample:
 # batched flow engine: many seeds stepped together in stacked matrix arrays
 
 
-def _split_batch(xs):
-    d = xs.shape[-1]
-    n = d - 1
-    vals, vecs = np.linalg.eig(xs)
-    order = np.argsort(np.abs(vals - n), axis=1)
-    u = np.take_along_axis(vecs, order[:, None, 0:1], axis=2)[:, :, 0]
-    u = u / np.linalg.norm(u, axis=1, keepdims=True)
-    rest = np.take_along_axis(vecs, order[:, None, 1:], axis=2)
-    w, _ = np.linalg.qr(rest)
-    return u, w
-
-
-def _retract_batch(xs):
-    d = xs.shape[-1]
-    n = d - 1
-    u, w = _split_batch(xs)
-    basis = np.concatenate([u[:, :, None], w], axis=2)
-    diag = np.full(d, -1.0 + 0j)
-    diag[0] = n
-    bd = basis * diag[None, None, :]
-    return np.linalg.solve(basis.transpose(0, 2, 1), bd.transpose(0, 2, 1)).transpose(0, 2, 1)
-
-
 def _grad_f1_batch(xs, h):
-    """Batched ambient gradient of Re f_H via rank-one chart frames.
-
-    The tangent space at each point is spanned by the rank-one maps between
-    the eigenline and the hyperplane, so Gram matrices and pairings against
-    the diagonal H reduce to inner products of vectors.
-    """
-    d = xs.shape[-1]
-    c = 2.0 * d
-    u, w = _split_batch(xs)
-    basis = np.concatenate([u[:, :, None], w], axis=2)
-    binv = np.linalg.inv(basis)
-    a_vecs, b_vecs = [], []
-    for k in range(1, d):
-        a_vecs.append(basis[:, :, 0])
-        b_vecs.append(binv[:, k, :])
-        a_vecs.append(basis[:, :, k])
-        b_vecs.append(binv[:, 0, :])
-    av = np.stack(a_vecs, axis=1)
-    bv = np.stack(b_vecs, axis=1)
-    m1 = bv @ bv.conj().transpose(0, 2, 1)
-    m2 = av @ av.conj().transpose(0, 2, 1)
-    gram = c * (m1 * m2).conj()
-    rhs = c * np.einsum("bpi,i,bpi->bp", av.conj(), np.asarray(h, complex), bv.conj())
-    coef = np.linalg.solve(gram, rhs[..., None])[..., 0]
-    return np.einsum("bp,bpi,bpj->bij", coef, av, bv)
+    """Batched ambient gradient of Re f_H: the tangent projection of H."""
+    u, v, _ = split(xs)
+    return project_pair(u, v, cartan_matrix(h))
 
 
 def _symmetrize_batch(xs, g):
@@ -327,16 +286,7 @@ def trace_thimble(
     samples = []
 
     def record(indices, mats, times):
-        u, w = _split_batch(mats)
-        basis = np.concatenate([u[:, :, None], w], axis=2)
-        trans = np.abs(np.linalg.det(basis))
-        for pos, i in enumerate(indices):
-            pt = OrbitPoint(
-                x=mats[pos].copy(),
-                line=u[pos].copy(),
-                hyper=w[pos].copy(),
-                transversality=float(trans[pos]),
-            )
+        for pos, (i, pt) in enumerate(zip(indices, as_points(mats))):
             f = potential(h, pt)
             samples.append(
                 ThimbleSample(
@@ -360,7 +310,7 @@ def trace_thimble(
             break
         idx = np.flatnonzero(active)
         prev = xs[idx]
-        stepped = _symmetrize_batch(_retract_batch(_rk4_batch(prev, h, step, orient)), g)
+        stepped = _symmetrize_batch(retract_batch(_rk4_batch(prev, h, step, orient)), g)
         f1_vals = _f1_batch(stepped, h)
         crossed = f1_vals < c_level if descending else f1_vals > c_level
 
@@ -382,7 +332,7 @@ def trace_thimble(
             cur = base
             for _ in range(4):
                 cur = _symmetrize_batch(
-                    _retract_batch(_rk4_batch(base, h, tau[:, None, None], orient)), g
+                    retract_batch(_rk4_batch(base, h, tau[:, None, None], orient)), g
                 )
                 tau = tau + (c_level - _f1_batch(cur, h)) / (orient * _grad_speed_batch(cur, h))
                 tau = np.maximum(tau, 0.0)

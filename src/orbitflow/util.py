@@ -63,25 +63,9 @@ def subspace_intersection_real(rows_a, rows_b, cutoff=1e-8):
     qb = orthonormal_rows(rows_b)
     if qa.size == 0 or qb.size == 0:
         return np.zeros((0, rows_a.shape[1]))
-    u, s, _ = np.linalg.svd(qa @ qb.T)
+    u, s, _ = np.linalg.svd(qa @ qb.T, full_matrices=False)
     mask = s >= 1.0 - cutoff
     return (qa.T @ u[:, mask]).T
-
-
-def gram_schmidt_hermitian(mats, inner, tol=1e-10):
-    """Gram-Schmidt with complex coefficients under a Hermitian inner product.
-
-    ``inner(x, y)`` must be linear in x and conjugate-linear in y.
-    """
-    basis = []
-    for m in mats:
-        v = m.astype(complex).copy()
-        for b in basis:
-            v = v - inner(v, b) * b
-        nrm = np.sqrt(inner(v, v).real)
-        if nrm > tol:
-            basis.append(v / nrm)
-    return basis
 
 
 def gram_schmidt_real(mats, inner, tol=1e-10):

@@ -278,7 +278,7 @@ def _z_step_batch(xs, h, dt):
     k2 = f(xs + 0.5 * dt * k1)
     k3 = f(xs + 0.5 * dt * k2)
     k4 = f(xs + dt * k3)
-    return thimble._retract_batch(xs + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+    return orbit.retract_batch(xs + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
 
 
 def stable_unstable_measure(cfg, rng, seeds=200, eps=1e-4):
@@ -541,7 +541,7 @@ def _restart_gap(samples, j, s, h, step):
     cur = mid.point.x[None]
     for _ in range(4000):
         nxt = thimble._symmetrize_batch(
-            thimble._retract_batch(thimble._rk4_batch(cur, h, step, orient)), g)
+            orbit.retract_batch(thimble._rk4_batch(cur, h, step, orient)), g)
         f1 = thimble._f1_batch(nxt, h)[0]
         if (descending and f1 < c_level) or (not descending and f1 > c_level):
             break
@@ -550,7 +550,7 @@ def _restart_gap(samples, j, s, h, step):
     landed = cur
     for _ in range(4):
         landed = thimble._symmetrize_batch(
-            thimble._retract_batch(
+            orbit.retract_batch(
                 thimble._rk4_batch(cur, h, np.maximum(tau_len, 0.0)[:, None, None], orient)), g)
         tau_len = tau_len + (c_level - thimble._f1_batch(landed, h)) / (
             orient * thimble._grad_speed_batch(landed, h))
@@ -580,7 +580,7 @@ def thimble_suite(cfg, rng):
             orient = 1.0 if s == "-" else -1.0
             for _ in range(600):
                 cur = thimble._symmetrize_batch(
-                    thimble._retract_batch(thimble._rk4_batch(cur, h, 0.05, orient)), g)
+                    orbit.retract_batch(thimble._rk4_batch(cur, h, 0.05, orient)), g)
             worst_conv = max(worst_conv, float(np.linalg.norm(cur[0] - xc)))
 
             worst_topo = max(worst_topo, _topology_proxy(samples))

@@ -84,6 +84,12 @@ class TestConfigLayers:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_removed_kernel_cutoff_key_exit_code(self, capsys, tmp_path):
+        rc = main(["verify", "--n", "1", "--tol", "kernel_cutoff=1e-9",
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert "kernel_cutoff" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_spectrum_counts(self, tmp_path):

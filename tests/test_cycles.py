@@ -83,6 +83,20 @@ class TestDelta:
         dd = delta_w(identity_weyl(2), pt)
         assert max(abs(omega(a, b)) for a in dd for b in dd) < 1e-10
 
+    def test_runs_at_rank_three(self):
+        # the V_w span (15 real rows) is larger than the tangent span (12)
+        rng = np.random.default_rng(1)
+        pt = random_orbit_point(rng, 3)
+        dd = delta_w(longest_weyl(4), pt)
+        assert len(dd) <= 6
+        assert max((abs(omega(a, b)) for a in dd for b in dd), default=0.0) < 1e-10
+
+    def test_intersection_either_order(self):
+        a, b = np.eye(4)[:3], np.eye(4)[:2]
+        for rows in (subspace_intersection_real(a, b), subspace_intersection_real(b, a)):
+            assert rows.shape == (2, 4)
+            assert np.allclose(rows.T @ rows, np.diag([1.0, 1.0, 0.0, 0.0]))
+
     def test_generic_point_dimension_bounded(self):
         rng = np.random.default_rng(0)
         for _ in range(5):

@@ -124,6 +124,20 @@ class TestMetric:
                 lhs = b_tau(v, cartan_matrix(h))
                 assert abs(lhs + metric_m(pt, v, z_field(pt, h))) < 1e-10
 
+    @pytest.mark.parametrize("n", (1, 2, 3, 4))
+    def test_ad_inverse_matches_kronecker_pinv(self, n):
+        # reference: pseudo-inverse of ad(x) as a d^2 x d^2 Kronecker matrix,
+        # minimum-norm on column-flattened matrices
+        rng = np.random.default_rng(70 + n)
+        d = n + 1
+        points = [random_orbit_point(rng, n) for _ in range(5)] + critical_points(n)[:2]
+        for pt in points:
+            v = random_tangent(rng, pt)
+            op = np.kron(np.eye(d), pt.x) - np.kron(pt.x.T, np.eye(d))
+            want = np.linalg.pinv(op, rcond=1e-9) @ v.ravel(order="F")
+            got = ad_inverse(pt, v)
+            assert np.linalg.norm(got.ravel(order="F") - want) < 1e-12
+
     def test_tangency_error(self):
         pt = critical_points(2)[0]
         with pytest.raises(TangencyError):
@@ -220,13 +234,25 @@ class TestIntegrate:
         # batched forward relaxation of 50 random flag seeds; every limit
         # lies in the critical set
         from orbitflow.cycles import flag_sample
-        from orbitflow.verification import _z_step_batch
+        from orbitflow.orbit import retract_batch
 
         rng = np.random.default_rng(9)
         h = default_cartan(2)
+        hm = cartan_matrix(h)
+
+        def z(y):  # Z(y) = [y, [tau y, H]] on a stack of matrices
+            ty = -y.conj().transpose(0, 2, 1)
+            inner = ty @ hm - hm @ ty
+            return y @ inner - inner @ y
+
         seeds = np.array([p.x for p in flag_sample(2, 50, 1.2, rng)])
+        dt = 0.05
         for _ in range(600):
-            seeds = _z_step_batch(seeds, h, 0.05)
+            k1 = z(seeds)
+            k2 = z(seeds + 0.5 * dt * k1)
+            k3 = z(seeds + 0.5 * dt * k2)
+            k4 = z(seeds + dt * k3)
+            seeds = retract_batch(seeds + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
             seeds = 0.5 * (seeds + seeds.conj().transpose(0, 2, 1))
         crits = np.array([c.x for c in critical_points(2)])
         dists = np.linalg.norm(seeds[:, None] - crits[None], axis=(2, 3)).min(axis=1)

@@ -7,20 +7,36 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from orbitflow.errors import MembershipError, TransversalityError, UnsupportedOrbitError
-from orbitflow.liecore import cartan_matrix, minimal_cartan, default_cartan
+from orbitflow.errors import (
+    MembershipError,
+    StepSizeError,
+    TransversalityError,
+    UnsupportedOrbitError,
+)
+from orbitflow.graphs import m_j_pm
+from orbitflow.liecore import bracket, cartan_matrix, minimal_cartan, default_cartan
 from orbitflow.orbit import (
     OrbitPoint,
     critical_points,
+    invert_pair,
     membership_residual,
+    pair_point,
     phi_pair,
     potential,
     r_w0_basis,
     retract,
+    retract_batch,
     split_eigen,
     tangent_frame,
+    tangent_project,
 )
-from orbitflow.util import random_compact, random_special_unitary, random_traceless, realify
+from orbitflow.util import (
+    random_compact,
+    random_special_unitary,
+    random_traceless,
+    random_unit_vector,
+    realify,
+)
 from orbitflow.verification import random_orbit_point
 
 
@@ -246,3 +262,98 @@ class TestSerialization:
         assert obj["n"] == 1
         assert obj["entries"][0] == [1.0, 0.0]
         assert len(obj["entries"]) == 4
+
+
+RANKS = (1, 2, 3, 4)
+
+
+def _eigen_candidates(x):
+    """The 2n rank-one maps between eigenline and hyperplane, read off eig."""
+    n = x.shape[0] - 1
+    vals, vecs = np.linalg.eig(x)
+    basis = vecs[:, np.argsort(np.abs(vals - n))]
+    binv = np.linalg.inv(basis)
+    return ([np.outer(basis[:, 0], binv[k]) for k in range(1, n + 1)]
+            + [np.outer(basis[:, k], binv[0]) for k in range(1, n + 1)])
+
+
+def _sign_twists(n):
+    """Every m_j^+/- that exists at rank n."""
+    return [m_j_pm(n, j, s).m_diag for j in range(1, n + 2) for s in "+-"
+            if n % 2 == 0 or (j, s) in ((1, "-"), (n + 1, "+"))]
+
+
+class TestPairKernel:
+    @pytest.mark.parametrize("n", RANKS)
+    def test_tangent_project_matches_least_squares(self, n):
+        rng = np.random.default_rng(20 + n)
+        d = n + 1
+        for k in range(6):
+            pt = random_orbit_point(rng, n, unitary=(k % 2 == 0))
+            cands = np.array([c.ravel() for c in _eigen_candidates(pt.x)]).T
+            m = random_traceless(rng, d)
+            want = cands @ np.linalg.lstsq(cands, m.ravel(), rcond=None)[0]
+            got = tangent_project(pt, m)
+            assert np.linalg.norm(got.ravel() - want) < 1e-12 * np.linalg.norm(m)
+
+    @pytest.mark.parametrize("n", RANKS)
+    def test_ad_inverse_split_of_the_ambient_space(self, n):
+        # [x, w] + outside = m, and the missed part commutes with x
+        rng = np.random.default_rng(30 + n)
+        for _ in range(6):
+            pt = random_orbit_point(rng, n)
+            m = random_traceless(rng, n + 1)
+            w, outside = invert_pair(pt.line, pt.normal, m)
+            assert np.linalg.norm(bracket(pt.x, w) + outside - m) < 1e-12
+            assert np.linalg.norm(bracket(pt.x, outside)) < 1e-12
+
+    @pytest.mark.parametrize("n", RANKS)
+    def test_retract_fixes_orbit_points(self, n):
+        rng = np.random.default_rng(40 + n)
+        xs = np.array([random_orbit_point(rng, n, unitary=(k % 2 == 0)).x for k in range(8)])
+        assert np.linalg.norm(retract_batch(xs) - xs, axis=(1, 2)).max() < 1e-13
+        assert max(np.linalg.norm(retract(x).x - x) for x in xs) < 1e-13
+
+    @pytest.mark.parametrize("n", RANKS)
+    def test_retract_fixes_points_near_incidence(self, n):
+        # |v^H u| = 1e-4 puts |x| near 1e4 (n+1); the rank-one split loses
+        # about eps / |v^H u| relative to |x|, an eigendecomposition eps / |v^H u|^2
+        rng = np.random.default_rng(45 + n)
+        d = n + 1
+        for _ in range(10):
+            u = random_unit_vector(rng, d)
+            w = random_unit_vector(rng, d)
+            w = w - u * np.vdot(u, w)
+            v = 1e-4 * u + np.sqrt(1.0 - 1e-8) * w / np.linalg.norm(w)
+            x = d * np.outer(u, v.conj()) / np.vdot(v, u) - np.eye(d)
+            assert np.linalg.norm(retract(x).x - x) < 1e-10 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("n", RANKS)
+    def test_retract_commutes_with_sign_involutions(self, n):
+        rng = np.random.default_rng(50 + n)
+        d = n + 1
+        xs = np.array([random_orbit_point(rng, n).x + 1e-3 * random_traceless(rng, d)
+                       for _ in range(8)])
+        for m in _sign_twists(n):
+            def reflect(y):
+                return m[:, None] * y.conj().transpose(0, 2, 1) * m[None, :]
+
+            gap = retract_batch(reflect(xs)) - reflect(retract_batch(xs))
+            assert np.linalg.norm(gap, axis=(1, 2)).max() < 1e-13
+
+    @pytest.mark.parametrize("n", RANKS)
+    def test_error_paths(self, n):
+        rng = np.random.default_rng(60 + n)
+        d = n + 1
+        pt = random_orbit_point(rng, n)
+        # the origin sits sqrt(n^2 + n) from its chart point, past the limit
+        with pytest.raises(StepSizeError, match="batch index 1"):
+            retract_batch(np.array([pt.x, np.zeros((d, d), dtype=complex)]))
+        with np.errstate(invalid="ignore"), pytest.raises(StepSizeError):
+            retract(np.full((d, d), np.nan, dtype=complex))
+        # x + eps I has trace d eps, so it is at least eps sqrt(d) off the orbit
+        with pytest.raises(MembershipError):
+            split_eigen(pt.x + 1e-6 * np.eye(d))
+        e = np.eye(d, dtype=complex)
+        with pytest.raises(TransversalityError):
+            pair_point(e[0], e[1])

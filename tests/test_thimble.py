@@ -17,7 +17,7 @@ from orbitflow.liecore import (
     minimal_cartan,
     omega,
 )
-from orbitflow.orbit import critical_points, potential, retract
+from orbitflow.orbit import critical_points, potential, retract, retract_batch
 from orbitflow.thimble import (
     boundary_samples,
     fg_decomposition_check,
@@ -91,6 +91,15 @@ class TestFGDecomposition:
                     assert rep.residual < 1e-8
                     assert rep.g2_ratio < 1e-8
                     assert rep.f1_tangency < 1e-8
+
+    def test_graph_tangent_frame_rank_one(self):
+        # the realified tangent span (4 rows) exceeds the fixed set (3)
+        rng = np.random.default_rng(12)
+        g = m_j_pm(1, 1, "-")
+        pt = _graph_sample(rng, g, 1)
+        frame = graph_tangent_frame(pt, g)
+        assert len(frame) == 2
+        assert abs(omega(frame[0], frame[1])) < 1e-10
 
     def test_near_critical_point_decomposes_trivially(self):
         h = default_cartan(2)
@@ -212,7 +221,7 @@ class TestTraceThimble:
             b_tau,
         )
         rng = np.random.default_rng(5)
-        from orbitflow.thimble import _f1_batch, _grad_speed_batch, _retract_batch, _rk4_batch, _symmetrize_batch
+        from orbitflow.thimble import _f1_batch, _grad_speed_batch, _rk4_batch, _symmetrize_batch
 
         for _ in range(6):
             coeff = rng.standard_normal(len(frame))
@@ -220,13 +229,13 @@ class TestTraceThimble:
             v = sum(c * e for c, e in zip(coeff, frame))
             cur = _symmetrize_batch(retract(xc.x + 1e-3 * v).x[None], g)
             for _ in range(4000):
-                cur = _symmetrize_batch(_retract_batch(_rk4_batch(cur, h0, 0.02, -1.0)), g)
+                cur = _symmetrize_batch(retract_batch(_rk4_batch(cur, h0, 0.02, -1.0)), g)
                 if _f1_batch(cur, h0)[0] < c_level:
                     break
             tau_len = (c_level - _f1_batch(cur, h0)) / (-_grad_speed_batch(cur, h0))
             for _ in range(4):
                 landed = _symmetrize_batch(
-                    _retract_batch(_rk4_batch(cur, h0, tau_len[:, None, None], -1.0)), g)
+                    retract_batch(_rk4_batch(cur, h0, tau_len[:, None, None], -1.0)), g)
                 tau_len = tau_len + (c_level - _f1_batch(landed, h0)) / (-_grad_speed_batch(landed, h0))
             # geodesic velocity [A, H0] must equal +v, so A solves [A, H0] = v
             direction = -ad_inverse(xc, v)
