@@ -22,10 +22,6 @@ from .orbit import critical_points, potential
 
 DEFAULT_TOLERANCES = {
     "algebraic": 1e-10,
-    "flow": 1e-6,
-    "transversality": 1e-8,
-    "membership": 1e-8,
-    "graph_residual": 1e-6,
     "convergence": 1e-9,
 }
 
@@ -217,11 +213,7 @@ def cmd_spectrum(cfg):
         )
     reports = []
     hessians = []
-    if n % 2 == 0:
-        combos = [(jj, s) for jj in range(1, n + 2) for s in ("+", "-")]
-    else:
-        combos = [(1, "-"), (n + 1, "+")]
-    for jj, s in combos:
+    for jj, s in graphs.twists(n):
         rep = graphs.hessian_restricted(h, jj, graphs.m_j_pm(n, jj, s))
         reports.append(rep)
         hessians.append(

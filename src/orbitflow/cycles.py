@@ -116,39 +116,23 @@ def vanishing_sphere(h, c, count, rng, tol=1e-8, max_ray=25.0):
     top, second = crit_values[-1], crit_values[-2]
     if not second < c < top:
         raise LevelRangeError(f"level {c} outside the attracting range ({second}, {top})")
-    h0m = cartan_matrix(minimal_cartan(n))
-
-    def f1_along(a, t):
-        g = expm(t * a)
-        return potential(h, g @ h0m @ g.conj().T).real
-
     samples = []
-    budget = 20 * count
-    for a in _flag_directions(rs, rng, budget):
-        # bracket the level along the ray, then bisect
-        t_hi, t_lo = 0.1, 0.0
-        while f1_along(a, t_hi) > c and t_hi < max_ray:
-            t_lo, t_hi = t_hi, 2.0 * t_hi
-        if f1_along(a, t_hi) > c:
+    for a in _flag_directions(rs, rng, 20 * count):
+        try:
+            samples.append(vanishing_sphere_point(h, c, a, tol, max_ray))
+        except SamplingError:
             continue
-        for _ in range(80):
-            t_mid = 0.5 * (t_lo + t_hi)
-            if f1_along(a, t_mid) > c:
-                t_lo = t_mid
-            else:
-                t_hi = t_mid
-            if abs(f1_along(a, 0.5 * (t_lo + t_hi)) - c) < 0.1 * tol:
-                break
-        t = 0.5 * (t_lo + t_hi)
-        g = expm(t * a)
-        samples.append(retract(g @ h0m @ g.conj().T))
         if len(samples) == count:
             return samples
     raise SamplingError(f"could not place {count} level samples (got {len(samples)})")
 
 
 def vanishing_sphere_point(h, c, direction, tol=1e-10, max_ray=25.0):
-    """Bisect the level f1 = c along one prescribed compact direction."""
+    """Bisect the level f1 = c along one prescribed compact direction.
+
+    Stops once |f1 - c| < tol / 10; raises SamplingError when the level is
+    not reached within ``max_ray`` along the direction.
+    """
     h = np.asarray(h, dtype=float)
     n = len(h) - 1
     h0m = cartan_matrix(minimal_cartan(n))
@@ -163,11 +147,13 @@ def vanishing_sphere_point(h, c, direction, tol=1e-10, max_ray=25.0):
     if f1_along(t_hi) > c:
         raise SamplingError("level not reached along the given direction")
     for _ in range(100):
-        t_mid = 0.5 * (t_lo + t_hi)
-        if f1_along(t_mid) > c:
-            t_lo = t_mid
+        t = 0.5 * (t_lo + t_hi)
+        f = f1_along(t)
+        if abs(f - c) < 0.1 * tol:
+            break
+        if f > c:
+            t_lo = t
         else:
-            t_hi = t_mid
-    t = 0.5 * (t_lo + t_hi)
+            t_hi = t
     g = expm(t * direction)
     return retract(g @ h0m @ g.conj().T)

@@ -3,8 +3,9 @@
 Z is minus the gradient of the real height h_H(x) = Re<H, x> with respect to
 the orbit metric m_x(u, v) = b_tau(ad(x)^-1 u, ad(x)^-1 v), where ad(x)^-1
 is the minimum-norm inverse, in closed form in the pair coordinates of x.
-Trajectories are integrated with classical RK4 in the ambient matrix space
-followed by the pair-chart retraction back onto the orbit.
+``advance``, the one stepper of the package, takes a classical RK4 step of
+any batched tangent field in the ambient matrix space, retracts it onto the
+orbit and may snap it onto the fixed set of x -> m x^H m.
 """
 
 from dataclasses import dataclass, field
@@ -23,7 +24,8 @@ from .liecore import (
     root_eval,
     tau,
 )
-from .orbit import OrbitPoint, critical_points, invert_pair, potential, retract, split
+from .orbit import (OrbitPoint, as_points, critical_points, invert_pair, membership_residual,
+                    potential, retract_batch, split)
 
 TANGENCY_TOL = 1e-8
 CONV_TOL = 1e-9
@@ -34,9 +36,32 @@ def _mat(x):
 
 
 def z_field(x, h):
-    """Z(x) = [x, [tau x, H]]; defined on the whole algebra, tangent to orbits."""
+    """Z(x) = [x, [tau x, H]] of a point or a stack of matrices; defined on
+    the whole algebra, tangent to orbits."""
     xm = _mat(x)
-    return bracket(xm, bracket(tau(xm), cartan_matrix(h)))
+    hm = cartan_matrix(h)
+    tx = -np.swapaxes(xm, -1, -2).conj()
+    inner = tx @ hm - hm @ tx
+    return xm @ inner - inner @ xm
+
+
+def symmetrize(xs, m):
+    """Nearest point of the fixed set of x -> m x^H m, for a unit-modulus
+    diagonal m given by its entries; m = 1 gives the Hermitian part."""
+    m = np.asarray(m)
+    return 0.5 * (xs + m[:, None] * np.swapaxes(xs, -1, -2).conj() * m[None, :])
+
+
+def advance(xs, rhs, dt, m=None):
+    """One RK4 step of the tangent field ``rhs`` from stacked orbit matrices,
+    retracted onto the orbit, then symmetrized by ``m`` if given.  ``dt``
+    broadcasts: shape (batch, 1, 1) gives each point its own step."""
+    k1 = rhs(xs)
+    k2 = rhs(xs + 0.5 * dt * k1)
+    k3 = rhs(xs + 0.5 * dt * k2)
+    k4 = rhs(xs + dt * k3)
+    out = retract_batch(xs + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+    return out if m is None else symmetrize(out, m)
 
 
 def _pair(pt):
@@ -151,6 +176,9 @@ def default_step(n, h):
 
 @dataclass
 class Trajectory:
+    """Samples of a flow line; ``points`` holds matrices until ``integrate``
+    makes them OrbitPoints."""
+
     times: list = field(default_factory=list)
     points: list = field(default_factory=list)
     h_values: list = field(default_factory=list)
@@ -159,19 +187,19 @@ class Trajectory:
     z_norms: list = field(default_factory=list)
     limit_index: int | None = None
 
-    def append(self, t, pt, h):
-        f = potential(h, pt)
+    def append(self, t, x, h):
+        f = potential(h, x)
         self.times.append(t)
-        self.points.append(pt)
+        self.points.append(x)
         self.h_values.append(f.real)
         self.f2_values.append(f.imag)
-        self.orbit_residuals.append(pt.residual())
-        self.z_norms.append(b_norm(z_field(pt, h)))
+        self.orbit_residuals.append(membership_residual(x))
+        self.z_norms.append(b_norm(z_field(x, h)))
 
 
 def integrate(pt, h, direction="forward", step=None, max_steps=10000, conv_tol=CONV_TOL,
               stabilize="auto"):
-    """Flow an orbit point along +/-Z with RK4 plus pair-chart retraction.
+    """Flow an orbit point along +/-Z with ``advance``.
 
     Stops when |Z| < conv_tol or after max_steps; when converged, the
     trajectory records the 1-based index of the limiting critical point.
@@ -179,41 +207,34 @@ def integrate(pt, h, direction="forward", step=None, max_steps=10000, conv_tol=C
     Hermitian initial data stays Hermitian under the exact flow but its
     transverse roundoff grows along saddle passages, so by default such
     trajectories are re-projected onto the Hermitian locus every step
-    (``stabilize`` in {"auto", True, False}).
+    (``stabilize`` in {"auto", True, False}; ``advance`` with m = 1).
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
     sign = 1.0 if direction == "forward" else -1.0
     n = pt.n
     dt = step if step is not None else default_step(n, h)
-    hm = cartan_matrix(h)
     if stabilize == "auto":
         stabilize = np.linalg.norm(pt.x - pt.x.conj().T) < 1e-12 * np.linalg.norm(pt.x)
+    m = np.ones(n + 1) if stabilize else None
 
     def rhs(xm):
-        return sign * bracket(xm, bracket(tau(xm), hm))
+        return sign * z_field(xm, h)
 
     traj = Trajectory()
-    traj.append(0.0, pt, h)
-    x = pt
+    x = pt.x
+    traj.append(0.0, x, h)
     t = 0.0
     for _ in range(max_steps):
         if traj.z_norms[-1] < conv_tol:
             break
-        xm = x.x
-        k1 = rhs(xm)
-        k2 = rhs(xm + 0.5 * dt * k1)
-        k3 = rhs(xm + 0.5 * dt * k2)
-        k4 = rhs(xm + dt * k3)
-        nxt = xm + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if stabilize:
-            nxt = 0.5 * (nxt + nxt.conj().T)
-        x = retract(nxt)
+        x = advance(x, rhs, dt, m)
         t += dt
         traj.append(t, x, h)
+    traj.points = as_points(np.array(traj.points))
     if traj.z_norms[-1] < conv_tol:
         crits = critical_points(n)
-        dists = [np.linalg.norm(x.x - c.x) for c in crits]
+        dists = [np.linalg.norm(x - c.x) for c in crits]
         traj.limit_index = int(np.argmin(dists)) + 1
     return traj
 

@@ -89,7 +89,7 @@ def m_j_pm(n, j, sign):
     d = n + 1
     if not 1 <= j <= d:
         raise ValueError(f"j must be in 1..{d}")
-    if n % 2 == 1 and (j, sign) not in ((1, "-"), (d, "+")):
+    if (j, sign) not in twists(n):
         raise ParityError(
             f"m_{j}^{sign} has determinant -1 at odd rank n={n}; only m_1^- and "
             f"m_{d}^+ exist in the unit-determinant torus"
@@ -98,6 +98,14 @@ def m_j_pm(n, j, sign):
     diag[j - 1] = 1.0 if sign == "+" else -1.0
     pref = (-1.0 if sign == "+" else 1.0) * (-1.0) ** j
     return GraphSpec(pref * diag.astype(complex), name=f"m{j}{sign}")
+
+
+def twists(n):
+    """The (j, sign) pairs for which m_j^sign exists at rank n: every pair
+    at even n, only (1, '-') and (n+1, '+') at odd n."""
+    if n % 2 == 0:
+        return [(j, s) for j in range(1, n + 2) for s in ("+", "-")]
+    return [(1, "-"), (n + 1, "+")]
 
 
 def graph_point(u, g, tol=1e-8):

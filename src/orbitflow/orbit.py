@@ -56,12 +56,17 @@ def split(xs):
     both are returned normalized.  ``moved`` is |assemble(u, v) - x|_F,
     zero up to rounding on the orbit and first order in the distance off
     it.  Column and row swap under x -> m x^H m for diagonal unitary
-    involutions m, so the split commutes with those reflections.
+    involutions m, so the split commutes with those reflections.  Raises
+    StepSizeError when x + I is zero or not finite.
     """
     xs = np.asarray(xs)
     d = xs.shape[-1]
     a = xs + np.eye(d, dtype=xs.dtype)
     weight = a.real ** 2 + a.imag ** 2
+    top = weight.max(axis=(-2, -1))
+    bad = np.flatnonzero(~((top > 0) & (top < np.inf)))
+    if bad.size:
+        raise StepSizeError(f"x + I is zero or not finite (batch index {bad[0]})")
     col = np.argmax(weight.sum(axis=-2), axis=-1)[..., None, None]
     row = np.argmax(weight.sum(axis=-1), axis=-1)[..., None, None]
     u = _unit(np.take_along_axis(a, col, axis=-1)[..., 0])

@@ -4,7 +4,8 @@ The real part f1 of the superpotential restricts to a Morse function on the
 graph of a twisted complement map; near a critical point with definite
 restricted Hessian its sublevel (or superlevel) ball is a Lagrangian
 thimble.  Tracing follows the ambient gradient of f1, which is tangent to
-the graph because the imaginary part is constant there.
+the graph because the imaginary part is constant there; ``flow_to_level``
+steps it with ``flow.advance`` and lands it on a level with ``cross_level``.
 """
 
 import io
@@ -21,6 +22,7 @@ from .errors import (
     MembershipError,
     NearCriticalError,
 )
+from .flow import advance, symmetrize
 from .liecore import b_norm, b_tau, cartan_matrix, root_eval
 from .orbit import (
     OrbitPoint,
@@ -29,7 +31,6 @@ from .orbit import (
     project_pair,
     r_w0_basis,
     retract,
-    retract_batch,
     split,
     tangent_frame,
     tangent_project,
@@ -39,6 +40,8 @@ from .util import gram_schmidt_real, realify, subspace_intersection_real, unreal
 
 RESIDUAL_LIMIT = 1e-5
 SEED_RESIDUAL = 1e-7
+LEVEL_ULPS = 32
+LEVEL_ITERATIONS = 8
 
 
 def kaehler_gradients(pt, h):
@@ -172,26 +175,11 @@ class ThimbleSample:
 # batched flow engine: many seeds stepped together in stacked matrix arrays
 
 
-def _grad_f1_batch(xs, h):
-    """Batched ambient gradient of Re f_H: the tangent projection of H."""
+def grad_f1(xs, h):
+    """Ambient gradient of Re f_H at stacked orbit matrices: the tangent
+    projection of H."""
     u, v, _ = split(xs)
     return project_pair(u, v, cartan_matrix(h))
-
-
-def _symmetrize_batch(xs, g):
-    m = g.m_diag
-    return 0.5 * (xs + m[None, :, None] * xs.conj().transpose(0, 2, 1) * m[None, None, :])
-
-
-def _rk4_batch(xs, h, dts, orient):
-    def f(y):
-        return orient * _grad_f1_batch(y, h)
-
-    k1 = f(xs)
-    k2 = f(xs + 0.5 * dts * k1)
-    k3 = f(xs + 0.5 * dts * k2)
-    k4 = f(xs + dts * k3)
-    return xs + (dts / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def _f1_batch(xs, h):
@@ -199,11 +187,74 @@ def _f1_batch(xs, h):
     return 2.0 * d * np.einsum("i,bii->b", np.asarray(h, complex), xs).real
 
 
-def _grad_speed_batch(xs, h):
-    """b_tau norm squared of grad f1, the descent speed |df1/dt|."""
-    d = xs.shape[-1]
-    grad = _grad_f1_batch(xs, h)
-    return 2.0 * d * np.einsum("bij,bij->b", grad, grad.conj()).real
+def cross_level(base, h, g, c, orient):
+    """Land stacked graph points on the level f1 = c along orient * grad f1.
+
+    Newton's method in the length tau of one ``advance`` from ``base``,
+    with d f1 / d tau = orient |grad f1|^2, until every |f1 - c| is within
+    LEVEL_ULPS ulps of the sum 2d sum |h_i x_ii| that computes f1.  Returns
+    the landed points and their tau; raises GraphIntegrityError naming a
+    batch index and its miss after LEVEL_ITERATIONS steps.
+    """
+    d = base.shape[-1]
+    orient = np.broadcast_to(orient, base.shape[:1])
+    tau = np.zeros(base.shape[0])
+    cur = base
+    miss = c - _f1_batch(cur, h)
+    for _ in range(LEVEL_ITERATIONS):
+        grad = grad_f1(cur, h)
+        speed = 2.0 * d * np.einsum("bij,bij->b", grad, grad.conj()).real
+        tau = np.maximum(tau + miss / (orient * speed), 0.0)
+        cur = advance(base, lambda ys: orient[:, None, None] * grad_f1(ys, h),
+                      tau[:, None, None], g.m_diag)
+        miss = c - _f1_batch(cur, h)
+        scale = 2.0 * d * np.abs(h) @ np.abs(np.diagonal(cur, axis1=-2, axis2=-1)).T
+        if np.all(np.abs(miss) <= LEVEL_ULPS * np.finfo(float).eps * scale):
+            return cur, tau
+    worst = int(np.argmax(np.abs(miss)))
+    raise GraphIntegrityError(
+        f"level {c} not reached in {LEVEL_ITERATIONS} Newton steps: "
+        f"|f1 - c| = {abs(miss[worst]):.3e} at batch index {worst}"
+    )
+
+
+def flow_to_level(xs, h, g, c, step, max_steps, visit=None):
+    """Flow stacked graph points along grad f1, up when f1 < c and down
+    otherwise, in steps of ``advance`` inside the graph of g.
+
+    After each step ``visit(indices, points, arcs)`` sees the points that
+    did not cross the level; a crossing step is redone by ``cross_level``.
+    Returns the landed points and their arc lengths; raises
+    GraphIntegrityError if some point has not landed after max_steps.
+    """
+    xs = np.array(xs)
+    orient = np.where(_f1_batch(xs, h) > c, -1.0, 1.0)
+    arcs = np.zeros(xs.shape[0])
+    active = np.ones(xs.shape[0], dtype=bool)
+    for _ in range(max_steps):
+        if not active.any():
+            break
+        idx = np.flatnonzero(active)
+        prev = xs[idx]
+        stepped = advance(prev, lambda ys: orient[idx, None, None] * grad_f1(ys, h), step,
+                          g.m_diag)
+        crossed = orient[idx] * (_f1_batch(stepped, h) - c) > 0
+        alive = idx[~crossed]
+        if alive.size:
+            xs[alive] = stepped[~crossed]
+            arcs[alive] += step
+            if visit is not None:
+                visit(alive, xs[alive], arcs[alive])
+        if crossed.any():
+            sub = idx[crossed]
+            xs[sub], tau = cross_level(prev[crossed], h, g, c, orient[sub])
+            arcs[sub] += tau
+            active[sub] = False
+    if active.any():
+        raise GraphIntegrityError(
+            f"{int(active.sum())} flows failed to reach the level in {max_steps} steps"
+        )
+    return xs, arcs
 
 
 def default_thimble_step(h, j):
@@ -247,9 +298,7 @@ def trace_thimble(
     xc = np.diag(np.full(d, -1.0 + 0j))
     xc[j - 1, j - 1] = n
     f1_c = float(_f1_batch(xc[None], h)[0])
-    descending = sign == "-"
-    c_level = f1_c - c_offset if descending else f1_c + c_offset
-    orient = -1.0 if descending else 1.0
+    c_level = f1_c - c_offset if sign == "-" else f1_c + c_offset
 
     frame = gram_schmidt_real(graph_tangent_basis(g, j), b_tau)
     dirs = rng.standard_normal((directions, len(frame)))
@@ -263,8 +312,7 @@ def trace_thimble(
         step = default_thimble_step(h, j)
 
     def inside(x):
-        f1 = _f1_batch(x[None], h)[0]
-        return f1 > c_level if descending else f1 < c_level
+        return (_f1_batch(x[None], h)[0] - c_level) * (f1_c - c_level) > 0
 
     seeds, seed_dir = [], []
     for di, coeff in enumerate(dirs):
@@ -279,14 +327,12 @@ def trace_thimble(
             seeds.append(retract(xc + r * v).x)
             seed_dir.append(di)
 
-    xs = _symmetrize_batch(np.array(seeds), g)
+    xs = symmetrize(np.array(seeds), g.m_diag)
     seed_dir = np.array(seed_dir)
-    nflow = xs.shape[0]
-
     samples = []
 
-    def record(indices, mats, times):
-        for pos, (i, pt) in enumerate(zip(indices, as_points(mats))):
+    def record(indices, mats, arcs):
+        for i, pt, arc in zip(indices, as_points(mats), arcs):
             f = potential(h, pt)
             samples.append(
                 ThimbleSample(
@@ -296,55 +342,23 @@ def trace_thimble(
                     graph_residual=graph_membership(pt, g),
                     seed_index=int(seed_dir[i]),
                     flow_index=int(i),
-                    arc=float(times[pos]),
+                    arc=float(arc),
                 )
             )
 
-    arcs = np.zeros(nflow)
     last_rec = xs.copy()
-    record(range(nflow), xs, arcs)
 
-    active = np.ones(nflow, dtype=bool)
-    for _ in range(max_steps):
-        if not active.any():
-            break
-        idx = np.flatnonzero(active)
-        prev = xs[idx]
-        stepped = _symmetrize_batch(retract_batch(_rk4_batch(prev, h, step, orient)), g)
-        f1_vals = _f1_batch(stepped, h)
-        crossed = f1_vals < c_level if descending else f1_vals > c_level
+    def visit(indices, mats, arcs):
+        gap = np.linalg.norm((mats - last_rec[indices]).reshape(len(indices), -1), axis=1)
+        due = gap >= record_sep
+        if due.any():
+            record(indices[due], mats[due], arcs[due])
+            last_rec[indices[due]] = mats[due]
 
-        alive = idx[~crossed]
-        if alive.size:
-            xs[alive] = stepped[~crossed]
-            arcs[alive] += step
-            gap = np.linalg.norm((xs[alive] - last_rec[alive]).reshape(alive.size, -1), axis=1)
-            due = alive[gap >= record_sep]
-            if due.size:
-                record(due, xs[due], arcs[due])
-                last_rec[due] = xs[due]
-
-        if crossed.any():
-            sub = idx[crossed]
-            base = prev[crossed]
-            # Newton in the substep length: d f1/dtau = orient * |grad f1|^2
-            tau = ((c_level - _f1_batch(base, h)) / (orient * _grad_speed_batch(base, h)))
-            cur = base
-            for _ in range(4):
-                cur = _symmetrize_batch(
-                    retract_batch(_rk4_batch(base, h, tau[:, None, None], orient)), g
-                )
-                tau = tau + (c_level - _f1_batch(cur, h)) / (orient * _grad_speed_batch(cur, h))
-                tau = np.maximum(tau, 0.0)
-            xs[sub] = cur
-            arcs[sub] += tau
-            record(sub, cur, arcs[sub])
-            active[sub] = False
-
-    if active.any():
-        raise GraphIntegrityError(
-            f"{int(active.sum())} flows failed to reach the level in {max_steps} steps"
-        )
+    flows = range(xs.shape[0])
+    record(flows, xs, np.zeros(xs.shape[0]))
+    landed, arcs = flow_to_level(xs, h, g, c_level, step, max_steps, visit)
+    record(flows, landed, arcs)
 
     worst = max(s.graph_residual for s in samples)
     if worst > residual_limit:

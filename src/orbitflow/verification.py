@@ -266,21 +266,6 @@ def fd_jacobian_eigenvalues(pt, h, fd=1e-5):
     return sorted(eigvals.real)
 
 
-def _z_step_batch(xs, h, dt):
-    hm = cartan_matrix(h)
-
-    def f(y):
-        ty = -y.conj().transpose(0, 2, 1)
-        inner = ty @ hm - hm @ ty
-        return y @ inner - inner @ y
-
-    k1 = f(xs)
-    k2 = f(xs + 0.5 * dt * k1)
-    k3 = f(xs + 0.5 * dt * k2)
-    k4 = f(xs + dt * k3)
-    return orbit.retract_batch(xs + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
-
-
 def stable_unstable_measure(cfg, rng, seeds=200, eps=1e-4):
     """Two-sided basin test at every singularity.
 
@@ -293,6 +278,10 @@ def stable_unstable_measure(cfg, rng, seeds=200, eps=1e-4):
     rate = (n + 1.0) * max(abs(root_eval(a, h)) for a in RootSystemAn(n).positive_roots)
     dt = 0.3 / rate
     worst = 0.0
+
+    def z_step(xs):
+        return flow.advance(xs, lambda ys: flow.z_field(ys, h), dt)
+
     for pt in orbit.critical_points(n):
         spec = flow.linearize(pt, h)
         for side, basis in (("minus", spec.v_minus()), ("plus", spec.v_plus())):
@@ -308,7 +297,7 @@ def stable_unstable_measure(cfg, rng, seeds=200, eps=1e-4):
                 cur = mats
                 live = np.ones(len(mats), dtype=bool)
                 for _ in range(120):
-                    cur[live] = _z_step_batch(cur[live], h, dt)
+                    cur[live] = z_step(cur[live])
                     dist = np.linalg.norm(cur - pt.x, axis=(1, 2))
                     best = np.minimum(best, dist)
                     live &= dist < 5.0
@@ -319,7 +308,7 @@ def stable_unstable_measure(cfg, rng, seeds=200, eps=1e-4):
                 prev = np.linalg.norm(mats - pt.x, axis=(1, 2))
                 cur = mats
                 for _ in range(10):
-                    cur = _z_step_batch(cur, h, dt)
+                    cur = z_step(cur)
                     dist = np.linalg.norm(cur - pt.x, axis=(1, 2))
                     if not np.all(dist > prev):
                         worst = max(worst, 1.0)
@@ -437,15 +426,14 @@ def graphs_suite(cfg, rng):
     checks.append(_check("involutions-have-unit-determinant", worst, 1e-12,
                          "odd matrix size fixes the determinant of the sign twists"))
 
-    n = cfg.n if cfg.n % 2 == 0 else 2
-    h = cfg.h if cfg.n % 2 == 0 else default_cartan(2)
+    n, h = cfg.n, cfg.h
+    twists = graphs.twists(n)
     worst = 0.0
-    for j in range(1, n + 2):
-        for s in ("+", "-"):
-            rep = graphs.hessian_restricted(h, j, graphs.m_j_pm(n, j, s))
-            worst = max(worst, max(abs(r.value.imag) for r in rep.rows))
-            if rep.definiteness != ("positive" if s == "+" else "negative"):
-                worst = max(worst, 1.0)
+    for j, s in twists:
+        rep = graphs.hessian_restricted(h, j, graphs.m_j_pm(n, j, s))
+        worst = max(worst, max(abs(r.value.imag) for r in rep.rows))
+        if rep.definiteness != ("positive" if s == "+" else "negative"):
+            worst = max(worst, 1.0)
     checks.append(_check("restricted-hessian-real-and-definite", worst, 1e-12,
                          "sign twists make the restricted Hessian definite"))
 
@@ -484,10 +472,8 @@ def graphs_suite(cfg, rng):
                          "the thimble ball is contained in its graph"))
 
     worst = 0.0
-    for _ in range(100):
-        j = int(rng.integers(1, n + 2))
-        s = "+" if rng.integers(2) else "-"
-        g = graphs.m_j_pm(n, j, s)
+    for k in range(100):
+        g = graphs.m_j_pm(n, *twists[k % len(twists)])
         u = random_unit_vector(rng, n + 1)
         if abs(np.vdot(g.m_diag * u, u)) < 1e-3:
             continue
@@ -535,56 +521,41 @@ def _restart_gap(samples, j, s, h, step):
         return 0.0
     mid, end = line[len(line) // 2], line[-1]
     g = graphs.m_j_pm(len(h) - 1, j, s)
-    orient = -1.0 if s == "-" else 1.0
-    descending = s == "-"
-    c_level = end.f1
-    cur = mid.point.x[None]
-    for _ in range(4000):
-        nxt = thimble._symmetrize_batch(
-            orbit.retract_batch(thimble._rk4_batch(cur, h, step, orient)), g)
-        f1 = thimble._f1_batch(nxt, h)[0]
-        if (descending and f1 < c_level) or (not descending and f1 > c_level):
-            break
-        cur = nxt
-    tau_len = (c_level - thimble._f1_batch(cur, h)) / (orient * thimble._grad_speed_batch(cur, h))
-    landed = cur
-    for _ in range(4):
-        landed = thimble._symmetrize_batch(
-            orbit.retract_batch(
-                thimble._rk4_batch(cur, h, np.maximum(tau_len, 0.0)[:, None, None], orient)), g)
-        tau_len = tau_len + (c_level - thimble._f1_batch(landed, h)) / (
-            orient * thimble._grad_speed_batch(landed, h))
+    landed, _ = thimble.flow_to_level(mid.point.x[None], h, g, end.f1, step, 4000)
     return float(np.linalg.norm(landed[0] - end.point.x))
 
 
 def thimble_suite(cfg, rng):
     checks = []
-    n = cfg.n if cfg.n % 2 == 0 else 2
-    h = cfg.h if cfg.n % 2 == 0 else default_cartan(2)
+    n, h = cfg.n, cfg.h
     c_offset = 0.4
     worst_res = worst_f2 = worst_conv = worst_topo = worst_semi = 0.0
-    for j in range(1, n + 2):
-        for s in ("+", "-"):
-            step = thimble.default_thimble_step(h, j)
-            samples = thimble.trace_thimble(j, s, h, c_offset=c_offset, directions=12,
-                                            radii=4, rng=rng, step=step)
-            worst_res = max(worst_res, max(x.graph_residual for x in samples))
-            worst_f2 = max(worst_f2, max(abs(x.f2) for x in samples))
+    for j, s in graphs.twists(n):
+        step = thimble.default_thimble_step(h, j)
+        samples = thimble.trace_thimble(j, s, h, c_offset=c_offset, directions=12,
+                                        radii=4, rng=rng, step=step)
+        worst_res = max(worst_res, max(x.graph_residual for x in samples))
+        worst_f2 = max(worst_f2, max(abs(x.f2) for x in samples))
 
-            # graph-tangent seeds contract back under the orienting flow
-            g = graphs.m_j_pm(n, j, s)
-            frame = thimble.graph_tangent_basis(g, j)
-            xc = orbit.critical_points(n)[j - 1].x
-            seed = orbit.retract(xc + 1e-3 * frame[0] / b_norm(frame[0])).x[None]
-            cur = thimble._symmetrize_batch(seed, g)
-            orient = 1.0 if s == "-" else -1.0
-            for _ in range(600):
-                cur = thimble._symmetrize_batch(
-                    orbit.retract_batch(thimble._rk4_batch(cur, h, 0.05, orient)), g)
-            worst_conv = max(worst_conv, float(np.linalg.norm(cur[0] - xc)))
+        # graph-tangent seeds contract back to [e_j] under the orienting flow
+        g = graphs.m_j_pm(n, j, s)
+        frame = graphs.graph_tangent_basis(g, j)
+        xc = orbit.critical_points(n)[j - 1].x
+        seed = orbit.retract(xc + 1e-3 * frame[0] / b_norm(frame[0])).x[None]
+        cur = flow.symmetrize(seed, g.m_diag)
+        orient = 1.0 if s == "-" else -1.0
 
-            worst_topo = max(worst_topo, _topology_proxy(samples))
-            worst_semi = max(worst_semi, _restart_gap(samples, j, s, h, step))
+        def toward_xc(ys):
+            return orient * thimble.grad_f1(ys, h)
+
+        for _ in range(20000):
+            if np.linalg.norm(cur[0] - xc) < 1e-9:
+                break
+            cur = flow.advance(cur, toward_xc, step, g.m_diag)
+        worst_conv = max(worst_conv, float(np.linalg.norm(cur[0] - xc)))
+
+        worst_topo = max(worst_topo, _topology_proxy(samples))
+        worst_semi = max(worst_semi, _restart_gap(samples, j, s, h, step))
     checks.append(_check("thimble-containment-and-openness", max(worst_res, worst_conv), 1e-6,
                          "the traced ball stays in the graph and the flow contracts inside it"))
     checks.append(_check("imaginary-part-constant-on-thimble", worst_f2, 1e-8,

@@ -43,7 +43,7 @@ class TestRunConfig:
     def test_tolerance_override_merges(self):
         cfg = RunConfig(tolerances={"algebraic": 1e-8})
         assert cfg.tolerances["algebraic"] == 1e-8
-        assert cfg.tolerances["flow"] == DEFAULT_TOLERANCES["flow"]
+        assert cfg.tolerances["convergence"] == DEFAULT_TOLERANCES["convergence"]
 
 
 class TestConfigLayers:
@@ -85,10 +85,11 @@ class TestConfigLayers:
         assert "config error" in capsys.readouterr().err
 
     def test_removed_kernel_cutoff_key_exit_code(self, capsys, tmp_path):
-        rc = main(["verify", "--n", "1", "--tol", "kernel_cutoff=1e-9",
-                   "--out", str(tmp_path / "r.json")])
-        assert rc == 2
-        assert "kernel_cutoff" in capsys.readouterr().err
+        for key in ("kernel_cutoff", "flow"):
+            rc = main(["verify", "--n", "1", "--tol", f"{key}=1e-9",
+                       "--out", str(tmp_path / "r.json")])
+            assert rc == 2
+            assert key in capsys.readouterr().err
 
 
 class TestCommands:

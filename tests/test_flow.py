@@ -6,6 +6,7 @@ import pytest
 from orbitflow.errors import NotCriticalError, StepSizeError, TangencyError
 from orbitflow.flow import (
     ad_inverse,
+    advance,
     closedness_defect,
     default_step,
     integrate,
@@ -234,29 +235,34 @@ class TestIntegrate:
         # batched forward relaxation of 50 random flag seeds; every limit
         # lies in the critical set
         from orbitflow.cycles import flag_sample
-        from orbitflow.orbit import retract_batch
 
         rng = np.random.default_rng(9)
         h = default_cartan(2)
-        hm = cartan_matrix(h)
-
-        def z(y):  # Z(y) = [y, [tau y, H]] on a stack of matrices
-            ty = -y.conj().transpose(0, 2, 1)
-            inner = ty @ hm - hm @ ty
-            return y @ inner - inner @ y
-
         seeds = np.array([p.x for p in flag_sample(2, 50, 1.2, rng)])
-        dt = 0.05
         for _ in range(600):
-            k1 = z(seeds)
-            k2 = z(seeds + 0.5 * dt * k1)
-            k3 = z(seeds + 0.5 * dt * k2)
-            k4 = z(seeds + dt * k3)
-            seeds = retract_batch(seeds + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
-            seeds = 0.5 * (seeds + seeds.conj().transpose(0, 2, 1))
+            seeds = advance(seeds, lambda ys: z_field(ys, h), 0.05, np.ones(3))
         crits = np.array([c.x for c in critical_points(2)])
         dists = np.linalg.norm(seeds[:, None] - crits[None], axis=(2, 3)).min(axis=1)
         assert dists.max() < 1e-6
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 4))
+    def test_flag_flow_matches_exact_double_bracket_solution(self, n):
+        # on the Hermitian locus Z = -[x, [x, H]] is Brockett's double-bracket
+        # flow; x = (n+1) u u^H - I moves as u(t) ~ exp(-(n+1) t H) u(0)
+        from orbitflow.cycles import flag_sample
+
+        h = default_cartan(n)
+        pt = flag_sample(n, 1, 0.9, np.random.default_rng(40 + n))[0]
+        traj = integrate(pt, h, max_steps=20000)
+        assert traj.limit_index is not None
+        d = n + 1
+        u0 = pt.line
+        expo = -d * np.outer(traj.times, h)
+        u = u0[None, :] * np.exp(expo - expo.max(axis=1, keepdims=True))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        exact = d * np.einsum("ti,tj->tij", u, u.conj()) - np.eye(d)
+        got = np.array([p.x for p in traj.points])
+        assert np.linalg.norm(got - exact, axis=(1, 2)).max() < 1e-8
 
     def test_height_monotone_and_residual_bounded(self):
         from orbitflow.cycles import flag_sample

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -349,8 +350,10 @@ class TestPairKernel:
         # the origin sits sqrt(n^2 + n) from its chart point, past the limit
         with pytest.raises(StepSizeError, match="batch index 1"):
             retract_batch(np.array([pt.x, np.zeros((d, d), dtype=complex)]))
-        with np.errstate(invalid="ignore"), pytest.raises(StepSizeError):
-            retract(np.full((d, d), np.nan, dtype=complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepSizeError, match="not finite"):
+                retract(np.full((d, d), np.nan, dtype=complex))
         # x + eps I has trace d eps, so it is at least eps sqrt(d) off the orbit
         with pytest.raises(MembershipError):
             split_eigen(pt.x + 1e-6 * np.eye(d))

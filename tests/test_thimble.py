@@ -7,7 +7,7 @@ import pytest
 
 from orbitflow.cycles import vanishing_sphere_point
 from orbitflow.errors import DensityWarning, MembershipError, NearCriticalError
-from orbitflow.flow import ad_inverse
+from orbitflow.flow import ad_inverse, symmetrize
 from orbitflow.graphs import GraphSpec, graph_point, identity_graph, m_j_pm
 from orbitflow.liecore import (
     b_norm,
@@ -17,10 +17,11 @@ from orbitflow.liecore import (
     minimal_cartan,
     omega,
 )
-from orbitflow.orbit import critical_points, potential, retract, retract_batch
+from orbitflow.orbit import critical_points, potential, retract
 from orbitflow.thimble import (
     boundary_samples,
     fg_decomposition_check,
+    flow_to_level,
     graph_tangent_frame,
     horizontal_lift_check,
     kaehler_gradients,
@@ -221,22 +222,12 @@ class TestTraceThimble:
             b_tau,
         )
         rng = np.random.default_rng(5)
-        from orbitflow.thimble import _f1_batch, _grad_speed_batch, _rk4_batch, _symmetrize_batch
-
         for _ in range(6):
             coeff = rng.standard_normal(len(frame))
             coeff /= np.linalg.norm(coeff)
             v = sum(c * e for c, e in zip(coeff, frame))
-            cur = _symmetrize_batch(retract(xc.x + 1e-3 * v).x[None], g)
-            for _ in range(4000):
-                cur = _symmetrize_batch(retract_batch(_rk4_batch(cur, h0, 0.02, -1.0)), g)
-                if _f1_batch(cur, h0)[0] < c_level:
-                    break
-            tau_len = (c_level - _f1_batch(cur, h0)) / (-_grad_speed_batch(cur, h0))
-            for _ in range(4):
-                landed = _symmetrize_batch(
-                    retract_batch(_rk4_batch(cur, h0, tau_len[:, None, None], -1.0)), g)
-                tau_len = tau_len + (c_level - _f1_batch(landed, h0)) / (-_grad_speed_batch(landed, h0))
+            seed = symmetrize(retract(xc.x + 1e-3 * v).x[None], g.m_diag)
+            landed, _ = flow_to_level(seed, h0, g, c_level, 0.02, 4000)
             # geodesic velocity [A, H0] must equal +v, so A solves [A, H0] = v
             direction = -ad_inverse(xc, v)
             q = vanishing_sphere_point(h0, c_level, direction)
