@@ -34,13 +34,12 @@ from .graphs import (
     GraphSpec,
     graph_membership,
     graph_point,
-    graph_tangent_basis,
+    graph_tangent_frame,
     hessian_full,
     hessian_restricted,
     identity_graph,
     m_j_pm,
     reality_check,
-    reality_check_diagonal,
 )
 from .thimble import (
     fg_decomposition_check,

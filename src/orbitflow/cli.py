@@ -2,8 +2,9 @@
 
 Configuration merges three layers in increasing precedence: a flat
 ``key=value`` config file, an inline JSON override, and command-line flags.
-Reports are JSON with floats carried at 17 significant digits; identical
-configuration and seed produce byte-identical output.
+Reports are JSON with each float written as the shortest decimal that
+reads back exactly; identical configuration and seed produce
+byte-identical output.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error.
 """
@@ -80,19 +81,8 @@ class RunConfig:
         }
 
 
-def _seventeen(obj):
-    """Round-trip floats through 17 significant digits for stable output."""
-    if isinstance(obj, float):
-        return float(format(obj, ".17g"))
-    if isinstance(obj, dict):
-        return {k: _seventeen(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_seventeen(v) for v in obj]
-    return obj
-
-
 def dump_report(payload, path):
-    text = json.dumps(_seventeen(payload), indent=1, sort_keys=True)
+    text = json.dumps(payload, indent=1, sort_keys=True)
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -291,7 +281,7 @@ def cmd_thimble(cfg):
         "samples": len(samples),
     }
     meta = {"config": cfg.as_dict(), "summary": summary}
-    text = thimble.thimble_json(samples, _seventeen(meta))
+    text = thimble.thimble_json(samples, meta)
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(text)

@@ -2,10 +2,13 @@
 
 A diagonal torus element m twists the map [u] -> [u]^perp into
 [u] -> m [u]^perp; the graph of the twisted map sits inside the orbit as
-the set of chart points Phi([u], m [u]^perp).  For involutive m these
-graphs are fixed sets of the anti-linear map x -> m x^dagger m, carry a
-real height function, and support the definite restricted Hessians that
-make the critical points attractors or repellers inside the graph.
+the set of chart points Phi([u], m [u]^perp), the image of
+u -> assemble(u, m u), so its tangent frame at any point is the chart
+derivative ``orbit.pair_tangent`` along the complement of u.  For
+involutive m these graphs are fixed sets of the anti-linear map
+x -> m x^dagger m, carry a real height function, and support the definite
+restricted Hessians that make the critical points attractors or repellers
+inside the graph.
 """
 
 import io
@@ -13,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParityError, SamplingError
+from .errors import GraphIntegrityError, ParityError, SamplingError
 from .liecore import (
     RootSystemAn,
+    b_tau,
     bracket,
     cartan_matrix,
     killing_form,
@@ -23,8 +27,8 @@ from .liecore import (
     root_eval,
     weyl_action,
 )
-from .orbit import assemble, pair_point
-from .util import random_unit_vector
+from .orbit import assemble, complement, pair_point, pair_tangent
+from .util import gram_schmidt_real, random_unit_vector
 
 REJECT_TOL = 1e-6
 
@@ -137,33 +141,30 @@ def untwist(pt, g):
     return pair_point(pt.line, np.conj(g.m_diag) * pt.normal)
 
 
-def graph_tangent_basis(g, j):
-    """Tangent vectors of the graph at the critical point [e_j].
+def graph_tangent_frame(pt, g):
+    """b_tau-orthonormal real frame of the tangent space of the graph at pt.
 
-    For each root (k, j), k != j (exactly the roots negative on the critical
-    diagonal), the generators X_a - e^{-i a(H1)} X_-a and
-    i(X_a + e^{-i a(H1)} X_-a) induce the 2n tangent vectors via bracket
-    with the critical point.
+    The graph of any unit-modulus twist m is the image of u -> assemble(u, m u),
+    so its tangent space is spanned by the chart derivative along c_k and
+    i c_k, with c_k the columns of complement(u).  Raises
+    GraphIntegrityError unless the frame has 2n vectors.
     """
-    d = g.dim
-    n = d - 1
-    rs = RootSystemAn(n)
-    xc = np.diag(np.full(d, -1.0 + 0j))
-    xc[j - 1, j - 1] = n
-    out = []
-    for k in range(1, d + 1):
-        if k == j:
-            continue
-        eps = g.phase((k, j))
-        b1 = rs.x_alpha((k, j)) - eps * rs.x_alpha((j, k))
-        b2 = 1j * (rs.x_alpha((k, j)) + eps * rs.x_alpha((j, k)))
-        out.append(bracket(b1, xc))
-        out.append(bracket(b2, xc))
-    return out
+    u = pt.line
+    c = complement(u).T
+    deltas = np.stack([c, 1j * c], axis=1).reshape(-1, len(u))
+    mats = pair_tangent(u, g.m_diag * u, deltas, g.m_diag * deltas)
+    frame = gram_schmidt_real(mats, b_tau)
+    if len(frame) != 2 * pt.n:
+        raise GraphIntegrityError(
+            f"graph tangent frame has dimension {len(frame)}, expected {2 * pt.n}"
+        )
+    return frame
 
 
 def graph_generators(g, j):
-    """Algebra elements that induce graph_tangent_basis, paired per root."""
+    """Algebra elements b per root (k, j), k != j, whose brackets [b, x_c]
+    with the critical point [e_j] span the graph's tangent space there;
+    these are the inputs of the Hessian oracle ``hessian_full``."""
     d = g.dim
     rs = RootSystemAn(d - 1)
     gens = []
@@ -289,36 +290,23 @@ def _measure_imag(u, twist_diag, h):
     return float(abs(f.imag)), float(np.abs(np.diag(x).imag).max())
 
 
-def reality_check(g, h, samples, rng, reject=REJECT_TOL):
-    """Maximal |Im f_H| and |Im diag| over random points of the graph of m.
+def reality_check(diag, h, samples, rng, reject=REJECT_TOL):
+    """Maximal |Im f_H| and |Im diag| over random points of the graph of an
+    invertible diagonal twist D, the chart points Phi([u], (D u)^perp).
 
-    For involutive m both are zero in exact arithmetic; the return value
-    measures the numerical defect.
+    For the sign involutions and for real D both are zero in exact
+    arithmetic; the return value measures the numerical defect.  Samples
+    with |(u, D u)| / max |D_i| below ``reject`` are redrawn.
     """
-    max_im_f = 0.0
-    max_im_diag = 0.0
-    for _ in range(samples):
-        u = _transversal_unit(rng, g.m_diag, reject)
-        im_f, im_diag = _measure_imag(u, g.m_diag, h)
-        max_im_f = max(max_im_f, im_f)
-        max_im_diag = max(max_im_diag, im_diag)
-    return {"max_im_f": max_im_f, "max_im_diag": max_im_diag}
-
-
-def reality_check_diagonal(dvals, h, samples, rng, reject=REJECT_TOL):
-    """Same reality measurement for a real-eigenvalue diagonal twist D.
-
-    The twisted graph consists of the chart points Phi([u], (D u)^perp);
-    D need not be unitary, only diagonal with real nonzero eigenvalues.
-    """
-    dvals = np.asarray(dvals, dtype=float)
-    if np.abs(dvals).min() < 1e-12:
+    diag = np.asarray(diag, dtype=complex)
+    if np.abs(diag).min() < 1e-12:
         raise ValueError("diagonal twist must be invertible")
+    weights = diag / np.abs(diag).max()
     max_im_f = 0.0
     max_im_diag = 0.0
     for _ in range(samples):
-        u = _transversal_unit(rng, dvals / np.linalg.norm(dvals), reject)
-        im_f, im_diag = _measure_imag(u, dvals, h)
+        u = _transversal_unit(rng, weights, reject)
+        im_f, im_diag = _measure_imag(u, diag, h)
         max_im_f = max(max_im_f, im_f)
         max_im_diag = max(max_im_diag, im_diag)
     return {"max_im_f": max_im_f, "max_im_diag": max_im_diag}

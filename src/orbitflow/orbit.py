@@ -14,12 +14,12 @@ input, extended precision included:
 
 * ``split`` reads the pair off x + I as a rank-one factorization and
   reports how far that moves x;
-* ``assemble`` is the formula above;
+* ``assemble`` is the formula above and ``pair_tangent`` its derivative;
 * ``complement`` is an orthonormal basis of the hyperplane of a normal;
 * ``project_pair`` is the closed-form projection onto the tangent space
   im ad(x) = {u b^H : b ⊥ u} + {c v^H : c ⊥ v}.
 
-Everything else here is a view over these four.
+Everything else here is a view over these five.
 """
 
 import json
@@ -57,7 +57,8 @@ def split(xs):
     zero up to rounding on the orbit and first order in the distance off
     it.  Column and row swap under x -> m x^H m for diagonal unitary
     involutions m, so the split commutes with those reflections.  Raises
-    StepSizeError when x + I is zero or not finite.
+    StepSizeError when x + I is zero or not finite, or when the column and
+    row are orthogonal (v^H u = 0, the incidence divisor).
     """
     xs = np.asarray(xs)
     d = xs.shape[-1]
@@ -71,15 +72,37 @@ def split(xs):
     row = np.argmax(weight.sum(axis=-1), axis=-1)[..., None, None]
     u = _unit(np.take_along_axis(a, col, axis=-1)[..., 0])
     v = _unit(np.take_along_axis(a, row, axis=-2)[..., 0, :].conj())
-    moved = np.sqrt((np.abs(assemble(u, v) - xs) ** 2).sum(axis=(-2, -1)))
+    s = _vdot(v, u)
+    if not s.all():
+        bad = np.flatnonzero(s == 0)
+        raise StepSizeError(f"x + I lies on the incidence divisor (batch index {bad[0]})")
+    moved = np.sqrt((np.abs(_assemble(u, v, s) - xs) ** 2).sum(axis=(-2, -1)))
     return u, v, moved
+
+
+def _assemble(u, v, s):
+    d = u.shape[-1]
+    outer = u[..., :, None] * v.conj()[..., None, :]
+    return d * outer / s[..., None, None] - np.eye(d, dtype=outer.dtype)
 
 
 def assemble(u, v):
     """Chart point (n+1) u v^H / (v^H u) - I of lines u and normals v."""
+    return _assemble(u, v, _vdot(v, u))
+
+
+def pair_tangent(u, v, du, dv):
+    """Derivative of ``assemble`` at (u, v) along (du, dv).
+
+    With s = v^H u and d = n+1 it is
+    d (du v^H + u dv^H) / s - d u v^H (dv^H u + v^H du) / s^2.
+    """
     d = u.shape[-1]
-    outer = u[..., :, None] * v.conj()[..., None, :]
-    return d * outer / _vdot(v, u)[..., None, None] - np.eye(d, dtype=outer.dtype)
+    s = _vdot(v, u)[..., None, None]
+    ds = (_vdot(dv, u) + _vdot(v, du))[..., None, None]
+    v_h, dv_h = v.conj()[..., None, :], dv.conj()[..., None, :]
+    u_c, du_c = u[..., :, None], du[..., :, None]
+    return d * (du_c * v_h + u_c * dv_h) / s - d * (u_c * v_h) * ds / s ** 2
 
 
 def complement(v):

@@ -6,6 +6,8 @@ restricted Hessian its sublevel (or superlevel) ball is a Lagrangian
 thimble.  Tracing follows the ambient gradient of f1, which is tangent to
 the graph because the imaginary part is constant there; ``flow_to_level``
 steps it with ``flow.advance`` and lands it on a level with ``cross_level``.
+Seeds, and the split F1 = G1 - i G2 of the gradient, use the graph tangent
+frame ``graphs.graph_tangent_frame``.
 """
 
 import io
@@ -27,16 +29,15 @@ from .liecore import b_norm, b_tau, cartan_matrix, root_eval
 from .orbit import (
     OrbitPoint,
     as_points,
+    critical_points,
     potential,
     project_pair,
-    r_w0_basis,
     retract,
     split,
-    tangent_frame,
     tangent_project,
 )
-from .graphs import graph_membership, graph_point, graph_tangent_basis, m_j_pm
-from .util import gram_schmidt_real, realify, subspace_intersection_real, unrealify
+from .graphs import graph_membership, graph_tangent_frame, m_j_pm
+from .util import realify
 
 RESIDUAL_LIMIT = 1e-5
 SEED_RESIDUAL = 1e-7
@@ -54,63 +55,6 @@ def kaehler_gradients(pt, h):
     return tangent_project(pt, hm), tangent_project(pt, 1j * hm)
 
 
-def fixed_set_basis(g):
-    """Real basis of the anti-linear fixed set {v : v = m v^dagger m}.
-
-    For involutive m the graph of the twisted complement map lies inside
-    this real-linear subspace, which is what makes its secants exactly
-    isotropic.
-    """
-    eps = g.m_diag.real
-    d = g.dim
-    out = []
-    for k in range(d - 1):
-        m = np.zeros((d, d), dtype=complex)
-        m[k, k], m[k + 1, k + 1] = 1.0, -1.0
-        out.append(m)
-    for i in range(d):
-        for j in range(i + 1, d):
-            e = eps[i] * eps[j]
-            m1 = np.zeros((d, d), dtype=complex)
-            m1[i, j], m1[j, i] = 1.0, e
-            m2 = np.zeros((d, d), dtype=complex)
-            m2[i, j], m2[j, i] = 1j, -1j * e
-            out.extend([m1, m2])
-    return out
-
-
-def graph_tangent_frame(pt, g, fd_step=1e-6):
-    """b_tau-orthonormal real frame of the graph tangent space at a point.
-
-    Involutive twists use the exact intersection of the orbit tangent space
-    with the fixed set above; general torus twists fall back to central
-    differences through the pair-chart parametrization.
-    """
-    n = pt.n
-    if g.is_involution:
-        real_tangent = [m for e in tangent_frame(pt) for m in (e, 1j * e)]
-        rows = subspace_intersection_real(
-            realify(np.array(real_tangent)), realify(np.array(fixed_set_basis(g))), 1e-8
-        )
-        mats = list(unrealify(rows, n + 1)) if rows.size else []
-    else:
-        u = pt.line
-        compl = r_w0_basis(u)
-        mats = []
-        for k in range(n):
-            for phase in (1.0, 1j):
-                delta = phase * compl[:, k]
-                plus = graph_point(u + fd_step * delta, g).x
-                minus = graph_point(u - fd_step * delta, g).x
-                mats.append((plus - minus) / (2.0 * fd_step))
-    frame = gram_schmidt_real(mats, b_tau)
-    if len(frame) != 2 * n:
-        raise GraphIntegrityError(
-            f"graph tangent frame has dimension {len(frame)}, expected {2 * n}"
-        )
-    return frame
-
-
 @dataclass(frozen=True)
 class FGReport:
     residual: float      # |F1 - (G1 - i G2)| / |F1|
@@ -118,7 +62,7 @@ class FGReport:
     f1_tangency: float   # |F1 - G1| / |F1|
 
 
-def fg_decomposition_check(pt, g, h, membership_tol=1e-6, fd_step=1e-6):
+def fg_decomposition_check(pt, g, h, membership_tol=1e-6):
     """Verify F1 = G1 - i G2 at a graph point.
 
     G1, G2 are the gradients of the restricted real and imaginary parts,
@@ -128,7 +72,7 @@ def fg_decomposition_check(pt, g, h, membership_tol=1e-6, fd_step=1e-6):
     if res > membership_tol:
         raise MembershipError(f"graph membership residual {res:.3e} exceeds tolerance")
     f1, f2 = kaehler_gradients(pt, h)
-    frame = graph_tangent_frame(pt, g, fd_step)
+    frame = graph_tangent_frame(pt, g)
     g1 = sum(b_tau(f1, e) * e for e in frame)
     g2 = sum(b_tau(f2, e) * e for e in frame)
     nf1 = b_norm(f1)
@@ -295,12 +239,12 @@ def trace_thimble(
     g = m_j_pm(n, j, sign)
     rng = np.random.default_rng(0) if rng is None else rng
 
-    xc = np.diag(np.full(d, -1.0 + 0j))
-    xc[j - 1, j - 1] = n
+    crit = critical_points(n)[j - 1]
+    xc = crit.x
     f1_c = float(_f1_batch(xc[None], h)[0])
     c_level = f1_c - c_offset if sign == "-" else f1_c + c_offset
 
-    frame = gram_schmidt_real(graph_tangent_basis(g, j), b_tau)
+    frame = graph_tangent_frame(crit, g)
     dirs = rng.standard_normal((directions, len(frame)))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 

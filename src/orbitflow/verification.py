@@ -539,9 +539,9 @@ def thimble_suite(cfg, rng):
 
         # graph-tangent seeds contract back to [e_j] under the orienting flow
         g = graphs.m_j_pm(n, j, s)
-        frame = graphs.graph_tangent_basis(g, j)
-        xc = orbit.critical_points(n)[j - 1].x
-        seed = orbit.retract(xc + 1e-3 * frame[0] / b_norm(frame[0])).x[None]
+        crit = orbit.critical_points(n)[j - 1]
+        xc = crit.x
+        seed = orbit.retract(xc + 1e-3 * graphs.graph_tangent_frame(crit, g)[0]).x[None]
         cur = flow.symmetrize(seed, g.m_diag)
         orient = 1.0 if s == "-" else -1.0
 

@@ -9,27 +9,36 @@ from orbitflow.graphs import (
     graph_generators,
     graph_membership,
     graph_point,
-    graph_tangent_basis,
+    graph_tangent_frame,
     hessian_full,
     hessian_report_csv,
     hessian_restricted,
     identity_graph,
     m_j_pm,
     reality_check,
-    reality_check_diagonal,
+    twists,
     untwist,
 )
 from orbitflow.liecore import (
     RootSystemAn,
     b_tau,
+    bracket,
     cartan_matrix,
     default_cartan,
     identity_weyl,
     minimal_cartan,
     omega,
 )
-from orbitflow.orbit import phi_pair, r_w0_basis
-from orbitflow.util import random_special_unitary, random_unit_vector
+from orbitflow.orbit import critical_points, phi_pair, r_w0_basis, tangent_frame
+from orbitflow.util import (
+    gram_schmidt_real,
+    orthonormal_rows,
+    random_special_unitary,
+    random_unit_vector,
+    realify,
+    subspace_intersection_real,
+    unrealify,
+)
 from orbitflow.verification import word_with_slot
 
 
@@ -118,15 +127,16 @@ class TestMembership:
             ) < 1e-10
 
 
+def _critical_frame(g, j):
+    return graph_tangent_frame(critical_points(g.dim - 1)[j - 1], g)
+
+
 class TestTangentBasis:
     def test_rank_one_zero_section(self):
         # at the origin the plain graph is tangent to the compact directions
         rs = RootSystemAn(1)
         h0m = cartan_matrix(minimal_cartan(1))
-        basis = graph_tangent_basis(identity_graph(1), 1)
-        from orbitflow.liecore import bracket
-        from orbitflow.util import realify, subspace_intersection_real
-
+        basis = _critical_frame(identity_graph(1), 1)
         expected = [bracket(rs.a_alpha((1, 2)), h0m), bracket(rs.z_alpha((1, 2)), h0m)]
         rows = subspace_intersection_real(
             realify(np.array(basis)), realify(np.array(expected))
@@ -135,15 +145,108 @@ class TestTangentBasis:
 
     def test_real_linear_independence(self):
         for n, j, s in ((2, 1, "-"), (2, 3, "+"), (4, 2, "-")):
-            basis = graph_tangent_basis(m_j_pm(n, j, s), j)
+            basis = _critical_frame(m_j_pm(n, j, s), j)
             assert len(basis) == 2 * n
             gram = np.array([[b_tau(a, b) for b in basis] for a in basis])
             assert abs(np.linalg.det(gram)) > 1e-8
 
     def test_lagrangian(self):
         for n, j, s in ((2, 1, "-"), (2, 2, "+"), (4, 3, "-")):
-            basis = graph_tangent_basis(m_j_pm(n, j, s), j)
+            basis = _critical_frame(m_j_pm(n, j, s), j)
             assert max(abs(omega(a, b)) for a in basis for b in basis) < 1e-12
+
+
+def _fixed_set_basis(m):
+    """Real basis of the anti-linear fixed set {x : x = m x^H m} in sl(d)
+    for a diagonal sign involution m."""
+    eps = m.real
+    d = len(m)
+    out = []
+    for k in range(d - 1):
+        a = np.zeros((d, d), dtype=complex)
+        a[k, k], a[k + 1, k + 1] = 1.0, -1.0
+        out.append(a)
+    for i in range(d):
+        for j in range(i + 1, d):
+            for phase in (1.0, 1j):
+                a = np.zeros((d, d), dtype=complex)
+                a[i, j], a[j, i] = phase, np.conj(phase) * eps[i] * eps[j]
+                out.append(a)
+    return out
+
+
+def _same_span(a, b, tol=1e-10):
+    qa, qb = orthonormal_rows(realify(np.array(a))), orthonormal_rows(realify(np.array(b)))
+    sv = np.linalg.svd(qa @ qb.T, compute_uv=False)
+    return qa.shape == qb.shape and sv.min() > 1.0 - tol
+
+
+def _twist_cases(n):
+    # phases summing to zero, so det m = 1; no entry is real but the middle one
+    generic = GraphSpec(np.exp(1j * np.linspace(-0.7, 0.7, n + 1)))
+    return [m_j_pm(n, j, s) for j, s in twists(n)] + [generic]
+
+
+def _graph_points(rng, g, count=4):
+    out = []
+    while len(out) < count:
+        u = random_unit_vector(rng, g.dim)
+        if abs(np.vdot(g.m_diag * u, u)) > 1e-2:
+            out.append(graph_point(u, g))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+class TestTangentFrame:
+    def test_orthonormal_frame_of_2n_vectors(self, n):
+        rng = np.random.default_rng(80 + n)
+        for g in _twist_cases(n):
+            for pt in _graph_points(rng, g) + critical_points(n):
+                frame = graph_tangent_frame(pt, g)
+                assert len(frame) == 2 * n
+                gram = np.array([[b_tau(a, b) for b in frame] for a in frame])
+                assert np.abs(gram - np.eye(2 * n)).max() < 1e-12
+
+    def test_involution_frame_spans_tangent_fixed_set(self, n):
+        rng = np.random.default_rng(90 + n)
+        for g in _twist_cases(n)[:-1]:
+            assert g.is_involution
+            for pt in _graph_points(rng, g):
+                real_tangent = [m for e in tangent_frame(pt) for m in (e, 1j * e)]
+                rows = subspace_intersection_real(
+                    realify(np.array(real_tangent)),
+                    realify(np.array(_fixed_set_basis(g.m_diag))),
+                    1e-8,
+                )
+                assert rows.shape[0] == 2 * n
+                assert _same_span(graph_tangent_frame(pt, g), unrealify(rows, n + 1))
+
+    def test_generic_twist_matches_central_differences(self, n):
+        rng = np.random.default_rng(100 + n)
+        g = _twist_cases(n)[-1]
+        assert not g.is_involution
+        step = 1e-6
+        for pt in _graph_points(rng, g):
+            u = pt.line
+            diffs = []
+            for k in range(n):
+                for phase in (1.0, 1j):
+                    delta = phase * r_w0_basis(u)[:, k]
+                    plus = graph_point(u + step * delta, g).x
+                    minus = graph_point(u - step * delta, g).x
+                    diffs.append((plus - minus) / (2.0 * step))
+            expected = gram_schmidt_real(diffs, b_tau)
+            frame = graph_tangent_frame(pt, g)
+            assert len(expected) == len(frame) == 2 * n
+            assert max(np.abs(a - b).max() for a, b in zip(frame, expected)) < 1e-7
+
+    def test_critical_frame_spans_generator_brackets(self, n):
+        for g in _twist_cases(n):
+            for j in range(1, n + 2):
+                xc = critical_points(n)[j - 1].x
+                brackets = [bracket(b, xc) for _, b1, b2 in graph_generators(g, j)
+                            for b in (b1, b2)]
+                assert _same_span(_critical_frame(g, j), brackets)
 
 
 class TestHessian:
@@ -222,7 +325,7 @@ class TestReality:
     def test_plain_graph_is_hermitian(self):
         rng = np.random.default_rng(3)
         h = default_cartan(2)
-        out = reality_check(identity_graph(2), h, 200, rng)
+        out = reality_check(identity_graph(2).m_diag, h, 200, rng)
         assert out["max_im_f"] < 1e-10
         assert out["max_im_diag"] < 1e-10
 
@@ -238,15 +341,15 @@ class TestReality:
         h = default_cartan(2)
         for j in range(1, 4):
             for s in ("+", "-"):
-                out = reality_check(m_j_pm(2, j, s), h, 100, rng)
+                out = reality_check(m_j_pm(2, j, s).m_diag, h, 100, rng)
                 assert out["max_im_f"] < 1e-9
 
     def test_real_diagonal_twist(self):
         rng = np.random.default_rng(5)
         h = default_cartan(2)
-        out = reality_check_diagonal(np.array([2.0, 1.0, 1.0]), h, 200, rng)
+        out = reality_check(np.array([2.0, 1.0, 1.0]), h, 200, rng)
         assert out["max_im_f"] < 1e-9
-        out = reality_check_diagonal(np.array([1.7, -0.6, 1.1]), h, 200, rng)
+        out = reality_check(np.array([1.7, -0.6, 1.1]), h, 200, rng)
         assert out["max_im_f"] < 1e-9
 
     def test_generic_unitary_twist_not_real(self):
@@ -255,7 +358,7 @@ class TestReality:
         h = default_cartan(2)
         theta = np.array([0.4, -0.7, 0.3])
         g = GraphSpec(np.exp(1j * theta))
-        out = reality_check(g, h, 100, rng)
+        out = reality_check(g.m_diag, h, 100, rng)
         assert out["max_im_f"] > 1e-3
 
     def test_sampling_error_when_rejection_unsatisfiable(self):
@@ -264,4 +367,4 @@ class TestReality:
         rng = np.random.default_rng(7)
         h = default_cartan(2)
         with pytest.raises(SamplingError):
-            reality_check(m_j_pm(2, 1, "+"), h, 1, rng, reject=2.0)
+            reality_check(m_j_pm(2, 1, "+").m_diag, h, 1, rng, reject=2.0)

@@ -350,13 +350,17 @@ class TestPairKernel:
         # the origin sits sqrt(n^2 + n) from its chart point, past the limit
         with pytest.raises(StepSizeError, match="batch index 1"):
             retract_batch(np.array([pt.x, np.zeros((d, d), dtype=complex)]))
+        e = np.eye(d, dtype=complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(StepSizeError, match="not finite"):
                 retract(np.full((d, d), np.nan, dtype=complex))
+            # x + I = e_1 e_2^T: largest column and row are orthogonal
+            divisor = np.outer(e[0], e[1]) - e
+            with pytest.raises(StepSizeError, match="incidence divisor.*batch index 1"):
+                retract_batch(np.array([pt.x, divisor]))
         # x + eps I has trace d eps, so it is at least eps sqrt(d) off the orbit
         with pytest.raises(MembershipError):
             split_eigen(pt.x + 1e-6 * np.eye(d))
-        e = np.eye(d, dtype=complex)
         with pytest.raises(TransversalityError):
             pair_point(e[0], e[1])

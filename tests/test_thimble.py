@@ -8,7 +8,7 @@ import pytest
 from orbitflow.cycles import vanishing_sphere_point
 from orbitflow.errors import DensityWarning, MembershipError, NearCriticalError
 from orbitflow.flow import ad_inverse, symmetrize
-from orbitflow.graphs import GraphSpec, graph_point, identity_graph, m_j_pm
+from orbitflow.graphs import GraphSpec, graph_point, graph_tangent_frame, identity_graph, m_j_pm
 from orbitflow.liecore import (
     b_norm,
     b_tau,
@@ -22,7 +22,6 @@ from orbitflow.thimble import (
     boundary_samples,
     fg_decomposition_check,
     flow_to_level,
-    graph_tangent_frame,
     horizontal_lift_check,
     kaehler_gradients,
     lagrangian_check,
@@ -94,7 +93,7 @@ class TestFGDecomposition:
                     assert rep.f1_tangency < 1e-8
 
     def test_graph_tangent_frame_rank_one(self):
-        # the realified tangent span (4 rows) exceeds the fixed set (3)
+        # rank one: two b_tau-orthonormal vectors spanning an isotropic plane
         rng = np.random.default_rng(12)
         g = m_j_pm(1, 1, "-")
         pt = _graph_sample(rng, g, 1)
@@ -217,10 +216,7 @@ class TestTraceThimble:
         g = m_j_pm(n, 1, "-")
         xc = critical_points(n)[0]
         c_level = 8.0 - 0.5
-        frame = gram_schmidt_real(
-            __import__("orbitflow.graphs", fromlist=["graph_tangent_basis"]).graph_tangent_basis(g, 1),
-            b_tau,
-        )
+        frame = graph_tangent_frame(xc, g)
         rng = np.random.default_rng(5)
         for _ in range(6):
             coeff = rng.standard_normal(len(frame))
