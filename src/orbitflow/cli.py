@@ -59,6 +59,20 @@ class RunConfig:
                     )
         if self.sign not in ("+", "-"):
             raise ConfigError(f"sign must be '+' or '-', got {self.sign!r}")
+        if not 1 <= self.j <= self.n + 1:
+            raise ConfigError(f"j must be in 1..{self.n + 1}, got {self.j}")
+        if (self.j, self.sign) not in graphs.twists(self.n):
+            raise ConfigError(
+                f"sign {self.sign!r} is not defined for j={self.j} at odd rank n={self.n}; "
+                f"the (j, sign) pairs are {graphs.twists(self.n)}"
+            )
+        for name in ("directions", "steps"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("c_offset", "step_size"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ConfigError(f"{name} must be positive, got {value}")
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
             raise ConfigError(f"unknown tolerance keys: {sorted(unknown)}")
@@ -107,24 +121,26 @@ def _coerce(values):
     out = {}
     tols = {}
     for key, val in values.items():
-        if key.startswith("tol."):
-            tols[key[4:]] = float(val)
-        elif key == "n":
-            out["n"] = int(val)
-        elif key == "H":
-            out["h"] = [float(v) for v in str(val).split(",")]
-        elif key == "h":
-            out["h"] = val if isinstance(val, (list, tuple)) else [float(v) for v in str(val).split(",")]
-        elif key in ("seed", "j", "steps", "directions"):
-            out[key] = int(val)
-        elif key in ("c_offset", "step_size"):
-            out[key] = float(val)
-        elif key in ("sign", "out"):
-            out[key] = str(val)
-        elif key == "tolerances":
-            tols.update(val)
-        else:
-            raise ConfigError(f"unknown configuration key: {key!r}")
+        try:
+            if key.startswith("tol."):
+                tols[key[4:]] = float(val)
+            elif key in ("H", "h"):
+                vals = val if isinstance(val, (list, tuple)) else str(val).split(",")
+                out["h"] = [float(v) for v in vals]
+            elif key in ("n", "seed", "j", "steps", "directions"):
+                out[key] = int(val)
+            elif key in ("c_offset", "step_size"):
+                out[key] = float(val)
+            elif key in ("sign", "out"):
+                out[key] = str(val)
+            elif key == "tolerances":
+                tols.update((k, float(v)) for k, v in dict(val).items())
+            else:
+                raise ConfigError(f"unknown configuration key: {key!r}")
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{key}={val!r} cannot be read: {exc}") from None
     if tols:
         out["tolerances"] = tols
     return out
@@ -133,9 +149,19 @@ def _coerce(values):
 def build_config(args):
     layers = {}
     if args.config:
-        layers.update(_coerce(parse_config_file(args.config)))
+        try:
+            values = parse_config_file(args.config)
+        except OSError as exc:
+            raise ConfigError(f"config file cannot be read: {exc}") from None
+        layers.update(_coerce(values))
     if args.json_config:
-        layers.update(_coerce(json.loads(args.json_config)))
+        try:
+            overrides = json.loads(args.json_config)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"json-config is not valid JSON: {exc}") from None
+        if not isinstance(overrides, dict):
+            raise ConfigError("json-config must be a JSON object")
+        layers.update(_coerce(overrides))
     flags = {}
     if args.n is not None:
         flags["n"] = args.n

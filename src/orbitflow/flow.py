@@ -1,8 +1,10 @@
 """Gradient field Z(x) = [x, [tau x, H]], its metric, linearization and flow.
 
-Z is minus the gradient of the real height h_H(x) = Re<H, x> with respect to
-the orbit metric m_x(u, v) = b_tau(ad(x)^-1 u, ad(x)^-1 v), where ad(x)^-1
-is the minimum-norm inverse, in closed form in the pair coordinates of x.
+Z is minus the gradient of the real height h_H(x) = Re<H, x> (that is,
+``orbit.potential(h, x).real``) with respect to the orbit metric
+m_x(u, v) = b_tau(ad(x)^-1 u, ad(x)^-1 v), where ad(x)^-1 is the
+minimum-norm inverse, in closed form in the pair coordinates
+``orbit.pair_of(x)`` of an OrbitPoint or of stacked matrices.
 ``advance``, the one stepper of the package, takes a classical RK4 step of
 any batched tangent field in the ambient matrix space, retracts it onto the
 orbit and may snap it onto the fixed set of x -> m x^H m.
@@ -25,7 +27,7 @@ from .liecore import (
     tau,
 )
 from .orbit import (OrbitPoint, as_points, critical_points, invert_pair, membership_residual,
-                    potential, retract_batch, split)
+                    pair_of, potential, retract_batch)
 
 TANGENCY_TOL = 1e-8
 CONV_TOL = 1e-9
@@ -64,12 +66,6 @@ def advance(xs, rhs, dt, m=None):
     return out if m is None else symmetrize(out, m)
 
 
-def _pair(pt):
-    if isinstance(pt, OrbitPoint):
-        return pt.line, pt.normal
-    return split(_mat(pt))[:2]
-
-
 def ad_inverse(pt, v, tangency_tol=TANGENCY_TOL):
     """Solve ad(x) w = v with w orthogonal to the kernel of ad(x).
 
@@ -79,7 +75,7 @@ def ad_inverse(pt, v, tangency_tol=TANGENCY_TOL):
     TangencyError when v is not in the image of ad(x) within tolerance.
     """
     vm = _mat(v)
-    w, outside = invert_pair(*_pair(pt), vm)
+    w, outside = invert_pair(*pair_of(pt), vm)
     residual = np.linalg.norm(outside)
     if residual > tangency_tol * max(1.0, np.linalg.norm(vm)):
         raise TangencyError(f"component outside im ad(x): {residual:.3e}")
@@ -93,17 +89,12 @@ def tangency_residual(pt, v):
     because x is diagonalizable; it is what ad(x) ad_inverse(v) misses.
     """
     vm = _mat(v)
-    return np.linalg.norm(invert_pair(*_pair(pt), vm)[1]) / max(np.linalg.norm(vm), 1e-300)
+    return np.linalg.norm(invert_pair(*pair_of(pt), vm)[1]) / max(np.linalg.norm(vm), 1e-300)
 
 
 def metric_m(pt, u, v, tangency_tol=TANGENCY_TOL):
     """Riemannian metric m_x(u, v) = b_tau(ad(x)^-1 u, ad(x)^-1 v)."""
     return b_tau(ad_inverse(pt, u, tangency_tol), ad_inverse(pt, v, tangency_tol))
-
-
-def height(h, x):
-    """Real height h_H(x) = b_tau(x, H) = Re f_H(x)."""
-    return b_tau(_mat(x), cartan_matrix(h))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .liecore import (
     root_eval,
     weyl_action,
 )
-from .orbit import assemble, complement, pair_point, pair_tangent
+from .orbit import OrbitPoint, assemble, complement, pair_of, pair_point, pair_tangent, potential
 from .util import gram_schmidt_real, random_unit_vector
 
 REJECT_TOL = 1e-6
@@ -121,8 +121,9 @@ def graph_point(u, g, tol=1e-8):
     return pair_point(u, g.m_diag * u, tol)
 
 
-def graph_membership(pt, g):
-    """Membership residual |(I - nu nu^H) m u| of an orbit point in the graph.
+def graph_membership(x, g):
+    """Membership residual |(I - nu nu^H) m u| of an OrbitPoint, or of each
+    of stacked orbit matrices, in the graph.
 
     This is the length of the part of m u inside the hyperplane (normal
     nu), i.e. of (w_i, m u) over any orthonormal hyperplane basis w_i.  It
@@ -130,9 +131,10 @@ def graph_membership(pt, g):
     eigenline's orthogonal complement; for g = identity this is the
     Hermitian-ness test.
     """
-    mu = g.m_diag * pt.line
-    nu = pt.normal
-    return float(np.linalg.norm(mu - nu * np.vdot(nu, mu)))
+    u, nu = pair_of(x)
+    mu = g.m_diag * u
+    res = np.linalg.norm(mu - nu * (nu.conj() * mu).sum(axis=-1, keepdims=True), axis=-1)
+    return float(res) if isinstance(x, OrbitPoint) else res
 
 
 def untwist(pt, g):
@@ -283,10 +285,9 @@ def _measure_imag(u, twist_diag, h):
     """
     u = np.asarray(u, dtype=np.clongdouble)
     u = u / np.sqrt(np.vdot(u, u).real)
-    d = len(u)
     twisted = np.asarray(twist_diag, dtype=np.clongdouble) * u
     x = assemble(u, twisted / np.sqrt(np.vdot(twisted, twisted).real))
-    f = 2.0 * d * np.einsum("i,ii->", np.asarray(h, dtype=np.clongdouble), x)
+    f = potential(h, x)
     return float(abs(f.imag)), float(np.abs(np.diag(x).imag).max())
 
 

@@ -12,14 +12,17 @@ This module is the only one that knows that representation.  Its kernel
 is batch-first (leading axes index points) and runs in the dtype of its
 input, extended precision included:
 
-* ``split`` reads the pair off x + I as a rank-one factorization and
-  reports how far that moves x;
+* ``split`` reads the pair off x + I as a rank-one factorization, and
+  ``pair_of`` returns it for an OrbitPoint (cached) or stacked matrices;
 * ``assemble`` is the formula above and ``pair_tangent`` its derivative;
 * ``complement`` is an orthonormal basis of the hyperplane of a normal;
 * ``project_pair`` is the closed-form projection onto the tangent space
   im ad(x) = {u b^H : b ⊥ u} + {c v^H : c ⊥ v}.
 
-Everything else here is a view over these five.
+Everything else here is a view over these six; ``tangent_project`` and
+``potential`` take an OrbitPoint or a stack of matrices.  Only the snaps
+(``retract_batch``, ``retract``, ``split_eigen``) assemble a split and
+measure how far that moves x.
 """
 
 import json
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MembershipError, ShapeError, StepSizeError, TransversalityError, UnsupportedOrbitError
-from .liecore import cartan_matrix, killing_form, minimal_cartan
+from .liecore import minimal_cartan
 
 TRANSVERSALITY_TOL = 1e-8
 MEMBERSHIP_TOL = 1e-8
@@ -49,16 +52,15 @@ def _matvec(m, v):
 
 
 def split(xs):
-    """Pair (u, v) of near-orbit matrices and how far the chart moves them.
+    """Pair (u, v) of near-orbit matrices.
 
     On the orbit x + I has rank one, so its largest-norm column spans the
     eigenline and its largest-norm row is the conjugate hyperplane normal;
-    both are returned normalized.  ``moved`` is |assemble(u, v) - x|_F,
-    zero up to rounding on the orbit and first order in the distance off
-    it.  Column and row swap under x -> m x^H m for diagonal unitary
-    involutions m, so the split commutes with those reflections.  Raises
-    StepSizeError when x + I is zero or not finite, or when the column and
-    row are orthogonal (v^H u = 0, the incidence divisor).
+    both are returned normalized.  Column and row swap under x -> m x^H m
+    for diagonal unitary involutions m, so the split commutes with those
+    reflections.  Raises StepSizeError when x + I is zero or not finite, or
+    when the column and row are orthogonal (v^H u = 0, the incidence
+    divisor).
     """
     xs = np.asarray(xs)
     d = xs.shape[-1]
@@ -76,19 +78,31 @@ def split(xs):
     if not s.all():
         bad = np.flatnonzero(s == 0)
         raise StepSizeError(f"x + I lies on the incidence divisor (batch index {bad[0]})")
-    moved = np.sqrt((np.abs(_assemble(u, v, s) - xs) ** 2).sum(axis=(-2, -1)))
-    return u, v, moved
+    return u, v
 
 
-def _assemble(u, v, s):
-    d = u.shape[-1]
-    outer = u[..., :, None] * v.conj()[..., None, :]
-    return d * outer / s[..., None, None] - np.eye(d, dtype=outer.dtype)
+def pair_of(x):
+    """Pair (line, normal) of an OrbitPoint, or the split of stacked matrices."""
+    if isinstance(x, OrbitPoint):
+        return x.line, x.normal
+    return split(x)
 
 
 def assemble(u, v):
     """Chart point (n+1) u v^H / (v^H u) - I of lines u and normals v."""
-    return _assemble(u, v, _vdot(v, u))
+    d = u.shape[-1]
+    outer = u[..., :, None] * v.conj()[..., None, :]
+    return d * outer / _vdot(v, u)[..., None, None] - np.eye(d, dtype=outer.dtype)
+
+
+def _snap(xs):
+    """Pair of near-orbit matrices, its chart points, and how far the chart
+    moves the matrices in Frobenius norm: zero up to rounding on the orbit
+    and first order in the distance off it."""
+    xs = np.asarray(xs)
+    u, v = split(xs)
+    ys = assemble(u, v)
+    return u, v, ys, np.sqrt((np.abs(ys - xs) ** 2).sum(axis=(-2, -1)))
 
 
 def pair_tangent(u, v, du, dv):
@@ -170,9 +184,9 @@ def retract_batch(xs):
     Raises StepSizeError when the chart moves some matrix further than
     DRIFT_LIMIT in Frobenius norm (or the matrix is not finite).
     """
-    u, v, moved = split(xs)
+    _, _, ys, moved = _snap(xs)
     _check_moved(moved, DRIFT_LIMIT)
-    return assemble(u, v)
+    return ys
 
 
 def _check_moved(moved, drift_limit):
@@ -186,7 +200,7 @@ def _check_moved(moved, drift_limit):
 
 def as_points(xs):
     """OrbitPoints of stacked orbit matrices, keeping the matrices as given."""
-    u, v, _ = split(xs)
+    u, v = split(xs)
     return [OrbitPoint(x=x.copy(), line=a, normal=b) for x, a, b in zip(xs, u, v)]
 
 
@@ -225,7 +239,7 @@ class OrbitPoint:
         return membership_residual(self.x)
 
     def to_json(self):
-        entries = [[float(z.real), float(z.imag)] for z in self.x.ravel()]
+        entries = np.stack([self.x.real, self.x.imag], -1).reshape(-1, 2).tolist()
         return {"n": self.n, "entries": entries}
 
     @staticmethod
@@ -281,7 +295,7 @@ def split_eigen(x, tol=MEMBERSHIP_TOL):
     Raises MembershipError when x is further than ``tol`` from the orbit
     point its pair coordinates assemble to.
     """
-    u, v, moved = split(np.asarray(x, dtype=complex))
+    u, v, _, moved = _snap(np.asarray(x, dtype=complex))
     if not moved <= tol:
         raise MembershipError(f"matrix is {moved:.3e} off the orbit (tolerance {tol:.1e})")
     return u, complement(v)
@@ -293,9 +307,9 @@ def retract(x, drift_limit=DRIFT_LIMIT):
     Points on the orbit are fixed to rounding; off it the move is first
     order in the distance.  Raises StepSizeError past ``drift_limit``.
     """
-    u, v, moved = split(np.asarray(x, dtype=complex))
+    u, v, y, moved = _snap(np.asarray(x, dtype=complex))
     _check_moved(moved, drift_limit)
-    return pair_point(u, v)
+    return OrbitPoint(x=y, line=u, normal=v)
 
 
 def r_w0_basis(line):
@@ -308,9 +322,10 @@ def r_w0_basis(line):
 
 
 def potential(h, x):
-    """Height superpotential f_H(x) = <H, x>; complex valued."""
-    xm = x.x if isinstance(x, OrbitPoint) else np.asarray(x, dtype=complex)
-    return killing_form(cartan_matrix(h), xm)
+    """Height superpotential f_H(x) = <H, x> = 2d sum_i h_i x_ii of a point
+    or of stacked matrices; complex valued."""
+    xm = x.x if isinstance(x, OrbitPoint) else np.asarray(x)
+    return 2.0 * xm.shape[-1] * np.einsum("i,...ii->...", np.asarray(h, dtype=complex), xm)
 
 
 def critical_points(generator):
@@ -348,9 +363,10 @@ def tangent_frame(pt):
     return list(q.T.reshape(-1, d, d) / np.sqrt(2.0 * d))
 
 
-def tangent_project(pt, v):
-    """Hermitian-orthogonal projection of an ambient matrix onto im ad(x)."""
-    return project_pair(pt.line, pt.normal, np.asarray(v, dtype=complex))
+def tangent_project(x, v):
+    """Hermitian-orthogonal projection of an ambient matrix onto im ad(x),
+    at an OrbitPoint or at each of stacked orbit matrices."""
+    return project_pair(*pair_of(x), np.asarray(v, dtype=complex))
 
 
 def point_json_dump(points, path_or_file, extra=None):

@@ -3,11 +3,12 @@
 The real part f1 of the superpotential restricts to a Morse function on the
 graph of a twisted complement map; near a critical point with definite
 restricted Hessian its sublevel (or superlevel) ball is a Lagrangian
-thimble.  Tracing follows the ambient gradient of f1, which is tangent to
-the graph because the imaginary part is constant there; ``flow_to_level``
-steps it with ``flow.advance`` and lands it on a level with ``cross_level``.
-Seeds, and the split F1 = G1 - i G2 of the gradient, use the graph tangent
-frame ``graphs.graph_tangent_frame``.
+thimble.  Tracing follows the ambient gradient of f1, the projection
+``orbit.tangent_project`` of H, which is tangent to the graph because the
+imaginary part is constant there; ``flow_to_level`` steps stacks of points
+along it with ``flow.advance`` and lands them on a level with
+``cross_level``.  Seeds, and the split F1 = G1 - i G2 of the gradient, use
+the graph tangent frame ``graphs.graph_tangent_frame``.
 """
 
 import io
@@ -26,16 +27,7 @@ from .errors import (
 )
 from .flow import advance, symmetrize
 from .liecore import b_norm, b_tau, cartan_matrix, root_eval
-from .orbit import (
-    OrbitPoint,
-    as_points,
-    critical_points,
-    potential,
-    project_pair,
-    retract,
-    split,
-    tangent_project,
-)
+from .orbit import OrbitPoint, as_points, critical_points, potential, retract_batch, tangent_project
 from .graphs import graph_membership, graph_tangent_frame, m_j_pm
 from .util import realify
 
@@ -119,18 +111,6 @@ class ThimbleSample:
 # batched flow engine: many seeds stepped together in stacked matrix arrays
 
 
-def grad_f1(xs, h):
-    """Ambient gradient of Re f_H at stacked orbit matrices: the tangent
-    projection of H."""
-    u, v, _ = split(xs)
-    return project_pair(u, v, cartan_matrix(h))
-
-
-def _f1_batch(xs, h):
-    d = xs.shape[-1]
-    return 2.0 * d * np.einsum("i,bii->b", np.asarray(h, complex), xs).real
-
-
 def cross_level(base, h, g, c, orient):
     """Land stacked graph points on the level f1 = c along orient * grad f1.
 
@@ -141,17 +121,18 @@ def cross_level(base, h, g, c, orient):
     batch index and its miss after LEVEL_ITERATIONS steps.
     """
     d = base.shape[-1]
+    hm = cartan_matrix(h)
     orient = np.broadcast_to(orient, base.shape[:1])
     tau = np.zeros(base.shape[0])
     cur = base
-    miss = c - _f1_batch(cur, h)
+    miss = c - potential(h, cur).real
     for _ in range(LEVEL_ITERATIONS):
-        grad = grad_f1(cur, h)
+        grad = tangent_project(cur, hm)
         speed = 2.0 * d * np.einsum("bij,bij->b", grad, grad.conj()).real
         tau = np.maximum(tau + miss / (orient * speed), 0.0)
-        cur = advance(base, lambda ys: orient[:, None, None] * grad_f1(ys, h),
+        cur = advance(base, lambda ys: orient[:, None, None] * tangent_project(ys, hm),
                       tau[:, None, None], g.m_diag)
-        miss = c - _f1_batch(cur, h)
+        miss = c - potential(h, cur).real
         scale = 2.0 * d * np.abs(h) @ np.abs(np.diagonal(cur, axis1=-2, axis2=-1)).T
         if np.all(np.abs(miss) <= LEVEL_ULPS * np.finfo(float).eps * scale):
             return cur, tau
@@ -172,7 +153,8 @@ def flow_to_level(xs, h, g, c, step, max_steps, visit=None):
     GraphIntegrityError if some point has not landed after max_steps.
     """
     xs = np.array(xs)
-    orient = np.where(_f1_batch(xs, h) > c, -1.0, 1.0)
+    hm = cartan_matrix(h)
+    orient = np.where(potential(h, xs).real > c, -1.0, 1.0)
     arcs = np.zeros(xs.shape[0])
     active = np.ones(xs.shape[0], dtype=bool)
     for _ in range(max_steps):
@@ -180,9 +162,9 @@ def flow_to_level(xs, h, g, c, step, max_steps, visit=None):
             break
         idx = np.flatnonzero(active)
         prev = xs[idx]
-        stepped = advance(prev, lambda ys: orient[idx, None, None] * grad_f1(ys, h), step,
-                          g.m_diag)
-        crossed = orient[idx] * (_f1_batch(stepped, h) - c) > 0
+        stepped = advance(prev, lambda ys: orient[idx, None, None] * tangent_project(ys, hm),
+                          step, g.m_diag)
+        crossed = orient[idx] * (potential(h, stepped).real - c) > 0
         alive = idx[~crossed]
         if alive.size:
             xs[alive] = stepped[~crossed]
@@ -201,12 +183,16 @@ def flow_to_level(xs, h, g, c, step, max_steps, visit=None):
     return xs, arcs
 
 
-def default_thimble_step(h, j):
-    """Step resolving the stiffest Hessian rate per unit b_tau length."""
+def _unit_rate(h, j):
+    """Stiffest Hessian rate at [e_j] per unit b_tau length."""
     h = np.asarray(h, dtype=float)
     d = len(h)
-    rate = 2.0 * d * max(abs(root_eval((k, j), h)) for k in range(1, d + 1) if k != j)
-    return 0.1 * (2.0 * d * d) / rate
+    return max(abs(root_eval((k, j), h)) for k in range(1, d + 1) if k != j) / d
+
+
+def default_thimble_step(h, j):
+    """Step resolving the stiffest Hessian rate per unit b_tau length."""
+    return 0.1 / _unit_rate(h, j)
 
 
 def trace_thimble(
@@ -228,10 +214,12 @@ def trace_thimble(
     scales by a geometric radius ladder, and transports every seed along
     -grad f1 (negative definite case, sign '-') or +grad f1 (sign '+')
     until f1 reaches the level f1([e_j]) -/+ c_offset, collecting samples
-    along the way.  Each step is retracted to the orbit and re-symmetrized
-    into the graph's fixed set, so samples sit on the graph to machine
-    precision; a residual above ``residual_limit`` raises
-    GraphIntegrityError.
+    along the way.  All directions are seeded at once: each top radius is
+    halved until its seed lies inside the level and on the graph.  Each
+    step is retracted to the orbit and re-symmetrized into the graph's
+    fixed set, so samples sit on the graph to machine precision; a
+    residual above ``residual_limit`` raises GraphIntegrityError.  The
+    seeds come first, in flow order (seed_index = flow_index // radii).
     """
     h = np.asarray(h, dtype=float)
     n = len(h) - 1
@@ -241,50 +229,43 @@ def trace_thimble(
 
     crit = critical_points(n)[j - 1]
     xc = crit.x
-    f1_c = float(_f1_batch(xc[None], h)[0])
+    f1_c = potential(h, crit).real
     c_level = f1_c - c_offset if sign == "-" else f1_c + c_offset
 
-    frame = graph_tangent_frame(crit, g)
+    frame = np.array(graph_tangent_frame(crit, g))
     dirs = rng.standard_normal((directions, len(frame)))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    vs = np.tensordot(dirs, frame, axes=1)
 
-    # stiffest Hessian rate per unit b_tau length sets radius cap and step
-    rate = 2.0 * d * max(abs(root_eval((k, j), h)) for k in range(1, d + 1) if k != j)
-    unit_rate = rate / (2.0 * d * d)
-    r_cap = min(0.5, np.sqrt(1.8 * c_offset / unit_rate))
+    r_top = np.full(directions, min(0.5, np.sqrt(1.8 * c_offset / _unit_rate(h, j))))
     if step is None:
         step = default_thimble_step(h, j)
 
-    def inside(x):
-        return (_f1_batch(x[None], h)[0] - c_level) * (f1_c - c_level) > 0
+    todo = np.arange(directions)
+    for _ in range(40):
+        cand = retract_batch(xc + r_top[todo, None, None] * vs[todo])
+        inside = (potential(h, cand).real - c_level) * (f1_c - c_level) > 0
+        todo = todo[~(inside & (graph_membership(cand, g) < SEED_RESIDUAL))]
+        if not todo.size:
+            break
+        r_top[todo] *= 0.5
+    ladder = np.geomspace(np.minimum(1e-4, r_top / 10.0), r_top, radii, axis=-1)
+    seeds = retract_batch(xc + (ladder[:, :, None, None] * vs[:, None]).reshape(-1, d, d))
 
-    seeds, seed_dir = [], []
-    for di, coeff in enumerate(dirs):
-        v = sum(ck * e for ck, e in zip(coeff, frame))
-        r_top = r_cap
-        for _ in range(40):
-            cand = retract(xc + r_top * v)
-            if inside(cand.x) and graph_membership(cand, g) < SEED_RESIDUAL:
-                break
-            r_top *= 0.5
-        for r in np.geomspace(min(1e-4, r_top / 10.0), r_top, radii):
-            seeds.append(retract(xc + r * v).x)
-            seed_dir.append(di)
-
-    xs = symmetrize(np.array(seeds), g.m_diag)
-    seed_dir = np.array(seed_dir)
+    xs = symmetrize(seeds, g.m_diag)
     samples = []
 
     def record(indices, mats, arcs):
-        for i, pt, arc in zip(indices, as_points(mats), arcs):
-            f = potential(h, pt)
+        f = potential(h, mats)
+        res = graph_membership(mats, g)
+        for i, pt, fk, rk, arc in zip(indices, as_points(mats), f, res, arcs):
             samples.append(
                 ThimbleSample(
                     point=pt,
-                    f1=float(f.real),
-                    f2=float(f.imag),
-                    graph_residual=graph_membership(pt, g),
-                    seed_index=int(seed_dir[i]),
+                    f1=float(fk.real),
+                    f2=float(fk.imag),
+                    graph_residual=float(rk),
+                    seed_index=int(i) // radii,
                     flow_index=int(i),
                     arc=float(arc),
                 )
@@ -299,7 +280,7 @@ def trace_thimble(
             record(indices[due], mats[due], arcs[due])
             last_rec[indices[due]] = mats[due]
 
-    flows = range(xs.shape[0])
+    flows = np.arange(xs.shape[0])
     record(flows, xs, np.zeros(xs.shape[0]))
     landed, arcs = flow_to_level(xs, h, g, c_level, step, max_steps, visit)
     record(flows, landed, arcs)
@@ -388,7 +369,7 @@ def thimble_json(samples, meta):
             for s in samples
         ],
     }
-    return json.dumps(payload, indent=1)
+    return json.dumps(payload)
 
 
 def thimble_csv(samples):

@@ -546,7 +546,7 @@ def thimble_suite(cfg, rng):
         orient = 1.0 if s == "-" else -1.0
 
         def toward_xc(ys):
-            return orient * thimble.grad_f1(ys, h)
+            return orient * orbit.tangent_project(ys, cartan_matrix(h))
 
         for _ in range(20000):
             if np.linalg.norm(cur[0] - xc) < 1e-9:

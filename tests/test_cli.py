@@ -1,6 +1,7 @@
 """Command-line front end: configuration, commands, report shape."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,23 @@ class TestConfigLayers:
         rc = main(["verify", "--n", "2", "--H", "1,1,-2", "--out", str(tmp_path / "r.json")])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, field", [
+        (["thimble", "--n", "3", "--j", "2", "--sign", "-"], "sign"),
+        (["thimble", "--n", "2", "--j", "7"], "j"),
+        (["thimble", "--directions", "0"], "directions"),
+        (["thimble", "--c-offset", "-1"], "c_offset"),
+        (["thimble", "--steps", "0"], "steps"),
+        (["verify", "--json-config", "{bad"], "json-config"),
+        (["verify", "--config", "n-is-abc.cfg"], "n"),
+        (["verify", "--config", "missing.cfg"], "config"),
+        (["verify", "--json-config", '{"tolerances": {"algebraic": "x"}}'], "tolerances"),
+    ])
+    def test_malformed_input_exits_2_naming_the_field(self, argv, field, capsys, tmp_path):
+        (tmp_path / "n-is-abc.cfg").write_text("n=abc\n")
+        argv = [str(tmp_path / a) if a.endswith(".cfg") else a for a in argv]
+        assert main(argv) == 2
+        assert re.match(rf"config error: {field}\b", capsys.readouterr().err)
 
     def test_removed_kernel_cutoff_key_exit_code(self, capsys, tmp_path):
         for key in ("kernel_cutoff", "flow"):

@@ -14,7 +14,7 @@ from orbitflow.errors import (
     TransversalityError,
     UnsupportedOrbitError,
 )
-from orbitflow.graphs import m_j_pm
+from orbitflow.graphs import graph_membership, m_j_pm, twists
 from orbitflow.liecore import bracket, cartan_matrix, minimal_cartan, default_cartan
 from orbitflow.orbit import (
     OrbitPoint,
@@ -27,6 +27,7 @@ from orbitflow.orbit import (
     r_w0_basis,
     retract,
     retract_batch,
+    split,
     split_eigen,
     tangent_frame,
     tangent_project,
@@ -296,6 +297,35 @@ class TestPairKernel:
             want = cands @ np.linalg.lstsq(cands, m.ravel(), rcond=None)[0]
             got = tangent_project(pt, m)
             assert np.linalg.norm(got.ravel() - want) < 1e-12 * np.linalg.norm(m)
+
+    @pytest.mark.parametrize("n", RANKS)
+    def test_stacked_views_match_single_points(self, n):
+        # a stack of matrices gives, per point, what the OrbitPoint gives
+        rng = np.random.default_rng(25 + n)
+        d = n + 1
+        pts = [random_orbit_point(rng, n, unitary=(k % 2 == 0)) for k in range(8)]
+        xs = np.array([pt.x for pt in pts])
+        ms = np.array([random_traceless(rng, d) for _ in pts])
+        h = default_cartan(n)
+
+        def close(a, b):
+            return np.linalg.norm(np.ravel(a - b)) <= 1e-13 * max(1.0, np.linalg.norm(np.ravel(b)))
+
+        u, v = split(xs)
+        f = potential(h, xs)
+        proj = tangent_project(xs, ms)
+        for k, pt in enumerate(pts):
+            uk, vk = split(pt.x)
+            assert close(u[k], uk) and close(v[k], vk)
+            assert abs(abs(np.vdot(u[k], pt.line)) - 1.0) < 1e-13
+            assert close(f[k], potential(h, pt))
+            assert close(proj[k], tangent_project(pt, ms[k]))
+        for j, s in twists(n):
+            g = m_j_pm(n, j, s)
+            res = graph_membership(xs, g)
+            assert res.shape == (len(pts),)
+            for k, pt in enumerate(pts):
+                assert close(res[k], graph_membership(pt, g))
 
     @pytest.mark.parametrize("n", RANKS)
     def test_ad_inverse_split_of_the_ambient_space(self, n):

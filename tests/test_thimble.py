@@ -194,6 +194,21 @@ class TestTraceThimble:
         f1s = [s.f1 for s in samples]
         assert f1c - 1e-9 <= min(f1s) and max(f1s) <= f1c + 0.5 + 1e-9
 
+    @pytest.mark.parametrize("j, sign", [(1, "-"), (2, "+")])
+    def test_seeds_come_first_in_flow_order_inside_the_level(self, j, sign):
+        h = default_cartan(2)
+        directions, radii = 5, 3
+        samples = trace_thimble(j, sign, h, c_offset=0.5, directions=directions, radii=radii,
+                                rng=np.random.default_rng(12))
+        seeds = samples[: directions * radii]
+        f1c = potential(h, critical_points(2)[j - 1]).real
+        c_level = f1c - 0.5 if sign == "-" else f1c + 0.5
+        assert [s.flow_index for s in seeds] == list(range(directions * radii))
+        for s in seeds:
+            assert s.arc == 0.0
+            assert s.seed_index == s.flow_index // radii
+            assert (s.f1 - c_level) * (f1c - c_level) > 0
+
     def test_lagrangian_of_traced_thimble(self):
         h = default_cartan(2)
         samples = trace_thimble(1, "-", h, c_offset=0.5, directions=16,
@@ -257,6 +272,9 @@ class TestTraceThimble:
         assert blob["meta"]["j"] == 1
         assert len(blob["samples"]) == len(samples)
         assert {"f1", "f2", "graph_residual", "entries"} <= set(blob["samples"][0])
+        for rec, s in zip(blob["samples"], samples):
+            back = np.array(rec["entries"]).view(complex).reshape(s.point.x.shape)
+            assert np.array_equal(back, s.point.x)
         csv = thimble_csv(samples).splitlines()
         assert csv[0] == "seed_index,arc,f1,f2,graph_residual"
         assert len(csv) == len(samples) + 1
