@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import flow, graphs, orbit, thimble, verification
+from . import flow, graphs, thimble, verification
 from .errors import ConfigError
 from .liecore import default_cartan
 from .orbit import critical_points, potential
@@ -25,6 +25,13 @@ DEFAULT_TOLERANCES = {
     "algebraic": 1e-10,
     "convergence": 1e-9,
 }
+# the knobs each command reads; no other command accepts them
+KNOBS = {
+    "flow": ("steps", "step_size"),
+    "thimble": ("j", "sign", "c_offset", "directions", "steps", "step_size"),
+}
+TYPES = {"n": int, "seed": int, "out": str, "j": int, "sign": str, "c_offset": float,
+         "directions": int, "steps": int, "step_size": float}
 
 
 @dataclass
@@ -33,6 +40,7 @@ class RunConfig:
     h: np.ndarray = None
     seed: int = 0
     out: str = None
+    command: str = "verify"
     j: int = 1
     sign: str = "-"
     c_offset: float = 0.5
@@ -57,42 +65,38 @@ class RunConfig:
                     raise ConfigError(
                         f"H is not dominant regular: alpha_{i + 1}{j + 1}(H) <= 0"
                     )
-        if self.sign not in ("+", "-"):
-            raise ConfigError(f"sign must be '+' or '-', got {self.sign!r}")
-        if not 1 <= self.j <= self.n + 1:
-            raise ConfigError(f"j must be in 1..{self.n + 1}, got {self.j}")
-        if (self.j, self.sign) not in graphs.twists(self.n):
-            raise ConfigError(
-                f"sign {self.sign!r} is not defined for j={self.j} at odd rank n={self.n}; "
-                f"the (j, sign) pairs are {graphs.twists(self.n)}"
-            )
+        knobs = KNOBS.get(self.command, ())
+        if self.command == "thimble":
+            if self.sign not in ("+", "-"):
+                raise ConfigError(f"sign must be '+' or '-', got {self.sign!r}")
+            if not 1 <= self.j <= self.n + 1:
+                raise ConfigError(f"j must be in 1..{self.n + 1}, got {self.j}")
+            if (self.j, self.sign) not in graphs.twists(self.n):
+                raise ConfigError(
+                    f"sign {self.sign!r} is not defined for j={self.j} at odd rank n={self.n}; "
+                    f"the (j, sign) pairs are {graphs.twists(self.n)}"
+                )
         for name in ("directions", "steps"):
-            if getattr(self, name) < 1:
+            if name in knobs and getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         for name in ("c_offset", "step_size"):
             value = getattr(self, name)
-            if value is not None and not value > 0:
+            if name in knobs and value is not None and not value > 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
             raise ConfigError(f"unknown tolerance keys: {sorted(unknown)}")
-        tols = dict(DEFAULT_TOLERANCES)
-        tols.update(self.tolerances)
-        self.tolerances = tols
+        self.tolerances = {**DEFAULT_TOLERANCES, **self.tolerances}
 
     def as_dict(self):
-        return {
+        out = {
             "n": self.n,
             "h": [float(v) for v in self.h],
             "seed": self.seed,
-            "j": self.j,
-            "sign": self.sign,
-            "c_offset": self.c_offset,
-            "steps": self.steps,
-            "step_size": self.step_size,
-            "directions": self.directions,
             "tolerances": dict(sorted(self.tolerances.items())),
         }
+        out.update((name, getattr(self, name)) for name in KNOBS.get(self.command, ()))
+        return out
 
 
 def dump_report(payload, path):
@@ -127,12 +131,8 @@ def _coerce(values):
             elif key in ("H", "h"):
                 vals = val if isinstance(val, (list, tuple)) else str(val).split(",")
                 out["h"] = [float(v) for v in vals]
-            elif key in ("n", "seed", "j", "steps", "directions"):
-                out[key] = int(val)
-            elif key in ("c_offset", "step_size"):
-                out[key] = float(val)
-            elif key in ("sign", "out"):
-                out[key] = str(val)
+            elif key in TYPES:
+                out[key] = TYPES[key](val)
             elif key == "tolerances":
                 tols.update((k, float(v)) for k, v in dict(val).items())
             else:
@@ -162,37 +162,17 @@ def build_config(args):
         if not isinstance(overrides, dict):
             raise ConfigError("json-config must be a JSON object")
         layers.update(_coerce(overrides))
-    flags = {}
-    if args.n is not None:
-        flags["n"] = args.n
-    if args.H is not None:
-        flags["H"] = args.H
-    if args.seed is not None:
-        flags["seed"] = args.seed
-    if args.out is not None:
-        flags["out"] = args.out
-    if getattr(args, "j", None) is not None:
-        flags["j"] = args.j
-    if getattr(args, "sign", None) is not None:
-        flags["sign"] = args.sign
-    if getattr(args, "c_offset", None) is not None:
-        flags["c_offset"] = args.c_offset
-    if getattr(args, "steps", None) is not None:
-        flags["steps"] = args.steps
-    if getattr(args, "step_size", None) is not None:
-        flags["step_size"] = args.step_size
-    if getattr(args, "directions", None) is not None:
-        flags["directions"] = args.directions
+    for key in layers:
+        if key in KNOBS["thimble"] and key not in KNOBS.get(args.command, ()):
+            raise ConfigError(f"{key} is not read by the {args.command} command")
     for item in args.tol or []:
         if "=" not in item:
             raise ConfigError(f"--tol expects KEY=VAL, got {item!r}")
         key, val = item.split("=", 1)
-        layers.setdefault("tolerances", {})
-        layers["tolerances"][key] = float(val)
-    layers.update(_coerce(flags))
-    merged_tols = layers.pop("tolerances", {})
-    cfg = RunConfig(**layers, tolerances=merged_tols) if merged_tols else RunConfig(**layers)
-    return cfg
+        layers.setdefault("tolerances", {})[key] = float(val)
+    flags = {key: getattr(args, key, None) for key in ("H", *TYPES)}
+    layers.update(_coerce({key: val for key, val in flags.items() if val is not None}))
+    return RunConfig(command=args.command, **layers)
 
 
 def cmd_verify(cfg):
@@ -209,9 +189,8 @@ def cmd_verify(cfg):
 
 def cmd_spectrum(cfg):
     n, h = cfg.n, cfg.h
-    crits = critical_points(n)
     spectra = []
-    for jj, pt in enumerate(crits, start=1):
+    for jj, pt in enumerate(critical_points(n), start=1):
         spec = flow.linearize(pt, h)
         spectra.append(
             {
@@ -317,12 +296,9 @@ def cmd_thimble(cfg):
     else:
         sys.stdout.write(text + "\n")
     sys.stdout.write(
-        "thimble: residual {max_graph_residual:.3e}, |f2| {max_f2_drift:.3e}, "
-        "omega {max_omega:.3e}, f1 in [{lo:.6f}, {hi:.6f}]\n".format(
-            lo=summary["f1_range"][0], hi=summary["f1_range"][1], **{
-                k: summary[k] for k in ("max_graph_residual", "max_f2_drift", "max_omega")
-            }
-        )
+        f"thimble: residual {summary['max_graph_residual']:.3e}, "
+        f"|f2| {summary['max_f2_drift']:.3e}, omega {max_omega:.3e}, "
+        f"f1 in [{min(f1s):.6f}, {max(f1s):.6f}]\n"
     )
     return 0
 
@@ -340,21 +316,12 @@ def make_parser():
         ("thimble", "trace a real Lagrangian thimble and summarize it"),
     ):
         p = sub.add_parser(name, help=doc)
-        p.add_argument("--n", type=int, default=None)
         p.add_argument("--H", type=str, default=None, help="comma-separated diagonal")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", type=str, default=None)
         p.add_argument("--config", type=str, default=None, help="flat key=value file")
         p.add_argument("--json-config", type=str, default=None, help="inline JSON overrides")
         p.add_argument("--tol", action="append", default=None, metavar="KEY=VAL")
-        if name == "thimble":
-            p.add_argument("--j", type=int, default=None)
-            p.add_argument("--sign", type=str, default=None, choices=["+", "-"])
-            p.add_argument("--c-offset", dest="c_offset", type=float, default=None)
-            p.add_argument("--directions", type=int, default=None)
-        if name in ("flow", "thimble"):
-            p.add_argument("--steps", type=int, default=None)
-            p.add_argument("--step-size", dest="step_size", type=float, default=None)
+        for key in ("n", "seed", "out", *KNOBS.get(name, ())):
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=TYPES[key], default=None)
     return parser
 
 

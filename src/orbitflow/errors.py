@@ -26,7 +26,7 @@ class NotCriticalError(ValueError):
 
 
 class StepSizeError(RuntimeError):
-    """Integrator step moved the spectrum too far for the retraction to snap."""
+    """A retraction or an integrator step moved a point too far, or off the chart."""
 
 
 class LevelRangeError(ValueError):

@@ -6,8 +6,8 @@ m_x(u, v) = b_tau(ad(x)^-1 u, ad(x)^-1 v), where ad(x)^-1 is the
 minimum-norm inverse, in closed form in the pair coordinates
 ``orbit.pair_of(x)`` of an OrbitPoint or of stacked matrices.
 ``advance``, the one stepper of the package, takes a classical RK4 step of
-any batched tangent field in the ambient matrix space, retracts it onto the
-orbit and may snap it onto the fixed set of x -> m x^H m.
+a velocity field on stacked chart pairs (u, v), such as ``orbit.lax_velocity``
+for Z; ``graph_field`` keeps a field on the graph v = m u of an involution m.
 """
 
 from dataclasses import dataclass, field
@@ -22,12 +22,11 @@ from .liecore import (
     bracket,
     cartan_matrix,
     killing_form,
-    omega,
     root_eval,
     tau,
 )
-from .orbit import (OrbitPoint, as_points, critical_points, invert_pair, membership_residual,
-                    pair_of, potential, retract_batch)
+from .orbit import (OrbitPoint, chart, critical_points, displace, invert_pair, lax_velocity,
+                    membership_residual, pair_of, potential)
 
 TANGENCY_TOL = 1e-8
 CONV_TOL = 1e-9
@@ -47,23 +46,26 @@ def z_field(x, h):
     return xm @ inner - inner @ xm
 
 
-def symmetrize(xs, m):
-    """Nearest point of the fixed set of x -> m x^H m, for a unit-modulus
-    diagonal m given by its entries; m = 1 gives the Hermitian part."""
-    m = np.asarray(m)
-    return 0.5 * (xs + m[:, None] * np.swapaxes(xs, -1, -2).conj() * m[None, :])
+def graph_field(field, m):
+    """The pair field (du, m du) of the line velocity du of ``field``: on the
+    graph v = m u of an involution m (m = 1: the Hermitian locus) it stays
+    there exactly, as multiplying by +/-1 is exact."""
+    def rhs(pairs):
+        vel = field(pairs)
+        vel[..., 1, :] = m * vel[..., 0, :]
+        return vel
+    return rhs
 
 
-def advance(xs, rhs, dt, m=None):
-    """One RK4 step of the tangent field ``rhs`` from stacked orbit matrices,
-    retracted onto the orbit, then symmetrized by ``m`` if given.  ``dt``
-    broadcasts: shape (batch, 1, 1) gives each point its own step."""
-    k1 = rhs(xs)
-    k2 = rhs(xs + 0.5 * dt * k1)
-    k3 = rhs(xs + 0.5 * dt * k2)
-    k4 = rhs(xs + dt * k3)
-    out = retract_batch(xs + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
-    return out if m is None else symmetrize(out, m)
+def advance(pairs, rhs, dt):
+    """One RK4 step of the pair field ``rhs`` from a stack of pairs of shape
+    (batch, 2, d).  ``dt`` broadcasts: shape (batch, 1, 1) gives each pair
+    its own step.  Raises StepSizeError as ``orbit.displace`` does."""
+    k1 = rhs(pairs)
+    k2 = rhs(pairs + 0.5 * dt * k1)
+    k3 = rhs(pairs + 0.5 * dt * k2)
+    k4 = rhs(pairs + dt * k3)
+    return displace(pairs, (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
 
 
 def ad_inverse(pt, v, tangency_tol=TANGENCY_TOL):
@@ -167,8 +169,7 @@ def default_step(n, h):
 
 @dataclass
 class Trajectory:
-    """Samples of a flow line; ``points`` holds matrices until ``integrate``
-    makes them OrbitPoints."""
+    """Samples of a flow line, with their OrbitPoints."""
 
     times: list = field(default_factory=list)
     points: list = field(default_factory=list)
@@ -178,54 +179,51 @@ class Trajectory:
     z_norms: list = field(default_factory=list)
     limit_index: int | None = None
 
-    def append(self, t, x, h):
-        f = potential(h, x)
+    def append(self, t, pt, h):
+        f = potential(h, pt)
         self.times.append(t)
-        self.points.append(x)
+        self.points.append(pt)
         self.h_values.append(f.real)
         self.f2_values.append(f.imag)
-        self.orbit_residuals.append(membership_residual(x))
-        self.z_norms.append(b_norm(z_field(x, h)))
+        self.orbit_residuals.append(membership_residual(pt.x))
+        self.z_norms.append(b_norm(z_field(pt, h)))
 
 
-def integrate(pt, h, direction="forward", step=None, max_steps=10000, conv_tol=CONV_TOL,
-              stabilize="auto"):
-    """Flow an orbit point along +/-Z with ``advance``.
+def integrate(pt, h, direction="forward", step=None, max_steps=10000, conv_tol=CONV_TOL):
+    """Flow an orbit point along +/-Z with ``advance``, stepping its pair by
+    ``orbit.lax_velocity``.
 
     Stops when |Z| < conv_tol or after max_steps; when converged, the
     trajectory records the 1-based index of the limiting critical point.
 
     Hermitian initial data stays Hermitian under the exact flow but its
-    transverse roundoff grows along saddle passages, so by default such
-    trajectories are re-projected onto the Hermitian locus every step
-    (``stabilize`` in {"auto", True, False}; ``advance`` with m = 1).
+    transverse roundoff grows along saddle passages, so such data is
+    stepped as the graph flow of m = 1, with v = u throughout.
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
     sign = 1.0 if direction == "forward" else -1.0
-    n = pt.n
-    dt = step if step is not None else default_step(n, h)
-    if stabilize == "auto":
-        stabilize = np.linalg.norm(pt.x - pt.x.conj().T) < 1e-12 * np.linalg.norm(pt.x)
-    m = np.ones(n + 1) if stabilize else None
+    dt = step if step is not None else default_step(pt.n, h)
+    hermitian = np.linalg.norm(pt.x - pt.x.conj().T) < 1e-12 * np.linalg.norm(pt.x)
+    pairs = np.stack([pt.line, pt.line if hermitian else pt.normal])[None]
 
-    def rhs(xm):
-        return sign * z_field(xm, h)
+    def field(p):
+        return sign * lax_velocity(p, h)
+
+    rhs = graph_field(field, 1.0) if hermitian else field
 
     traj = Trajectory()
-    x = pt.x
-    traj.append(0.0, x, h)
     t = 0.0
-    for _ in range(max_steps):
-        if traj.z_norms[-1] < conv_tol:
+    while True:
+        u, v, x = chart(pairs)
+        traj.append(t, OrbitPoint(x=x[0], line=u[0], normal=v[0]), h)
+        if traj.z_norms[-1] < conv_tol or len(traj.times) > max_steps:
             break
-        x = advance(x, rhs, dt, m)
+        pairs = advance(pairs, rhs, dt)
         t += dt
-        traj.append(t, x, h)
-    traj.points = as_points(np.array(traj.points))
     if traj.z_norms[-1] < conv_tol:
-        crits = critical_points(n)
-        dists = [np.linalg.norm(x - c.x) for c in crits]
+        crits = critical_points(pt.n)
+        dists = [np.linalg.norm(x[0] - c.x) for c in crits]
         traj.limit_index = int(np.argmin(dists)) + 1
     return traj
 

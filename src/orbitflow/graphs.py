@@ -122,8 +122,8 @@ def graph_point(u, g, tol=1e-8):
 
 
 def graph_membership(x, g):
-    """Membership residual |(I - nu nu^H) m u| of an OrbitPoint, or of each
-    of stacked orbit matrices, in the graph.
+    """Membership residual |(I - nu nu^H) m u| in the graph of an OrbitPoint,
+    or of each of stacked orbit matrices or (lines, normals) pairs.
 
     This is the length of the part of m u inside the hyperplane (normal
     nu), i.e. of (w_i, m u) over any orthonormal hyperplane basis w_i.  It
@@ -284,9 +284,7 @@ def _measure_imag(u, twist_diag, h):
     the measurement therefore runs in clongdouble end to end.
     """
     u = np.asarray(u, dtype=np.clongdouble)
-    u = u / np.sqrt(np.vdot(u, u).real)
-    twisted = np.asarray(twist_diag, dtype=np.clongdouble) * u
-    x = assemble(u, twisted / np.sqrt(np.vdot(twisted, twisted).real))
+    x = assemble(u, np.asarray(twist_diag, dtype=np.clongdouble) * u)
     f = potential(h, x)
     return float(abs(f.imag)), float(np.abs(np.diag(x).imag).max())
 

@@ -3,7 +3,7 @@
 The orbit of H0 = diag(n, -1, ..., -1) is the isospectral set of traceless
 matrices with a simple eigenvalue n and eigenvalue -1 of multiplicity n.
 Points are represented in the transversal-pair chart: an eigenline [u] in
-P^n together with a transversal hyperplane of unit normal v, glued by the
+P^n together with a transversal hyperplane of normal v, glued by the
 linear map that acts as n on the line and as -1 on the hyperplane,
 
     x + I = (n+1) u v^H / (v^H u).
@@ -20,7 +20,9 @@ input, extended precision included:
   im ad(x) = {u b^H : b ⊥ u} + {c v^H : c ⊥ v}.
 
 Everything else here is a view over these six; ``tangent_project`` and
-``potential`` take an OrbitPoint or a stack of matrices.  Only the snaps
+``potential`` take an OrbitPoint or a stack of matrices.  Flows step
+stacks of pairs, shape (batch, 2, d), by the pair velocities
+``lax_velocity`` and ``project_velocity``, checked by ``displace``.  Only the snaps
 (``retract_batch``, ``retract``, ``split_eigen``) assemble a split and
 measure how far that moves x.
 """
@@ -82,17 +84,21 @@ def split(xs):
 
 
 def pair_of(x):
-    """Pair (line, normal) of an OrbitPoint, or the split of stacked matrices."""
+    """Pair (line, normal) of an OrbitPoint or a tuple, or the split of stacked matrices."""
     if isinstance(x, OrbitPoint):
         return x.line, x.normal
-    return split(x)
+    return x if isinstance(x, tuple) else split(x)
 
 
 def assemble(u, v):
-    """Chart point (n+1) u v^H / (v^H u) - I of lines u and normals v."""
+    """Chart point (n+1) u v^H / (v^H u) - I of lines u and normals v, from
+    real products, so that graph pairs (u, m u) with m = +/-1 give points
+    fixed bit for bit by x -> m x^H m (fused complex products are not)."""
     d = u.shape[-1]
-    outer = u[..., :, None] * v.conj()[..., None, :]
-    return d * outer / _vdot(v, u)[..., None, None] - np.eye(d, dtype=outer.dtype)
+    col_r, col_i = u.real[..., :, None], u.imag[..., :, None]
+    row_r, row_i = v.real[..., None, :], v.imag[..., None, :]
+    outer = (col_r * row_r + col_i * row_i) + 1j * (col_i * row_r - col_r * row_i)
+    return outer * (d / np.einsum("...ii->...", outer))[..., None, None] - np.eye(d)
 
 
 def _snap(xs):
@@ -134,15 +140,8 @@ def complement(v):
     return eye - w[..., :, None] * w[..., None, 1:].conj() / (1.0 + mag[..., None])
 
 
-def project_pair(u, v, m):
-    """Hermitian-orthogonal projection of m onto {u b^H : b ⊥ u} + {c v^H : c ⊥ v}.
-
-    For unit u, v this is the tangent space of the orbit at the chart
-    point of (u, v).  The normal equations give b = P_u m^H u - (c^H u) P_u v
-    and c = P_v m v - (b^H v) P_v u, with P_w = I - w w^H; the two scalars
-    c^H u and b^H v are coupled through t = 1 - |v^H u|^2 and solved for in
-    closed form.
-    """
+def _tangent_parts(u, v, m):
+    """The vectors (b, c) of the projection u b^H + c v^H of ``project_pair``."""
     s2 = np.abs(_vdot(v, u)) ** 2
     t = (1.0 - s2)[..., None]
     mhu = _matvec(np.swapaxes(m, -1, -2).conj(), u)
@@ -154,8 +153,65 @@ def project_pair(u, v, m):
     a = (p - t * q.conj()) / (s2 * (2.0 - s2))[..., None]
     b = q - t * a.conj()
     beta = beta0 - a * (v - u * _vdot(u, v)[..., None])
-    gamma = gamma0 - b * (u - v * _vdot(v, u)[..., None])
+    return beta, gamma0 - b * (u - v * _vdot(v, u)[..., None])
+
+
+def project_pair(u, v, m):
+    """Hermitian-orthogonal projection of m onto {u b^H : b ⊥ u} + {c v^H : c ⊥ v}.
+
+    For unit u, v this is the tangent space of the orbit at the chart
+    point of (u, v).  The normal equations give b = P_u m^H u - (c^H u) P_u v
+    and c = P_v m v - (b^H v) P_v u, with P_w = I - w w^H; the two scalars
+    c^H u and b^H v are coupled through t = 1 - |v^H u|^2 and solved for in
+    closed form.
+    """
+    beta, gamma = _tangent_parts(u, v, m)
     return u[..., :, None] * beta.conj()[..., None, :] + gamma[..., :, None] * v.conj()[..., None, :]
+
+
+def project_velocity(pairs, m):
+    """Pair velocity of ``tangent_project(., m)`` at a stack of pairs: the
+    projection u b^H + c v^H at unit u, v, s = v^H u, is the chart derivative
+    along (s c / d, conj(s) b / d), scaled by |u| and |v| for other lengths."""
+    u, v = pairs[..., 0, :], pairs[..., 1, :]
+    ru, rv = np.sqrt(_vdot(u, u).real)[..., None], np.sqrt(_vdot(v, v).real)[..., None]
+    beta, gamma = _tangent_parts(u / ru, v / rv, m)
+    s = _vdot(v, u)[..., None] / (ru * rv * u.shape[-1])
+    return np.stack([ru * s * gamma, rv * s.conj() * beta], axis=-2)
+
+
+def lax_velocity(pairs, h):
+    """Pair velocity (-B u, B^H v) of Z = [x, B], B = [tau x, H], H = diag(h)
+    real, at pairs of any lengths: with s = v^H u, -B u = (d / conj(s))
+    (u^H H u - |u|^2 H) v and B^H v = (d / s) (v^H H v - |v|^2 H) u, so
+    u v^H moves as [u v^H, B] with s fixed."""
+    sq = pairs.real ** 2 + pairs.imag ** 2
+    s = _vdot(pairs[..., 1, :], pairs[..., 0, :])[..., None]
+    coef = pairs.shape[-1] / np.concatenate([s.conj(), s], axis=-1)
+    weights = (sq @ h)[..., None] - h * sq.sum(axis=-1)[..., None]
+    return coef[..., None] * pairs[..., ::-1, :] * weights
+
+
+def displace(pairs, move):
+    """``pairs + move``; raises StepSizeError naming a batch index when the
+    move of u or v, orthogonal to itself, exceeds DRIFT_LIMIT times its
+    length, or when the result is not finite or has v^H u = 0."""
+    norm2 = _vdot(pairs, pairs).real
+    across = _vdot(move, move).real - np.abs(_vdot(pairs, move)) ** 2 / norm2
+    rel = np.sqrt(np.maximum(across, 0.0) / norm2).max(axis=-1)
+    out = pairs + move
+    s = _vdot(out[..., 1, :], out[..., 0, :])
+    bad = np.flatnonzero(~(rel <= DRIFT_LIMIT) | ~np.isfinite(s) | (s == 0))
+    if bad.size:
+        raise StepSizeError(f"step moved a pair by {rel[bad[0]]:.3e} of its length to v^H u = "
+                            f"{s[bad[0]]:.3e} (batch index {bad[0]}); reduce the integration step")
+    return out
+
+
+def chart(pairs):
+    """Unit lines, unit normals and chart points of a stack of pairs."""
+    u, v = _unit(pairs[..., 0, :]), _unit(pairs[..., 1, :])
+    return u, v, assemble(u, v)
 
 
 def invert_pair(u, v, m):
@@ -192,16 +248,8 @@ def retract_batch(xs):
 def _check_moved(moved, drift_limit):
     bad = np.flatnonzero(~(np.asarray(moved) <= drift_limit))
     if bad.size:
-        raise StepSizeError(
-            f"retraction moved a point by {np.max(moved):.3e} > {drift_limit} "
-            f"(batch index {bad[0]}); reduce the integration step"
-        )
-
-
-def as_points(xs):
-    """OrbitPoints of stacked orbit matrices, keeping the matrices as given."""
-    u, v = split(xs)
-    return [OrbitPoint(x=x.copy(), line=a, normal=b) for x, a, b in zip(xs, u, v)]
+        raise StepSizeError(f"retraction moved a point by {np.max(moved):.3e} > {drift_limit} "
+                            f"(batch index {bad[0]})")
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,10 @@ graph of a twisted complement map; near a critical point with definite
 restricted Hessian its sublevel (or superlevel) ball is a Lagrangian
 thimble.  Tracing follows the ambient gradient of f1, the projection
 ``orbit.tangent_project`` of H, which is tangent to the graph because the
-imaginary part is constant there; ``flow_to_level`` steps stacks of points
-along it with ``flow.advance`` and lands them on a level with
-``cross_level``.  Seeds, and the split F1 = G1 - i G2 of the gradient, use
-the graph tangent frame ``graphs.graph_tangent_frame``.
+imaginary part is constant there.  ``flow_to_level`` steps stacks of
+pairs (u, m u) by its pair velocity with ``flow.advance`` and lands them
+on a level with ``cross_level``.  Seeds, and the split F1 = G1 - i G2 of
+the gradient, use the graph tangent frame ``graphs.graph_tangent_frame``.
 """
 
 import io
@@ -25,9 +25,10 @@ from .errors import (
     MembershipError,
     NearCriticalError,
 )
-from .flow import advance, symmetrize
+from .flow import advance, graph_field
 from .liecore import b_norm, b_tau, cartan_matrix, root_eval
-from .orbit import OrbitPoint, as_points, critical_points, potential, retract_batch, tangent_project
+from .orbit import (OrbitPoint, assemble, chart, critical_points, pair_tangent, potential,
+                    project_velocity, retract_batch, split, tangent_project)
 from .graphs import graph_membership, graph_tangent_frame, m_j_pm
 from .util import realify
 
@@ -108,32 +109,37 @@ class ThimbleSample:
 
 
 # ---------------------------------------------------------------------------
-# batched flow engine: many seeds stepped together in stacked matrix arrays
+# batched flow engine: many seeds stepped together as stacks of pairs (u, m u)
+
+
+def gradient_field(h, g, orient):
+    """orient * grad f1 as a pair field on the graph of g (orient broadcasts)."""
+    hm = cartan_matrix(h)
+    return graph_field(lambda pairs: orient * project_velocity(pairs, hm), g.m_diag)
 
 
 def cross_level(base, h, g, c, orient):
-    """Land stacked graph points on the level f1 = c along orient * grad f1.
+    """Land stacked graph pairs on the level f1 = c along orient * grad f1.
 
     Newton's method in the length tau of one ``advance`` from ``base``,
     with d f1 / d tau = orient |grad f1|^2, until every |f1 - c| is within
     LEVEL_ULPS ulps of the sum 2d sum |h_i x_ii| that computes f1.  Returns
-    the landed points and their tau; raises GraphIntegrityError naming a
+    the landed pairs and their tau; raises GraphIntegrityError naming a
     batch index and its miss after LEVEL_ITERATIONS steps.
     """
     d = base.shape[-1]
-    hm = cartan_matrix(h)
-    orient = np.broadcast_to(orient, base.shape[:1])
+    rhs = gradient_field(h, g, orient[:, None, None])
     tau = np.zeros(base.shape[0])
     cur = base
-    miss = c - potential(h, cur).real
+    miss = c - potential(h, assemble(cur[:, 0], cur[:, 1])).real
     for _ in range(LEVEL_ITERATIONS):
-        grad = tangent_project(cur, hm)
-        speed = 2.0 * d * np.einsum("bij,bij->b", grad, grad.conj()).real
-        tau = np.maximum(tau + miss / (orient * speed), 0.0)
-        cur = advance(base, lambda ys: orient[:, None, None] * tangent_project(ys, hm),
-                      tau[:, None, None], g.m_diag)
-        miss = c - potential(h, cur).real
-        scale = 2.0 * d * np.abs(h) @ np.abs(np.diagonal(cur, axis1=-2, axis2=-1)).T
+        vel = rhs(cur)
+        rate = potential(h, pair_tangent(cur[:, 0], cur[:, 1], vel[:, 0], vel[:, 1])).real
+        tau = np.maximum(tau + miss / rate, 0.0)
+        cur = advance(base, rhs, tau[:, None, None])
+        xs = assemble(cur[:, 0], cur[:, 1])
+        miss = c - potential(h, xs).real
+        scale = 2.0 * d * np.abs(h) @ np.abs(np.diagonal(xs, axis1=-2, axis2=-1)).T
         if np.all(np.abs(miss) <= LEVEL_ULPS * np.finfo(float).eps * scale):
             return cur, tau
     worst = int(np.argmax(np.abs(miss)))
@@ -143,44 +149,43 @@ def cross_level(base, h, g, c, orient):
     )
 
 
-def flow_to_level(xs, h, g, c, step, max_steps, visit=None):
-    """Flow stacked graph points along grad f1, up when f1 < c and down
-    otherwise, in steps of ``advance`` inside the graph of g.
+def flow_to_level(pairs, h, g, c, step, max_steps, visit=None):
+    """Flow a stack of graph pairs (u, m u), shape (batch, 2, d), along
+    grad f1, up when f1 < c and down otherwise, in steps of ``advance``.
 
-    After each step ``visit(indices, points, arcs)`` sees the points that
-    did not cross the level; a crossing step is redone by ``cross_level``.
-    Returns the landed points and their arc lengths; raises
-    GraphIntegrityError if some point has not landed after max_steps.
+    After each step ``visit(indices, pairs, mats, arcs)`` sees the pairs that
+    did not cross the level and their chart points; ``cross_level`` redoes a crossing step.
+    Returns the landed pairs and their arc lengths; raises
+    GraphIntegrityError if some flow has not landed after max_steps.
     """
-    xs = np.array(xs)
-    hm = cartan_matrix(h)
-    orient = np.where(potential(h, xs).real > c, -1.0, 1.0)
-    arcs = np.zeros(xs.shape[0])
-    active = np.ones(xs.shape[0], dtype=bool)
+    pairs = np.array(pairs)
+    orient = np.where(potential(h, assemble(pairs[:, 0], pairs[:, 1])).real > c, -1.0, 1.0)
+    arcs = np.zeros(pairs.shape[0])
+    active = np.ones(pairs.shape[0], dtype=bool)
     for _ in range(max_steps):
         if not active.any():
             break
         idx = np.flatnonzero(active)
-        prev = xs[idx]
-        stepped = advance(prev, lambda ys: orient[idx, None, None] * tangent_project(ys, hm),
-                          step, g.m_diag)
-        crossed = orient[idx] * (potential(h, stepped).real - c) > 0
+        prev = pairs[idx]
+        stepped = advance(prev, gradient_field(h, g, orient[idx, None, None]), step)
+        mats = assemble(stepped[:, 0], stepped[:, 1])
+        crossed = orient[idx] * (potential(h, mats).real - c) > 0
         alive = idx[~crossed]
         if alive.size:
-            xs[alive] = stepped[~crossed]
+            pairs[alive] = stepped[~crossed]
             arcs[alive] += step
             if visit is not None:
-                visit(alive, xs[alive], arcs[alive])
+                visit(alive, pairs[alive], mats[~crossed], arcs[alive])
         if crossed.any():
             sub = idx[crossed]
-            xs[sub], tau = cross_level(prev[crossed], h, g, c, orient[sub])
+            pairs[sub], tau = cross_level(prev[crossed], h, g, c, orient[sub])
             arcs[sub] += tau
             active[sub] = False
     if active.any():
         raise GraphIntegrityError(
             f"{int(active.sum())} flows failed to reach the level in {max_steps} steps"
         )
-    return xs, arcs
+    return pairs, arcs
 
 
 def _unit_rate(h, j):
@@ -215,11 +220,11 @@ def trace_thimble(
     -grad f1 (negative definite case, sign '-') or +grad f1 (sign '+')
     until f1 reaches the level f1([e_j]) -/+ c_offset, collecting samples
     along the way.  All directions are seeded at once: each top radius is
-    halved until its seed lies inside the level and on the graph.  Each
-    step is retracted to the orbit and re-symmetrized into the graph's
-    fixed set, so samples sit on the graph to machine precision; a
-    residual above ``residual_limit`` raises GraphIntegrityError.  The
-    seeds come first, in flow order (seed_index = flow_index // radii).
+    halved until its seed lies inside the level and on the graph.  Flows
+    step pairs (u, m u), so samples lie on the graph by construction and
+    their residual measures only rounding; a residual above
+    ``residual_limit`` raises GraphIntegrityError.  The seeds come first,
+    in flow order (seed_index = flow_index // radii).
     """
     h = np.asarray(h, dtype=float)
     n = len(h) - 1
@@ -252,16 +257,18 @@ def trace_thimble(
     ladder = np.geomspace(np.minimum(1e-4, r_top / 10.0), r_top, radii, axis=-1)
     seeds = retract_batch(xc + (ladder[:, :, None, None] * vs[:, None]).reshape(-1, d, d))
 
-    xs = symmetrize(seeds, g.m_diag)
+    lines, _ = split(seeds)
+    pairs = np.stack([lines, g.m_diag * lines], axis=1)
     samples = []
 
-    def record(indices, mats, arcs):
+    def record(indices, pairs, arcs):
+        u, v, mats = chart(pairs)
         f = potential(h, mats)
-        res = graph_membership(mats, g)
-        for i, pt, fk, rk, arc in zip(indices, as_points(mats), f, res, arcs):
+        res = graph_membership((u, v), g)
+        for i, x, a, b, fk, rk, arc in zip(indices, mats, u, v, f, res, arcs):
             samples.append(
                 ThimbleSample(
-                    point=pt,
+                    point=OrbitPoint(x=x, line=a, normal=b),
                     f1=float(fk.real),
                     f2=float(fk.imag),
                     graph_residual=float(rk),
@@ -271,18 +278,18 @@ def trace_thimble(
                 )
             )
 
-    last_rec = xs.copy()
+    last_rec = assemble(pairs[:, 0], pairs[:, 1])
 
-    def visit(indices, mats, arcs):
+    def visit(indices, pairs, mats, arcs):
         gap = np.linalg.norm((mats - last_rec[indices]).reshape(len(indices), -1), axis=1)
         due = gap >= record_sep
         if due.any():
-            record(indices[due], mats[due], arcs[due])
+            record(indices[due], pairs[due], arcs[due])
             last_rec[indices[due]] = mats[due]
 
-    flows = np.arange(xs.shape[0])
-    record(flows, xs, np.zeros(xs.shape[0]))
-    landed, arcs = flow_to_level(xs, h, g, c_level, step, max_steps, visit)
+    flows = np.arange(pairs.shape[0])
+    record(flows, pairs, np.zeros(pairs.shape[0]))
+    landed, arcs = flow_to_level(pairs, h, g, c_level, step, max_steps, visit)
     record(flows, landed, arcs)
 
     worst = max(s.graph_residual for s in samples)

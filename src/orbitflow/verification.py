@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from . import cycles, flow, graphs, liecore, orbit, thimble
+from . import cycles, flow, graphs, orbit, thimble
 from .liecore import (
     RootSystemAn,
     WeylElement,
@@ -266,21 +266,25 @@ def fd_jacobian_eigenvalues(pt, h, fd=1e-5):
     return sorted(eigvals.real)
 
 
+def _chart_distance(pairs, x):
+    return np.linalg.norm(orbit.assemble(pairs[:, 0], pairs[:, 1]) - x, axis=(1, 2))
+
+
 def stable_unstable_measure(cfg, rng, seeds=200, eps=1e-4):
     """Two-sided basin test at every singularity.
 
     Seeds inside the stable space flow back to the singularity (measured as
     the closest approach along the trajectory, which is limited by the
-    quadratic contamination of the retraction); seeds inside the unstable
-    space must separate monotonically over ten steps.
+    quadratic offset of the seeds from the stable manifold); seeds inside
+    the unstable space must separate monotonically over ten steps.  Seeds
+    step as free pairs in the Lax form of Z, so no graph is imposed on them.
     """
     n, h = cfg.n, cfg.h
-    rate = (n + 1.0) * max(abs(root_eval(a, h)) for a in RootSystemAn(n).positive_roots)
-    dt = 0.3 / rate
+    dt = 30.0 * flow.default_step(n, h)
     worst = 0.0
 
-    def z_step(xs):
-        return flow.advance(xs, lambda ys: flow.z_field(ys, h), dt)
+    def z_step(pairs):
+        return flow.advance(pairs, lambda p: orbit.lax_velocity(p, h), dt)
 
     for pt in orbit.critical_points(n):
         spec = flow.linearize(pt, h)
@@ -288,28 +292,25 @@ def stable_unstable_measure(cfg, rng, seeds=200, eps=1e-4):
             half = seeds // 2
             coeff = rng.standard_normal((half, len(basis)))
             coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
-            mats = np.array(
-                [orbit.retract(pt.x + eps * sum(c * b for c, b in zip(row, basis))).x
-                 for row in coeff]
-            )
+            starts = [orbit.retract(pt.x + eps * sum(c * b for c, b in zip(row, basis)))
+                      for row in coeff]
+            cur = np.array([[p.line, p.normal] for p in starts])
             if side == "minus":
-                best = np.linalg.norm(mats - pt.x, axis=(1, 2))
-                cur = mats
-                live = np.ones(len(mats), dtype=bool)
+                best = _chart_distance(cur, pt.x)
+                live = np.ones(len(cur), dtype=bool)
                 for _ in range(120):
                     cur[live] = z_step(cur[live])
-                    dist = np.linalg.norm(cur - pt.x, axis=(1, 2))
+                    dist = _chart_distance(cur, pt.x)
                     best = np.minimum(best, dist)
                     live &= dist < 5.0
                     if not live.any():
                         break
                 worst = max(worst, float(best.max()))
             else:
-                prev = np.linalg.norm(mats - pt.x, axis=(1, 2))
-                cur = mats
+                prev = _chart_distance(cur, pt.x)
                 for _ in range(10):
                     cur = z_step(cur)
-                    dist = np.linalg.norm(cur - pt.x, axis=(1, 2))
+                    dist = _chart_distance(cur, pt.x)
                     if not np.all(dist > prev):
                         worst = max(worst, 1.0)
                     prev = dist
@@ -419,10 +420,9 @@ def graphs_suite(cfg, rng):
     checks = []
     worst = 0.0
     for m in (2, 4, 6):
-        for j in range(1, m + 2):
-            for s in ("+", "-"):
-                g = graphs.m_j_pm(m, j, s)
-                worst = max(worst, abs(np.prod(g.m_diag) - 1.0))
+        for j, s in graphs.twists(m):
+            g = graphs.m_j_pm(m, j, s)
+            worst = max(worst, abs(np.prod(g.m_diag) - 1.0))
     checks.append(_check("involutions-have-unit-determinant", worst, 1e-12,
                          "odd matrix size fixes the determinant of the sign twists"))
 
@@ -440,28 +440,26 @@ def graphs_suite(cfg, rng):
     worst = 0.0
     for m in (2, 4):
         hm = default_cartan(m)
-        for j in range(1, m + 2):
-            for s in ("+", "-"):
-                g = graphs.m_j_pm(m, j, s)
-                rep = graphs.hessian_restricted(hm, j, g)
-                w = word_with_slot(m, j)
-                for row, (alpha, b1, b2) in zip(rep.rows, graphs.graph_generators(g, j)):
-                    worst = max(worst, abs(graphs.hessian_full(b1, b1, w, hm) - row.value))
-                    worst = max(worst, abs(graphs.hessian_full(b2, b2, w, hm) - row.value))
-                    worst = max(worst, abs(graphs.hessian_full(b1, b2, w, hm)))
+        for j, s in graphs.twists(m):
+            g = graphs.m_j_pm(m, j, s)
+            rep = graphs.hessian_restricted(hm, j, g)
+            w = word_with_slot(m, j)
+            for row, (alpha, b1, b2) in zip(rep.rows, graphs.graph_generators(g, j)):
+                worst = max(worst, abs(graphs.hessian_full(b1, b1, w, hm) - row.value))
+                worst = max(worst, abs(graphs.hessian_full(b2, b2, w, hm) - row.value))
+                worst = max(worst, abs(graphs.hessian_full(b1, b2, w, hm)))
     checks.append(_check("hessian-oracle-equivalence", worst, 1e-10,
                          "diagonal values match the bilinear Hessian on the generators"))
 
     worst = 0.0
     for m in (2, 4):
-        for j in range(1, m + 2):
-            for s in ("+", "-"):
-                g = graphs.m_j_pm(m, j, s)
-                for k in range(1, m + 2):
-                    if k == j:
-                        continue
-                    expect = 1.0 if (k < j) == (s == "+") else -1.0
-                    worst = max(worst, abs(g.phase((k, j)) - expect))
+        for j, s in graphs.twists(m):
+            g = graphs.m_j_pm(m, j, s)
+            for k in range(1, m + 2):
+                if k == j:
+                    continue
+                expect = 1.0 if (k < j) == (s == "+") else -1.0
+                worst = max(worst, abs(g.phase((k, j)) - expect))
     checks.append(_check("phase-pattern-of-sign-twists", worst, 1e-14,
                          "the twist phases split by slot order"))
 
@@ -521,8 +519,9 @@ def _restart_gap(samples, j, s, h, step):
         return 0.0
     mid, end = line[len(line) // 2], line[-1]
     g = graphs.m_j_pm(len(h) - 1, j, s)
-    landed, _ = thimble.flow_to_level(mid.point.x[None], h, g, end.f1, step, 4000)
-    return float(np.linalg.norm(landed[0] - end.point.x))
+    landed, _ = thimble.flow_to_level(np.array([[mid.point.line, mid.point.normal]]), h, g,
+                                      end.f1, step, 4000)
+    return float(_chart_distance(landed, end.point.x)[0])
 
 
 def thimble_suite(cfg, rng):
@@ -540,19 +539,14 @@ def thimble_suite(cfg, rng):
         # graph-tangent seeds contract back to [e_j] under the orienting flow
         g = graphs.m_j_pm(n, j, s)
         crit = orbit.critical_points(n)[j - 1]
-        xc = crit.x
-        seed = orbit.retract(xc + 1e-3 * graphs.graph_tangent_frame(crit, g)[0]).x[None]
-        cur = flow.symmetrize(seed, g.m_diag)
-        orient = 1.0 if s == "-" else -1.0
-
-        def toward_xc(ys):
-            return orient * orbit.tangent_project(ys, cartan_matrix(h))
-
+        line = orbit.retract(crit.x + 1e-3 * graphs.graph_tangent_frame(crit, g)[0]).line
+        cur = np.array([[line, g.m_diag * line]])
+        toward_xc = thimble.gradient_field(h, g, 1.0 if s == "-" else -1.0)
         for _ in range(20000):
-            if np.linalg.norm(cur[0] - xc) < 1e-9:
+            if _chart_distance(cur, crit.x)[0] < 1e-9:
                 break
-            cur = flow.advance(cur, toward_xc, step, g.m_diag)
-        worst_conv = max(worst_conv, float(np.linalg.norm(cur[0] - xc)))
+            cur = flow.advance(cur, toward_xc, step)
+        worst_conv = max(worst_conv, float(_chart_distance(cur, crit.x)[0]))
 
         worst_topo = max(worst_topo, _topology_proxy(samples))
         worst_semi = max(worst_semi, _restart_gap(samples, j, s, h, step))

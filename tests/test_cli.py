@@ -95,12 +95,27 @@ class TestConfigLayers:
         (["verify", "--config", "n-is-abc.cfg"], "n"),
         (["verify", "--config", "missing.cfg"], "config"),
         (["verify", "--json-config", '{"tolerances": {"algebraic": "x"}}'], "tolerances"),
+        (["spectrum", "--n", "3", "--json-config", '{"directions": 5}'], "directions"),
+        (["verify", "--json-config", '{"j": 2}'], "j"),
+        (["flow", "--json-config", '{"c_offset": 1.0}'], "c_offset"),
+        (["verify", "--config", "steps.cfg"], "steps"),
     ])
     def test_malformed_input_exits_2_naming_the_field(self, argv, field, capsys, tmp_path):
         (tmp_path / "n-is-abc.cfg").write_text("n=abc\n")
+        (tmp_path / "steps.cfg").write_text("steps=10\n")
         argv = [str(tmp_path / a) if a.endswith(".cfg") else a for a in argv]
         assert main(argv) == 2
         assert re.match(rf"config error: {field}\b", capsys.readouterr().err)
+
+    def test_config_echoes_only_the_knobs_a_command_reads(self):
+        parser = make_parser()
+        echoed = {name: set(build_config(parser.parse_args([name])).as_dict())
+                  for name in ("verify", "spectrum", "flow", "thimble")}
+        common = {"n", "h", "seed", "tolerances"}
+        assert echoed["verify"] == echoed["spectrum"] == common
+        assert echoed["flow"] == common | {"steps", "step_size"}
+        assert echoed["thimble"] == common | {"j", "sign", "c_offset", "directions", "steps",
+                                              "step_size"}
 
     def test_removed_kernel_cutoff_key_exit_code(self, capsys, tmp_path):
         for key in ("kernel_cutoff", "flow"):

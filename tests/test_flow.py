@@ -9,6 +9,7 @@ from orbitflow.flow import (
     advance,
     closedness_defect,
     default_step,
+    graph_field,
     integrate,
     linearize,
     metric_m,
@@ -27,7 +28,7 @@ from orbitflow.liecore import (
     minimal_cartan,
     omega,
 )
-from orbitflow.orbit import critical_points, retract
+from orbitflow.orbit import assemble, critical_points, lax_velocity, project_velocity, retract
 from orbitflow.util import realify, subspace_intersection_real
 from orbitflow.verification import (
     fd_jacobian_eigenvalues,
@@ -238,11 +239,14 @@ class TestIntegrate:
 
         rng = np.random.default_rng(9)
         h = default_cartan(2)
-        seeds = np.array([p.x for p in flag_sample(2, 50, 1.2, rng)])
+        lines = np.array([p.line for p in flag_sample(2, 50, 1.2, rng)])
+        seeds = np.stack([lines, lines], axis=1)
+        rhs = graph_field(lambda p: lax_velocity(p, h), 1.0)
         for _ in range(600):
-            seeds = advance(seeds, lambda ys: z_field(ys, h), 0.05, np.ones(3))
+            seeds = advance(seeds, rhs, 0.05)
+        ends = assemble(seeds[:, 0], seeds[:, 1])
         crits = np.array([c.x for c in critical_points(2)])
-        dists = np.linalg.norm(seeds[:, None] - crits[None], axis=(2, 3)).min(axis=1)
+        dists = np.linalg.norm(ends[:, None] - crits[None], axis=(2, 3)).min(axis=1)
         assert dists.max() < 1e-6
 
     @pytest.mark.parametrize("n", (1, 2, 3, 4))
@@ -282,6 +286,35 @@ class TestIntegrate:
         pt = flag_sample(2, 1, 0.8, rng)[0]
         with pytest.raises(StepSizeError):
             integrate(pt, h, step=50.0, max_steps=10)
+
+    def test_pair_flows_converge_at_fourth_order(self):
+        # halving dt cuts the error against a 50x finer run by ~16x for the
+        # Hermitian Z flow and for a graph thimble flow inside m_1^+
+        from orbitflow.cycles import flag_sample
+        from orbitflow.graphs import graph_tangent_frame, m_j_pm
+
+        n = 2
+        h = default_cartan(n)
+        g = m_j_pm(n, 1, "+")
+        crit = critical_points(n)[0]
+        line = retract(crit.x + 0.2 * graph_tangent_frame(crit, g)[0]).line
+        flag = flag_sample(n, 1, 0.9, np.random.default_rng(3))[0].line
+        flows = (
+            (graph_field(lambda p: lax_velocity(p, h), 1.0), np.array([[flag, flag]]), 0.02),
+            (graph_field(lambda p: -project_velocity(p, cartan_matrix(h)), g.m_diag),
+             np.array([[line, g.m_diag * line]]), 0.2),
+        )
+
+        def run(rhs, pairs, dt, steps):
+            for _ in range(steps):
+                pairs = advance(pairs, rhs, dt)
+            return assemble(pairs[:, 0], pairs[:, 1])
+
+        for rhs, pairs, dt in flows:
+            ref = run(rhs, pairs, dt / 50, 500)
+            coarse = np.linalg.norm(run(rhs, pairs, dt, 10) - ref)
+            fine = np.linalg.norm(run(rhs, pairs, dt / 2, 20) - ref)
+            assert coarse > 1e-10 and coarse / fine >= 12.0
 
     def test_csv_columns(self):
         h0 = minimal_cartan(1)

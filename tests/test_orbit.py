@@ -18,12 +18,16 @@ from orbitflow.graphs import graph_membership, m_j_pm, twists
 from orbitflow.liecore import bracket, cartan_matrix, minimal_cartan, default_cartan
 from orbitflow.orbit import (
     OrbitPoint,
+    assemble,
     critical_points,
     invert_pair,
+    lax_velocity,
     membership_residual,
     pair_point,
+    pair_tangent,
     phi_pair,
     potential,
+    project_velocity,
     r_w0_basis,
     retract,
     retract_batch,
@@ -394,3 +398,36 @@ class TestPairKernel:
             split_eigen(pt.x + 1e-6 * np.eye(d))
         with pytest.raises(TransversalityError):
             pair_point(e[0], e[1])
+
+
+class TestPairVelocities:
+    @pytest.mark.parametrize("n", (1, 2, 4, 8))
+    def test_velocities_map_onto_z_and_the_projection_of_h(self, n):
+        # free pairs, and graph pairs (u, m u) for m = 1 and every twist, at
+        # lengths far from one; pair_tangent of each velocity is the field
+        from orbitflow.flow import graph_field, z_field
+
+        rng = np.random.default_rng(80 + n)
+        d = n + 1
+        h = default_cartan(n)
+        hm = cartan_matrix(h)
+
+        def draw(scale):
+            return scale * (rng.standard_normal((24, d)) + 1j * rng.standard_normal((24, d)))
+
+        u = draw(3.0)
+        cases = [(np.stack([u, draw(0.2)], axis=1), None)]
+        for m in [np.ones(d)] + [m_j_pm(n, j, s).m_diag for j, s in twists(n)]:
+            cases.append((np.stack([u, m * u], axis=1), m))
+        for pairs, m in cases:
+            a, b = pairs[:, 0], pairs[:, 1]
+            # away from the incidence divisor, where the references lose digits
+            cos = np.abs(np.sum(b.conj() * a, axis=1))
+            keep = cos > 0.2 * np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
+            x = assemble(a, b)[keep]
+            for field, want in ((lambda p: lax_velocity(p, h), z_field(x, h)),
+                                (lambda p: project_velocity(p, hm), tangent_project(x, hm))):
+                vel = (field if m is None else graph_field(field, m))(pairs)
+                got = pair_tangent(a, b, vel[:, 0], vel[:, 1])[keep]
+                err = np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+                assert err.max() < 1e-12

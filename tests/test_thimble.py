@@ -7,7 +7,7 @@ import pytest
 
 from orbitflow.cycles import vanishing_sphere_point
 from orbitflow.errors import DensityWarning, MembershipError, NearCriticalError
-from orbitflow.flow import ad_inverse, symmetrize
+from orbitflow.flow import ad_inverse
 from orbitflow.graphs import GraphSpec, graph_point, graph_tangent_frame, identity_graph, m_j_pm
 from orbitflow.liecore import (
     b_norm,
@@ -17,7 +17,7 @@ from orbitflow.liecore import (
     minimal_cartan,
     omega,
 )
-from orbitflow.orbit import critical_points, potential, retract
+from orbitflow.orbit import assemble, critical_points, potential, retract
 from orbitflow.thimble import (
     boundary_samples,
     fg_decomposition_check,
@@ -237,12 +237,24 @@ class TestTraceThimble:
             coeff = rng.standard_normal(len(frame))
             coeff /= np.linalg.norm(coeff)
             v = sum(c * e for c, e in zip(coeff, frame))
-            seed = symmetrize(retract(xc.x + 1e-3 * v).x[None], g.m_diag)
-            landed, _ = flow_to_level(seed, h0, g, c_level, 0.02, 4000)
+            line = retract(xc.x + 1e-3 * v).line
+            landed, _ = flow_to_level(np.array([[line, g.m_diag * line]]), h0, g, c_level,
+                                      0.02, 4000)
             # geodesic velocity [A, H0] must equal +v, so A solves [A, H0] = v
             direction = -ad_inverse(xc, v)
             q = vanishing_sphere_point(h0, c_level, direction)
-            assert np.linalg.norm(landed[0] - q.x) < 1e-6
+            assert np.linalg.norm(assemble(*landed[0]) - q.x) < 1e-6
+
+    def test_large_step_raises_step_size_error(self):
+        from orbitflow.errors import StepSizeError
+
+        h = default_cartan(2)
+        g = m_j_pm(2, 1, "-")
+        xc = critical_points(2)[0]
+        lines = [retract(xc.x + 1e-2 * e).line for e in graph_tangent_frame(xc, g)[:2]]
+        pairs = np.array([[u, g.m_diag * u] for u in lines])
+        with pytest.raises(StepSizeError, match="batch index"):
+            flow_to_level(pairs, h, g, potential(h, xc).real - 0.5, 50.0, 10)
 
     def test_lagrangian_check_on_single_flow_line(self):
         h = default_cartan(2)
