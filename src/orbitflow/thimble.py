@@ -6,9 +6,10 @@ restricted Hessian its sublevel (or superlevel) ball is a Lagrangian
 thimble.  Tracing follows the ambient gradient of f1, the projection
 ``orbit.tangent_project`` of H, which is tangent to the graph because the
 imaginary part is constant there.  ``flow_to_level`` steps stacks of
-pairs (u, m u) by its pair velocity with ``flow.advance`` and lands them
-on a level with ``cross_level``.  Seeds, and the split F1 = G1 - i G2 of
-the gradient, use the graph tangent frame ``graphs.graph_tangent_frame``.
+pairs (u, m u) by its pair velocity with ``flow.advance``; a flow about to
+cross the level waits, and one ``cross_level`` lands them all at the end.
+Seeds, and the split F1 = G1 - i G2 of the gradient, use the graph
+tangent frame ``graphs.graph_tangent_frame``.
 """
 
 import io
@@ -122,27 +123,30 @@ def cross_level(base, h, g, c, orient):
     """Land stacked graph pairs on the level f1 = c along orient * grad f1.
 
     Newton's method in the length tau of one ``advance`` from ``base``,
-    with d f1 / d tau = orient |grad f1|^2, until every |f1 - c| is within
-    LEVEL_ULPS ulps of the sum 2d sum |h_i x_ii| that computes f1.  Returns
-    the landed pairs and their tau; raises GraphIntegrityError naming a
-    batch index and its miss after LEVEL_ITERATIONS steps.
+    with d f1 / d tau = orient |grad f1|^2, until |f1 - c| is within
+    LEVEL_ULPS ulps of the sum 2d sum |h_i x_ii| that computes f1.  A pair
+    that meets it stops, so its landing does not depend on the stack.
+    Returns the landed pairs and their tau; raises GraphIntegrityError
+    naming the stack index of the worst miss after LEVEL_ITERATIONS steps.
     """
     d = base.shape[-1]
-    rhs = gradient_field(h, g, orient[:, None, None])
     tau = np.zeros(base.shape[0])
-    cur = base
+    cur = base.copy()
     miss = c - potential(h, assemble(cur[:, 0], cur[:, 1])).real
+    todo = np.arange(base.shape[0])
     for _ in range(LEVEL_ITERATIONS):
-        vel = rhs(cur)
-        rate = potential(h, pair_tangent(cur[:, 0], cur[:, 1], vel[:, 0], vel[:, 1])).real
-        tau = np.maximum(tau + miss / rate, 0.0)
-        cur = advance(base, rhs, tau[:, None, None])
-        xs = assemble(cur[:, 0], cur[:, 1])
-        miss = c - potential(h, xs).real
+        rhs = gradient_field(h, g, orient[todo, None, None])
+        vel = rhs(cur[todo])
+        rate = potential(h, pair_tangent(cur[todo, 0], cur[todo, 1], vel[:, 0], vel[:, 1])).real
+        tau[todo] = np.maximum(tau[todo] + miss[todo] / rate, 0.0)
+        cur[todo] = advance(base[todo], rhs, tau[todo, None, None])
+        xs = assemble(cur[todo, 0], cur[todo, 1])
+        miss[todo] = c - potential(h, xs).real
         scale = 2.0 * d * np.abs(h) @ np.abs(np.diagonal(xs, axis1=-2, axis2=-1)).T
-        if np.all(np.abs(miss) <= LEVEL_ULPS * np.finfo(float).eps * scale):
+        todo = todo[np.abs(miss[todo]) > LEVEL_ULPS * np.finfo(float).eps * scale]
+        if not todo.size:
             return cur, tau
-    worst = int(np.argmax(np.abs(miss)))
+    worst = todo[np.argmax(np.abs(miss[todo]))]
     raise GraphIntegrityError(
         f"level {c} not reached in {LEVEL_ITERATIONS} Newton steps: "
         f"|f1 - c| = {abs(miss[worst]):.3e} at batch index {worst}"
@@ -154,8 +158,9 @@ def flow_to_level(pairs, h, g, c, step, max_steps, visit=None):
     grad f1, up when f1 < c and down otherwise, in steps of ``advance``.
 
     After each step ``visit(indices, pairs, mats, arcs)`` sees the pairs that
-    did not cross the level and their chart points; ``cross_level`` redoes a crossing step.
-    Returns the landed pairs and their arc lengths; raises
+    did not cross the level and their chart points.  A crossing flow waits at
+    its last pair before the level, and one ``cross_level`` after the loop
+    lands them all.  Returns the landed pairs and their arc lengths; raises
     GraphIntegrityError if some flow has not landed after max_steps.
     """
     pairs = np.array(pairs)
@@ -166,26 +171,21 @@ def flow_to_level(pairs, h, g, c, step, max_steps, visit=None):
         if not active.any():
             break
         idx = np.flatnonzero(active)
-        prev = pairs[idx]
-        stepped = advance(prev, gradient_field(h, g, orient[idx, None, None]), step)
+        stepped = advance(pairs[idx], gradient_field(h, g, orient[idx, None, None]), step)
         mats = assemble(stepped[:, 0], stepped[:, 1])
         crossed = orient[idx] * (potential(h, mats).real - c) > 0
+        active[idx[crossed]] = False
         alive = idx[~crossed]
-        if alive.size:
-            pairs[alive] = stepped[~crossed]
-            arcs[alive] += step
-            if visit is not None:
-                visit(alive, pairs[alive], mats[~crossed], arcs[alive])
-        if crossed.any():
-            sub = idx[crossed]
-            pairs[sub], tau = cross_level(prev[crossed], h, g, c, orient[sub])
-            arcs[sub] += tau
-            active[sub] = False
+        pairs[alive] = stepped[~crossed]
+        arcs[alive] += step
+        if visit is not None and alive.size:
+            visit(alive, pairs[alive], mats[~crossed], arcs[alive])
     if active.any():
         raise GraphIntegrityError(
             f"{int(active.sum())} flows failed to reach the level in {max_steps} steps"
         )
-    return pairs, arcs
+    pairs, tau = cross_level(pairs, h, g, c, orient)
+    return pairs, arcs + tau
 
 
 def _unit_rate(h, j):
@@ -218,13 +218,13 @@ def trace_thimble(
     Seeds the unit sphere of the graph tangent space at the critical point,
     scales by a geometric radius ladder, and transports every seed along
     -grad f1 (negative definite case, sign '-') or +grad f1 (sign '+')
-    until f1 reaches the level f1([e_j]) -/+ c_offset, collecting samples
-    along the way.  All directions are seeded at once: each top radius is
-    halved until its seed lies inside the level and on the graph.  Flows
-    step pairs (u, m u), so samples lie on the graph by construction and
-    their residual measures only rounding; a residual above
-    ``residual_limit`` raises GraphIntegrityError.  The seeds come first,
-    in flow order (seed_index = flow_index // radii).
+    until f1 reaches the level f1([e_j]) -/+ c_offset.  All directions are
+    seeded at once: each top radius is halved until its seed lies inside
+    the level and on the graph.  Flows step pairs (u, m u), so samples lie
+    on the graph by construction and their residual measures only rounding;
+    one above ``residual_limit`` raises GraphIntegrityError.  Samples are
+    built once, from the pairs recorded along the flows; the seeds come
+    first, in flow order (seed_index = flow_index // radii).
     """
     h = np.asarray(h, dtype=float)
     n = len(h) - 1
@@ -259,45 +259,41 @@ def trace_thimble(
 
     lines, _ = split(seeds)
     pairs = np.stack([lines, g.m_diag * lines], axis=1)
-    samples = []
-
-    def record(indices, pairs, arcs):
-        u, v, mats = chart(pairs)
-        f = potential(h, mats)
-        res = graph_membership((u, v), g)
-        for i, x, a, b, fk, rk, arc in zip(indices, mats, u, v, f, res, arcs):
-            samples.append(
-                ThimbleSample(
-                    point=OrbitPoint(x=x, line=a, normal=b),
-                    f1=float(fk.real),
-                    f2=float(fk.imag),
-                    graph_residual=float(rk),
-                    seed_index=int(i) // radii,
-                    flow_index=int(i),
-                    arc=float(arc),
-                )
-            )
-
+    flows = np.arange(pairs.shape[0])
+    chunks = [(flows, pairs, np.zeros(pairs.shape[0]))]
     last_rec = assemble(pairs[:, 0], pairs[:, 1])
 
     def visit(indices, pairs, mats, arcs):
         gap = np.linalg.norm((mats - last_rec[indices]).reshape(len(indices), -1), axis=1)
         due = gap >= record_sep
         if due.any():
-            record(indices[due], pairs[due], arcs[due])
+            chunks.append((indices[due], pairs[due], arcs[due]))
             last_rec[indices[due]] = mats[due]
 
-    flows = np.arange(pairs.shape[0])
-    record(flows, pairs, np.zeros(pairs.shape[0]))
     landed, arcs = flow_to_level(pairs, h, g, c_level, step, max_steps, visit)
-    record(flows, landed, arcs)
+    chunks.append((flows, landed, arcs))
 
-    worst = max(s.graph_residual for s in samples)
-    if worst > residual_limit:
-        bad = max(samples, key=lambda s: s.graph_residual)
-        raise GraphIntegrityError(
-            f"flow left the graph: residual {worst:.3e} at seed {bad.seed_index}, f1={bad.f1:.6f}"
+    indices, pairs, arcs = (np.concatenate(part) for part in zip(*chunks))
+    u, v, mats = chart(pairs)
+    f = potential(h, mats)
+    res = graph_membership((u, v), g)
+    samples = [
+        ThimbleSample(
+            point=OrbitPoint(x=x, line=a, normal=b),
+            f1=float(fk.real),
+            f2=float(fk.imag),
+            graph_residual=float(rk),
+            seed_index=int(i) // radii,
+            flow_index=int(i),
+            arc=float(arc),
         )
+        for i, x, a, b, fk, rk, arc in zip(indices, mats, u, v, f, res, arcs)
+    ]
+
+    bad = samples[int(np.argmax(res))]
+    if bad.graph_residual > residual_limit:
+        raise GraphIntegrityError(f"flow left the graph: residual {bad.graph_residual:.3e} "
+                                  f"at seed {bad.seed_index}, f1={bad.f1:.6f}")
     return samples
 
 

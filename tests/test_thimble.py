@@ -1,12 +1,19 @@
 """Kaehler gradients, F/G restriction, thimble tracing and isotropy checks."""
 
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from orbitflow import thimble
 from orbitflow.cycles import vanishing_sphere_point
-from orbitflow.errors import DensityWarning, MembershipError, NearCriticalError
+from orbitflow.errors import (
+    DensityWarning,
+    GraphIntegrityError,
+    MembershipError,
+    NearCriticalError,
+)
 from orbitflow.flow import ad_inverse
 from orbitflow.graphs import GraphSpec, graph_point, graph_tangent_frame, identity_graph, m_j_pm
 from orbitflow.liecore import (
@@ -20,6 +27,7 @@ from orbitflow.liecore import (
 from orbitflow.orbit import assemble, critical_points, potential, retract
 from orbitflow.thimble import (
     boundary_samples,
+    default_thimble_step,
     fg_decomposition_check,
     flow_to_level,
     horizontal_lift_check,
@@ -31,6 +39,21 @@ from orbitflow.thimble import (
 )
 from orbitflow.util import random_unit_vector, gram_schmidt_real
 from orbitflow.verification import random_orbit_point, random_tangent
+
+
+def _graph_seed_stack(n, directions=8):
+    """Graph pairs (u, m u) of m_1^- at n over a radius ladder from 1e-4 to
+    0.05 along random graph tangent directions, and the level 0.5 below
+    [e_1]."""
+    h = default_cartan(n)
+    g = m_j_pm(n, 1, "-")
+    xc = critical_points(n)[0]
+    frame = np.array(graph_tangent_frame(xc, g))
+    coeffs = np.random.default_rng(n).standard_normal((directions, len(frame)))
+    lines = [retract(xc.x + r * np.tensordot(c / np.linalg.norm(c), frame, axes=1)).line
+             for c in coeffs for r in np.geomspace(1e-4, 0.05, 6)]
+    pairs = np.array([[u, g.m_diag * u] for u in lines])
+    return h, g, pairs, potential(h, xc).real - 0.5
 
 
 def _graph_sample(rng, g, n):
@@ -256,6 +279,72 @@ class TestTraceThimble:
         with pytest.raises(StepSizeError, match="batch index"):
             flow_to_level(pairs, h, g, potential(h, xc).real - 0.5, 50.0, 10)
 
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_landing_does_not_depend_on_the_batch(self, n):
+        h, g, pairs, c = _graph_seed_stack(n)
+        step = default_thimble_step(h, 1)
+        last_step = np.zeros(len(pairs), dtype=int)
+        steps = [0]
+
+        def visit(indices, *_):
+            steps[0] += 1
+            last_step[indices] = steps[0]
+
+        landed, arcs = flow_to_level(pairs, h, g, c, step, 4000, visit)
+        crossing = last_step + 1
+        # some flows cross in the same step as another, and some alone
+        counts = np.bincount(crossing)[crossing]
+        assert (counts > 1).any() and (counts == 1).any()
+        for k in range(len(pairs)):
+            alone, arc = flow_to_level(pairs[k:k + 1], h, g, c, step, 4000)
+            assert np.array_equal(alone[0], landed[k])
+            assert np.array_equal(arc[0], arcs[k])
+
+    def test_failed_landing_names_the_flow(self, monkeypatch):
+        monkeypatch.setattr(thimble, "LEVEL_ITERATIONS", 1)
+        h, g, pairs, c = _graph_seed_stack(4, directions=3)
+        step = default_thimble_step(h, 1)
+        pattern = r"\|f1 - c\| = (\S+) at batch index (\d+)"
+        with pytest.raises(GraphIntegrityError, match=pattern) as err:
+            flow_to_level(pairs, h, g, c, step, 4000)
+        miss, k = re.search(pattern, str(err.value)).groups()
+        k = int(k)
+        assert k < len(pairs)
+        alone = []
+        for i in range(len(pairs)):
+            with pytest.raises(GraphIntegrityError, match=pattern) as one:
+                flow_to_level(pairs[i:i + 1], h, g, c, step, 4000)
+            alone.append(re.search(pattern, str(one.value)).group(1))
+        # the named flow fails alone with the same miss, the worst of all
+        assert alone[k] == miss
+        assert float(miss) == max(float(a) for a in alone)
+
+    def test_trace_lands_every_flow_in_one_solve(self, monkeypatch):
+        calls = {"cross_level": 0, "loop": 0, "landing": 0}
+        landing = [False]
+        cross_level, advance = thimble.cross_level, thimble.advance
+
+        def counting_cross_level(*args):
+            calls["cross_level"] += 1
+            landing[0] = True
+            try:
+                return cross_level(*args)
+            finally:
+                landing[0] = False
+
+        def counting_advance(*args):
+            calls["landing" if landing[0] else "loop"] += 1
+            return advance(*args)
+
+        monkeypatch.setattr(thimble, "cross_level", counting_cross_level)
+        monkeypatch.setattr(thimble, "advance", counting_advance)
+        trace_thimble(1, "-", default_cartan(4), c_offset=0.4, directions=6, radii=3,
+                      rng=np.random.default_rng(13))
+        # advance calls outside the landing are the stepping-loop iterations
+        assert calls["cross_level"] == 1
+        assert calls["loop"] > 0
+        assert calls["landing"] <= thimble.LEVEL_ITERATIONS
+
     def test_lagrangian_check_on_single_flow_line(self):
         h = default_cartan(2)
         samples = trace_thimble(1, "-", h, c_offset=0.4, directions=1, radii=1,
@@ -313,8 +402,6 @@ class TestTraceThimble:
                 assert lagrangian_check(samples) < 1e-5
 
     def test_integrity_error_reports_worst_sample(self):
-        from orbitflow.errors import GraphIntegrityError
-
         h = default_cartan(2)
         with pytest.raises(GraphIntegrityError, match="residual"):
             trace_thimble(1, "-", h, c_offset=0.3, directions=2, radii=2,
