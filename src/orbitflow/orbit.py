@@ -27,7 +27,6 @@ stacks of pairs, shape (batch, 2, d), by the pair velocities
 measure how far that moves x.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,8 +96,20 @@ def assemble(u, v):
     d = u.shape[-1]
     col_r, col_i = u.real[..., :, None], u.imag[..., :, None]
     row_r, row_i = v.real[..., None, :], v.imag[..., None, :]
-    outer = (col_r * row_r + col_i * row_i) + 1j * (col_i * row_r - col_r * row_i)
-    return outer * (d / np.einsum("...ii->...", outer))[..., None, None] - np.eye(d)
+    shape, dtype = np.broadcast(col_r, row_r).shape, np.result_type(col_r, row_r, 1j)
+    outer, out = np.empty(shape, dtype), np.empty(shape, dtype)
+    re, im, tmp = outer.real, outer.imag, out.real
+    np.multiply(col_r, row_r, out=re)
+    re += np.multiply(col_i, row_i, out=tmp)
+    np.multiply(col_i, row_r, out=im)
+    im -= np.multiply(col_r, row_i, out=tmp)
+    # give re and im the signed zeros that re + 1j * im has
+    re += np.multiply(im, 0.0, out=tmp)
+    im += 0.0
+    # not in place: numpy rounds an in-place complex product differently
+    np.multiply(outer, (d / np.einsum("...ii->...", outer))[..., None, None], out=out)
+    out -= np.eye(d)
+    return out
 
 
 def _snap(xs):
@@ -287,14 +298,45 @@ class OrbitPoint:
         return membership_residual(self.x)
 
     def to_json(self):
-        entries = np.stack([self.x.real, self.x.imag], -1).reshape(-1, 2).tolist()
-        return {"n": self.n, "entries": entries}
+        return points_json([self])[0]
 
     @staticmethod
     def from_json(obj):
+        """The point of a ``points_json`` record, exactly: its x is
+        ``assemble`` of the stored unit pair, with no renormalization.
+
+        Raises ShapeError when ``line`` or ``normal`` does not have n+1
+        entries, and TransversalityError when |normal^H line| is below
+        TRANSVERSALITY_TOL.
+        """
         d = obj["n"] + 1
-        flat = np.array([re + 1j * im for re, im in obj["entries"]])
-        return retract(flat.reshape(d, d))
+        u, v = (_read_re_im(obj[key], key, d) for key in ("line", "normal"))
+        trans = float(abs(_vdot(v, u)))
+        if trans < TRANSVERSALITY_TOL:
+            raise TransversalityError(f"normal^H line is {trans:.3e}, below {TRANSVERSALITY_TOL:.1e}")
+        return OrbitPoint(x=assemble(u, v), line=u, normal=v)
+
+
+def _re_im(a):
+    """Entries of a complex array as nested lists ending in [re, im]."""
+    return np.stack([a.real, a.imag], -1).tolist()
+
+
+def _read_re_im(pairs, key, d):
+    arr = np.array(pairs, dtype=float)
+    if arr.shape != (d, 2):
+        raise ShapeError(f"{key} has shape {arr.shape}, expected ({d}, 2)")
+    return arr.view(complex)[:, 0]
+
+
+def points_json(points):
+    """JSON records {"n", "line", "normal"} of orbit points of one rank: the
+    unit pair, each entry an [re, im] list, from which x = (n+1) u v^H /
+    (v^H u) - I.  ``OrbitPoint.from_json`` reloads a record exactly."""
+    lines = np.array([pt.line for pt in points])
+    normals = np.array([pt.normal for pt in points])
+    return [{"n": pt.n, "line": a, "normal": b}
+            for pt, a, b in zip(points, _re_im(lines), _re_im(normals))]
 
 
 def membership_residual(x):
@@ -415,19 +457,3 @@ def tangent_project(x, v):
     """Hermitian-orthogonal projection of an ambient matrix onto im ad(x),
     at an OrbitPoint or at each of stacked orbit matrices."""
     return project_pair(*pair_of(x), np.asarray(v, dtype=complex))
-
-
-def point_json_dump(points, path_or_file, extra=None):
-    """Dump orbit points (plus optional parallel per-point fields) as JSON."""
-    records = []
-    for k, pt in enumerate(points):
-        rec = pt.to_json()
-        if extra:
-            rec.update({key: vals[k] for key, vals in extra.items()})
-        records.append(rec)
-    payload = json.dumps(records, indent=1)
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(payload)
-    else:
-        with open(path_or_file, "w") as fh:
-            fh.write(payload)

@@ -9,7 +9,8 @@ imaginary part is constant there.  ``flow_to_level`` steps stacks of
 pairs (u, m u) by its pair velocity with ``flow.advance``; a flow about to
 cross the level waits, and one ``cross_level`` lands them all at the end.
 Seeds, and the split F1 = G1 - i G2 of the gradient, use the graph
-tangent frame ``graphs.graph_tangent_frame``.
+tangent frame ``graphs.graph_tangent_frame``.  ``thimble_json`` writes
+each sample as its unit pair (``orbit.points_json``), not its matrix.
 """
 
 import io
@@ -28,8 +29,8 @@ from .errors import (
 )
 from .flow import advance, graph_field
 from .liecore import b_norm, b_tau, cartan_matrix, root_eval
-from .orbit import (OrbitPoint, assemble, chart, critical_points, pair_tangent, potential,
-                    project_velocity, retract_batch, split, tangent_project)
+from .orbit import (OrbitPoint, assemble, chart, critical_points, pair_tangent, points_json,
+                    potential, project_velocity, retract_batch, split, tangent_project)
 from .graphs import graph_membership, graph_tangent_frame, m_j_pm
 from .util import realify
 
@@ -331,10 +332,12 @@ def lagrangian_check(samples, k=4, step_hint=None, density_factor=10.0):
 
     Tangents at each sample are secants to its k nearest neighbours; on an
     exactly Lagrangian sample cloud the symplectic pairing of any two
-    secants vanishes.
+    secants vanishes.  Secants shorter than 1e3 ulps of the largest entry
+    are rounding, not directions, and are skipped; raises ValueError when
+    no sample keeps two secants.
     """
-    if len(samples) < 2:
-        raise ValueError("need at least two samples")
+    if len(samples) < 3:
+        raise ValueError("need at least three samples")
     mats = np.array([s.point.x for s in samples])
     nsamp, d = mats.shape[0], mats.shape[-1]
     kk = min(k, nsamp - 1)
@@ -349,27 +352,30 @@ def lagrangian_check(samples, k=4, step_hint=None, density_factor=10.0):
         )
     flat = mats.reshape(nsamp, -1)
     diffs = flat[idx[:, 1:]] - flat[:, None, :]
+    long = np.linalg.norm(diffs, axis=-1) > 1e3 * np.finfo(float).eps * np.abs(flat).max()
+    pairs = long[:, :, None] & long[:, None, :] & ~np.eye(kk, dtype=bool)
+    if not pairs.any():
+        raise ValueError("no sample has two neighbour secants longer than rounding")
     gram = 2.0 * d * np.einsum("nad,nbd->nab", diffs, diffs.conj())
     norms = np.sqrt(np.abs(np.einsum("naa->na", gram).real))
     denom = norms[:, :, None] * norms[:, None, :]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.abs(gram.imag) / np.where(denom > 0, denom, np.inf)
-    return float(np.nanmax(ratio))
+    return float((np.abs(gram.imag[pairs]) / denom[pairs]).max())
 
 
 def thimble_json(samples, meta):
+    points = points_json([s.point for s in samples])
     payload = {
         "meta": meta,
         "samples": [
             {
-                **s.point.to_json(),
+                **p,
                 "f1": s.f1,
                 "f2": s.f2,
                 "graph_residual": s.graph_residual,
                 "seed_index": s.seed_index,
                 "arc": s.arc,
             }
-            for s in samples
+            for p, s in zip(points, samples)
         ],
     }
     return json.dumps(payload)

@@ -238,26 +238,3 @@ class TestVanishingSphere:
             flag_dim = 2 * n
             fibre_real_dim = 2 * (2 * n - 1)
             assert flag_dim - 1 == fibre_real_dim // 2
-
-    def test_sample_json_dump(self, tmp_path):
-        import json
-
-        from orbitflow.liecore import default_cartan
-        from orbitflow.orbit import point_json_dump
-
-        rng = np.random.default_rng(11)
-        h = default_cartan(1)
-        sph = vanishing_sphere(minimal_cartan(1), 7.5, 4, rng)
-        path = tmp_path / "sphere.json"
-        point_json_dump(
-            sph,
-            path,
-            extra={
-                "f1": [potential(h, p).real for p in sph],
-                "f2": [potential(h, p).imag for p in sph],
-                "residual": [membership_residual(p.x) for p in sph],
-            },
-        )
-        blob = json.loads(path.read_text())
-        assert len(blob) == 4
-        assert {"entries", "f1", "f2", "residual"} <= set(blob[0])

@@ -10,6 +10,7 @@ from scipy.linalg import expm
 
 from orbitflow.errors import (
     MembershipError,
+    ShapeError,
     StepSizeError,
     TransversalityError,
     UnsupportedOrbitError,
@@ -257,17 +258,30 @@ class TestMembership:
 class TestSerialization:
     def test_json_roundtrip(self):
         rng = np.random.default_rng(8)
-        pt = random_orbit_point(rng, 2)
-        blob = json.dumps(pt.to_json())
-        back = OrbitPoint.from_json(json.loads(blob))
-        assert np.linalg.norm(back.x - pt.x) < 1e-12
+        for n in (1, 2, 8):
+            pt = random_orbit_point(rng, n)
+            back = OrbitPoint.from_json(json.loads(json.dumps(pt.to_json())))
+            assert np.array_equal(back.x, pt.x)
+            assert np.array_equal(back.line, pt.line)
+            assert np.array_equal(back.normal, pt.normal)
 
     def test_entries_are_re_im_pairs(self):
         pt = critical_points(1)[0]
         obj = pt.to_json()
-        assert obj["n"] == 1
-        assert obj["entries"][0] == [1.0, 0.0]
-        assert len(obj["entries"]) == 4
+        assert obj == {"n": 1, "line": [[1.0, 0.0], [0.0, 0.0]], "normal": [[1.0, 0.0], [0.0, 0.0]]}
+
+    @pytest.mark.parametrize("key", ["line", "normal"])
+    def test_from_json_rejects_wrong_length(self, key):
+        obj = critical_points(2)[0].to_json()
+        obj[key] = obj[key][:-1]
+        with pytest.raises(ShapeError, match=key):
+            OrbitPoint.from_json(obj)
+
+    def test_from_json_rejects_incident_pair(self):
+        obj = critical_points(1)[0].to_json()
+        obj["normal"] = [[0.0, 0.0], [1.0, 0.0]]
+        with pytest.raises(TransversalityError, match="normal\\^H line"):
+            OrbitPoint.from_json(obj)
 
 
 RANKS = (1, 2, 3, 4)

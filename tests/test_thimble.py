@@ -1,5 +1,6 @@
 """Kaehler gradients, F/G restriction, thimble tracing and isotropy checks."""
 
+import dataclasses
 import re
 import warnings
 
@@ -24,7 +25,7 @@ from orbitflow.liecore import (
     minimal_cartan,
     omega,
 )
-from orbitflow.orbit import assemble, critical_points, potential, retract
+from orbitflow.orbit import OrbitPoint, assemble, critical_points, potential, retract
 from orbitflow.thimble import (
     boundary_samples,
     default_thimble_step,
@@ -353,6 +354,17 @@ class TestTraceThimble:
         assert len(line) >= 3
         assert lagrangian_check(line) < 1e-6
 
+    def test_lagrangian_check_rejects_a_cloud_of_rounding(self):
+        # copies of one sample a few ulps apart leave only rounding secants
+        h = default_cartan(2)
+        s = trace_thimble(1, "-", h, c_offset=0.4, directions=1, radii=1,
+                          rng=np.random.default_rng(6))[-1]
+        eps = np.finfo(float).eps
+        copies = [dataclasses.replace(s, point=dataclasses.replace(s.point, x=s.point.x * (1.0 + k * eps)))
+                  for k in range(5)]
+        with pytest.raises(ValueError, match="rounding"):
+            lagrangian_check(copies)
+
     def test_density_warning(self):
         h = default_cartan(2)
         samples = trace_thimble(1, "-", h, c_offset=0.4, directions=4, radii=2,
@@ -372,10 +384,12 @@ class TestTraceThimble:
         blob = json.loads(thimble_json(samples, {"j": 1, "sign": "-"}))
         assert blob["meta"]["j"] == 1
         assert len(blob["samples"]) == len(samples)
-        assert {"f1", "f2", "graph_residual", "entries"} <= set(blob["samples"][0])
+        assert set(blob["samples"][0]) == {"n", "line", "normal", "f1", "f2", "graph_residual",
+                                           "seed_index", "arc"}
         for rec, s in zip(blob["samples"], samples):
-            back = np.array(rec["entries"]).view(complex).reshape(s.point.x.shape)
-            assert np.array_equal(back, s.point.x)
+            back = OrbitPoint.from_json(rec)
+            assert np.array_equal(back.x, s.point.x)
+            assert potential(h, back).real == rec["f1"]
         csv = thimble_csv(samples).splitlines()
         assert csv[0] == "seed_index,arc,f1,f2,graph_residual"
         assert len(csv) == len(samples) + 1
