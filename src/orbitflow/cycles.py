@@ -9,7 +9,6 @@ the maximum are the vanishing-cycle spheres.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import LevelRangeError, SamplingError
 from .liecore import RootSystemAn, b_norm, cartan_matrix, minimal_cartan, pi_w
@@ -79,6 +78,8 @@ def ham_height(x_elem, pt):
 
 def flag_sample(n, count, radius, rng):
     """Hermitian orbit points Ad(exp(A)) H0 with A compact, |A| <= radius."""
+    from scipy.linalg import expm
+
     from .util import random_compact
 
     h0m = cartan_matrix(minimal_cartan(n))
@@ -133,6 +134,8 @@ def vanishing_sphere_point(h, c, direction, tol=1e-10, max_ray=25.0):
     Stops once |f1 - c| < tol / 10; raises SamplingError when the level is
     not reached within ``max_ray`` along the direction.
     """
+    from scipy.linalg import expm
+
     h = np.asarray(h, dtype=float)
     n = len(h) - 1
     h0m = cartan_matrix(minimal_cartan(n))

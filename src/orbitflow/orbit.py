@@ -21,10 +21,11 @@ input, extended precision included:
 
 Everything else here is a view over these six; ``tangent_project`` and
 ``potential`` take an OrbitPoint or a stack of matrices.  Flows step
-stacks of pairs, shape (batch, 2, d), by the pair velocities
-``lax_velocity`` and ``project_velocity``, checked by ``displace``.  Only the snaps
-(``retract_batch``, ``retract``, ``split_eigen``) assemble a split and
-measure how far that moves x.
+stacks of pairs, shape (batch, 2, d), by pair velocities such as
+``lax_velocity``, checked by ``displace``; the thimble flows of
+``thimble.gradient_field`` move only the line of a graph pair.  Only the
+snaps (``retract_batch``, ``retract``, ``split_eigen``) assemble a split
+and measure how far that moves x.
 """
 
 from dataclasses import dataclass
@@ -178,17 +179,6 @@ def project_pair(u, v, m):
     """
     beta, gamma = _tangent_parts(u, v, m)
     return u[..., :, None] * beta.conj()[..., None, :] + gamma[..., :, None] * v.conj()[..., None, :]
-
-
-def project_velocity(pairs, m):
-    """Pair velocity of ``tangent_project(., m)`` at a stack of pairs: the
-    projection u b^H + c v^H at unit u, v, s = v^H u, is the chart derivative
-    along (s c / d, conj(s) b / d), scaled by |u| and |v| for other lengths."""
-    u, v = pairs[..., 0, :], pairs[..., 1, :]
-    ru, rv = np.sqrt(_vdot(u, u).real)[..., None], np.sqrt(_vdot(v, v).real)[..., None]
-    beta, gamma = _tangent_parts(u / ru, v / rv, m)
-    s = _vdot(v, u)[..., None] / (ru * rv * u.shape[-1])
-    return np.stack([ru * s * gamma, rv * s.conj() * beta], axis=-2)
 
 
 def lax_velocity(pairs, h):

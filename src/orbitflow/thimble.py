@@ -3,14 +3,19 @@
 The real part f1 of the superpotential restricts to a Morse function on the
 graph of a twisted complement map; near a critical point with definite
 restricted Hessian its sublevel (or superlevel) ball is a Lagrangian
-thimble.  Tracing follows the ambient gradient of f1, the projection
-``orbit.tangent_project`` of H, which is tangent to the graph because the
-imaginary part is constant there.  ``flow_to_level`` steps stacks of
-pairs (u, m u) by its pair velocity with ``flow.advance``; a flow about to
-cross the level waits, and one ``cross_level`` lands them all at the end.
-Seeds, and the split F1 = G1 - i G2 of the gradient, use the graph
-tangent frame ``graphs.graph_tangent_frame``.  ``thimble_json`` writes
-each sample as its unit pair (``orbit.points_json``), not its matrix.
+thimble.  Tracing follows the ambient gradient of f1, the tangent
+projection of H, which is tangent to the graph because the imaginary part
+is constant there.  On the graph of an involution m = +/-1 everything the
+stepping loop needs is a closed form in the line u of the pair (u, m u):
+the line velocity of the gradient (``gradient_field``), the height f1 as
+a Rayleigh quotient of u (``line_height``) and the distance between two
+chart points (``pair_gap``).  ``flow_to_level`` steps stacks of pairs with
+``flow.advance`` and assembles no matrix; a flow about to cross the level
+waits, and one ``cross_level`` lands them all at the end, measuring its
+miss on the assembled points.  Seeds, and the split F1 = G1 - i G2 of the
+gradient, use the graph tangent frame ``graphs.graph_tangent_frame``.
+``thimble_json`` writes each sample as its unit pair
+(``orbit.points_json``), not its matrix.
 """
 
 import io
@@ -19,7 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     DensityWarning,
@@ -30,7 +34,7 @@ from .errors import (
 from .flow import advance, graph_field
 from .liecore import b_norm, b_tau, cartan_matrix, root_eval
 from .orbit import (OrbitPoint, assemble, chart, critical_points, pair_tangent, points_json,
-                    potential, project_velocity, retract_batch, split, tangent_project)
+                    potential, retract_batch, split, tangent_project)
 from .graphs import graph_membership, graph_tangent_frame, m_j_pm
 from .util import realify
 
@@ -114,10 +118,73 @@ class ThimbleSample:
 # batched flow engine: many seeds stepped together as stacks of pairs (u, m u)
 
 
+def _line_sums(h, m, u):
+    """Sums of w, m w, h w and h m w over each graph line, w = |u|^2, reduced
+    row by row (a BLAS product would round differently by batch size)."""
+    w = u.real ** 2 + u.imag ** 2
+    mw = m * w
+    return tuple(a.sum(axis=-1, keepdims=True) for a in (w, mw, h * w, h * mw))
+
+
+def line_height(h, m, u):
+    """f1 at the chart points of graph pairs (u, m u), m = +/-1, from the line
+    alone: the Rayleigh quotient 2d (d sum h m |u|^2 / sum m |u|^2 - sum h)."""
+    _, mw, _, hmw = _line_sums(h, m, u)
+    d = u.shape[-1]
+    return 2.0 * d * (d * (hmw / mw)[..., 0] - np.sum(h))
+
+
+def pair_gap(m, ua, ub):
+    """Frobenius distance between the chart points of graph pairs (ua, m ua)
+    and (ub, m ub), m = +/-1, from the lines.
+
+    With beta = m u / sum m |u|^2 the point is x + I = d u beta^H, and
+    x_a - x_b = d [(ua - ub) beta_a^H + ub (beta_a - beta_b)^H], whose squared
+    norm is read off six inner products without the cancellation of
+    |x_a|^2 + |x_b|^2 - 2 Re tr(x_a^H x_b).
+    """
+    def beta(u):
+        mu = m * u
+        return mu / (mu.conj() * u).real.sum(axis=-1, keepdims=True)
+
+    def dot(a, b):
+        return (a.conj() * b).sum(axis=-1)
+
+    ba = beta(ua)
+    du, dbeta = ua - ub, ba - beta(ub)
+    sq = (dot(du, du).real * dot(ba, ba).real + dot(ub, ub).real * dot(dbeta, dbeta).real
+          + 2.0 * (dot(du, ub) * dot(dbeta, ba)).real)
+    return ua.shape[-1] * np.sqrt(np.maximum(sq, 0.0))
+
+
 def gradient_field(h, g, orient):
-    """orient * grad f1 as a pair field on the graph of g (orient broadcasts)."""
-    hm = cartan_matrix(h)
-    return graph_field(lambda pairs: orient * project_velocity(pairs, hm), g.m_diag)
+    """orient * grad f1 as a pair field on the graph of an involution g;
+    orient broadcasts against the lines, shape (batch, d).
+
+    At a graph pair (u, m u), m = +/-1, with w = |u|^2, N = sum w,
+    sigma = sum m w / N, rho = sum h w / N and p = sum h m w / N - rho sigma,
+    the tangent projection of H = diag(h) is the chart derivative along
+    du = (sigma / d) [(h - rho) m u - a (u - sigma m u)], a = p / (2 - sigma^2),
+    and v moves as m du.  Raises ValueError when g is not an involution.
+    """
+    if not g.is_involution:
+        raise ValueError(f"twist {g.name or g.m_diag} is not an involution: "
+                         "the closed-form gradient needs m = +/-1")
+    h = np.asarray(h, dtype=float)
+    m = g.m_diag.real
+    d = len(h)
+
+    def line_velocity(pairs):
+        u = pairs[..., 0, :]
+        norm, mw, hw, hmw = _line_sums(h, m, u)
+        sigma, rho = mw / norm, hw / norm
+        a = (hmw / norm - rho * sigma) / (2.0 - sigma ** 2)
+        mu = m * u
+        vel = np.empty_like(pairs)
+        vel[..., 0, :] = orient * (sigma / d) * ((h - rho) * mu - a * (u - sigma * mu))
+        return vel
+
+    return graph_field(line_velocity, m)
 
 
 def cross_level(base, h, g, c, orient):
@@ -136,7 +203,7 @@ def cross_level(base, h, g, c, orient):
     miss = c - potential(h, assemble(cur[:, 0], cur[:, 1])).real
     todo = np.arange(base.shape[0])
     for _ in range(LEVEL_ITERATIONS):
-        rhs = gradient_field(h, g, orient[todo, None, None])
+        rhs = gradient_field(h, g, orient[todo, None])
         vel = rhs(cur[todo])
         rate = potential(h, pair_tangent(cur[todo, 0], cur[todo, 1], vel[:, 0], vel[:, 1])).real
         tau[todo] = np.maximum(tau[todo] + miss[todo] / rate, 0.0)
@@ -158,29 +225,31 @@ def flow_to_level(pairs, h, g, c, step, max_steps, visit=None):
     """Flow a stack of graph pairs (u, m u), shape (batch, 2, d), along
     grad f1, up when f1 < c and down otherwise, in steps of ``advance``.
 
-    After each step ``visit(indices, pairs, mats, arcs)`` sees the pairs that
-    did not cross the level and their chart points.  A crossing flow waits at
-    its last pair before the level, and one ``cross_level`` after the loop
-    lands them all.  Returns the landed pairs and their arc lengths; raises
+    The loop reads f1 from the lines (``line_height``) and assembles no
+    matrix.  After each step ``visit(indices, pairs, arcs)`` sees the pairs
+    that did not cross the level.  A crossing flow waits at its last pair
+    before the level, and one ``cross_level`` after the loop lands them all.
+    Returns the landed pairs and their arc lengths; raises
     GraphIntegrityError if some flow has not landed after max_steps.
     """
     pairs = np.array(pairs)
-    orient = np.where(potential(h, assemble(pairs[:, 0], pairs[:, 1])).real > c, -1.0, 1.0)
+    h = np.asarray(h, dtype=float)
+    m = g.m_diag.real
+    orient = np.where(line_height(h, m, pairs[:, 0]) > c, -1.0, 1.0)
     arcs = np.zeros(pairs.shape[0])
     active = np.ones(pairs.shape[0], dtype=bool)
     for _ in range(max_steps):
         if not active.any():
             break
         idx = np.flatnonzero(active)
-        stepped = advance(pairs[idx], gradient_field(h, g, orient[idx, None, None]), step)
-        mats = assemble(stepped[:, 0], stepped[:, 1])
-        crossed = orient[idx] * (potential(h, mats).real - c) > 0
+        stepped = advance(pairs[idx], gradient_field(h, g, orient[idx, None]), step)
+        crossed = orient[idx] * (line_height(h, m, stepped[:, 0]) - c) > 0
         active[idx[crossed]] = False
         alive = idx[~crossed]
         pairs[alive] = stepped[~crossed]
         arcs[alive] += step
         if visit is not None and alive.size:
-            visit(alive, pairs[alive], mats[~crossed], arcs[alive])
+            visit(alive, pairs[alive], arcs[alive])
     if active.any():
         raise GraphIntegrityError(
             f"{int(active.sum())} flows failed to reach the level in {max_steps} steps"
@@ -262,14 +331,14 @@ def trace_thimble(
     pairs = np.stack([lines, g.m_diag * lines], axis=1)
     flows = np.arange(pairs.shape[0])
     chunks = [(flows, pairs, np.zeros(pairs.shape[0]))]
-    last_rec = assemble(pairs[:, 0], pairs[:, 1])
+    m = g.m_diag.real
+    last_rec = lines.copy()
 
-    def visit(indices, pairs, mats, arcs):
-        gap = np.linalg.norm((mats - last_rec[indices]).reshape(len(indices), -1), axis=1)
-        due = gap >= record_sep
+    def visit(indices, pairs, arcs):
+        due = pair_gap(m, pairs[:, 0], last_rec[indices]) >= record_sep
         if due.any():
             chunks.append((indices[due], pairs[due], arcs[due]))
-            last_rec[indices[due]] = mats[due]
+            last_rec[indices[due]] = pairs[due, 0]
 
     landed, arcs = flow_to_level(pairs, h, g, c_level, step, max_steps, visit)
     chunks.append((flows, landed, arcs))
@@ -336,6 +405,8 @@ def lagrangian_check(samples, k=4, step_hint=None, density_factor=10.0):
     are rounding, not directions, and are skipped; raises ValueError when
     no sample keeps two secants.
     """
+    from scipy.spatial import cKDTree
+
     if len(samples) < 3:
         raise ValueError("need at least three samples")
     mats = np.array([s.point.x for s in samples])

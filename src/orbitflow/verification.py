@@ -10,7 +10,6 @@ order, so reports are byte-reproducible.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import cycles, flow, graphs, orbit, thimble
 from .liecore import (
@@ -490,6 +489,8 @@ def graphs_suite(cfg, rng):
 
 
 def _topology_proxy(samples):
+    from scipy.spatial import cKDTree
+
     mats = np.array([s.point.x for s in samples])
     seeds = np.array([s.seed_index for s in samples])
     tree = cKDTree(realify(mats))

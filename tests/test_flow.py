@@ -28,7 +28,7 @@ from orbitflow.liecore import (
     minimal_cartan,
     omega,
 )
-from orbitflow.orbit import assemble, critical_points, lax_velocity, project_velocity, retract
+from orbitflow.orbit import assemble, critical_points, lax_velocity, retract
 from orbitflow.util import realify, subspace_intersection_real
 from orbitflow.verification import (
     fd_jacobian_eigenvalues,
@@ -292,6 +292,7 @@ class TestIntegrate:
         # Hermitian Z flow and for a graph thimble flow inside m_1^+
         from orbitflow.cycles import flag_sample
         from orbitflow.graphs import graph_tangent_frame, m_j_pm
+        from orbitflow.thimble import gradient_field
 
         n = 2
         h = default_cartan(n)
@@ -301,8 +302,7 @@ class TestIntegrate:
         flag = flag_sample(n, 1, 0.9, np.random.default_rng(3))[0].line
         flows = (
             (graph_field(lambda p: lax_velocity(p, h), 1.0), np.array([[flag, flag]]), 0.02),
-            (graph_field(lambda p: -project_velocity(p, cartan_matrix(h)), g.m_diag),
-             np.array([[line, g.m_diag * line]]), 0.2),
+            (gradient_field(h, g, -1.0), np.array([[line, g.m_diag * line]]), 0.2),
         )
 
         def run(rhs, pairs, dt, steps):

@@ -15,7 +15,7 @@ from orbitflow.errors import (
     TransversalityError,
     UnsupportedOrbitError,
 )
-from orbitflow.graphs import graph_membership, m_j_pm, twists
+from orbitflow.graphs import graph_membership, identity_graph, m_j_pm, twists
 from orbitflow.liecore import bracket, cartan_matrix, minimal_cartan, default_cartan
 from orbitflow.orbit import (
     OrbitPoint,
@@ -28,7 +28,6 @@ from orbitflow.orbit import (
     pair_tangent,
     phi_pair,
     potential,
-    project_velocity,
     r_w0_basis,
     retract,
     retract_batch,
@@ -417,9 +416,11 @@ class TestPairKernel:
 class TestPairVelocities:
     @pytest.mark.parametrize("n", (1, 2, 4, 8))
     def test_velocities_map_onto_z_and_the_projection_of_h(self, n):
-        # free pairs, and graph pairs (u, m u) for m = 1 and every twist, at
-        # lengths far from one; pair_tangent of each velocity is the field
+        # lax_velocity on free pairs and on graph pairs (u, m u), and the
+        # closed-form thimble gradient on graph pairs, for m = 1 and every
+        # twist, at lengths far from one; pair_tangent of each is the field
         from orbitflow.flow import graph_field, z_field
+        from orbitflow.thimble import gradient_field
 
         rng = np.random.default_rng(80 + n)
         d = n + 1
@@ -429,19 +430,23 @@ class TestPairVelocities:
         def draw(scale):
             return scale * (rng.standard_normal((24, d)) + 1j * rng.standard_normal((24, d)))
 
-        u = draw(3.0)
-        cases = [(np.stack([u, draw(0.2)], axis=1), None)]
-        for m in [np.ones(d)] + [m_j_pm(n, j, s).m_diag for j, s in twists(n)]:
-            cases.append((np.stack([u, m * u], axis=1), m))
-        for pairs, m in cases:
+        lax = lambda p: lax_velocity(p, h)
+        cases = [(np.stack([draw(3.0), draw(0.2)], axis=1), lax, z_field)]
+        for scale in (3.0, 0.2):
+            u = draw(scale)
+            for g in [identity_graph(n)] + [m_j_pm(n, j, s) for j, s in twists(n)]:
+                pairs = np.stack([u, g.m_diag * u], axis=1)
+                cases.append((pairs, graph_field(lax, g.m_diag), z_field))
+                cases.append((pairs, gradient_field(h, g, 1.0),
+                              lambda x, _: tangent_project(x, hm)))
+        for pairs, rhs, reference in cases:
             a, b = pairs[:, 0], pairs[:, 1]
             # away from the incidence divisor, where the references lose digits
             cos = np.abs(np.sum(b.conj() * a, axis=1))
             keep = cos > 0.2 * np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
             x = assemble(a, b)[keep]
-            for field, want in ((lambda p: lax_velocity(p, h), z_field(x, h)),
-                                (lambda p: project_velocity(p, hm), tangent_project(x, hm))):
-                vel = (field if m is None else graph_field(field, m))(pairs)
-                got = pair_tangent(a, b, vel[:, 0], vel[:, 1])[keep]
-                err = np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
-                assert err.max() < 1e-12
+            want = reference(x, h)
+            vel = rhs(pairs)
+            got = pair_tangent(a, b, vel[:, 0], vel[:, 1])[keep]
+            err = np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+            assert err.max() < 1e-12

@@ -16,7 +16,8 @@ from orbitflow.errors import (
     NearCriticalError,
 )
 from orbitflow.flow import ad_inverse
-from orbitflow.graphs import GraphSpec, graph_point, graph_tangent_frame, identity_graph, m_j_pm
+from orbitflow.graphs import (GraphSpec, graph_point, graph_tangent_frame, identity_graph, m_j_pm,
+                              twists)
 from orbitflow.liecore import (
     b_norm,
     b_tau,
@@ -32,8 +33,11 @@ from orbitflow.thimble import (
     fg_decomposition_check,
     flow_to_level,
     horizontal_lift_check,
+    gradient_field,
     kaehler_gradients,
     lagrangian_check,
+    line_height,
+    pair_gap,
     thimble_csv,
     thimble_json,
     trace_thimble,
@@ -188,6 +192,104 @@ class TestHorizontalLift:
         h = default_cartan(2)
         with pytest.raises(NearCriticalError):
             horizontal_lift_check(critical_points(2)[0], h)
+
+
+class TestGraphClosedForms:
+    """The line velocity, height and chart gap that thimble flows step with."""
+
+    def test_gradient_field_rejects_a_non_involution(self):
+        g = GraphSpec(np.array([1j, -1j, 1.0]), name="quarter-turn")
+        with pytest.raises(ValueError, match="twist quarter-turn is not an involution"):
+            gradient_field(default_cartan(2), g, 1.0)
+
+    def test_gradient_field_is_well_conditioned_near_the_divisor(self):
+        # graph lines with |sigma| = |sum m |u|^2| / |u|^2 from 5e-4 down to
+        # 1e-6: float64 agrees with the same closed form in extended precision
+        rng = np.random.default_rng(31)
+        sigma = np.geomspace(1e-6, 5e-4, 8) * (-1.0) ** np.arange(8)
+        for n in (2, 4, 8):
+            h = default_cartan(n)
+            for j, s in twists(n):
+                g = m_j_pm(n, j, s)
+                m = g.m_diag.real
+                pos = m > 0
+                if pos.all() or not pos.any():
+                    continue
+                u = rng.standard_normal((8, n + 1)) + 1j * rng.standard_normal((8, n + 1))
+                w = np.abs(u) ** 2
+                wp, wn = (w * pos).sum(1), (w * ~pos).sum(1)
+                u[:, pos] *= np.sqrt(wn * (1.0 + sigma) / (wp * (1.0 - sigma)))[:, None]
+                w = np.abs(u) ** 2
+                assert (np.abs((m * w).sum(1)) < 1e-3 * w.sum(1)).all()
+                rhs = gradient_field(h, g, 1.0)
+                pairs = np.stack([u, m * u], axis=1)
+                got = rhs(pairs)[:, 0]
+                want = rhs(pairs.astype(np.clongdouble))[:, 0]
+                err = np.sqrt((np.abs(got - want) ** 2).sum(1) / (np.abs(want) ** 2).sum(1))
+                assert float(err.max()) < 1e-9
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_line_height_is_the_potential(self, n):
+        # any real H, not only a zero-sum one; relative to the sum
+        # 2d sum |h_i x_ii| that potential rounds
+        rng = np.random.default_rng(40 + n)
+        d = n + 1
+        h = rng.standard_normal(d)
+        u = rng.standard_normal((32, d)) + 1j * rng.standard_normal((32, d))
+        for j, s in twists(n):
+            m = m_j_pm(n, j, s).m_diag.real
+            xs = assemble(u, m * u)
+            scale = 2.0 * d * np.abs(np.diagonal(xs, axis1=-2, axis2=-1)) @ np.abs(h)
+            err = np.abs(line_height(h, m, u) - potential(h, xs).real) / scale
+            assert err.max() < 1e-13
+
+    def test_pair_gap_is_the_chart_distance(self):
+        # consecutive recorded lines of each flow of a trace, and random
+        # lines at every twist, against assembled points in extended precision
+        n = 4
+        samples = trace_thimble(1, "-", default_cartan(n), c_offset=0.4, directions=4, radii=3,
+                                rng=np.random.default_rng(32))
+        flows = {}
+        for smp in samples:
+            flows.setdefault(smp.flow_index, []).append(smp.point.line)
+        recorded = np.array([[a, b] for lines in flows.values() for a, b in zip(lines[1:], lines)])
+        rng = np.random.default_rng(33)
+        cases = [(m_j_pm(n, 1, "-").m_diag.real, recorded, 1e-13)]
+        for j, s in twists(n):
+            lines = rng.standard_normal((32, 2, n + 1)) + 1j * rng.standard_normal((32, 2, n + 1))
+            cases.append((m_j_pm(n, j, s).m_diag.real, lines, 1e-12))
+        for m, lines, tol in cases:
+            ua, ub = lines[:, 0], lines[:, 1]
+            ext_a, ext_b = ua.astype(np.clongdouble), ub.astype(np.clongdouble)
+            diff = assemble(ext_a, m * ext_a) - assemble(ext_b, m * ext_b)
+            want = np.sqrt((np.abs(diff) ** 2).sum(axis=(-2, -1))).astype(float)
+            assert (np.abs(pair_gap(m, ua, ub) - want) / want).max() < tol
+
+    def test_stepping_loop_assembles_no_matrix(self, monkeypatch):
+        from orbitflow import orbit
+
+        calls = {"loop": 0, "landing": 0}
+        landing = [False]
+        cross_level, assemble_ = thimble.cross_level, orbit.assemble
+
+        def counting_cross_level(*args):
+            landing[0] = True
+            try:
+                return cross_level(*args)
+            finally:
+                landing[0] = False
+
+        def counting_assemble(*args):
+            calls["landing" if landing[0] else "loop"] += 1
+            return assemble_(*args)
+
+        h, g, pairs, c = _graph_seed_stack(4, directions=3)
+        monkeypatch.setattr(thimble, "cross_level", counting_cross_level)
+        monkeypatch.setattr(thimble, "assemble", counting_assemble)
+        monkeypatch.setattr(orbit, "assemble", counting_assemble)
+        flow_to_level(pairs, h, g, c, default_thimble_step(h, 1), 4000, lambda *_: None)
+        assert calls["loop"] == 0
+        assert calls["landing"] > 0
 
 
 class TestTraceThimble:
