@@ -24,8 +24,8 @@ Everything else here is a view over these six; ``tangent_project`` and
 stacks of pairs, shape (batch, 2, d), by pair velocities such as
 ``lax_velocity``, checked by ``displace``; the thimble flows of
 ``thimble.gradient_field`` move only the line of a graph pair.  Only the
-snaps (``retract_batch``, ``retract``, ``split_eigen``) assemble a split
-and measure how far that moves x.
+snaps (``retract``, ``split_eigen``) assemble a split and measure how far
+that moves x.
 """
 
 from dataclasses import dataclass
@@ -235,24 +235,6 @@ def invert_pair(u, v, m):
     return project_pair(v, u, (pm - mp) / d), m - pm - mp + 2.0 * pmp
 
 
-def retract_batch(xs):
-    """Snap stacked near-orbit matrices onto the orbit through the pair chart.
-
-    Raises StepSizeError when the chart moves some matrix further than
-    DRIFT_LIMIT in Frobenius norm (or the matrix is not finite).
-    """
-    _, _, ys, moved = _snap(xs)
-    _check_moved(moved, DRIFT_LIMIT)
-    return ys
-
-
-def _check_moved(moved, drift_limit):
-    bad = np.flatnonzero(~(np.asarray(moved) <= drift_limit))
-    if bad.size:
-        raise StepSizeError(f"retraction moved a point by {np.max(moved):.3e} > {drift_limit} "
-                            f"(batch index {bad[0]})")
-
-
 @dataclass(frozen=True)
 class OrbitPoint:
     """Orbit point with its cached pair coordinates.
@@ -388,7 +370,8 @@ def retract(x, drift_limit=DRIFT_LIMIT):
     order in the distance.  Raises StepSizeError past ``drift_limit``.
     """
     u, v, y, moved = _snap(np.asarray(x, dtype=complex))
-    _check_moved(moved, drift_limit)
+    if not moved <= drift_limit:
+        raise StepSizeError(f"retraction moved a point by {moved:.3e} > {drift_limit}")
     return OrbitPoint(x=y, line=u, normal=v)
 
 

@@ -5,17 +5,17 @@ graph of a twisted complement map; near a critical point with definite
 restricted Hessian its sublevel (or superlevel) ball is a Lagrangian
 thimble.  Tracing follows the ambient gradient of f1, the tangent
 projection of H, which is tangent to the graph because the imaginary part
-is constant there.  On the graph of an involution m = +/-1 everything the
-stepping loop needs is a closed form in the line u of the pair (u, m u):
-the line velocity of the gradient (``gradient_field``), the height f1 as
-a Rayleigh quotient of u (``line_height``) and the distance between two
-chart points (``pair_gap``).  ``flow_to_level`` steps stacks of pairs with
-``flow.advance`` and assembles no matrix; a flow about to cross the level
-waits, and one ``cross_level`` lands them all at the end, measuring its
-miss on the assembled points.  Seeds, and the split F1 = G1 - i G2 of the
-gradient, use the graph tangent frame ``graphs.graph_tangent_frame``.
-``thimble_json`` writes each sample as its unit pair
-(``orbit.points_json``), not its matrix.
+is constant there.  On the graph of an involution m = +/-1 a point is the
+line u of its pair (u, m u), and thimbles are traced on that line from
+seed to landing: the seeds (``seed_pairs``), the line velocity of the
+gradient (``gradient_field``), the height f1 as a Rayleigh quotient of u
+(``line_height``) and the distance between two chart points (``pair_gap``)
+are closed forms in u.  ``flow_to_level`` steps stacks of pairs with
+``flow.advance``; a flow about to cross the level waits, and one
+``cross_level`` lands them all at the end.  Matrices appear once, in the
+``chart`` of the recorded pairs.  The split F1 = G1 - i G2 of the gradient
+uses the graph tangent frame ``graphs.graph_tangent_frame``.
+``thimble_json`` writes each sample as its unit pair, not its matrix.
 """
 
 import io
@@ -33,13 +33,12 @@ from .errors import (
 )
 from .flow import advance, graph_field
 from .liecore import b_norm, b_tau, cartan_matrix, root_eval
-from .orbit import (OrbitPoint, assemble, chart, critical_points, pair_tangent, points_json,
-                    potential, retract_batch, split, tangent_project)
+from .orbit import (OrbitPoint, chart, complement, critical_points, points_json, potential,
+                    tangent_project)
 from .graphs import graph_membership, graph_tangent_frame, m_j_pm
 from .util import realify
 
 RESIDUAL_LIMIT = 1e-5
-SEED_RESIDUAL = 1e-7
 LEVEL_ULPS = 32
 LEVEL_ITERATIONS = 8
 
@@ -118,18 +117,19 @@ class ThimbleSample:
 # batched flow engine: many seeds stepped together as stacks of pairs (u, m u)
 
 
-def _line_sums(h, m, u):
-    """Sums of w, m w, h w and h m w over each graph line, w = |u|^2, reduced
-    row by row (a BLAS product would round differently by batch size)."""
-    w = u.real ** 2 + u.imag ** 2
+def _line_sums(h, m, u, du):
+    """Sums of w, m w, h w and h m w over each graph line u, w = Re(conj(u) du):
+    w = |u|^2 for du = u, half the rate of |u|^2 along a line velocity du;
+    reduced row by row (a BLAS product would round differently by batch size)."""
+    w = u.real * du.real + u.imag * du.imag
     mw = m * w
     return tuple(a.sum(axis=-1, keepdims=True) for a in (w, mw, h * w, h * mw))
 
 
 def line_height(h, m, u):
     """f1 at the chart points of graph pairs (u, m u), m = +/-1, from the line
-    alone: the Rayleigh quotient 2d (d sum h m |u|^2 / sum m |u|^2 - sum h)."""
-    _, mw, _, hmw = _line_sums(h, m, u)
+    alone: 2d (d R_m(u) - sum h), R_m(u) = sum h m |u|^2 / sum m |u|^2."""
+    _, mw, _, hmw = _line_sums(h, m, u, u)
     d = u.shape[-1]
     return 2.0 * d * (d * (hmw / mw)[..., 0] - np.sum(h))
 
@@ -176,7 +176,7 @@ def gradient_field(h, g, orient):
 
     def line_velocity(pairs):
         u = pairs[..., 0, :]
-        norm, mw, hw, hmw = _line_sums(h, m, u)
+        norm, mw, hw, hmw = _line_sums(h, m, u, u)
         sigma, rho = mw / norm, hw / norm
         a = (hmw / norm - rho * sigma) / (2.0 - sigma ** 2)
         mu = m * u
@@ -190,27 +190,34 @@ def gradient_field(h, g, orient):
 def cross_level(base, h, g, c, orient):
     """Land stacked graph pairs on the level f1 = c along orient * grad f1.
 
-    Newton's method in the length tau of one ``advance`` from ``base``,
-    with d f1 / d tau = orient |grad f1|^2, until |f1 - c| is within
-    LEVEL_ULPS ulps of the sum 2d sum |h_i x_ii| that computes f1.  A pair
-    that meets it stops, so its landing does not depend on the stack.
+    Newton's method in the length tau of one ``advance`` from ``base``, on
+    the line: f1 is ``line_height``, 2d^2 R_m(u) up to a constant, and its rate
+    along the line velocity du is 4d^2 sum m (h - R_m) Re(conj(u) du) / sum m |u|^2.
+    A pair stops when |f1 - c| is within LEVEL_ULPS ulps of 2d sum |h_i x_ii|,
+    the sum that computes f1 at its chart point (x_ii = d m_i |u_i|^2 /
+    sum m |u|^2 - 1), so its landing does not depend on the stack.
     Returns the landed pairs and their tau; raises GraphIntegrityError
     naming the stack index of the worst miss after LEVEL_ITERATIONS steps.
     """
     d = base.shape[-1]
+    m = g.m_diag.real
     tau = np.zeros(base.shape[0])
     cur = base.copy()
-    miss = c - potential(h, assemble(cur[:, 0], cur[:, 1])).real
+    miss = c - line_height(h, m, cur[:, 0])
     todo = np.arange(base.shape[0])
     for _ in range(LEVEL_ITERATIONS):
         rhs = gradient_field(h, g, orient[todo, None])
-        vel = rhs(cur[todo])
-        rate = potential(h, pair_tangent(cur[todo, 0], cur[todo, 1], vel[:, 0], vel[:, 1])).real
+        u = cur[todo, 0]
+        _, mw, _, hmw = _line_sums(h, m, u, u)
+        _, mdw, _, hmdw = _line_sums(h, m, u, rhs(cur[todo])[:, 0])
+        rate = 4.0 * d * d * (hmdw - hmw / mw * mdw)[:, 0] / mw[:, 0]
         tau[todo] = np.maximum(tau[todo] + miss[todo] / rate, 0.0)
         cur[todo] = advance(base[todo], rhs, tau[todo, None, None])
-        xs = assemble(cur[todo, 0], cur[todo, 1])
-        miss[todo] = c - potential(h, xs).real
-        scale = 2.0 * d * np.abs(h) @ np.abs(np.diagonal(xs, axis1=-2, axis2=-1)).T
+        u = cur[todo, 0]
+        miss[todo] = c - line_height(h, m, u)
+        w = u.real ** 2 + u.imag ** 2
+        diag = d * m * w / (m * w).sum(axis=-1, keepdims=True) - 1.0
+        scale = 2.0 * d * (np.abs(h) * np.abs(diag)).sum(axis=-1)
         todo = todo[np.abs(miss[todo]) > LEVEL_ULPS * np.finfo(float).eps * scale]
         if not todo.size:
             return cur, tau
@@ -225,9 +232,9 @@ def flow_to_level(pairs, h, g, c, step, max_steps, visit=None):
     """Flow a stack of graph pairs (u, m u), shape (batch, 2, d), along
     grad f1, up when f1 < c and down otherwise, in steps of ``advance``.
 
-    The loop reads f1 from the lines (``line_height``) and assembles no
-    matrix.  After each step ``visit(indices, pairs, arcs)`` sees the pairs
-    that did not cross the level.  A crossing flow waits at its last pair
+    The loop and the landing read f1 from the lines (``line_height``) and
+    assemble no matrix.  After each step ``visit(indices, pairs, arcs)``
+    sees the pairs that did not cross the level.  A crossing flow waits at its last pair
     before the level, and one ``cross_level`` after the loop lands them all.
     Returns the landed pairs and their arc lengths; raises
     GraphIntegrityError if some flow has not landed after max_steps.
@@ -270,6 +277,23 @@ def default_thimble_step(h, j):
     return 0.1 / _unit_rate(h, j)
 
 
+def seed_pairs(j, g, coeffs, radii):
+    """Graph pairs (u, m u) of seeds at [e_j], one per row of coeffs and
+    radius r, rows outer: u = e_j + r / (2 d^{3/2}) sum_k coeffs_k delta_k,
+    normalized, with delta_k interleaving (c_k, i c_k) over the columns c_k
+    of ``complement(e_j)``.  As ``pair_tangent(e_j, m e_j, delta, m delta)``
+    has b_tau length 2 d^{3/2} |delta|, r is the b_tau length of the seed's
+    graph tangent vector when coeffs is a unit vector."""
+    d = g.dim
+    e = np.eye(d, dtype=complex)[j - 1]
+    c = complement(e).T
+    deltas = np.stack([c, 1j * c], axis=1).reshape(-1, d)
+    rho = np.asarray(radii, dtype=float)[:, None] / (2.0 * d ** 1.5)
+    u = e + rho * (np.atleast_2d(coeffs) @ deltas)[:, None, :]
+    u = (u / np.linalg.norm(u, axis=-1, keepdims=True)).reshape(-1, d)
+    return np.stack([u, g.m_diag * u], axis=1)
+
+
 def trace_thimble(
     j,
     sign,
@@ -285,54 +309,42 @@ def trace_thimble(
 ):
     """Trace the real Lagrangian thimble of [e_j] inside its definite graph.
 
-    Seeds the unit sphere of the graph tangent space at the critical point,
-    scales by a geometric radius ladder, and transports every seed along
-    -grad f1 (negative definite case, sign '-') or +grad f1 (sign '+')
-    until f1 reaches the level f1([e_j]) -/+ c_offset.  All directions are
-    seeded at once: each top radius is halved until its seed lies inside
-    the level and on the graph.  Flows step pairs (u, m u), so samples lie
-    on the graph by construction and their residual measures only rounding;
-    one above ``residual_limit`` raises GraphIntegrityError.  Samples are
-    built once, from the pairs recorded along the flows; the seeds come
-    first, in flow order (seed_index = flow_index // radii).
+    Seeds random unit directions of the graph tangent space at [e_j] on a
+    geometric radius ladder (``seed_pairs``) and flows them along -grad f1
+    (sign '-', negative definite) or +grad f1 (sign '+') to the level
+    f1([e_j]) -/+ c_offset.  Flows step pairs (u, m u), so samples lie on the
+    graph by construction and their residual measures only rounding; one
+    above ``residual_limit`` raises GraphIntegrityError.  The seeds come
+    first among the samples, in flow order (seed_index = flow_index // radii).
+
+    Every seed lies strictly inside the level by a bound, with no search.
+    A seed line is u = e_j + rho w, |w| = 1, w ⊥ e_j, rho = r / (2 d^{3/2});
+    with lambda = max_k |h_k - h_j| its height is |f - f_c| = 2d^2 |R_m(u) - h_j|
+    = 2d^2 rho^2 |sum m_k (h_k - h_j) |w_k|^2| / |m_j + rho^2 sum m_k |w_k|^2|
+    <= 2d^2 lambda rho^2 / (1 - rho^2).  The cap r^2 <= 1.8 c_offset d / lambda
+    (``_unit_rate`` is lambda / d), with r <= 0.5 so that rho^2 <= 1/128, makes
+    this at most 0.91 c_offset; on a definite graph every m_k (h_k - h_j) has
+    one sign, so each seed moves from f_c towards the level.
     """
     h = np.asarray(h, dtype=float)
     n = len(h) - 1
-    d = n + 1
     g = m_j_pm(n, j, sign)
     rng = np.random.default_rng(0) if rng is None else rng
 
-    crit = critical_points(n)[j - 1]
-    xc = crit.x
-    f1_c = potential(h, crit).real
+    f1_c = potential(h, critical_points(n)[j - 1]).real
     c_level = f1_c - c_offset if sign == "-" else f1_c + c_offset
 
-    frame = np.array(graph_tangent_frame(crit, g))
-    dirs = rng.standard_normal((directions, len(frame)))
+    dirs = rng.standard_normal((directions, 2 * n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    vs = np.tensordot(dirs, frame, axes=1)
-
-    r_top = np.full(directions, min(0.5, np.sqrt(1.8 * c_offset / _unit_rate(h, j))))
+    r_top = min(0.5, np.sqrt(1.8 * c_offset / _unit_rate(h, j)))
+    pairs = seed_pairs(j, g, dirs, np.geomspace(min(1e-4, r_top / 10.0), r_top, radii))
     if step is None:
         step = default_thimble_step(h, j)
 
-    todo = np.arange(directions)
-    for _ in range(40):
-        cand = retract_batch(xc + r_top[todo, None, None] * vs[todo])
-        inside = (potential(h, cand).real - c_level) * (f1_c - c_level) > 0
-        todo = todo[~(inside & (graph_membership(cand, g) < SEED_RESIDUAL))]
-        if not todo.size:
-            break
-        r_top[todo] *= 0.5
-    ladder = np.geomspace(np.minimum(1e-4, r_top / 10.0), r_top, radii, axis=-1)
-    seeds = retract_batch(xc + (ladder[:, :, None, None] * vs[:, None]).reshape(-1, d, d))
-
-    lines, _ = split(seeds)
-    pairs = np.stack([lines, g.m_diag * lines], axis=1)
     flows = np.arange(pairs.shape[0])
     chunks = [(flows, pairs, np.zeros(pairs.shape[0]))]
     m = g.m_diag.real
-    last_rec = lines.copy()
+    last_rec = pairs[:, 0].copy()
 
     def visit(indices, pairs, arcs):
         due = pair_gap(m, pairs[:, 0], last_rec[indices]) >= record_sep

@@ -539,15 +539,14 @@ def thimble_suite(cfg, rng):
 
         # graph-tangent seeds contract back to [e_j] under the orienting flow
         g = graphs.m_j_pm(n, j, s)
-        crit = orbit.critical_points(n)[j - 1]
-        line = orbit.retract(crit.x + 1e-3 * graphs.graph_tangent_frame(crit, g)[0]).line
-        cur = np.array([[line, g.m_diag * line]])
+        cur = thimble.seed_pairs(j, g, np.eye(2 * n)[0], [1e-3])
+        e_j, m = np.eye(n + 1)[j - 1], g.m_diag.real
         toward_xc = thimble.gradient_field(h, g, 1.0 if s == "-" else -1.0)
         for _ in range(20000):
-            if _chart_distance(cur, crit.x)[0] < 1e-9:
+            if thimble.pair_gap(m, cur[:, 0], e_j)[0] < 1e-9:
                 break
             cur = flow.advance(cur, toward_xc, step)
-        worst_conv = max(worst_conv, float(_chart_distance(cur, crit.x)[0]))
+        worst_conv = max(worst_conv, float(thimble.pair_gap(m, cur[:, 0], e_j)[0]))
 
         worst_topo = max(worst_topo, _topology_proxy(samples))
         worst_semi = max(worst_semi, _restart_gap(samples, j, s, h, step))

@@ -30,7 +30,6 @@ from orbitflow.orbit import (
     potential,
     r_w0_basis,
     retract,
-    retract_batch,
     split,
     split_eigen,
     tangent_frame,
@@ -359,7 +358,6 @@ class TestPairKernel:
     def test_retract_fixes_orbit_points(self, n):
         rng = np.random.default_rng(40 + n)
         xs = np.array([random_orbit_point(rng, n, unitary=(k % 2 == 0)).x for k in range(8)])
-        assert np.linalg.norm(retract_batch(xs) - xs, axis=(1, 2)).max() < 1e-13
         assert max(np.linalg.norm(retract(x).x - x) for x in xs) < 1e-13
 
     @pytest.mark.parametrize("n", RANKS)
@@ -386,7 +384,8 @@ class TestPairKernel:
             def reflect(y):
                 return m[:, None] * y.conj().transpose(0, 2, 1) * m[None, :]
 
-            gap = retract_batch(reflect(xs)) - reflect(retract_batch(xs))
+            snapped = np.array([retract(x).x for x in xs])
+            gap = np.array([retract(y).x for y in reflect(xs)]) - reflect(snapped)
             assert np.linalg.norm(gap, axis=(1, 2)).max() < 1e-13
 
     @pytest.mark.parametrize("n", RANKS)
@@ -395,17 +394,20 @@ class TestPairKernel:
         d = n + 1
         pt = random_orbit_point(rng, n)
         # the origin sits sqrt(n^2 + n) from its chart point, past the limit
-        with pytest.raises(StepSizeError, match="batch index 1"):
-            retract_batch(np.array([pt.x, np.zeros((d, d), dtype=complex)]))
+        with pytest.raises(StepSizeError, match="retraction moved"):
+            retract(np.zeros((d, d), dtype=complex))
         e = np.eye(d, dtype=complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(StepSizeError, match="not finite"):
                 retract(np.full((d, d), np.nan, dtype=complex))
+            # x = -I: x + I is zero
+            with pytest.raises(StepSizeError, match="zero or not finite.*batch index 1"):
+                split(np.array([pt.x, -e]))
             # x + I = e_1 e_2^T: largest column and row are orthogonal
             divisor = np.outer(e[0], e[1]) - e
             with pytest.raises(StepSizeError, match="incidence divisor.*batch index 1"):
-                retract_batch(np.array([pt.x, divisor]))
+                split(np.array([pt.x, divisor]))
         # x + eps I has trace d eps, so it is at least eps sqrt(d) off the orbit
         with pytest.raises(MembershipError):
             split_eigen(pt.x + 1e-6 * np.eye(d))

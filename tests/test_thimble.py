@@ -266,30 +266,21 @@ class TestGraphClosedForms:
             assert (np.abs(pair_gap(m, ua, ub) - want) / want).max() < tol
 
     def test_stepping_loop_assembles_no_matrix(self, monkeypatch):
+        # neither the stepping loop nor the landing of flow_to_level
         from orbitflow import orbit
 
-        calls = {"loop": 0, "landing": 0}
-        landing = [False]
-        cross_level, assemble_ = thimble.cross_level, orbit.assemble
-
-        def counting_cross_level(*args):
-            landing[0] = True
-            try:
-                return cross_level(*args)
-            finally:
-                landing[0] = False
+        calls = []
+        assemble_ = orbit.assemble
 
         def counting_assemble(*args):
-            calls["landing" if landing[0] else "loop"] += 1
+            calls.append(len(args[0]))
             return assemble_(*args)
 
         h, g, pairs, c = _graph_seed_stack(4, directions=3)
-        monkeypatch.setattr(thimble, "cross_level", counting_cross_level)
-        monkeypatch.setattr(thimble, "assemble", counting_assemble)
-        monkeypatch.setattr(orbit, "assemble", counting_assemble)
+        for module in (orbit, thimble):
+            monkeypatch.setattr(module, "assemble", counting_assemble, raising=False)
         flow_to_level(pairs, h, g, c, default_thimble_step(h, 1), 4000, lambda *_: None)
-        assert calls["loop"] == 0
-        assert calls["landing"] > 0
+        assert calls == []
 
 
 class TestTraceThimble:
@@ -319,6 +310,45 @@ class TestTraceThimble:
         f1c = potential(h, critical_points(2)[1]).real
         f1s = [s.f1 for s in samples]
         assert f1c - 1e-9 <= min(f1s) and max(f1s) <= f1c + 0.5 + 1e-9
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_seed_pairs_are_the_lines_of_graph_tangent_seeds(self, n):
+        # the reference: the split line of xc + r v, v a unit vector of the
+        # b_tau-orthonormal graph tangent frame at [e_j]
+        rng = np.random.default_rng(70 + n)
+        radii = np.geomspace(1e-5, 0.5, 5)
+        for j, s in twists(n):
+            g = m_j_pm(n, j, s)
+            xc = critical_points(n)[j - 1]
+            frame = np.array(graph_tangent_frame(xc, g))
+            coeffs = rng.standard_normal((3, 2 * n))
+            coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+            pairs = thimble.seed_pairs(j, g, coeffs, radii)
+            want = [retract(xc.x + r * np.tensordot(c, frame, axes=1)).line
+                    for c in coeffs for r in radii]
+            assert np.abs(pairs[:, 0] - np.array(want)).max() < 1e-14
+            assert np.array_equal(pairs[:, 1], g.m_diag * pairs[:, 0])
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_seeds_lie_strictly_inside_the_level(self, n, monkeypatch):
+        # the cap on the top radius, with no search, keeps every seed of every
+        # definite graph strictly between f1([e_j]) and the level
+        def seeds_only(pairs, *_):
+            return pairs, np.zeros(len(pairs))
+
+        monkeypatch.setattr(thimble, "flow_to_level", seeds_only)
+        rng = np.random.default_rng(80 + n)
+        for _ in range(3):
+            h = -np.cumsum(rng.uniform(0.1, 2.0, n + 1))
+            h -= h.mean()
+            for j, s in twists(n):
+                f1_c = potential(h, critical_points(n)[j - 1]).real
+                for c_offset in np.geomspace(1e-3, 30.0, 6):
+                    level = f1_c - c_offset if s == "-" else f1_c + c_offset
+                    seeds = trace_thimble(j, s, h, c_offset=c_offset, directions=16, rng=rng)
+                    f1 = np.array([x.f1 for x in seeds])
+                    assert ((f1 - level) * (f1_c - level) > 0).all()
+                    assert ((f1_c - f1) * (f1_c - level) > 0).all()
 
     @pytest.mark.parametrize("j, sign", [(1, "-"), (2, "+")])
     def test_seeds_come_first_in_flow_order_inside_the_level(self, j, sign):
