@@ -25,7 +25,8 @@ DEFAULT_TOLERANCES = {
     "algebraic": 1e-10,
     "convergence": 1e-9,
 }
-# the knobs each command reads; no other command accepts them
+# the tolerances and knobs each command reads; no other command accepts them
+TOLERANCES = {"verify": ("algebraic",), "flow": ("convergence",)}
 KNOBS = {
     "flow": ("steps", "step_size"),
     "thimble": ("j", "sign", "c_offset", "directions", "steps", "step_size"),
@@ -47,7 +48,7 @@ class RunConfig:
     steps: int = 4000
     step_size: float = None
     directions: int = 16
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
+    tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n < 1:
@@ -83,18 +84,21 @@ class RunConfig:
             value = getattr(self, name)
             if name in knobs and value is not None and not value > 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
-        unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
+        reads = TOLERANCES.get(self.command, ())
+        unknown = sorted(set(self.tolerances) - set(reads))
         if unknown:
-            raise ConfigError(f"unknown tolerance keys: {sorted(unknown)}")
-        self.tolerances = {**DEFAULT_TOLERANCES, **self.tolerances}
+            raise ConfigError(f"{unknown[0]} is an unknown tolerance for the {self.command} "
+                              f"command, which reads {', '.join(reads) or 'none'}")
+        self.tolerances = {**{key: DEFAULT_TOLERANCES[key] for key in reads}, **self.tolerances}
 
     def as_dict(self):
         out = {
             "n": self.n,
             "h": [float(v) for v in self.h],
             "seed": self.seed,
-            "tolerances": dict(sorted(self.tolerances.items())),
         }
+        if self.tolerances:
+            out["tolerances"] = dict(sorted(self.tolerances.items()))
         out.update((name, getattr(self, name)) for name in KNOBS.get(self.command, ()))
         return out
 
@@ -169,7 +173,7 @@ def build_config(args):
         if "=" not in item:
             raise ConfigError(f"--tol expects KEY=VAL, got {item!r}")
         key, val = item.split("=", 1)
-        layers.setdefault("tolerances", {})[key] = float(val)
+        layers.setdefault("tolerances", {}).update(_coerce({"tol." + key: val})["tolerances"])
     flags = {key: getattr(args, key, None) for key in ("H", *TYPES)}
     layers.update(_coerce({key: val for key, val in flags.items() if val is not None}))
     return RunConfig(command=args.command, **layers)
@@ -245,7 +249,7 @@ def cmd_flow(cfg):
 
     pt = flag_sample(cfg.n, 1, 0.7, rng)[0]
     traj = flow.integrate(
-        pt,
+        np.array([[pt.line, pt.normal]]),
         cfg.h,
         step=cfg.step_size,
         max_steps=cfg.steps,
@@ -257,7 +261,7 @@ def cmd_flow(cfg):
             fh.write(text)
     else:
         sys.stdout.write(text)
-    limit = traj.limit_index if traj.limit_index is not None else "none"
+    limit = traj.limit_index[0] or "none"
     sys.stderr.write(
         f"flow: {len(traj.times)} samples, limit critical point: {limit}\n"
     )

@@ -8,9 +8,11 @@ minimum-norm inverse, in closed form in the pair coordinates
 ``advance``, the one stepper of the package, takes a classical RK4 step of
 a velocity field on stacked chart pairs (u, v), such as ``orbit.lax_velocity``
 for Z; ``graph_field`` keeps a field on the graph v = m u of an involution m.
+``integrate`` flows a whole stack of pairs along Z and records it as arrays
+(``Trajectory``): a single point is a batch of one.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +27,8 @@ from .liecore import (
     root_eval,
     tau,
 )
-from .orbit import (OrbitPoint, chart, critical_points, displace, invert_pair, lax_velocity,
-                    membership_residual, pair_of, potential)
+from .orbit import (OrbitPoint, chart, displace, invert_pair, lax_velocity, membership_residual,
+                    pair_of, potential)
 
 TANGENCY_TOL = 1e-8
 CONV_TOL = 1e-9
@@ -40,9 +42,9 @@ def z_field(x, h):
     """Z(x) = [x, [tau x, H]] of a point or a stack of matrices; defined on
     the whole algebra, tangent to orbits."""
     xm = _mat(x)
-    hm = cartan_matrix(h)
+    h = np.asarray(h, dtype=float)
     tx = -np.swapaxes(xm, -1, -2).conj()
-    inner = tx @ hm - hm @ tx
+    inner = tx * h - h[:, None] * tx
     return xm @ inner - inner @ xm
 
 
@@ -82,16 +84,6 @@ def ad_inverse(pt, v, tangency_tol=TANGENCY_TOL):
     if residual > tangency_tol * max(1.0, np.linalg.norm(vm)):
         raise TangencyError(f"component outside im ad(x): {residual:.3e}")
     return w
-
-
-def tangency_residual(pt, v):
-    """Relative size of the component of v outside im ad(x).
-
-    The component is taken along ker ad(x), which complements im ad(x)
-    because x is diagonalizable; it is what ad(x) ad_inverse(v) misses.
-    """
-    vm = _mat(v)
-    return np.linalg.norm(invert_pair(*pair_of(pt), vm)[1]) / max(np.linalg.norm(vm), 1e-300)
 
 
 def metric_m(pt, u, v, tangency_tol=TANGENCY_TOL):
@@ -167,77 +159,82 @@ def default_step(n, h):
     return 1e-2 / rate
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
-    """Samples of a flow line, with their OrbitPoints."""
+    """A flow of a stack of B pairs over T steps of the whole stack: ``times``
+    (T,) and, per step and row, the unit ``lines`` (T, B, d), chart
+    ``points`` (T, B, d, d), f_H ``potentials`` and |Z| ``z_norms`` (T, B).
+    A row frozen at convergence repeats its last entry.  ``steps`` (B,)
+    counts the steps of each row, and ``limit_index`` (B,) is the 1-based
+    slot j = argmax |u| of the critical point [e_j] a converged row
+    reached, or 0."""
 
-    times: list = field(default_factory=list)
-    points: list = field(default_factory=list)
-    h_values: list = field(default_factory=list)
-    f2_values: list = field(default_factory=list)
-    orbit_residuals: list = field(default_factory=list)
-    z_norms: list = field(default_factory=list)
-    limit_index: int | None = None
-
-    def append(self, t, pt, h):
-        f = potential(h, pt)
-        self.times.append(t)
-        self.points.append(pt)
-        self.h_values.append(f.real)
-        self.f2_values.append(f.imag)
-        self.orbit_residuals.append(membership_residual(pt.x))
-        self.z_norms.append(b_norm(z_field(pt, h)))
+    times: np.ndarray
+    lines: np.ndarray
+    points: np.ndarray
+    potentials: np.ndarray
+    z_norms: np.ndarray
+    steps: np.ndarray
+    limit_index: np.ndarray
 
 
-def integrate(pt, h, direction="forward", step=None, max_steps=10000, conv_tol=CONV_TOL):
-    """Flow an orbit point along +/-Z with ``advance``, stepping its pair by
-    ``orbit.lax_velocity``.
-
-    Stops when |Z| < conv_tol or after max_steps; when converged, the
-    trajectory records the 1-based index of the limiting critical point.
-
-    Hermitian initial data stays Hermitian under the exact flow but its
-    transverse roundoff grows along saddle passages, so such data is
-    stepped as the graph flow of m = 1, with v = u throughout.
+def integrate(pairs, h, direction="forward", step=None, max_steps=10000, conv_tol=CONV_TOL):
+    """Flow a stack of pairs (u, v), shape (batch, 2, d), along +/-Z with
+    ``advance`` and ``orbit.lax_velocity``.  A row freezes once its |Z|
+    drops below conv_tol; the flow stops when every row has, or after
+    max_steps.  Hermitian data stays Hermitian under the exact flow but its
+    transverse roundoff grows along saddle passages, so a row whose chart
+    point is Hermitian steps as the graph flow of m = 1, with v = u.  Every
+    kernel reduces row by row, so a row flows bit for bit as it does alone.
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
     sign = 1.0 if direction == "forward" else -1.0
-    dt = step if step is not None else default_step(pt.n, h)
-    hermitian = np.linalg.norm(pt.x - pt.x.conj().T) < 1e-12 * np.linalg.norm(pt.x)
-    pairs = np.stack([pt.line, pt.line if hermitian else pt.normal])[None]
+    pairs = np.array(pairs, dtype=complex)
+    dt = step if step is not None else default_step(pairs.shape[-1] - 1, h)
+    x = chart(pairs)[2]
+    herm = (np.linalg.norm(x - np.swapaxes(x, -1, -2).conj(), axis=(-2, -1))
+            < 1e-12 * np.linalg.norm(x, axis=(-2, -1)))
+    pairs[herm, 1] = pairs[herm, 0]
 
-    def field(p):
-        return sign * lax_velocity(p, h)
+    def rhs(p):
+        vel = sign * lax_velocity(p, h)
+        vel[on_locus, 1] = vel[on_locus, 0]
+        return vel
 
-    rhs = graph_field(field, 1.0) if hermitian else field
-
-    traj = Trajectory()
-    t = 0.0
+    record = []
+    active = np.ones(len(pairs), dtype=bool)
+    steps = np.zeros(len(pairs), dtype=int)
     while True:
-        u, v, x = chart(pairs)
-        traj.append(t, OrbitPoint(x=x[0], line=u[0], normal=v[0]), h)
-        if traj.z_norms[-1] < conv_tol or len(traj.times) > max_steps:
+        u, _, x = chart(pairs)
+        # b_norm of each Z, rounded as b_norm rounds one: a dot product
+        z = z_field(x, h).reshape(len(x), 1, -1)
+        zn = np.sqrt((2.0 * x.shape[-1] * (z.conj() @ np.swapaxes(z, -1, -2))[:, 0, 0]).real)
+        record.append((u, x, potential(h, x), zn))
+        active &= ~(zn < conv_tol)
+        if not active.any() or len(record) > max_steps:
             break
-        pairs = advance(pairs, rhs, dt)
-        t += dt
-    if traj.z_norms[-1] < conv_tol:
-        crits = critical_points(pt.n)
-        dists = [np.linalg.norm(x[0] - c.x) for c in crits]
-        traj.limit_index = int(np.argmin(dists)) + 1
-    return traj
+        rows = np.flatnonzero(active)
+        on_locus = herm[rows]  # the Hermitian rows among those rhs steps
+        pairs[rows] = advance(pairs[rows], rhs, dt)
+        steps[rows] += 1
+    lines, points, potentials, z_norms = (np.array(a) for a in zip(*record))
+    times = np.cumsum([0.0] + [dt] * (len(record) - 1))  # t += dt, step by step
+    limit = np.where(z_norms[-1] < conv_tol, np.argmax(np.abs(lines[-1]), axis=-1) + 1, 0)
+    return Trajectory(times, lines, points, potentials, z_norms, steps, limit)
 
 
 def trajectory_csv(traj):
-    """CSV dump: t, Re f_H, Im f_H, orbit residual, |Z|, flattened entries."""
-    d = traj.points[0].x.shape[0]
+    """CSV dump of the first row of a trajectory: t, Re f_H, Im f_H, orbit
+    residual, |Z|, flattened entries."""
+    d = traj.points.shape[-1]
     header = ["t", "re_f", "im_f", "orbit_residual", "z_norm"]
     header += [f"{p}_{i}{j}" for i in range(d) for j in range(d) for p in ("re", "im")]
     lines = [",".join(header)]
-    for k, pt in enumerate(traj.points):
-        row = [traj.times[k], traj.h_values[k], traj.f2_values[k],
-               traj.orbit_residuals[k], traj.z_norms[k]]
-        for z in pt.x.ravel():
+    for k, x in enumerate(traj.points[:, 0]):
+        f = traj.potentials[k, 0]
+        row = [traj.times[k], f.real, f.imag, membership_residual(x), traj.z_norms[k, 0]]
+        for z in x.ravel():
             row.extend([z.real, z.imag])
         lines.append(",".join(format(v, ".17g") for v in row))
     return "\n".join(lines) + "\n"
@@ -258,13 +255,3 @@ def nongradient_witness(h, h1, v, w):
         return killing_form(bracket(hm, bracket(h1m, tau(b))), a)
 
     return abs(-2.0 * term(v, w) + 2.0 * term(w, v))
-
-
-def closedness_defect(x, h, v, w):
-    """Exact four-term evaluation of d(., Z) at an arbitrary basepoint."""
-    xm, hm = _mat(x), cartan_matrix(h)
-
-    def dz(a):
-        return bracket(a, bracket(tau(xm), hm)) + bracket(xm, bracket(tau(a), hm))
-
-    return b_tau(w, dz(v)) - b_tau(v, dz(w))

@@ -37,10 +37,9 @@ REJECT_TOL = 1e-6
 class GraphSpec:
     """Diagonal torus element with unit determinant.
 
-    ``m_diag`` holds the unit-modulus diagonal entries; ``theta`` recovers a
-    logarithm (the diagonal of a real Cartan vector H1 with m = exp(iH1)),
-    retained for reporting only.  Sign data is always read from m_diag
-    directly to avoid branch ambiguity of the logarithm.
+    ``m_diag`` holds the unit-modulus diagonal entries, m = exp(iH1) for a
+    real Cartan vector H1; sign data is read from m_diag directly, with no
+    logarithm and so no branch ambiguity.
     """
 
     m_diag: np.ndarray
@@ -63,10 +62,6 @@ class GraphSpec:
     def is_involution(self):
         return bool(np.abs(self.m_diag.imag).max() < 1e-12
                     and np.abs(np.abs(self.m_diag.real) - 1.0).max() < 1e-12)
-
-    @property
-    def theta(self):
-        return np.angle(self.m_diag)
 
     def phase(self, alpha):
         """exp(-i alpha_kj(H1)) = conj(m_k) m_j for the root (k, j)."""

@@ -184,10 +184,6 @@ class WeylElement:
         return len(pi_w(self))
 
 
-def identity_weyl(d):
-    return WeylElement(tuple(range(1, d + 1)))
-
-
 def longest_weyl(d):
     """Order-reversing permutation k -> d + 1 - k."""
     return WeylElement(tuple(range(d, 0, -1)))
@@ -211,13 +207,3 @@ def weyl_action(w, h):
     h = np.asarray(h)
     winv = w.inverse()
     return np.array([h[winv(k) - 1] for k in range(1, w.dim + 1)])
-
-
-def weyl_orbit(h, tol=1e-12):
-    """Distinct images of a Cartan vector under the Weyl group."""
-    seen = []
-    for w in weyl_group(len(h)):
-        v = weyl_action(w, h)
-        if not any(np.allclose(v, s, atol=tol) for s in seen):
-            seen.append(v)
-    return seen

@@ -266,9 +266,6 @@ class OrbitPoint:
         """Orthonormal basis of the (-1)-eigenspace in its columns."""
         return complement(self.normal)
 
-    def residual(self):
-        return membership_residual(self.x)
-
     def to_json(self):
         return points_json([self])[0]
 
@@ -312,11 +309,14 @@ def points_json(points):
 
 
 def membership_residual(x):
-    """Frobenius residual of the minimal polynomial (x - n)(x + 1)."""
+    """Frobenius residual of the minimal polynomial (x - n)(x + 1) of a
+    matrix, or of each of stacked matrices; a single matrix keeps the
+    rounding of the norm of a 2-D array."""
     x = np.asarray(x, dtype=complex)
-    d = x.shape[0]
+    d = x.shape[-1]
     n = d - 1
-    return np.linalg.norm(x @ x - (n - 1) * x - n * np.eye(d))
+    r = x @ x - (n - 1) * x - n * np.eye(d)
+    return np.linalg.norm(r, axis=(-2, -1) if r.ndim > 2 else None)
 
 
 def pair_point(line, normal, tol=TRANSVERSALITY_TOL):

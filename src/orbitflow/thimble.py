@@ -10,8 +10,9 @@ line u of its pair (u, m u), and thimbles are traced on that line from
 seed to landing: the seeds (``seed_pairs``), the line velocity of the
 gradient (``gradient_field``), the height f1 as a Rayleigh quotient of u
 (``line_height``) and the distance between two chart points (``pair_gap``)
-are closed forms in u.  ``flow_to_level`` steps stacks of pairs with
-``flow.advance``; a flow about to cross the level waits, and one
+are closed forms in u.  The kernels read the rows of a real m, so one
+stack may mix twists; ``flow_to_level`` steps stacks of pairs of one
+involution with ``flow.advance``; a flow about to cross the level waits, and one
 ``cross_level`` lands them all at the end.  Matrices appear once, in the
 ``chart`` of the recorded pairs.  The split F1 = G1 - i G2 of the gradient
 uses the graph tangent frame ``graphs.graph_tangent_frame``.
@@ -33,8 +34,7 @@ from .errors import (
 )
 from .flow import advance, graph_field
 from .liecore import b_norm, b_tau, cartan_matrix, root_eval
-from .orbit import (OrbitPoint, chart, complement, critical_points, points_json, potential,
-                    tangent_project)
+from .orbit import OrbitPoint, chart, complement, points_json, potential, tangent_project
 from .graphs import graph_membership, graph_tangent_frame, m_j_pm
 from .util import realify
 
@@ -157,21 +157,18 @@ def pair_gap(m, ua, ub):
     return ua.shape[-1] * np.sqrt(np.maximum(sq, 0.0))
 
 
-def gradient_field(h, g, orient):
-    """orient * grad f1 as a pair field on the graph of an involution g;
-    orient broadcasts against the lines, shape (batch, d).
+def gradient_field(h, m, orient):
+    """orient * grad f1 as a pair field on the graphs of involutions m = +/-1;
+    the real m and orient broadcast against the lines, shape (batch, d), so
+    each row may carry its own twist and direction.
 
-    At a graph pair (u, m u), m = +/-1, with w = |u|^2, N = sum w,
+    At a graph pair (u, m u), with w = |u|^2, N = sum w,
     sigma = sum m w / N, rho = sum h w / N and p = sum h m w / N - rho sigma,
     the tangent projection of H = diag(h) is the chart derivative along
     du = (sigma / d) [(h - rho) m u - a (u - sigma m u)], a = p / (2 - sigma^2),
-    and v moves as m du.  Raises ValueError when g is not an involution.
+    and v moves as m du.
     """
-    if not g.is_involution:
-        raise ValueError(f"twist {g.name or g.m_diag} is not an involution: "
-                         "the closed-form gradient needs m = +/-1")
     h = np.asarray(h, dtype=float)
-    m = g.m_diag.real
     d = len(h)
 
     def line_velocity(pairs):
@@ -187,8 +184,9 @@ def gradient_field(h, g, orient):
     return graph_field(line_velocity, m)
 
 
-def cross_level(base, h, g, c, orient):
-    """Land stacked graph pairs on the level f1 = c along orient * grad f1.
+def cross_level(base, h, m, c, orient):
+    """Land stacked graph pairs on the level f1 = c along orient * grad f1,
+    each row on the graph of its row of the real involution m.
 
     Newton's method in the length tau of one ``advance`` from ``base``, on
     the line: f1 is ``line_height``, 2d^2 R_m(u) up to a constant, and its rate
@@ -200,23 +198,23 @@ def cross_level(base, h, g, c, orient):
     naming the stack index of the worst miss after LEVEL_ITERATIONS steps.
     """
     d = base.shape[-1]
-    m = g.m_diag.real
+    m = np.broadcast_to(m, base[:, 0].shape)
     tau = np.zeros(base.shape[0])
     cur = base.copy()
     miss = c - line_height(h, m, cur[:, 0])
     todo = np.arange(base.shape[0])
     for _ in range(LEVEL_ITERATIONS):
-        rhs = gradient_field(h, g, orient[todo, None])
+        rhs = gradient_field(h, m[todo], orient[todo, None])
         u = cur[todo, 0]
-        _, mw, _, hmw = _line_sums(h, m, u, u)
-        _, mdw, _, hmdw = _line_sums(h, m, u, rhs(cur[todo])[:, 0])
+        _, mw, _, hmw = _line_sums(h, m[todo], u, u)
+        _, mdw, _, hmdw = _line_sums(h, m[todo], u, rhs(cur[todo])[:, 0])
         rate = 4.0 * d * d * (hmdw - hmw / mw * mdw)[:, 0] / mw[:, 0]
         tau[todo] = np.maximum(tau[todo] + miss[todo] / rate, 0.0)
         cur[todo] = advance(base[todo], rhs, tau[todo, None, None])
         u = cur[todo, 0]
-        miss[todo] = c - line_height(h, m, u)
-        w = u.real ** 2 + u.imag ** 2
-        diag = d * m * w / (m * w).sum(axis=-1, keepdims=True) - 1.0
+        miss[todo] = c - line_height(h, m[todo], u)
+        w = m[todo] * (u.real ** 2 + u.imag ** 2)
+        diag = d * w / w.sum(axis=-1, keepdims=True) - 1.0
         scale = 2.0 * d * (np.abs(h) * np.abs(diag)).sum(axis=-1)
         todo = todo[np.abs(miss[todo]) > LEVEL_ULPS * np.finfo(float).eps * scale]
         if not todo.size:
@@ -236,9 +234,13 @@ def flow_to_level(pairs, h, g, c, step, max_steps, visit=None):
     assemble no matrix.  After each step ``visit(indices, pairs, arcs)``
     sees the pairs that did not cross the level.  A crossing flow waits at its last pair
     before the level, and one ``cross_level`` after the loop lands them all.
-    Returns the landed pairs and their arc lengths; raises
-    GraphIntegrityError if some flow has not landed after max_steps.
+    Returns the landed pairs and their arc lengths; raises ValueError when
+    g is not an involution, and GraphIntegrityError if some flow has not
+    landed after max_steps.
     """
+    if not g.is_involution:
+        raise ValueError(f"twist {g.name or g.m_diag} is not an involution: "
+                         "the closed-form gradient needs m = +/-1")
     pairs = np.array(pairs)
     h = np.asarray(h, dtype=float)
     m = g.m_diag.real
@@ -249,7 +251,7 @@ def flow_to_level(pairs, h, g, c, step, max_steps, visit=None):
         if not active.any():
             break
         idx = np.flatnonzero(active)
-        stepped = advance(pairs[idx], gradient_field(h, g, orient[idx, None]), step)
+        stepped = advance(pairs[idx], gradient_field(h, m, orient[idx, None]), step)
         crossed = orient[idx] * (line_height(h, m, stepped[:, 0]) - c) > 0
         active[idx[crossed]] = False
         alive = idx[~crossed]
@@ -261,7 +263,7 @@ def flow_to_level(pairs, h, g, c, step, max_steps, visit=None):
         raise GraphIntegrityError(
             f"{int(active.sum())} flows failed to reach the level in {max_steps} steps"
         )
-    pairs, tau = cross_level(pairs, h, g, c, orient)
+    pairs, tau = cross_level(pairs, h, m, c, orient)
     return pairs, arcs + tau
 
 
@@ -329,9 +331,10 @@ def trace_thimble(
     h = np.asarray(h, dtype=float)
     n = len(h) - 1
     g = m_j_pm(n, j, sign)
+    m = g.m_diag.real
     rng = np.random.default_rng(0) if rng is None else rng
 
-    f1_c = potential(h, critical_points(n)[j - 1]).real
+    f1_c = line_height(h, m, np.eye(n + 1)[j - 1])
     c_level = f1_c - c_offset if sign == "-" else f1_c + c_offset
 
     dirs = rng.standard_normal((directions, 2 * n))
@@ -343,7 +346,6 @@ def trace_thimble(
 
     flows = np.arange(pairs.shape[0])
     chunks = [(flows, pairs, np.zeros(pairs.shape[0]))]
-    m = g.m_diag.real
     last_rec = pairs[:, 0].copy()
 
     def visit(indices, pairs, arcs):
@@ -377,35 +379,6 @@ def trace_thimble(
         raise GraphIntegrityError(f"flow left the graph: residual {bad.graph_residual:.3e} "
                                   f"at seed {bad.seed_index}, f1={bad.f1:.6f}")
     return samples
-
-
-def boundary_samples(samples, c_level, tol=1e-6):
-    return [s for s in samples if abs(s.f1 - c_level) <= tol]
-
-
-def containment_probe(j, sign, h, offsets=(0.25, 0.5, 1.0, 2.0, 4.0), directions=6,
-                      radii=3, rng=None, residual_limit=RESIDUAL_LIMIT, max_steps=4000):
-    """Largest probed level offset at which the traced ball stays on-graph.
-
-    How far the thimble-in-graph containment persists is not known a
-    priori; this reports the measured range instead of assuming one.
-    Returns (largest passing offset or None, {offset: worst residual or
-    None when the trace failed}).
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    results = {}
-    best = None
-    for off in offsets:
-        try:
-            samples = trace_thimble(j, sign, h, c_offset=off, directions=directions,
-                                    radii=radii, rng=rng, residual_limit=residual_limit,
-                                    max_steps=max_steps)
-        except GraphIntegrityError:
-            results[off] = None
-            break
-        results[off] = max(s.graph_residual for s in samples)
-        best = off
-    return best, results
 
 
 def lagrangian_check(samples, k=4, step_hint=None, density_factor=10.0):

@@ -27,12 +27,6 @@ def random_unit_vector(rng, d):
     return v / np.linalg.norm(v)
 
 
-def random_special_unitary(rng, d):
-    q, r = np.linalg.qr(complex_gaussian(rng, (d, d)))
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
-    return q / np.linalg.det(q) ** (1.0 / d)
-
-
 def realify(mats):
     """Stack complex matrices into real row vectors (Re parts then Im parts)."""
     arr = np.asarray(mats)

@@ -23,7 +23,7 @@ class TestRunConfig:
         cfg = RunConfig()
         assert cfg.n == 2
         assert np.allclose(cfg.h, [1.0, 0.0, -1.0])
-        assert cfg.tolerances == DEFAULT_TOLERANCES
+        assert cfg.tolerances == {"algebraic": DEFAULT_TOLERANCES["algebraic"]}
 
     def test_rejects_nonregular_h_naming_the_pair(self):
         with pytest.raises(ConfigError, match="alpha_12"):
@@ -43,8 +43,9 @@ class TestRunConfig:
 
     def test_tolerance_override_merges(self):
         cfg = RunConfig(tolerances={"algebraic": 1e-8})
-        assert cfg.tolerances["algebraic"] == 1e-8
-        assert cfg.tolerances["convergence"] == DEFAULT_TOLERANCES["convergence"]
+        assert cfg.tolerances == {"algebraic": 1e-8}
+        cfg = RunConfig(command="flow")
+        assert cfg.tolerances == {"convergence": DEFAULT_TOLERANCES["convergence"]}
 
 
 class TestConfigLayers:
@@ -99,10 +100,20 @@ class TestConfigLayers:
         (["verify", "--json-config", '{"j": 2}'], "j"),
         (["flow", "--json-config", '{"c_offset": 1.0}'], "c_offset"),
         (["verify", "--config", "steps.cfg"], "steps"),
+        (["thimble", "--n", "2", "--tol", "algebraic=5"], "algebraic"),
+        (["thimble", "--n", "2", "--tol", "convergence=3"], "convergence"),
+        (["spectrum", "--tol", "algebraic=1e-9"], "algebraic"),
+        (["verify", "--tol", "convergence=1e-9"], "convergence"),
+        (["flow", "--tol", "algebraic=1e-9"], "algebraic"),
+        (["verify", "--config", "convergence.cfg"], "convergence"),
+        (["flow", "--json-config", '{"tolerances": {"algebraic": 1e-9}}'], "algebraic"),
+        (["thimble", "--json-config", '{"tolerances": {"convergence": 1e-9}}'], "convergence"),
+        (["verify", "--tol", "algebraic=x"], "tol.algebraic"),
     ])
     def test_malformed_input_exits_2_naming_the_field(self, argv, field, capsys, tmp_path):
         (tmp_path / "n-is-abc.cfg").write_text("n=abc\n")
         (tmp_path / "steps.cfg").write_text("steps=10\n")
+        (tmp_path / "convergence.cfg").write_text("tol.convergence=1e-9\n")
         argv = [str(tmp_path / a) if a.endswith(".cfg") else a for a in argv]
         assert main(argv) == 2
         assert re.match(rf"config error: {field}\b", capsys.readouterr().err)
@@ -111,11 +122,16 @@ class TestConfigLayers:
         parser = make_parser()
         echoed = {name: set(build_config(parser.parse_args([name])).as_dict())
                   for name in ("verify", "spectrum", "flow", "thimble")}
-        common = {"n", "h", "seed", "tolerances"}
-        assert echoed["verify"] == echoed["spectrum"] == common
-        assert echoed["flow"] == common | {"steps", "step_size"}
+        common = {"n", "h", "seed"}
+        assert echoed["spectrum"] == common
+        assert echoed["verify"] == common | {"tolerances"}
+        assert echoed["flow"] == common | {"tolerances", "steps", "step_size"}
         assert echoed["thimble"] == common | {"j", "sign", "c_offset", "directions", "steps",
                                               "step_size"}
+        tolerances = {name: build_config(parser.parse_args([name])).as_dict().get("tolerances")
+                      for name in ("verify", "spectrum", "flow", "thimble")}
+        assert tolerances == {"verify": {"algebraic": 1e-10}, "spectrum": None,
+                              "flow": {"convergence": 1e-9}, "thimble": None}
 
     def test_removed_kernel_cutoff_key_exit_code(self, capsys, tmp_path):
         for key in ("kernel_cutoff", "flow"):

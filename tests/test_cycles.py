@@ -18,7 +18,6 @@ from orbitflow.liecore import (
     WeylElement,
     b_tau,
     hermitian_form,
-    identity_weyl,
     killing_form,
     longest_weyl,
     minimal_cartan,
@@ -29,6 +28,8 @@ from orbitflow.liecore import (
 from orbitflow.orbit import critical_points, membership_residual, potential
 from orbitflow.util import random_compact, random_traceless, realify, subspace_intersection_real
 from orbitflow.verification import random_orbit_point, random_tangent
+
+from helpers import identity_weyl
 
 
 class TestVw:

@@ -7,14 +7,12 @@ from orbitflow.errors import NotCriticalError, StepSizeError, TangencyError
 from orbitflow.flow import (
     ad_inverse,
     advance,
-    closedness_defect,
     default_step,
     graph_field,
     integrate,
     linearize,
     metric_m,
     nongradient_witness,
-    tangency_residual,
     trajectory_csv,
     z_field,
 )
@@ -28,13 +26,20 @@ from orbitflow.liecore import (
     minimal_cartan,
     omega,
 )
-from orbitflow.orbit import assemble, critical_points, lax_velocity, retract
+from orbitflow.orbit import (assemble, critical_points, lax_velocity, membership_residual, retract,
+                            tangent_project)
 from orbitflow.util import realify, subspace_intersection_real
 from orbitflow.verification import (
+    double_bracket_solution,
     fd_jacobian_eigenvalues,
     random_orbit_point,
     random_tangent,
 )
+
+
+def stack(points):
+    """The stack of pairs, shape (batch, 2, d), of orbit points."""
+    return np.array([[p.line, p.normal] for p in points])
 
 
 class TestZField:
@@ -57,7 +62,8 @@ class TestZField:
         h = default_cartan(2)
         for _ in range(10):
             pt = random_orbit_point(rng, 2)
-            assert tangency_residual(pt, z_field(pt, h)) < 1e-10
+            z = z_field(pt, h)
+            assert np.linalg.norm(tangent_project(pt, z) - z) < 1e-10 * np.linalg.norm(z)
 
     def test_height_pairing_real_negative_on_compact_shift(self):
         # for x = z + y with z real dominant diagonal, y compact, the
@@ -206,21 +212,21 @@ class TestLinearize:
 class TestIntegrate:
     def test_zero_length_at_singularity(self):
         h0 = minimal_cartan(1)
-        traj = integrate(critical_points(1)[0], h0, max_steps=50)
+        traj = integrate(stack(critical_points(1)[:1]), h0, max_steps=50)
         assert len(traj.times) == 1
-        assert traj.limit_index == 1
+        assert traj.limit_index.tolist() == [1]
 
     def test_stable_seed_returns_unstable_leaves(self):
         rs = RootSystemAn(1)
         h0 = minimal_cartan(1)
         pt = critical_points(1)[0]
         eps = 1e-3
-        x0 = retract(pt.x + eps * rs.a_alpha((1, 2)))
+        x0 = stack([retract(pt.x + eps * rs.a_alpha((1, 2)))])
         fwd = integrate(x0, h0, "forward", max_steps=2000, conv_tol=0.0)
-        dists = [np.linalg.norm(p.x - pt.x) for p in fwd.points]
+        dists = np.linalg.norm(fwd.points[:, 0] - pt.x, axis=(-2, -1))
         assert min(dists) < eps / 10.0
         back = integrate(x0, h0, "backward", max_steps=10, conv_tol=0.0)
-        bdist = [np.linalg.norm(p.x - pt.x) for p in back.points]
+        bdist = np.linalg.norm(back.points[:, 0] - pt.x, axis=(-2, -1))
         assert all(np.diff(bdist) > 0)
 
     def test_flag_seed_converges_to_some_singularity(self):
@@ -228,45 +234,59 @@ class TestIntegrate:
 
         rng = np.random.default_rng(5)
         h = default_cartan(2)
-        for pt in flag_sample(2, 5, 0.9, rng):
-            traj = integrate(pt, h, max_steps=8000)
-            assert traj.limit_index in (1, 2, 3)
+        traj = integrate(stack(flag_sample(2, 5, 0.9, rng)), h, max_steps=8000)
+        assert set(traj.limit_index) <= {1, 2, 3}
 
     def test_basin_property_fifty_flag_seeds(self):
-        # batched forward relaxation of 50 random flag seeds; every limit
-        # lies in the critical set
+        # forward relaxation of 50 random flag seeds as one stack; every
+        # limit lies in the critical set
         from orbitflow.cycles import flag_sample
 
         rng = np.random.default_rng(9)
         h = default_cartan(2)
-        lines = np.array([p.line for p in flag_sample(2, 50, 1.2, rng)])
-        seeds = np.stack([lines, lines], axis=1)
-        rhs = graph_field(lambda p: lax_velocity(p, h), 1.0)
-        for _ in range(600):
-            seeds = advance(seeds, rhs, 0.05)
-        ends = assemble(seeds[:, 0], seeds[:, 1])
+        traj = integrate(stack(flag_sample(2, 50, 1.2, rng)), h, step=0.05, max_steps=600,
+                         conv_tol=0.0)
         crits = np.array([c.x for c in critical_points(2)])
+        ends = traj.points[-1]
         dists = np.linalg.norm(ends[:, None] - crits[None], axis=(2, 3)).min(axis=1)
         assert dists.max() < 1e-6
 
     @pytest.mark.parametrize("n", (1, 2, 3, 4))
     def test_flag_flow_matches_exact_double_bracket_solution(self, n):
-        # on the Hermitian locus Z = -[x, [x, H]] is Brockett's double-bracket
-        # flow; x = (n+1) u u^H - I moves as u(t) ~ exp(-(n+1) t H) u(0)
         from orbitflow.cycles import flag_sample
 
         h = default_cartan(n)
         pt = flag_sample(n, 1, 0.9, np.random.default_rng(40 + n))[0]
-        traj = integrate(pt, h, max_steps=20000)
-        assert traj.limit_index is not None
-        d = n + 1
-        u0 = pt.line
-        expo = -d * np.outer(traj.times, h)
-        u = u0[None, :] * np.exp(expo - expo.max(axis=1, keepdims=True))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        exact = d * np.einsum("ti,tj->tij", u, u.conj()) - np.eye(d)
-        got = np.array([p.x for p in traj.points])
-        assert np.linalg.norm(got - exact, axis=(1, 2)).max() < 1e-8
+        traj = integrate(stack([pt]), h, max_steps=20000)
+        assert traj.limit_index[0] > 0
+        exact = double_bracket_solution(traj.lines[0], h, traj.times)
+        assert np.linalg.norm(traj.points - exact, axis=(-2, -1)).max() < 1e-8
+
+    def test_a_stack_flows_each_row_as_it_flows_alone(self):
+        # Hermitian flag rows, free rows on the stable manifold of [e_1] and a
+        # row at [e_2], which converges at once and stays frozen while the
+        # others flow and freeze one by one
+        from orbitflow.cycles import flag_sample
+
+        n = 2
+        h = default_cartan(n)
+        crit = critical_points(n)
+        v_minus = linearize(crit[0], h).v_minus()
+        points = (flag_sample(n, 2, 0.9, np.random.default_rng(12))
+                  + [retract(crit[0].x + 1e-3 * v) for v in v_minus[:2]] + [crit[1]])
+        traj = integrate(stack(points), h, max_steps=4000, conv_tol=1e-4)
+        assert traj.limit_index.tolist() == [3, 3, 1, 1, 2]
+        assert traj.steps[-1] == 0 and traj.steps.max() == len(traj.times) - 1
+        for k in range(len(points)):
+            alone = integrate(stack(points[k:k + 1]), h, max_steps=4000, conv_tol=1e-4)
+            steps = len(alone.times)
+            assert traj.steps[k] == alone.steps[0] == steps - 1
+            assert np.array_equal(traj.times[:steps], alone.times)
+            assert np.array_equal(traj.limit_index[k], alone.limit_index[0])
+            for name in ("lines", "points", "potentials", "z_norms"):
+                row, ref = getattr(traj, name)[:, k], getattr(alone, name)[:, 0]
+                assert np.array_equal(row[:steps], ref)
+                assert (row[steps:] == ref[-1]).all()
 
     def test_height_monotone_and_residual_bounded(self):
         from orbitflow.cycles import flag_sample
@@ -274,9 +294,9 @@ class TestIntegrate:
         rng = np.random.default_rng(6)
         h = default_cartan(2)
         pt = flag_sample(2, 1, 0.8, rng)[0]
-        traj = integrate(pt, h, step=1e-3, max_steps=2000, conv_tol=0.0)
-        assert all(np.diff(traj.h_values) <= 1e-12)
-        assert max(traj.orbit_residuals) < 1e-8
+        traj = integrate(stack([pt]), h, step=1e-3, max_steps=2000, conv_tol=0.0)
+        assert all(np.diff(traj.potentials[:, 0].real) <= 1e-12)
+        assert membership_residual(traj.points[:, 0]).max() < 1e-8
 
     def test_large_step_raises_step_size_error(self):
         from orbitflow.cycles import flag_sample
@@ -285,7 +305,7 @@ class TestIntegrate:
         h = default_cartan(2)
         pt = flag_sample(2, 1, 0.8, rng)[0]
         with pytest.raises(StepSizeError):
-            integrate(pt, h, step=50.0, max_steps=10)
+            integrate(stack([pt]), h, step=50.0, max_steps=10)
 
     def test_pair_flows_converge_at_fourth_order(self):
         # halving dt cuts the error against a 50x finer run by ~16x for the
@@ -302,7 +322,7 @@ class TestIntegrate:
         flag = flag_sample(n, 1, 0.9, np.random.default_rng(3))[0].line
         flows = (
             (graph_field(lambda p: lax_velocity(p, h), 1.0), np.array([[flag, flag]]), 0.02),
-            (gradient_field(h, g, -1.0), np.array([[line, g.m_diag * line]]), 0.2),
+            (gradient_field(h, g.m_diag.real, -1.0), np.array([[line, g.m_diag * line]]), 0.2),
         )
 
         def run(rhs, pairs, dt, steps):
@@ -318,7 +338,7 @@ class TestIntegrate:
 
     def test_csv_columns(self):
         h0 = minimal_cartan(1)
-        traj = integrate(critical_points(1)[0], h0, max_steps=5)
+        traj = integrate(stack(critical_points(1)[:1]), h0, max_steps=5)
         header = trajectory_csv(traj).splitlines()[0].split(",")
         assert header[:5] == ["t", "re_f", "im_f", "orbit_residual", "z_norm"]
         assert len(header) == 5 + 2 * 4
@@ -332,8 +352,9 @@ class TestIntegrate:
         rng = np.random.default_rng(8)
         h = default_cartan(2)
         pt = random_orbit_point(rng, 2, spread=0.3)
-        traj = integrate(pt, h, max_steps=500, conv_tol=0.0)
-        drift = max(abs(v - traj.f2_values[0]) for v in traj.f2_values)
+        traj = integrate(stack([pt]), h, max_steps=500, conv_tol=0.0)
+        f2 = traj.potentials[:, 0].imag
+        drift = np.abs(f2 - f2[0]).max()
         print(f"Im f_H drift along the metric-gradient flow: {drift:.3e}")
         assert np.isfinite(drift)
 
@@ -360,13 +381,3 @@ class TestNonGradient:
         w = 1j * rs.x_alpha((1, 2))
         val = nongradient_witness(h, h1, v, w)
         assert val == pytest.approx(16.0, abs=1e-12)
-
-    def test_exact_defect_at_nilpotent_basepoint(self):
-        # the one-form (., Z) genuinely fails to be closed on the algebra:
-        # the four-term formula gives a nonzero value off the Cartan
-        rs = RootSystemAn(1)
-        h = np.array([1.0, -1.0])
-        x = rs.x_alpha((1, 2))
-        v = np.diag([1.0, -1.0]).astype(complex)
-        w = rs.x_alpha((2, 1))
-        assert closedness_defect(x, h, v, w) == pytest.approx(4.0, abs=1e-12)

@@ -25,7 +25,6 @@ from orbitflow.liecore import (
     bracket,
     cartan_matrix,
     default_cartan,
-    identity_weyl,
     minimal_cartan,
     omega,
 )
@@ -33,13 +32,14 @@ from orbitflow.orbit import critical_points, phi_pair, r_w0_basis, tangent_frame
 from orbitflow.util import (
     gram_schmidt_real,
     orthonormal_rows,
-    random_special_unitary,
     random_unit_vector,
     realify,
     subspace_intersection_real,
     unrealify,
 )
 from orbitflow.verification import word_with_slot
+
+from helpers import identity_weyl, random_special_unitary
 
 
 class TestInvolutions:

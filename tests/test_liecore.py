@@ -13,7 +13,6 @@ from orbitflow.liecore import (
     cartan_matrix,
     default_cartan,
     hermitian_form,
-    identity_weyl,
     killing_form,
     longest_weyl,
     minimal_cartan,
@@ -23,10 +22,11 @@ from orbitflow.liecore import (
     tau,
     weyl_action,
     weyl_group,
-    weyl_orbit,
 )
 from orbitflow.util import random_compact, random_traceless
 from orbitflow.verification import adjoint_trace_pairing, adjoint_trace_pairing_real
+
+from helpers import identity_weyl, weyl_orbit
 
 
 def _rng(seed=0):

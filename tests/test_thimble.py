@@ -15,7 +15,7 @@ from orbitflow.errors import (
     MembershipError,
     NearCriticalError,
 )
-from orbitflow.flow import ad_inverse
+from orbitflow.flow import ad_inverse, advance
 from orbitflow.graphs import (GraphSpec, graph_point, graph_tangent_frame, identity_graph, m_j_pm,
                               twists)
 from orbitflow.liecore import (
@@ -28,7 +28,6 @@ from orbitflow.liecore import (
 )
 from orbitflow.orbit import OrbitPoint, assemble, critical_points, potential, retract
 from orbitflow.thimble import (
-    boundary_samples,
     default_thimble_step,
     fg_decomposition_check,
     flow_to_level,
@@ -197,10 +196,27 @@ class TestHorizontalLift:
 class TestGraphClosedForms:
     """The line velocity, height and chart gap that thimble flows step with."""
 
-    def test_gradient_field_rejects_a_non_involution(self):
+    def test_flow_to_level_rejects_a_non_involution(self):
         g = GraphSpec(np.array([1j, -1j, 1.0]), name="quarter-turn")
+        pairs = thimble.seed_pairs(1, g, np.eye(4)[0], [1e-2])
         with pytest.raises(ValueError, match="twist quarter-turn is not an involution"):
-            gradient_field(default_cartan(2), g, 1.0)
+            flow_to_level(pairs, default_cartan(2), g, 17.5, 0.01, 10)
+
+    def test_gradient_field_steps_a_stack_of_twists_row_by_row(self):
+        # one stack of every twist, each row with its own orient and step,
+        # advances each row bit for bit as the row advances alone
+        n = 4
+        h = default_cartan(n)
+        gs = [m_j_pm(n, j, s) for j, s in twists(n)]
+        pairs = np.concatenate([thimble.seed_pairs(j, g, np.eye(2 * n)[0], [0.2])
+                                for (j, _), g in zip(twists(n), gs)])
+        m = np.array([g.m_diag.real for g in gs])
+        orient = np.where(np.arange(len(gs)) % 3 == 0, 1.0, -1.0)[:, None]
+        steps = np.linspace(0.01, 0.05, len(gs))
+        stacked = advance(pairs, gradient_field(h, m, orient), steps[:, None, None])
+        for k in range(len(gs)):
+            alone = advance(pairs[k:k + 1], gradient_field(h, m[k], orient[k]), steps[k])
+            assert np.array_equal(stacked[k], alone[0])
 
     def test_gradient_field_is_well_conditioned_near_the_divisor(self):
         # graph lines with |sigma| = |sum m |u|^2| / |u|^2 from 5e-4 down to
@@ -221,7 +237,7 @@ class TestGraphClosedForms:
                 u[:, pos] *= np.sqrt(wn * (1.0 + sigma) / (wp * (1.0 - sigma)))[:, None]
                 w = np.abs(u) ** 2
                 assert (np.abs((m * w).sum(1)) < 1e-3 * w.sum(1)).all()
-                rhs = gradient_field(h, g, 1.0)
+                rhs = gradient_field(h, m, 1.0)
                 pairs = np.stack([u, m * u], axis=1)
                 got = rhs(pairs)[:, 0]
                 want = rhs(pairs.astype(np.clongdouble))[:, 0]
@@ -291,6 +307,23 @@ class TestTraceThimble:
         xc = critical_points(2)[0].x
         assert max(np.linalg.norm(s.point.x - xc) for s in samples) < 5e-3
 
+    def test_trace_assembles_only_its_samples(self, monkeypatch):
+        # f1([e_j]) is read on the line, so the one matrix a trace builds is
+        # the final chart of its recorded pairs
+        from orbitflow import orbit
+
+        shapes = []
+        assemble_ = orbit.assemble
+
+        def counting_assemble(u, v):
+            shapes.append(u.shape)
+            return assemble_(u, v)
+
+        monkeypatch.setattr(orbit, "assemble", counting_assemble)
+        samples = trace_thimble(2, "+", default_cartan(4), c_offset=0.4, directions=3, radii=2,
+                                rng=np.random.default_rng(14))
+        assert shapes == [(len(samples), 5)]
+
     def test_negative_case_rank_two(self):
         h = default_cartan(2)
         samples = trace_thimble(1, "-", h, c_offset=0.5, directions=16,
@@ -299,7 +332,7 @@ class TestTraceThimble:
         assert max(abs(s.f2) for s in samples) < 1e-8
         f1s = [s.f1 for s in samples]
         assert 17.5 - 1e-9 <= min(f1s) and max(f1s) <= 18.0 + 1e-9
-        bnd = boundary_samples(samples, 17.5)
+        bnd = [s for s in samples if abs(s.f1 - 17.5) <= 1e-6]
         assert len(bnd) >= 16
         assert max(abs(s.f1 - 17.5) for s in bnd) < 1e-8
 
@@ -525,16 +558,6 @@ class TestTraceThimble:
         csv = thimble_csv(samples).splitlines()
         assert csv[0] == "seed_index,arc,f1,f2,graph_residual"
         assert len(csv) == len(samples) + 1
-
-    def test_containment_probe_reports_range(self):
-        from orbitflow.thimble import containment_probe
-
-        h = default_cartan(2)
-        best, results = containment_probe(1, "-", h, offsets=(0.25, 0.5, 1.0),
-                                          rng=np.random.default_rng(9))
-        print(f"containment persists to offset {best}: {results}")
-        assert best is not None and best >= 0.5
-        assert all(r is None or r < 1e-5 for r in results.values())
 
     def test_rank_four_traces_every_point_both_signs(self):
         h = default_cartan(4)
