@@ -6,8 +6,8 @@ m_x(u, v) = b_tau(ad(x)^-1 u, ad(x)^-1 v), where ad(x)^-1 is the
 minimum-norm inverse, in closed form in the pair coordinates
 ``orbit.pair_of(x)`` of an OrbitPoint or of stacked matrices.
 ``advance``, the one stepper of the package, takes a classical RK4 step of
-a velocity field on stacked chart pairs (u, v), such as ``orbit.lax_velocity``
-for Z; ``graph_field`` keeps a field on the graph v = m u of an involution m.
+a field on stacked chart pairs (u, v), such as ``orbit.lax_velocity`` for Z,
+or on the log-moduli phi of graph lines (``thimble.gradient_field``).
 ``integrate`` flows a whole stack of pairs along Z and records it as arrays
 (``Trajectory``): a single point is a batch of one.
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotCriticalError, TangencyError
+from .errors import NotCriticalError, StepSizeError, TangencyError
 from .liecore import (
     RootSystemAn,
     b_norm,
@@ -27,8 +27,8 @@ from .liecore import (
     root_eval,
     tau,
 )
-from .orbit import (OrbitPoint, chart, displace, invert_pair, lax_velocity, membership_residual,
-                    pair_of, potential)
+from .orbit import (DRIFT_LIMIT, OrbitPoint, chart, displace, invert_pair, lax_velocity,
+                    membership_residual, pair_of, potential)
 
 TANGENCY_TOL = 1e-8
 CONV_TOL = 1e-9
@@ -48,26 +48,24 @@ def z_field(x, h):
     return xm @ inner - inner @ xm
 
 
-def graph_field(field, m):
-    """The pair field (du, m du) of the line velocity du of ``field``: on the
-    graph v = m u of an involution m (m = 1: the Hermitian locus) it stays
-    there exactly, as multiplying by +/-1 is exact."""
-    def rhs(pairs):
-        vel = field(pairs)
-        vel[..., 1, :] = m * vel[..., 0, :]
-        return vel
-    return rhs
-
-
-def advance(pairs, rhs, dt):
-    """One RK4 step of the pair field ``rhs`` from a stack of pairs of shape
-    (batch, 2, d).  ``dt`` broadcasts: shape (batch, 1, 1) gives each pair
-    its own step.  Raises StepSizeError as ``orbit.displace`` does."""
-    k1 = rhs(pairs)
-    k2 = rhs(pairs + 0.5 * dt * k1)
-    k3 = rhs(pairs + 0.5 * dt * k2)
-    k4 = rhs(pairs + dt * k3)
-    return displace(pairs, (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+def advance(state, rhs, dt):
+    """One RK4 step of the field ``rhs`` from a stack of complex pairs (u, v),
+    shape (batch, 2, d), checked by ``orbit.displace``, or of real log-moduli
+    phi (batch, d), refused when it moves some phi_i by more than DRIFT_LIMIT
+    or by a non-finite amount; StepSizeError names the row.  ``dt`` broadcasts."""
+    k1 = rhs(state)
+    k2 = rhs(state + 0.5 * dt * k1)
+    k3 = rhs(state + 0.5 * dt * k2)
+    k4 = rhs(state + dt * k3)
+    move = (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    if np.iscomplexobj(state):
+        return displace(state, move)
+    size = np.abs(move).max(axis=-1)
+    bad = np.flatnonzero(~(size <= DRIFT_LIMIT))
+    if bad.size:
+        raise StepSizeError(f"step moved a log-modulus by {size[bad[0]]:.3e} (batch index "
+                            f"{bad[0]}); reduce the integration step")
+    return state + move
 
 
 def ad_inverse(pt, v, tangency_tol=TANGENCY_TOL):
@@ -163,11 +161,11 @@ def default_step(n, h):
 class Trajectory:
     """A flow of a stack of B pairs over T steps of the whole stack: ``times``
     (T,) and, per step and row, the unit ``lines`` (T, B, d), chart
-    ``points`` (T, B, d, d), f_H ``potentials`` and |Z| ``z_norms`` (T, B).
-    A row frozen at convergence repeats its last entry.  ``steps`` (B,)
-    counts the steps of each row, and ``limit_index`` (B,) is the 1-based
-    slot j = argmax |u| of the critical point [e_j] a converged row
-    reached, or 0."""
+    ``points`` (T, B, d, d), f_H ``potentials`` and |Z| ``z_norms`` (T, B),
+    NaN where no row could freeze (conv_tol <= 0).  A row frozen at
+    convergence repeats its last entry.  ``steps`` (B,) counts the steps of
+    each row, and ``limit_index`` (B,) is the 1-based slot j = argmax |u| of
+    the critical point [e_j] a converged row reached, or 0."""
 
     times: np.ndarray
     lines: np.ndarray
@@ -202,26 +200,29 @@ def integrate(pairs, h, direction="forward", step=None, max_steps=10000, conv_to
         vel[on_locus, 1] = vel[on_locus, 0]
         return vel
 
-    record = []
+    record = [pairs.copy()]
+    zn, z_norms = np.full(len(pairs), np.nan), []  # |Z| only of rows that can still freeze
     active = np.ones(len(pairs), dtype=bool)
     steps = np.zeros(len(pairs), dtype=int)
     while True:
-        u, _, x = chart(pairs)
-        # b_norm of each Z, rounded as b_norm rounds one: a dot product
-        z = z_field(x, h).reshape(len(x), 1, -1)
-        zn = np.sqrt((2.0 * x.shape[-1] * (z.conj() @ np.swapaxes(z, -1, -2))[:, 0, 0]).real)
-        record.append((u, x, potential(h, x), zn))
-        active &= ~(zn < conv_tol)
+        if conv_tol > 0:
+            rows = np.flatnonzero(active)
+            # b_norm of each Z, rounded as b_norm rounds one: a dot product
+            z = z_field(chart(pairs[rows])[2], h).reshape(len(rows), 1, -1)
+            zn[rows] = np.sqrt((2.0 * len(h) * (z.conj() @ np.swapaxes(z, -1, -2))[:, 0, 0]).real)
+            active[rows] = ~(zn[rows] < conv_tol)
+        z_norms.append(zn.copy())
         if not active.any() or len(record) > max_steps:
             break
         rows = np.flatnonzero(active)
         on_locus = herm[rows]  # the Hermitian rows among those rhs steps
         pairs[rows] = advance(pairs[rows], rhs, dt)
         steps[rows] += 1
-    lines, points, potentials, z_norms = (np.array(a) for a in zip(*record))
+        record.append(pairs.copy())
+    lines, _, points = chart(np.array(record))
     times = np.cumsum([0.0] + [dt] * (len(record) - 1))  # t += dt, step by step
-    limit = np.where(z_norms[-1] < conv_tol, np.argmax(np.abs(lines[-1]), axis=-1) + 1, 0)
-    return Trajectory(times, lines, points, potentials, z_norms, steps, limit)
+    limit = np.where(zn < conv_tol, np.argmax(np.abs(lines[-1]), axis=-1) + 1, 0)
+    return Trajectory(times, lines, points, potential(h, points), np.array(z_norms), steps, limit)
 
 
 def trajectory_csv(traj):

@@ -23,7 +23,7 @@ Everything else here is a view over these six; ``tangent_project`` and
 ``potential`` take an OrbitPoint or a stack of matrices.  Flows step
 stacks of pairs, shape (batch, 2, d), by pair velocities such as
 ``lax_velocity``, checked by ``displace``; the thimble flows of
-``thimble.gradient_field`` move only the line of a graph pair.  Only the
+``thimble.gradient_field`` move only the moduli of a graph line.  Only the
 snaps (``retract``, ``split_eigen``) assemble a split and measure how far
 that moves x.
 """

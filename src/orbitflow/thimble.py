@@ -3,23 +3,20 @@
 The real part f1 of the superpotential restricts to a Morse function on the
 graph of a twisted complement map; near a critical point with definite
 restricted Hessian its sublevel (or superlevel) ball is a Lagrangian
-thimble.  Tracing follows the ambient gradient of f1, the tangent
-projection of H, which is tangent to the graph because the imaginary part
-is constant there.  On the graph of an involution m = +/-1 a point is the
-line u of its pair (u, m u), and thimbles are traced on that line from
-seed to landing: the seeds (``seed_pairs``), the line velocity of the
-gradient (``gradient_field``), the height f1 as a Rayleigh quotient of u
-(``line_height``) and the distance between two chart points (``pair_gap``)
-are closed forms in u.  The kernels read the rows of a real m, so one
-stack may mix twists; ``flow_to_level`` steps stacks of pairs of one
-involution with ``flow.advance``; a flow about to cross the level waits, and one
-``cross_level`` lands them all at the end.  Matrices appear once, in the
-``chart`` of the recorded pairs.  The split F1 = G1 - i G2 of the gradient
-uses the graph tangent frame ``graphs.graph_tangent_frame``.
-``thimble_json`` writes each sample as its unit pair, not its matrix.
+thimble, traced along the ambient gradient of f1, the tangent projection of
+H.  On the graph of an involution m = +/-1 a point is the line u of its pair
+(u, m u), and the gradient scales each entry of u by a real factor in
+span{h m, m, 1}: a flow keeps the phases of its seed u0 and stays on the
+surface u0 e^phi (the torus orbits of Bloch, Brockett and Ratiu when m = 1).
+So flows step the real log-moduli phi, and the seeds (``seed_pairs``), the
+rate (``gradient_field``), the height (``line_height``) and the chart gap
+(``pair_gap``) are closed forms in the lines (``graph_lines``), one stack
+of which may mix twists.  ``flow_to_level`` steps them with
+``flow.advance`` and one ``cross_level`` lands them; matrices appear once,
+in the ``chart`` of the recorded lines.  The split F1 = G1 - i G2 uses
+``graphs.graph_tangent_frame``; ``thimble_json`` writes unit pairs.
 """
 
-import io
 import json
 import warnings
 from dataclasses import dataclass
@@ -32,7 +29,7 @@ from .errors import (
     MembershipError,
     NearCriticalError,
 )
-from .flow import advance, graph_field
+from .flow import advance
 from .liecore import b_norm, b_tau, cartan_matrix, root_eval
 from .orbit import OrbitPoint, chart, complement, points_json, potential, tangent_project
 from .graphs import graph_membership, graph_tangent_frame, m_j_pm
@@ -114,22 +111,33 @@ class ThimbleSample:
 
 
 # ---------------------------------------------------------------------------
-# batched flow engine: many seeds stepped together as stacks of pairs (u, m u)
+# batched flow engine: many seeds stepped together as log-moduli phi of the
+# graph lines u0 e^phi
 
 
-def _line_sums(h, m, u, du):
-    """Sums of w, m w, h w and h m w over each graph line u, w = Re(conj(u) du):
-    w = |u|^2 for du = u, half the rate of |u|^2 along a line velocity du;
-    reduced row by row (a BLAS product would round differently by batch size)."""
-    w = u.real * du.real + u.imag * du.imag
-    mw = m * w
-    return tuple(a.sum(axis=-1, keepdims=True) for a in (w, mw, h * w, h * mw))
+def _weights(h, m):
+    """The rows 1, m, h and h m, shape (..., 4, d), of ``_line_sums``."""
+    out = np.empty(np.shape(m)[:-1] + (4, len(h)))
+    out[..., 0, :], out[..., 1, :], out[..., 2, :], out[..., 3, :] = 1.0, m, h, h * m
+    return out
+
+
+def _line_sums(weights, w):
+    """Sums of w, m w, h w and h m w over each row, shape (4, ..., 1), each row
+    on its own (a BLAS product would round differently by batch size)."""
+    return np.einsum("...d,...kd->k...", w, weights)[..., None]
+
+
+def graph_lines(u0, phi):
+    """The lines u0 e^phi, each scaled by e^-max(phi) so that none overflows;
+    their heights and chart gaps depend on |u| only, so u0 = |u0| will do."""
+    return u0 * np.exp(phi - phi.max(axis=-1, keepdims=True))
 
 
 def line_height(h, m, u):
     """f1 at the chart points of graph pairs (u, m u), m = +/-1, from the line
     alone: 2d (d R_m(u) - sum h), R_m(u) = sum h m |u|^2 / sum m |u|^2."""
-    _, mw, _, hmw = _line_sums(h, m, u, u)
+    _, mw, _, hmw = _line_sums(_weights(h, m), (u.conj() * u).real)
     d = u.shape[-1]
     return 2.0 * d * (d * (hmw / mw)[..., 0] - np.sum(h))
 
@@ -141,7 +149,8 @@ def pair_gap(m, ua, ub):
     With beta = m u / sum m |u|^2 the point is x + I = d u beta^H, and
     x_a - x_b = d [(ua - ub) beta_a^H + ub (beta_a - beta_b)^H], whose squared
     norm is read off six inner products without the cancellation of
-    |x_a|^2 + |x_b|^2 - 2 Re tr(x_a^H x_b).
+    |x_a|^2 + |x_b|^2 - 2 Re tr(x_a^H x_b).  Lines with the same phases, as
+    on one flow, have the gap of their moduli.
     """
     def beta(u):
         mu = m * u
@@ -157,63 +166,55 @@ def pair_gap(m, ua, ub):
     return ua.shape[-1] * np.sqrt(np.maximum(sq, 0.0))
 
 
-def gradient_field(h, m, orient):
-    """orient * grad f1 as a pair field on the graphs of involutions m = +/-1;
-    the real m and orient broadcast against the lines, shape (batch, d), so
-    each row may carry its own twist and direction.
+def gradient_field(h, m, orient, r0):
+    """orient * grad f1 on the graphs of involutions m = +/-1 as the rate of the
+    log-moduli phi (batch, d) of lines u0 e^phi, |u0| = r0, row by row.
 
-    At a graph pair (u, m u), with w = |u|^2, N = sum w,
-    sigma = sum m w / N, rho = sum h w / N and p = sum h m w / N - rho sigma,
-    the tangent projection of H = diag(h) is the chart derivative along
-    du = (sigma / d) [(h - rho) m u - a (u - sigma m u)], a = p / (2 - sigma^2),
-    and v moves as m du.
-    """
+    At (u, m u), with w = |u|^2, N = sum w, sigma = sum m w / N, rho =
+    sum h w / N and p = sum h m w / N - rho sigma, the tangent projection of
+    H = diag(h) moves u by c u, c = (sigma / d) [(h - rho + a sigma) m - a],
+    a = p / (2 - sigma^2).  On a scalar twist (a = 0) RK4 is exact."""
     h = np.asarray(h, dtype=float)
-    d = len(h)
+    weights = _weights(h, m)
 
-    def line_velocity(pairs):
-        u = pairs[..., 0, :]
-        norm, mw, hw, hmw = _line_sums(h, m, u, u)
+    def rate(phi):
+        r = graph_lines(r0, phi)
+        norm, mw, hw, hmw = _line_sums(weights, r * r)
         sigma, rho = mw / norm, hw / norm
         a = (hmw / norm - rho * sigma) / (2.0 - sigma ** 2)
-        mu = m * u
-        vel = np.empty_like(pairs)
-        vel[..., 0, :] = orient * (sigma / d) * ((h - rho) * mu - a * (u - sigma * mu))
-        return vel
+        return orient * (sigma / len(h)) * ((h - rho + a * sigma) * m - a)
 
-    return graph_field(line_velocity, m)
+    return rate
 
 
-def cross_level(base, h, m, c, orient):
-    """Land stacked graph pairs on the level f1 = c along orient * grad f1,
-    each row on the graph of its row of the real involution m.
+def cross_level(r0, base, h, m, c, orient):
+    """Land the log-moduli ``base`` of lines u0 e^phi, |u0| = r0, on the level
+    f1 = c along orient * grad f1, each row on the graph of its row of m.
 
-    Newton's method in the length tau of one ``advance`` from ``base``, on
-    the line: f1 is ``line_height``, 2d^2 R_m(u) up to a constant, and its rate
-    along the line velocity du is 4d^2 sum m (h - R_m) Re(conj(u) du) / sum m |u|^2.
-    A pair stops when |f1 - c| is within LEVEL_ULPS ulps of 2d sum |h_i x_ii|,
-    the sum that computes f1 at its chart point (x_ii = d m_i |u_i|^2 /
-    sum m |u|^2 - 1), so its landing does not depend on the stack.
-    Returns the landed pairs and their tau; raises GraphIntegrityError
+    Newton's method in the length tau of one ``advance`` from ``base``: f1 is
+    2d^2 R_m(u) up to a constant, with rate 4d^2 sum m (h - R_m) c |u|^2 /
+    sum m |u|^2 along du = c u.  A row stops when |f1 - c| is within LEVEL_ULPS
+    ulps of 2d sum |h_i x_ii|, the sum that computes f1 at its chart point, on
+    its own.  Returns the landed phi and tau; raises GraphIntegrityError
     naming the stack index of the worst miss after LEVEL_ITERATIONS steps.
     """
     d = base.shape[-1]
-    m = np.broadcast_to(m, base[:, 0].shape)
+    m = np.broadcast_to(m, base.shape)
     tau = np.zeros(base.shape[0])
     cur = base.copy()
-    miss = c - line_height(h, m, cur[:, 0])
+    miss = c - line_height(h, m, graph_lines(r0, cur))
     todo = np.arange(base.shape[0])
     for _ in range(LEVEL_ITERATIONS):
-        rhs = gradient_field(h, m[todo], orient[todo, None])
-        u = cur[todo, 0]
-        _, mw, _, hmw = _line_sums(h, m[todo], u, u)
-        _, mdw, _, hmdw = _line_sums(h, m[todo], u, rhs(cur[todo])[:, 0])
+        rhs = gradient_field(h, m[todo], orient[todo, None], r0[todo])
+        w, weights = graph_lines(r0[todo], cur[todo]) ** 2, _weights(h, m[todo])
+        _, mw, _, hmw = _line_sums(weights, w)
+        _, mdw, _, hmdw = _line_sums(weights, rhs(cur[todo]) * w)
         rate = 4.0 * d * d * (hmdw - hmw / mw * mdw)[:, 0] / mw[:, 0]
         tau[todo] = np.maximum(tau[todo] + miss[todo] / rate, 0.0)
-        cur[todo] = advance(base[todo], rhs, tau[todo, None, None])
-        u = cur[todo, 0]
+        cur[todo] = advance(base[todo], rhs, tau[todo, None])
+        u = graph_lines(r0[todo], cur[todo])
         miss[todo] = c - line_height(h, m[todo], u)
-        w = m[todo] * (u.real ** 2 + u.imag ** 2)
+        w = m[todo] * u * u
         diag = d * w / w.sum(axis=-1, keepdims=True) - 1.0
         scale = 2.0 * d * (np.abs(h) * np.abs(diag)).sum(axis=-1)
         todo = todo[np.abs(miss[todo]) > LEVEL_ULPS * np.finfo(float).eps * scale]
@@ -227,44 +228,44 @@ def cross_level(base, h, m, c, orient):
 
 
 def flow_to_level(pairs, h, g, c, step, max_steps, visit=None):
-    """Flow a stack of graph pairs (u, m u), shape (batch, 2, d), along
-    grad f1, up when f1 < c and down otherwise, in steps of ``advance``.
+    """Flow a stack of graph pairs (u0, m u0), shape (batch, 2, d), along
+    grad f1, up when f1 < c and down otherwise, in steps of ``advance`` of the
+    log-moduli phi of the lines u0 e^phi, from phi = 0, with no matrix.
 
-    The loop and the landing read f1 from the lines (``line_height``) and
-    assemble no matrix.  After each step ``visit(indices, pairs, arcs)``
-    sees the pairs that did not cross the level.  A crossing flow waits at its last pair
-    before the level, and one ``cross_level`` after the loop lands them all.
-    Returns the landed pairs and their arc lengths; raises ValueError when
-    g is not an involution, and GraphIntegrityError if some flow has not
-    landed after max_steps.
+    After each step ``visit(indices, phi, arcs)`` sees the flows that did not
+    cross the level.  A crossing flow waits at its last phi before the level,
+    and one ``cross_level`` after the loop lands them all.  Returns the landed
+    phi and arcs; raises ValueError when g is not an involution, and
+    GraphIntegrityError if some flow has not landed after max_steps.
     """
     if not g.is_involution:
         raise ValueError(f"twist {g.name or g.m_diag} is not an involution: "
                          "the closed-form gradient needs m = +/-1")
-    pairs = np.array(pairs)
     h = np.asarray(h, dtype=float)
     m = g.m_diag.real
-    orient = np.where(line_height(h, m, pairs[:, 0]) > c, -1.0, 1.0)
-    arcs = np.zeros(pairs.shape[0])
-    active = np.ones(pairs.shape[0], dtype=bool)
+    r0 = np.abs(pairs[:, 0])
+    phi = np.zeros(r0.shape)
+    orient = np.where(line_height(h, m, r0) > c, -1.0, 1.0)
+    arcs = np.zeros(len(phi))
+    active = np.ones(len(phi), dtype=bool)
     for _ in range(max_steps):
         if not active.any():
             break
         idx = np.flatnonzero(active)
-        stepped = advance(pairs[idx], gradient_field(h, m, orient[idx, None]), step)
-        crossed = orient[idx] * (line_height(h, m, stepped[:, 0]) - c) > 0
+        stepped = advance(phi[idx], gradient_field(h, m, orient[idx, None], r0[idx]), step)
+        crossed = orient[idx] * (line_height(h, m, graph_lines(r0[idx], stepped)) - c) > 0
         active[idx[crossed]] = False
         alive = idx[~crossed]
-        pairs[alive] = stepped[~crossed]
+        phi[alive] = stepped[~crossed]
         arcs[alive] += step
         if visit is not None and alive.size:
-            visit(alive, pairs[alive], arcs[alive])
+            visit(alive, phi[alive], arcs[alive])
     if active.any():
         raise GraphIntegrityError(
             f"{int(active.sum())} flows failed to reach the level in {max_steps} steps"
         )
-    pairs, tau = cross_level(pairs, h, m, c, orient)
-    return pairs, arcs + tau
+    phi, tau = cross_level(r0, phi, h, m, c, orient)
+    return phi, arcs + tau
 
 
 def _unit_rate(h, j):
@@ -314,10 +315,11 @@ def trace_thimble(
     Seeds random unit directions of the graph tangent space at [e_j] on a
     geometric radius ladder (``seed_pairs``) and flows them along -grad f1
     (sign '-', negative definite) or +grad f1 (sign '+') to the level
-    f1([e_j]) -/+ c_offset.  Flows step pairs (u, m u), so samples lie on the
-    graph by construction and their residual measures only rounding; one
-    above ``residual_limit`` raises GraphIntegrityError.  The seeds come
-    first among the samples, in flow order (seed_index = flow_index // radii).
+    f1([e_j]) -/+ c_offset.  Samples are the pairs (u, m u), u = u0 e^phi,
+    so they lie on the graph and the surface of their seed by construction
+    and their residual measures only rounding; one above ``residual_limit``
+    raises GraphIntegrityError.  The seeds come first among the samples, in
+    flow order (seed_index = flow_index // radii).
 
     Every seed lies strictly inside the level by a bound, with no search.
     A seed line is u = e_j + rho w, |w| = 1, w ⊥ e_j, rho = r / (2 d^{3/2});
@@ -345,20 +347,23 @@ def trace_thimble(
         step = default_thimble_step(h, j)
 
     flows = np.arange(pairs.shape[0])
-    chunks = [(flows, pairs, np.zeros(pairs.shape[0]))]
-    last_rec = pairs[:, 0].copy()
+    chunks = [(flows, np.zeros(pairs.shape[::2]), np.zeros(pairs.shape[0]))]
+    r0 = np.abs(pairs[:, 0])
+    last_rec = r0.copy()
 
-    def visit(indices, pairs, arcs):
-        due = pair_gap(m, pairs[:, 0], last_rec[indices]) >= record_sep
+    def visit(indices, phi, arcs):
+        r = graph_lines(r0[indices], phi)
+        due = pair_gap(m, r, last_rec[indices]) >= record_sep
         if due.any():
-            chunks.append((indices[due], pairs[due], arcs[due]))
-            last_rec[indices[due]] = pairs[due, 0]
+            chunks.append((indices[due], phi[due], arcs[due]))
+            last_rec[indices[due]] = r[due]
 
     landed, arcs = flow_to_level(pairs, h, g, c_level, step, max_steps, visit)
     chunks.append((flows, landed, arcs))
 
-    indices, pairs, arcs = (np.concatenate(part) for part in zip(*chunks))
-    u, v, mats = chart(pairs)
+    indices, phi, arcs = (np.concatenate(part) for part in zip(*chunks))
+    lines = graph_lines(pairs[indices, 0], phi)
+    u, v, mats = chart(np.stack([lines, m * lines], axis=1))
     f = potential(h, mats)
     res = graph_membership((u, v), g)
     samples = [
@@ -438,10 +443,6 @@ def thimble_json(samples, meta):
 
 
 def thimble_csv(samples):
-    buf = io.StringIO()
-    buf.write("seed_index,arc,f1,f2,graph_residual\n")
-    for s in samples:
-        buf.write(
-            f"{s.seed_index},{s.arc:.17g},{s.f1:.17g},{s.f2:.17g},{s.graph_residual:.17g}\n"
-        )
-    return buf.getvalue()
+    return "seed_index,arc,f1,f2,graph_residual\n" + "".join(
+        f"{s.seed_index},{s.arc:.17g},{s.f1:.17g},{s.f2:.17g},{s.graph_residual:.17g}\n"
+        for s in samples)

@@ -509,8 +509,9 @@ def _restart_gap(samples, j, s, h, step):
     g = graphs.m_j_pm(len(h) - 1, j, s)
     landed, _ = thimble.flow_to_level(np.array([[mid.point.line, mid.point.normal]]), h, g,
                                       end.f1, step, 4000)
-    return float(np.linalg.norm(orbit.assemble(landed[:, 0], landed[:, 1]) - end.point.x,
-                                axis=(1, 2))[0])
+    u = thimble.graph_lines(mid.point.line, landed)
+    # unit lines of one flow share their phases, so the gap does not cancel
+    return float(thimble.pair_gap(g.m_diag.real, u / np.linalg.norm(u), end.point.line[None])[0])
 
 
 def thimble_suite(cfg, rng):
@@ -533,19 +534,20 @@ def thimble_suite(cfg, rng):
     slots = np.array([j for j, _ in twists])
     gs = [graphs.m_j_pm(n, j, s) for j, s in twists]
     m = np.array([g.m_diag.real for g in gs])
-    cur = np.concatenate([thimble.seed_pairs(j, g, np.eye(2 * n)[0], [1e-3])
-                          for j, g in zip(slots, gs)])
+    r0 = np.abs(np.concatenate([thimble.seed_pairs(j, g, np.eye(2 * n)[0], [1e-3])[:, 0]
+                                for j, g in zip(slots, gs)]))
+    phi = np.zeros(r0.shape)
     orient = np.array([[1.0 if s == "-" else -1.0] for _, s in twists])
-    steps = np.array([thimble.default_thimble_step(h, j) for j in slots])[:, None, None]
+    steps = np.array([[thimble.default_thimble_step(h, j)] for j in slots])
     e_j = np.eye(n + 1)[slots - 1]
-    gaps = thimble.pair_gap(m, cur[:, 0], e_j)
+    gaps = thimble.pair_gap(m, r0, e_j)
     for _ in range(20000):
         todo = np.flatnonzero(~(gaps < 1e-9))
         if not todo.size:
             break
-        cur[todo] = flow.advance(cur[todo], thimble.gradient_field(h, m[todo], orient[todo]),
-                                 steps[todo])
-        gaps[todo] = thimble.pair_gap(m[todo], cur[todo, 0], e_j[todo])
+        rate = thimble.gradient_field(h, m[todo], orient[todo], r0[todo])
+        phi[todo] = flow.advance(phi[todo], rate, steps[todo])
+        gaps[todo] = thimble.pair_gap(m[todo], thimble.graph_lines(r0[todo], phi[todo]), e_j[todo])
     checks.append(_check("thimble-containment-and-openness", max(worst_res, gaps.max()), 1e-6,
                          "the traced ball stays in the graph and the flow contracts inside it"))
     checks.append(_check("imaginary-part-constant-on-thimble", worst_f2, 1e-8,

@@ -8,7 +8,6 @@ from orbitflow.flow import (
     ad_inverse,
     advance,
     default_step,
-    graph_field,
     integrate,
     linearize,
     metric_m,
@@ -288,6 +287,30 @@ class TestIntegrate:
                 assert np.array_equal(row[:steps], ref)
                 assert (row[steps:] == ref[-1]).all()
 
+    def test_z_is_computed_only_for_rows_that_can_freeze(self, monkeypatch):
+        # conv_tol = 0 freezes no row, so no |Z| is computed (z_norms is NaN);
+        # otherwise a row frozen at [e_2] is not recomputed while a flag row flows
+        from orbitflow import flow
+        from orbitflow.cycles import flag_sample
+
+        rows = []
+        z_field_ = flow.z_field
+
+        def counting_z_field(x, h):
+            rows.append(len(x))
+            return z_field_(x, h)
+
+        monkeypatch.setattr(flow, "z_field", counting_z_field)
+        n = 2
+        h = default_cartan(n)
+        points = flag_sample(n, 1, 0.9, np.random.default_rng(12)) + [critical_points(n)[1]]
+        traj = integrate(stack(points), h, max_steps=50, conv_tol=0.0)
+        assert rows == [] and np.isnan(traj.z_norms).all()
+        traj = integrate(stack(points), h, max_steps=50, conv_tol=1e-4)
+        assert traj.steps.tolist() == [50, 0]
+        assert rows == [2] + [1] * 50
+        assert (traj.z_norms[:, 1] == traj.z_norms[0, 1]).all()
+
     def test_height_monotone_and_residual_bounded(self):
         from orbitflow.cycles import flag_sample
 
@@ -309,7 +332,8 @@ class TestIntegrate:
 
     def test_pair_flows_converge_at_fourth_order(self):
         # halving dt cuts the error against a 50x finer run by ~16x for the
-        # Hermitian Z flow and for a graph thimble flow inside m_1^+
+        # Hermitian Z flow of pairs and for a graph thimble flow inside m_1^+
+        # stepped in log-moduli, whose error is smaller at the same step
         from orbitflow.cycles import flag_sample
         from orbitflow.graphs import graph_tangent_frame, m_j_pm
         from orbitflow.thimble import gradient_field
@@ -317,23 +341,34 @@ class TestIntegrate:
         n = 2
         h = default_cartan(n)
         g = m_j_pm(n, 1, "+")
+        m = g.m_diag.real
         crit = critical_points(n)[0]
-        line = retract(crit.x + 0.2 * graph_tangent_frame(crit, g)[0]).line
+        line = retract(crit.x + 0.5 * graph_tangent_frame(crit, g)[0]).line
         flag = flag_sample(n, 1, 0.9, np.random.default_rng(3))[0].line
+
+        def hermitian(pairs):
+            vel = lax_velocity(pairs, h)
+            vel[:, 1] = vel[:, 0]
+            return vel
+
+        def on_graph(phi):
+            u = line * np.exp(phi)
+            return assemble(u, m * u)
+
         flows = (
-            (graph_field(lambda p: lax_velocity(p, h), 1.0), np.array([[flag, flag]]), 0.02),
-            (gradient_field(h, g.m_diag.real, -1.0), np.array([[line, g.m_diag * line]]), 0.2),
+            (hermitian, np.array([[flag, flag]]), 0.02, lambda p: assemble(p[:, 0], p[:, 1])),
+            (gradient_field(h, m, -1.0, np.abs(line)), np.zeros((1, n + 1)), 0.5, on_graph),
         )
 
-        def run(rhs, pairs, dt, steps):
+        def run(rhs, state, dt, steps, points):
             for _ in range(steps):
-                pairs = advance(pairs, rhs, dt)
-            return assemble(pairs[:, 0], pairs[:, 1])
+                state = advance(state, rhs, dt)
+            return points(state)
 
-        for rhs, pairs, dt in flows:
-            ref = run(rhs, pairs, dt / 50, 500)
-            coarse = np.linalg.norm(run(rhs, pairs, dt, 10) - ref)
-            fine = np.linalg.norm(run(rhs, pairs, dt / 2, 20) - ref)
+        for rhs, state, dt, points in flows:
+            ref = run(rhs, state, dt / 50, 500, points)
+            coarse = np.linalg.norm(run(rhs, state, dt, 10, points) - ref)
+            fine = np.linalg.norm(run(rhs, state, dt / 2, 20, points) - ref)
             assert coarse > 1e-10 and coarse / fine >= 12.0
 
     def test_csv_columns(self):

@@ -422,7 +422,7 @@ class TestPairVelocities:
         # lax_velocity on free pairs and on graph pairs (u, m u), and the
         # closed-form thimble gradient on graph pairs, for m = 1 and every
         # twist, at lengths far from one; pair_tangent of each is the field
-        from orbitflow.flow import graph_field, z_field
+        from orbitflow.flow import z_field
         from orbitflow.thimble import gradient_field
 
         rng = np.random.default_rng(80 + n)
@@ -434,13 +434,28 @@ class TestPairVelocities:
             return scale * (rng.standard_normal((24, d)) + 1j * rng.standard_normal((24, d)))
 
         lax = lambda p: lax_velocity(p, h)
+
+        def on_graph(m, rate):
+            # the pair velocity (du, m du) of a line velocity du
+            def rhs(pairs):
+                du = rate(pairs)
+                return np.stack([du, m * du], axis=1)
+            return rhs
+
+        def thimble_rate(m):
+            # du = c u, c the log-modulus rate of the thimble field
+            def rate(pairs):
+                u = pairs[:, 0]
+                return gradient_field(h, m, 1.0, np.abs(u))(np.zeros(u.shape)) * u
+            return rate
+
         cases = [(np.stack([draw(3.0), draw(0.2)], axis=1), lax, z_field)]
         for scale in (3.0, 0.2):
             u = draw(scale)
             for g in [identity_graph(n)] + [m_j_pm(n, j, s) for j, s in twists(n)]:
                 pairs = np.stack([u, g.m_diag * u], axis=1)
-                cases.append((pairs, graph_field(lax, g.m_diag), z_field))
-                cases.append((pairs, gradient_field(h, g.m_diag.real, 1.0),
+                cases.append((pairs, on_graph(g.m_diag, lambda p: lax(p)[:, 0]), z_field))
+                cases.append((pairs, on_graph(g.m_diag, thimble_rate(g.m_diag.real)),
                               lambda x, _: tangent_project(x, hm)))
         for pairs, rhs, reference in cases:
             a, b = pairs[:, 0], pairs[:, 1]

@@ -208,19 +208,21 @@ class TestGraphClosedForms:
         n = 4
         h = default_cartan(n)
         gs = [m_j_pm(n, j, s) for j, s in twists(n)]
-        pairs = np.concatenate([thimble.seed_pairs(j, g, np.eye(2 * n)[0], [0.2])
-                                for (j, _), g in zip(twists(n), gs)])
+        r0 = np.abs(np.concatenate([thimble.seed_pairs(j, g, np.eye(2 * n)[0], [0.2])[:, 0]
+                                    for (j, _), g in zip(twists(n), gs)]))
+        phi = np.random.default_rng(30).uniform(-0.5, 0.5, r0.shape)
         m = np.array([g.m_diag.real for g in gs])
         orient = np.where(np.arange(len(gs)) % 3 == 0, 1.0, -1.0)[:, None]
         steps = np.linspace(0.01, 0.05, len(gs))
-        stacked = advance(pairs, gradient_field(h, m, orient), steps[:, None, None])
+        stacked = advance(phi, gradient_field(h, m, orient, r0), steps[:, None])
         for k in range(len(gs)):
-            alone = advance(pairs[k:k + 1], gradient_field(h, m[k], orient[k]), steps[k])
+            alone = advance(phi[k:k + 1], gradient_field(h, m[k], orient[k], r0[k]), steps[k])
             assert np.array_equal(stacked[k], alone[0])
 
     def test_gradient_field_is_well_conditioned_near_the_divisor(self):
         # graph lines with |sigma| = |sum m |u|^2| / |u|^2 from 5e-4 down to
-        # 1e-6: float64 agrees with the same closed form in extended precision
+        # 1e-6: the line velocity c u in float64 agrees with the same closed
+        # form in extended precision
         rng = np.random.default_rng(31)
         sigma = np.geomspace(1e-6, 5e-4, 8) * (-1.0) ** np.arange(8)
         for n in (2, 4, 8):
@@ -237,11 +239,11 @@ class TestGraphClosedForms:
                 u[:, pos] *= np.sqrt(wn * (1.0 + sigma) / (wp * (1.0 - sigma)))[:, None]
                 w = np.abs(u) ** 2
                 assert (np.abs((m * w).sum(1)) < 1e-3 * w.sum(1)).all()
-                rhs = gradient_field(h, m, 1.0)
-                pairs = np.stack([u, m * u], axis=1)
-                got = rhs(pairs)[:, 0]
-                want = rhs(pairs.astype(np.clongdouble))[:, 0]
-                err = np.sqrt((np.abs(got - want) ** 2).sum(1) / (np.abs(want) ** 2).sum(1))
+                r0 = np.abs(u)
+                got = gradient_field(h, m, 1.0, r0)(np.zeros(u.shape)) * r0
+                ext = r0.astype(np.longdouble)
+                want = gradient_field(h, m, 1.0, ext)(np.zeros(u.shape, np.longdouble)) * ext
+                err = np.sqrt(((got - want) ** 2).sum(1) / (want ** 2).sum(1))
                 assert float(err.max()) < 1e-9
 
     @pytest.mark.parametrize("n", range(1, 9))
@@ -367,7 +369,7 @@ class TestTraceThimble:
         # the cap on the top radius, with no search, keeps every seed of every
         # definite graph strictly between f1([e_j]) and the level
         def seeds_only(pairs, *_):
-            return pairs, np.zeros(len(pairs))
+            return np.zeros(pairs.shape[::2]), np.zeros(len(pairs))
 
         monkeypatch.setattr(thimble, "flow_to_level", seeds_only)
         rng = np.random.default_rng(80 + n)
@@ -429,10 +431,11 @@ class TestTraceThimble:
             line = retract(xc.x + 1e-3 * v).line
             landed, _ = flow_to_level(np.array([[line, g.m_diag * line]]), h0, g, c_level,
                                       0.02, 4000)
+            u = line * np.exp(landed[0])
             # geodesic velocity [A, H0] must equal +v, so A solves [A, H0] = v
             direction = -ad_inverse(xc, v)
             q = vanishing_sphere_point(h0, c_level, direction)
-            assert np.linalg.norm(assemble(*landed[0]) - q.x) < 1e-6
+            assert np.linalg.norm(assemble(u, g.m_diag * u) - q.x) < 1e-6
 
     def test_large_step_raises_step_size_error(self):
         from orbitflow.errors import StepSizeError
@@ -444,6 +447,27 @@ class TestTraceThimble:
         pairs = np.array([[u, g.m_diag * u] for u in lines])
         with pytest.raises(StepSizeError, match="batch index"):
             flow_to_level(pairs, h, g, potential(h, xc).real - 0.5, 50.0, 10)
+
+    def test_overflowing_step_raises_step_size_error(self):
+        # a step of row 1 would move phi by hundreds, past the float range of
+        # e^{2 phi}; the stages read each line relative to its largest entry,
+        # so the |d phi| bound refuses the step and names the row, with no
+        # RuntimeWarning on the way
+        from orbitflow.errors import StepSizeError
+
+        n = 2
+        h = default_cartan(n)
+        g = m_j_pm(n, 1, "-")
+        r0 = np.abs(thimble.seed_pairs(1, g, np.eye(2 * n)[:3], [0.1])[:, 0])
+        dt = np.array([[0.01], [1e3], [0.01]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepSizeError, match="batch index 1"):
+                advance(np.zeros(r0.shape), gradient_field(h, g.m_diag.real, -1.0, r0), dt)
+            pairs = np.stack([r0, g.m_diag.real * r0], axis=1)
+            with pytest.raises(StepSizeError, match="batch index 0"):
+                flow_to_level(pairs, h, g, line_height(h, g.m_diag.real, np.eye(n + 1)[0]) - 0.5,
+                              1e3, 10)
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_landing_does_not_depend_on_the_batch(self, n):
@@ -510,6 +534,41 @@ class TestTraceThimble:
         assert calls["cross_level"] == 1
         assert calls["loop"] > 0
         assert calls["landing"] <= thimble.LEVEL_ITERATIONS
+
+    @pytest.mark.parametrize("n, j, sign", [(2, 1, "-"), (8, 1, "-"), (3, 4, "+")])
+    def test_scalar_twist_samples_are_exact_torus_orbits(self, n, j, sign):
+        # on m = 1 (m_1^- at n = 2, 8) and m = -1 (m_4^+ at n = 3) the flow
+        # is u(t) ~ u_seed exp(orient t h / d) in closed form, which RK4 on
+        # the log-moduli meets at any step
+        h = default_cartan(n)
+        samples = trace_thimble(j, sign, h, c_offset=0.5, directions=8,
+                                rng=np.random.default_rng(0))
+        seeds = {s.flow_index: s.point.line for s in samples if s.arc == 0.0}
+        orient = 1.0 if sign == "+" else -1.0
+        for s in samples:
+            expo = orient * s.arc * h / (n + 1)
+            want = seeds[s.flow_index] * np.exp(expo - expo.max())
+            want /= np.linalg.norm(want)
+            phase = np.vdot(want, s.point.line)
+            assert np.abs(s.point.line - phase / abs(phase) * want).max() < 1e-13
+
+    def test_mixed_twist_samples_keep_phases_and_the_seed_surface(self):
+        # on m_3^+ at n = 4 every sample is u_seed exp(A h m + B m + C), A, B,
+        # C real: the phases of u / u_seed agree and the log-moduli fit
+        # span{h m, m, 1} to rounding
+        n = 4
+        h = default_cartan(n)
+        m = m_j_pm(n, 3, "+").m_diag.real
+        samples = trace_thimble(3, "+", h, c_offset=0.4, directions=8,
+                                rng=np.random.default_rng(0))
+        seeds = {s.flow_index: s.point.line for s in samples if s.arc == 0.0}
+        basis = np.stack([h * m, m, np.ones(n + 1)], axis=1)
+        for s in samples:
+            q = s.point.line / seeds[s.flow_index]
+            assert np.abs(np.angle(q * q[np.argmax(np.abs(q))].conj())).max() < 1e-14
+            logs = np.log(np.abs(q))
+            coef = np.linalg.lstsq(basis, logs, rcond=None)[0]
+            assert np.abs(basis @ coef - logs).max() < 1e-13
 
     def test_lagrangian_check_on_single_flow_line(self):
         h = default_cartan(2)
