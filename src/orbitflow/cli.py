@@ -280,17 +280,18 @@ def cmd_thimble(cfg):
         rng=rng,
         max_steps=cfg.steps,
     )
-    max_omega = thimble.lagrangian_check(samples)
-    f1s = [s.f1 for s in samples]
+    max_omega = thimble.lagrangian_check(samples.x)
+    f1_range = [float(samples.f1.min()), float(samples.f1.max())]
     summary = {
-        "max_graph_residual": max(s.graph_residual for s in samples),
-        "max_f2_drift": max(abs(s.f2) for s in samples),
+        "max_graph_residual": float(samples.graph_residual.max()),
+        "max_f2_drift": float(np.abs(samples.f2).max()),
         "max_omega": max_omega,
-        "f1_range": [min(f1s), max(f1s)],
+        "f1_range": f1_range,
         "samples": len(samples),
     }
     meta = {"config": cfg.as_dict(), "summary": summary}
-    text = thimble.thimble_json(samples, meta)
+    twist = graphs.m_j_pm(cfg.n, cfg.j, cfg.sign).m_diag.real
+    text = thimble.thimble_json(samples, meta, twist)
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(text)
@@ -302,7 +303,7 @@ def cmd_thimble(cfg):
     sys.stdout.write(
         f"thimble: residual {summary['max_graph_residual']:.3e}, "
         f"|f2| {summary['max_f2_drift']:.3e}, omega {max_omega:.3e}, "
-        f"f1 in [{min(f1s):.6f}, {max(f1s):.6f}]\n"
+        f"f1 in [{f1_range[0]:.6f}, {f1_range[1]:.6f}]\n"
     )
     return 0
 

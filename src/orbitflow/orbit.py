@@ -267,19 +267,32 @@ class OrbitPoint:
         return complement(self.normal)
 
     def to_json(self):
-        return points_json([self])[0]
+        return points_json(self.line[None], self.normal[None])[0]
 
     @staticmethod
-    def from_json(obj):
+    def from_json(obj, m=None):
         """The point of a ``points_json`` record, exactly: its x is
-        ``assemble`` of the stored unit pair, with no renormalization.
+        ``assemble`` of the stored unit line u and normal v, with no
+        renormalization.  Given the real diagonal m = +/-1 of a graph (the
+        ``twist`` of a thimble file), the normal is m u, the v that ``chart``
+        made of the pair (u, m u).
 
-        Raises ShapeError when ``line`` or ``normal`` does not have n+1
-        entries, and TransversalityError when |normal^H line| is below
-        TRANSVERSALITY_TOL.
+        Raises ShapeError naming the key when ``line`` or ``normal`` does not
+        have n+1 entries, when the record has no ``normal`` and no m is given,
+        or when m does not have n+1 entries; and TransversalityError when
+        |v^H u| is below TRANSVERSALITY_TOL.
         """
         d = obj["n"] + 1
-        u, v = (_read_re_im(obj[key], key, d) for key in ("line", "normal"))
+        u = _read_re_im(obj["line"], "line", d)
+        if m is not None:
+            m = np.asarray(m, dtype=float)
+            if m.shape != (d,):
+                raise ShapeError(f"twist m has shape {m.shape}, expected ({d},)")
+            v = m * u
+        elif "normal" in obj:
+            v = _read_re_im(obj["normal"], "normal", d)
+        else:
+            raise ShapeError("record has no normal and no twist m was given")
         trans = float(abs(_vdot(v, u)))
         if trans < TRANSVERSALITY_TOL:
             raise TransversalityError(f"normal^H line is {trans:.3e}, below {TRANSVERSALITY_TOL:.1e}")
@@ -298,14 +311,16 @@ def _read_re_im(pairs, key, d):
     return arr.view(complex)[:, 0]
 
 
-def points_json(points):
-    """JSON records {"n", "line", "normal"} of orbit points of one rank: the
-    unit pair, each entry an [re, im] list, from which x = (n+1) u v^H /
-    (v^H u) - I.  ``OrbitPoint.from_json`` reloads a record exactly."""
-    lines = np.array([pt.line for pt in points])
-    normals = np.array([pt.normal for pt in points])
-    return [{"n": pt.n, "line": a, "normal": b}
-            for pt, a, b in zip(points, _re_im(lines), _re_im(normals))]
+def points_json(lines, normals=None):
+    """JSON records {"n", "line", "normal"} of a stack of unit pairs of one
+    rank, each entry an [re, im] list, from which x = (n+1) u v^H / (v^H u)
+    - I; with no normals, records {"n", "line"} of graph lines, whose normal
+    m u the reader supplies.  ``OrbitPoint.from_json`` reloads a record
+    exactly."""
+    n = lines.shape[-1] - 1
+    if normals is None:
+        return [{"n": n, "line": a} for a in _re_im(lines)]
+    return [{"n": n, "line": a, "normal": b} for a, b in zip(_re_im(lines), _re_im(normals))]
 
 
 def membership_residual(x):

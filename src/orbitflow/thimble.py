@@ -8,13 +8,14 @@ H.  On the graph of an involution m = +/-1 a point is the line u of its pair
 (u, m u), and the gradient scales each entry of u by a real factor in
 span{h m, m, 1}: a flow keeps the phases of its seed u0 and stays on the
 surface u0 e^phi (the torus orbits of Bloch, Brockett and Ratiu when m = 1).
-So flows step the real log-moduli phi, and the seeds (``seed_pairs``), the
+So flows step the real log-moduli phi, and the seeds (``seed_lines``), the
 rate (``gradient_field``), the height (``line_height``) and the chart gap
 (``pair_gap``) are closed forms in the lines (``graph_lines``), one stack
 of which may mix twists.  ``flow_to_level`` steps them with
 ``flow.advance`` and one ``cross_level`` lands them; matrices appear once,
-in the ``chart`` of the recorded lines.  The split F1 = G1 - i G2 uses
-``graphs.graph_tangent_frame``; ``thimble_json`` writes unit pairs.
+in the ``chart`` of the recorded lines.  A trace is one record array, and
+``thimble_json`` writes each sample as its unit line, with the twist m once
+per file.  The split F1 = G1 - i G2 uses ``graphs.graph_tangent_frame``.
 """
 
 import json
@@ -31,7 +32,7 @@ from .errors import (
 )
 from .flow import advance
 from .liecore import b_norm, b_tau, cartan_matrix, root_eval
-from .orbit import OrbitPoint, chart, complement, points_json, potential, tangent_project
+from .orbit import chart, complement, points_json, potential, tangent_project
 from .graphs import graph_membership, graph_tangent_frame, m_j_pm
 from .util import realify
 
@@ -97,17 +98,6 @@ def horizontal_lift_check(pt, h, min_grad=1e-8):
     )
     a, b = np.linalg.solve(mat, np.array([1.0, 0.0]))
     return float(a), float(b)
-
-
-@dataclass(frozen=True)
-class ThimbleSample:
-    point: OrbitPoint
-    f1: float
-    f2: float
-    graph_residual: float
-    seed_index: int      # direction on the unit sphere of the tangent space
-    flow_index: int      # one (direction, radius) flow line
-    arc: float
 
 
 # ---------------------------------------------------------------------------
@@ -227,23 +217,24 @@ def cross_level(r0, base, h, m, c, orient):
     )
 
 
-def flow_to_level(pairs, h, g, c, step, max_steps, visit=None):
-    """Flow a stack of graph pairs (u0, m u0), shape (batch, 2, d), along
-    grad f1, up when f1 < c and down otherwise, in steps of ``advance`` of the
-    log-moduli phi of the lines u0 e^phi, from phi = 0, with no matrix.
+def flow_to_level(lines, h, g, c, step, max_steps, visit=None):
+    """Flow a stack of lines u0, shape (batch, d), of graph pairs (u0, m u0)
+    along grad f1, up when f1 < c and down otherwise, in steps of ``advance``
+    of the log-moduli phi of the lines u0 e^phi, from phi = 0, with no matrix.
 
-    After each step ``visit(indices, phi, arcs)`` sees the flows that did not
-    cross the level.  A crossing flow waits at its last phi before the level,
-    and one ``cross_level`` after the loop lands them all.  Returns the landed
-    phi and arcs; raises ValueError when g is not an involution, and
-    GraphIntegrityError if some flow has not landed after max_steps.
+    After each step ``visit(indices, phi, arcs, r)`` sees the flows that did
+    not cross the level, with the moduli r = ``graph_lines(|u0|, phi)`` of
+    the crossing test.  A crossing flow waits at its last phi before the
+    level, and one ``cross_level`` after the loop lands them all.  Returns
+    the landed phi and arcs; raises ValueError when g is not an involution,
+    and GraphIntegrityError if some flow has not landed after max_steps.
     """
     if not g.is_involution:
         raise ValueError(f"twist {g.name or g.m_diag} is not an involution: "
                          "the closed-form gradient needs m = +/-1")
     h = np.asarray(h, dtype=float)
     m = g.m_diag.real
-    r0 = np.abs(pairs[:, 0])
+    r0 = np.abs(lines)
     phi = np.zeros(r0.shape)
     orient = np.where(line_height(h, m, r0) > c, -1.0, 1.0)
     arcs = np.zeros(len(phi))
@@ -253,13 +244,14 @@ def flow_to_level(pairs, h, g, c, step, max_steps, visit=None):
             break
         idx = np.flatnonzero(active)
         stepped = advance(phi[idx], gradient_field(h, m, orient[idx, None], r0[idx]), step)
-        crossed = orient[idx] * (line_height(h, m, graph_lines(r0[idx], stepped)) - c) > 0
+        r = graph_lines(r0[idx], stepped)
+        crossed = orient[idx] * (line_height(h, m, r) - c) > 0
         active[idx[crossed]] = False
         alive = idx[~crossed]
         phi[alive] = stepped[~crossed]
         arcs[alive] += step
         if visit is not None and alive.size:
-            visit(alive, phi[alive], arcs[alive])
+            visit(alive, phi[alive], arcs[alive], r[~crossed])
     if active.any():
         raise GraphIntegrityError(
             f"{int(active.sum())} flows failed to reach the level in {max_steps} steps"
@@ -280,11 +272,11 @@ def default_thimble_step(h, j):
     return 0.1 / _unit_rate(h, j)
 
 
-def seed_pairs(j, g, coeffs, radii):
-    """Graph pairs (u, m u) of seeds at [e_j], one per row of coeffs and
-    radius r, rows outer: u = e_j + r / (2 d^{3/2}) sum_k coeffs_k delta_k,
-    normalized, with delta_k interleaving (c_k, i c_k) over the columns c_k
-    of ``complement(e_j)``.  As ``pair_tangent(e_j, m e_j, delta, m delta)``
+def seed_lines(j, g, coeffs, radii):
+    """Lines u, shape (batch, d), of the graph pairs (u, m u) of seeds at
+    [e_j], one per row of coeffs and radius r, rows outer: u = e_j +
+    r / (2 d^{3/2}) sum_k coeffs_k delta_k, normalized, with delta_k
+    interleaving (c_k, i c_k) over the columns c_k of ``complement(e_j)``.  As ``pair_tangent(e_j, m e_j, delta, m delta)``
     has b_tau length 2 d^{3/2} |delta|, r is the b_tau length of the seed's
     graph tangent vector when coeffs is a unit vector."""
     d = g.dim
@@ -293,8 +285,7 @@ def seed_pairs(j, g, coeffs, radii):
     deltas = np.stack([c, 1j * c], axis=1).reshape(-1, d)
     rho = np.asarray(radii, dtype=float)[:, None] / (2.0 * d ** 1.5)
     u = e + rho * (np.atleast_2d(coeffs) @ deltas)[:, None, :]
-    u = (u / np.linalg.norm(u, axis=-1, keepdims=True)).reshape(-1, d)
-    return np.stack([u, g.m_diag * u], axis=1)
+    return (u / np.linalg.norm(u, axis=-1, keepdims=True)).reshape(-1, d)
 
 
 def trace_thimble(
@@ -313,13 +304,18 @@ def trace_thimble(
     """Trace the real Lagrangian thimble of [e_j] inside its definite graph.
 
     Seeds random unit directions of the graph tangent space at [e_j] on a
-    geometric radius ladder (``seed_pairs``) and flows them along -grad f1
+    geometric radius ladder (``seed_lines``) and flows them along -grad f1
     (sign '-', negative definite) or +grad f1 (sign '+') to the level
     f1([e_j]) -/+ c_offset.  Samples are the pairs (u, m u), u = u0 e^phi,
     so they lie on the graph and the surface of their seed by construction
     and their residual measures only rounding; one above ``residual_limit``
-    raises GraphIntegrityError.  The seeds come first among the samples, in
-    flow order (seed_index = flow_index // radii).
+    raises GraphIntegrityError.
+
+    Returns one ``np.recarray``, a row per sample, with fields ``line`` (d,)
+    the unit line u, ``x`` (d, d) its chart point, ``f1``, ``f2``,
+    ``graph_residual``, ``seed_index``, ``flow_index`` (one (direction,
+    radius) flow line; seed_index = flow_index // radii) and ``arc``, the
+    flow parameter from the seed.  The seeds come first, in flow order.
 
     Every seed lies strictly inside the level by a bound, with no search.
     A seed line is u = e_j + rho w, |w| = 1, w ⊥ e_j, rho = r / (2 d^{3/2});
@@ -342,52 +338,43 @@ def trace_thimble(
     dirs = rng.standard_normal((directions, 2 * n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     r_top = min(0.5, np.sqrt(1.8 * c_offset / _unit_rate(h, j)))
-    pairs = seed_pairs(j, g, dirs, np.geomspace(min(1e-4, r_top / 10.0), r_top, radii))
+    seeds = seed_lines(j, g, dirs, np.geomspace(min(1e-4, r_top / 10.0), r_top, radii))
     if step is None:
         step = default_thimble_step(h, j)
 
-    flows = np.arange(pairs.shape[0])
-    chunks = [(flows, np.zeros(pairs.shape[::2]), np.zeros(pairs.shape[0]))]
-    r0 = np.abs(pairs[:, 0])
-    last_rec = r0.copy()
+    flows = np.arange(len(seeds))
+    chunks = [(flows, np.zeros(seeds.shape), np.zeros(len(seeds)))]
+    last_rec = np.abs(seeds)
 
-    def visit(indices, phi, arcs):
-        r = graph_lines(r0[indices], phi)
+    def visit(indices, phi, arcs, r):
         due = pair_gap(m, r, last_rec[indices]) >= record_sep
         if due.any():
             chunks.append((indices[due], phi[due], arcs[due]))
             last_rec[indices[due]] = r[due]
 
-    landed, arcs = flow_to_level(pairs, h, g, c_level, step, max_steps, visit)
+    landed, arcs = flow_to_level(seeds, h, g, c_level, step, max_steps, visit)
     chunks.append((flows, landed, arcs))
 
     indices, phi, arcs = (np.concatenate(part) for part in zip(*chunks))
-    lines = graph_lines(pairs[indices, 0], phi)
+    lines = graph_lines(seeds[indices], phi)
     u, v, mats = chart(np.stack([lines, m * lines], axis=1))
     f = potential(h, mats)
     res = graph_membership((u, v), g)
-    samples = [
-        ThimbleSample(
-            point=OrbitPoint(x=x, line=a, normal=b),
-            f1=float(fk.real),
-            f2=float(fk.imag),
-            graph_residual=float(rk),
-            seed_index=int(i) // radii,
-            flow_index=int(i),
-            arc=float(arc),
-        )
-        for i, x, a, b, fk, rk, arc in zip(indices, mats, u, v, f, res, arcs)
-    ]
-
-    bad = samples[int(np.argmax(res))]
-    if bad.graph_residual > residual_limit:
-        raise GraphIntegrityError(f"flow left the graph: residual {bad.graph_residual:.3e} "
-                                  f"at seed {bad.seed_index}, f1={bad.f1:.6f}")
+    bad = np.argmax(res)
+    if res[bad] > residual_limit:
+        raise GraphIntegrityError(f"flow left the graph: residual {res[bad]:.3e} "
+                                  f"at seed {indices[bad] // radii}, f1={f[bad].real:.6f}")
+    cols = {"line": u, "x": mats, "f1": f.real, "f2": f.imag, "graph_residual": res,
+            "seed_index": indices // radii, "flow_index": indices, "arc": arcs}
+    samples = np.recarray(len(indices), [(k, a.dtype, a.shape[1:]) for k, a in cols.items()])
+    for k, a in cols.items():
+        samples[k] = a
     return samples
 
 
-def lagrangian_check(samples, k=4, step_hint=None, density_factor=10.0):
-    """Max normalized |omega| over finite-difference tangent pairs.
+def lagrangian_check(mats, k=4, step_hint=None, density_factor=10.0):
+    """Max normalized |omega| over finite-difference tangent pairs of a
+    stack of chart points, shape (S, d, d), such as the ``x`` of a trace.
 
     Tangents at each sample are secants to its k nearest neighbours; on an
     exactly Lagrangian sample cloud the symplectic pairing of any two
@@ -397,9 +384,9 @@ def lagrangian_check(samples, k=4, step_hint=None, density_factor=10.0):
     """
     from scipy.spatial import cKDTree
 
-    if len(samples) < 3:
+    if len(mats) < 3:
         raise ValueError("need at least three samples")
-    mats = np.array([s.point.x for s in samples])
+    mats = np.ascontiguousarray(mats)
     nsamp, d = mats.shape[0], mats.shape[-1]
     kk = min(k, nsamp - 1)
     cloud = realify(mats)
@@ -423,26 +410,26 @@ def lagrangian_check(samples, k=4, step_hint=None, density_factor=10.0):
     return float((np.abs(gram.imag[pairs]) / denom[pairs]).max())
 
 
-def thimble_json(samples, meta):
-    points = points_json([s.point for s in samples])
+def thimble_json(samples, meta, twist):
+    """JSON text {"meta", "samples"} of a trace: ``meta`` with the real
+    diagonal m of the traced graph added as ``twist``, and per sample the
+    record {"n", "line", "f1", "f2", "graph_residual", "seed_index", "arc"},
+    which ``OrbitPoint.from_json(record, twist)`` reloads exactly."""
+    columns = zip(points_json(samples.line), samples.f1.tolist(), samples.f2.tolist(),
+                  samples.graph_residual.tolist(), samples.seed_index.tolist(),
+                  samples.arc.tolist())
     payload = {
-        "meta": meta,
+        "meta": {**meta, "twist": np.asarray(twist, dtype=float).tolist()},
         "samples": [
-            {
-                **p,
-                "f1": s.f1,
-                "f2": s.f2,
-                "graph_residual": s.graph_residual,
-                "seed_index": s.seed_index,
-                "arc": s.arc,
-            }
-            for p, s in zip(points, samples)
+            {**p, "f1": f1, "f2": f2, "graph_residual": res, "seed_index": i, "arc": arc}
+            for p, f1, f2, res, i, arc in columns
         ],
     }
     return json.dumps(payload)
 
 
 def thimble_csv(samples):
+    columns = zip(samples.seed_index.tolist(), samples.arc.tolist(), samples.f1.tolist(),
+                  samples.f2.tolist(), samples.graph_residual.tolist())
     return "seed_index,arc,f1,f2,graph_residual\n" + "".join(
-        f"{s.seed_index},{s.arc:.17g},{s.f1:.17g},{s.f2:.17g},{s.graph_residual:.17g}\n"
-        for s in samples)
+        f"{i},{arc:.17g},{f1:.17g},{f2:.17g},{res:.17g}\n" for i, arc, f1, f2, res in columns)

@@ -455,7 +455,7 @@ def graphs_suite(cfg, rng):
 
     samples = thimble.trace_thimble(1, "-", h, c_offset=0.3, directions=8,
                                     radii=4, rng=rng)
-    worst = max(s.graph_residual for s in samples)
+    worst = samples.graph_residual.max()
     checks.append(_check("traced-thimble-stays-on-graph", worst, 1e-6,
                          "the thimble ball is contained in its graph"))
 
@@ -482,36 +482,32 @@ def graphs_suite(cfg, rng):
 def _topology_proxy(samples):
     from scipy.spatial import cKDTree
 
-    mats = np.array([s.point.x for s in samples])
-    seeds = np.array([s.seed_index for s in samples])
-    tree = cKDTree(realify(mats))
+    seeds = samples.seed_index
+    tree = cKDTree(realify(samples.x))
     pairs = tree.query_pairs(1e-9, output_type="ndarray")
     if (seeds[pairs[:, 0]] != seeds[pairs[:, 1]]).any():
         return 1.0
-    by_flow = {}
-    for s in samples:
-        by_flow.setdefault(s.flow_index, []).append(s)
-    for vals in by_flow.values():
-        f1 = [s.f1 for s in sorted(vals, key=lambda s: s.arc)]
-        diffs = np.diff(f1)
-        if len(diffs) and not (np.all(diffs <= 1e-12) or np.all(diffs >= -1e-12)):
-            return 1.0
-    return 0.0
+    order = np.lexsort((samples.arc, samples.flow_index))
+    flows, diffs = samples.flow_index[order], np.diff(samples.f1[order])
+    same = flows[1:] == flows[:-1]
+    # a flow fails unless all its steps in f1 are <= 1e-12 or all >= -1e-12
+    up = np.bincount(flows[1:][same & ~(diffs <= 1e-12)], minlength=len(samples))
+    down = np.bincount(flows[1:][same & ~(diffs >= -1e-12)], minlength=len(samples))
+    return 1.0 if ((up > 0) & (down > 0)).any() else 0.0
 
 
 def _restart_gap(samples, j, s, h, step):
     """Restart a flow from a recorded mid state; boundary points must agree."""
-    flow_id = np.bincount([x.flow_index for x in samples]).argmax()
-    line = sorted((x for x in samples if x.flow_index == flow_id), key=lambda x: x.arc)
+    line = samples[samples.flow_index == np.bincount(samples.flow_index).argmax()]
     if len(line) < 3:
         return 0.0
+    line = line[np.argsort(line.arc, kind="stable")]
     mid, end = line[len(line) // 2], line[-1]
     g = graphs.m_j_pm(len(h) - 1, j, s)
-    landed, _ = thimble.flow_to_level(np.array([[mid.point.line, mid.point.normal]]), h, g,
-                                      end.f1, step, 4000)
-    u = thimble.graph_lines(mid.point.line, landed)
+    landed, _ = thimble.flow_to_level(mid.line[None], h, g, end.f1, step, 4000)
+    u = thimble.graph_lines(mid.line, landed)
     # unit lines of one flow share their phases, so the gap does not cancel
-    return float(thimble.pair_gap(g.m_diag.real, u / np.linalg.norm(u), end.point.line[None])[0])
+    return float(thimble.pair_gap(g.m_diag.real, u / np.linalg.norm(u), end.line[None])[0])
 
 
 def thimble_suite(cfg, rng):
@@ -526,15 +522,15 @@ def thimble_suite(cfg, rng):
         step = thimble.default_thimble_step(h, j)
         samples = thimble.trace_thimble(j, s, h, c_offset=0.4, directions=12,
                                         radii=4, rng=rng, step=step)
-        worst_res = max(worst_res, max(x.graph_residual for x in samples))
-        worst_f2 = max(worst_f2, max(abs(x.f2) for x in samples))
+        worst_res = max(worst_res, samples.graph_residual.max())
+        worst_f2 = max(worst_f2, np.abs(samples.f2).max())
         worst_topo = max(worst_topo, _topology_proxy(samples))
         worst_semi = max(worst_semi, _restart_gap(samples, j, s, h, step))
 
     slots = np.array([j for j, _ in twists])
     gs = [graphs.m_j_pm(n, j, s) for j, s in twists]
     m = np.array([g.m_diag.real for g in gs])
-    r0 = np.abs(np.concatenate([thimble.seed_pairs(j, g, np.eye(2 * n)[0], [1e-3])[:, 0]
+    r0 = np.abs(np.concatenate([thimble.seed_lines(j, g, np.eye(2 * n)[0], [1e-3])
                                 for j, g in zip(slots, gs)]))
     phi = np.zeros(r0.shape)
     orient = np.array([[1.0 if s == "-" else -1.0] for _, s in twists])

@@ -282,6 +282,22 @@ class TestSerialization:
         with pytest.raises(TransversalityError, match="normal\\^H line"):
             OrbitPoint.from_json(obj)
 
+    def test_from_json_needs_a_normal_or_a_twist(self):
+        obj = critical_points(2)[0].to_json()
+        del obj["normal"]
+        with pytest.raises(ShapeError, match="normal"):
+            OrbitPoint.from_json(obj)
+        with pytest.raises(ShapeError, match="twist m has shape \\(2,\\), expected \\(3,\\)"):
+            OrbitPoint.from_json(obj, [1.0, -1.0])
+
+    def test_from_json_rejects_a_line_incident_to_its_twisted_normal(self):
+        # |u_1| = |u_2|, so (m u)^H u = 0 for m = (1, -1) but not for m = 1
+        s = math.sqrt(0.5)
+        obj = {"n": 1, "line": [[s, 0.0], [0.0, s]]}
+        with pytest.raises(TransversalityError, match="normal\\^H line"):
+            OrbitPoint.from_json(obj, [1.0, -1.0])
+        assert OrbitPoint.from_json(obj, [1.0, 1.0]).transversality == pytest.approx(1.0)
+
 
 RANKS = (1, 2, 3, 4)
 

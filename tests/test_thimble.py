@@ -1,6 +1,6 @@
 """Kaehler gradients, F/G restriction, thimble tracing and isotropy checks."""
 
-import dataclasses
+import json
 import re
 import warnings
 
@@ -46,18 +46,17 @@ from orbitflow.verification import random_orbit_point, random_tangent
 
 
 def _graph_seed_stack(n, directions=8):
-    """Graph pairs (u, m u) of m_1^- at n over a radius ladder from 1e-4 to
-    0.05 along random graph tangent directions, and the level 0.5 below
-    [e_1]."""
+    """Lines u of graph pairs (u, m u) of m_1^- at n over a radius ladder
+    from 1e-4 to 0.05 along random graph tangent directions, and the level
+    0.5 below [e_1]."""
     h = default_cartan(n)
     g = m_j_pm(n, 1, "-")
     xc = critical_points(n)[0]
     frame = np.array(graph_tangent_frame(xc, g))
     coeffs = np.random.default_rng(n).standard_normal((directions, len(frame)))
-    lines = [retract(xc.x + r * np.tensordot(c / np.linalg.norm(c), frame, axes=1)).line
-             for c in coeffs for r in np.geomspace(1e-4, 0.05, 6)]
-    pairs = np.array([[u, g.m_diag * u] for u in lines])
-    return h, g, pairs, potential(h, xc).real - 0.5
+    lines = np.array([retract(xc.x + r * np.tensordot(c / np.linalg.norm(c), frame, axes=1)).line
+                      for c in coeffs for r in np.geomspace(1e-4, 0.05, 6)])
+    return h, g, lines, potential(h, xc).real - 0.5
 
 
 def _graph_sample(rng, g, n):
@@ -198,9 +197,9 @@ class TestGraphClosedForms:
 
     def test_flow_to_level_rejects_a_non_involution(self):
         g = GraphSpec(np.array([1j, -1j, 1.0]), name="quarter-turn")
-        pairs = thimble.seed_pairs(1, g, np.eye(4)[0], [1e-2])
+        lines = thimble.seed_lines(1, g, np.eye(4)[0], [1e-2])
         with pytest.raises(ValueError, match="twist quarter-turn is not an involution"):
-            flow_to_level(pairs, default_cartan(2), g, 17.5, 0.01, 10)
+            flow_to_level(lines, default_cartan(2), g, 17.5, 0.01, 10)
 
     def test_gradient_field_steps_a_stack_of_twists_row_by_row(self):
         # one stack of every twist, each row with its own orient and step,
@@ -208,7 +207,7 @@ class TestGraphClosedForms:
         n = 4
         h = default_cartan(n)
         gs = [m_j_pm(n, j, s) for j, s in twists(n)]
-        r0 = np.abs(np.concatenate([thimble.seed_pairs(j, g, np.eye(2 * n)[0], [0.2])[:, 0]
+        r0 = np.abs(np.concatenate([thimble.seed_lines(j, g, np.eye(2 * n)[0], [0.2])
                                     for (j, _), g in zip(twists(n), gs)]))
         phi = np.random.default_rng(30).uniform(-0.5, 0.5, r0.shape)
         m = np.array([g.m_diag.real for g in gs])
@@ -269,7 +268,7 @@ class TestGraphClosedForms:
                                 rng=np.random.default_rng(32))
         flows = {}
         for smp in samples:
-            flows.setdefault(smp.flow_index, []).append(smp.point.line)
+            flows.setdefault(smp.flow_index, []).append(smp.line)
         recorded = np.array([[a, b] for lines in flows.values() for a, b in zip(lines[1:], lines)])
         rng = np.random.default_rng(33)
         cases = [(m_j_pm(n, 1, "-").m_diag.real, recorded, 1e-13)]
@@ -294,10 +293,10 @@ class TestGraphClosedForms:
             calls.append(len(args[0]))
             return assemble_(*args)
 
-        h, g, pairs, c = _graph_seed_stack(4, directions=3)
+        h, g, lines, c = _graph_seed_stack(4, directions=3)
         for module in (orbit, thimble):
             monkeypatch.setattr(module, "assemble", counting_assemble, raising=False)
-        flow_to_level(pairs, h, g, c, default_thimble_step(h, 1), 4000, lambda *_: None)
+        flow_to_level(lines, h, g, c, default_thimble_step(h, 1), 4000, lambda *_: None)
         assert calls == []
 
 
@@ -307,7 +306,7 @@ class TestTraceThimble:
         samples = trace_thimble(1, "-", h, c_offset=1e-6, directions=4, radii=2,
                                 rng=np.random.default_rng(0))
         xc = critical_points(2)[0].x
-        assert max(np.linalg.norm(s.point.x - xc) for s in samples) < 5e-3
+        assert np.linalg.norm(samples.x - xc, axis=(1, 2)).max() < 5e-3
 
     def test_trace_assembles_only_its_samples(self, monkeypatch):
         # f1([e_j]) is read on the line, so the one matrix a trace builds is
@@ -358,18 +357,18 @@ class TestTraceThimble:
             frame = np.array(graph_tangent_frame(xc, g))
             coeffs = rng.standard_normal((3, 2 * n))
             coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
-            pairs = thimble.seed_pairs(j, g, coeffs, radii)
+            lines = thimble.seed_lines(j, g, coeffs, radii)
             want = [retract(xc.x + r * np.tensordot(c, frame, axes=1)).line
                     for c in coeffs for r in radii]
-            assert np.abs(pairs[:, 0] - np.array(want)).max() < 1e-14
-            assert np.array_equal(pairs[:, 1], g.m_diag * pairs[:, 0])
+            assert lines.shape == (len(want), n + 1)
+            assert np.abs(lines - np.array(want)).max() < 1e-14
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_seeds_lie_strictly_inside_the_level(self, n, monkeypatch):
         # the cap on the top radius, with no search, keeps every seed of every
         # definite graph strictly between f1([e_j]) and the level
-        def seeds_only(pairs, *_):
-            return np.zeros(pairs.shape[::2]), np.zeros(len(pairs))
+        def seeds_only(lines, *_):
+            return np.zeros(lines.shape), np.zeros(len(lines))
 
         monkeypatch.setattr(thimble, "flow_to_level", seeds_only)
         rng = np.random.default_rng(80 + n)
@@ -381,7 +380,7 @@ class TestTraceThimble:
                 for c_offset in np.geomspace(1e-3, 30.0, 6):
                     level = f1_c - c_offset if s == "-" else f1_c + c_offset
                     seeds = trace_thimble(j, s, h, c_offset=c_offset, directions=16, rng=rng)
-                    f1 = np.array([x.f1 for x in seeds])
+                    f1 = seeds.f1
                     assert ((f1 - level) * (f1_c - level) > 0).all()
                     assert ((f1_c - f1) * (f1_c - level) > 0).all()
 
@@ -404,14 +403,14 @@ class TestTraceThimble:
         h = default_cartan(2)
         samples = trace_thimble(1, "-", h, c_offset=0.5, directions=16,
                                 rng=np.random.default_rng(3))
-        assert lagrangian_check(samples) < 1e-5
+        assert lagrangian_check(samples.x) < 1e-5
 
     def test_zero_section_thimble_isotropic(self):
         # rank one: the plain graph is the Hermitian locus, secants exact
         h0 = minimal_cartan(1)
         samples = trace_thimble(1, "-", h0, c_offset=0.5, directions=8,
                                 rng=np.random.default_rng(4))
-        assert lagrangian_check(samples) < 1e-6
+        assert lagrangian_check(samples.x) < 1e-6
 
     def test_boundary_matches_level_sphere_along_meridians(self):
         # rank one, plain graph: the flag is a round sphere and the height
@@ -429,8 +428,7 @@ class TestTraceThimble:
             coeff /= np.linalg.norm(coeff)
             v = sum(c * e for c, e in zip(coeff, frame))
             line = retract(xc.x + 1e-3 * v).line
-            landed, _ = flow_to_level(np.array([[line, g.m_diag * line]]), h0, g, c_level,
-                                      0.02, 4000)
+            landed, _ = flow_to_level(line[None], h0, g, c_level, 0.02, 4000)
             u = line * np.exp(landed[0])
             # geodesic velocity [A, H0] must equal +v, so A solves [A, H0] = v
             direction = -ad_inverse(xc, v)
@@ -443,10 +441,9 @@ class TestTraceThimble:
         h = default_cartan(2)
         g = m_j_pm(2, 1, "-")
         xc = critical_points(2)[0]
-        lines = [retract(xc.x + 1e-2 * e).line for e in graph_tangent_frame(xc, g)[:2]]
-        pairs = np.array([[u, g.m_diag * u] for u in lines])
+        lines = np.array([retract(xc.x + 1e-2 * e).line for e in graph_tangent_frame(xc, g)[:2]])
         with pytest.raises(StepSizeError, match="batch index"):
-            flow_to_level(pairs, h, g, potential(h, xc).real - 0.5, 50.0, 10)
+            flow_to_level(lines, h, g, potential(h, xc).real - 0.5, 50.0, 10)
 
     def test_overflowing_step_raises_step_size_error(self):
         # a step of row 1 would move phi by hundreds, past the float range of
@@ -458,52 +455,51 @@ class TestTraceThimble:
         n = 2
         h = default_cartan(n)
         g = m_j_pm(n, 1, "-")
-        r0 = np.abs(thimble.seed_pairs(1, g, np.eye(2 * n)[:3], [0.1])[:, 0])
+        r0 = np.abs(thimble.seed_lines(1, g, np.eye(2 * n)[:3], [0.1]))
         dt = np.array([[0.01], [1e3], [0.01]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(StepSizeError, match="batch index 1"):
                 advance(np.zeros(r0.shape), gradient_field(h, g.m_diag.real, -1.0, r0), dt)
-            pairs = np.stack([r0, g.m_diag.real * r0], axis=1)
             with pytest.raises(StepSizeError, match="batch index 0"):
-                flow_to_level(pairs, h, g, line_height(h, g.m_diag.real, np.eye(n + 1)[0]) - 0.5,
+                flow_to_level(r0, h, g, line_height(h, g.m_diag.real, np.eye(n + 1)[0]) - 0.5,
                               1e3, 10)
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_landing_does_not_depend_on_the_batch(self, n):
-        h, g, pairs, c = _graph_seed_stack(n)
+        h, g, lines, c = _graph_seed_stack(n)
         step = default_thimble_step(h, 1)
-        last_step = np.zeros(len(pairs), dtype=int)
+        last_step = np.zeros(len(lines), dtype=int)
         steps = [0]
 
         def visit(indices, *_):
             steps[0] += 1
             last_step[indices] = steps[0]
 
-        landed, arcs = flow_to_level(pairs, h, g, c, step, 4000, visit)
+        landed, arcs = flow_to_level(lines, h, g, c, step, 4000, visit)
         crossing = last_step + 1
         # some flows cross in the same step as another, and some alone
         counts = np.bincount(crossing)[crossing]
         assert (counts > 1).any() and (counts == 1).any()
-        for k in range(len(pairs)):
-            alone, arc = flow_to_level(pairs[k:k + 1], h, g, c, step, 4000)
+        for k in range(len(lines)):
+            alone, arc = flow_to_level(lines[k:k + 1], h, g, c, step, 4000)
             assert np.array_equal(alone[0], landed[k])
             assert np.array_equal(arc[0], arcs[k])
 
     def test_failed_landing_names_the_flow(self, monkeypatch):
         monkeypatch.setattr(thimble, "LEVEL_ITERATIONS", 1)
-        h, g, pairs, c = _graph_seed_stack(4, directions=3)
+        h, g, lines, c = _graph_seed_stack(4, directions=3)
         step = default_thimble_step(h, 1)
         pattern = r"\|f1 - c\| = (\S+) at batch index (\d+)"
         with pytest.raises(GraphIntegrityError, match=pattern) as err:
-            flow_to_level(pairs, h, g, c, step, 4000)
+            flow_to_level(lines, h, g, c, step, 4000)
         miss, k = re.search(pattern, str(err.value)).groups()
         k = int(k)
-        assert k < len(pairs)
+        assert k < len(lines)
         alone = []
-        for i in range(len(pairs)):
+        for i in range(len(lines)):
             with pytest.raises(GraphIntegrityError, match=pattern) as one:
-                flow_to_level(pairs[i:i + 1], h, g, c, step, 4000)
+                flow_to_level(lines[i:i + 1], h, g, c, step, 4000)
             alone.append(re.search(pattern, str(one.value)).group(1))
         # the named flow fails alone with the same miss, the worst of all
         assert alone[k] == miss
@@ -543,14 +539,14 @@ class TestTraceThimble:
         h = default_cartan(n)
         samples = trace_thimble(j, sign, h, c_offset=0.5, directions=8,
                                 rng=np.random.default_rng(0))
-        seeds = {s.flow_index: s.point.line for s in samples if s.arc == 0.0}
+        seeds = {s.flow_index: s.line for s in samples if s.arc == 0.0}
         orient = 1.0 if sign == "+" else -1.0
         for s in samples:
             expo = orient * s.arc * h / (n + 1)
             want = seeds[s.flow_index] * np.exp(expo - expo.max())
             want /= np.linalg.norm(want)
-            phase = np.vdot(want, s.point.line)
-            assert np.abs(s.point.line - phase / abs(phase) * want).max() < 1e-13
+            phase = np.vdot(want, s.line)
+            assert np.abs(s.line - phase / abs(phase) * want).max() < 1e-13
 
     def test_mixed_twist_samples_keep_phases_and_the_seed_surface(self):
         # on m_3^+ at n = 4 every sample is u_seed exp(A h m + B m + C), A, B,
@@ -561,10 +557,10 @@ class TestTraceThimble:
         m = m_j_pm(n, 3, "+").m_diag.real
         samples = trace_thimble(3, "+", h, c_offset=0.4, directions=8,
                                 rng=np.random.default_rng(0))
-        seeds = {s.flow_index: s.point.line for s in samples if s.arc == 0.0}
+        seeds = {s.flow_index: s.line for s in samples if s.arc == 0.0}
         basis = np.stack([h * m, m, np.ones(n + 1)], axis=1)
         for s in samples:
-            q = s.point.line / seeds[s.flow_index]
+            q = s.line / seeds[s.flow_index]
             assert np.abs(np.angle(q * q[np.argmax(np.abs(q))].conj())).max() < 1e-14
             logs = np.log(np.abs(q))
             coef = np.linalg.lstsq(basis, logs, rcond=None)[0]
@@ -574,18 +570,17 @@ class TestTraceThimble:
         h = default_cartan(2)
         samples = trace_thimble(1, "-", h, c_offset=0.4, directions=1, radii=1,
                                 rng=np.random.default_rng(6))
-        line = [s for s in samples if s.flow_index == 0]
+        line = samples.x[samples.flow_index == 0]
         assert len(line) >= 3
         assert lagrangian_check(line) < 1e-6
 
     def test_lagrangian_check_rejects_a_cloud_of_rounding(self):
         # copies of one sample a few ulps apart leave only rounding secants
         h = default_cartan(2)
-        s = trace_thimble(1, "-", h, c_offset=0.4, directions=1, radii=1,
-                          rng=np.random.default_rng(6))[-1]
+        x = trace_thimble(1, "-", h, c_offset=0.4, directions=1, radii=1,
+                          rng=np.random.default_rng(6)).x[-1]
         eps = np.finfo(float).eps
-        copies = [dataclasses.replace(s, point=dataclasses.replace(s.point, x=s.point.x * (1.0 + k * eps)))
-                  for k in range(5)]
+        copies = x * (1.0 + np.arange(5) * eps)[:, None, None]
         with pytest.raises(ValueError, match="rounding"):
             lagrangian_check(copies)
 
@@ -596,27 +591,48 @@ class TestTraceThimble:
         sparse = samples[:: max(1, len(samples) // 8)]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            lagrangian_check(sparse, step_hint=1e-6)
+            lagrangian_check(sparse.x, step_hint=1e-6)
         assert any(issubclass(w.category, DensityWarning) for w in caught)
 
     def test_json_and_csv_dumps(self):
-        import json
-
         h = default_cartan(2)
         samples = trace_thimble(1, "-", h, c_offset=0.3, directions=2, radii=2,
                                 rng=np.random.default_rng(8))
-        blob = json.loads(thimble_json(samples, {"j": 1, "sign": "-"}))
-        assert blob["meta"]["j"] == 1
+        twist = m_j_pm(2, 1, "-").m_diag.real
+        blob = json.loads(thimble_json(samples, {"j": 1, "sign": "-"}, twist))
+        assert blob["meta"] == {"j": 1, "sign": "-", "twist": twist.tolist()}
         assert len(blob["samples"]) == len(samples)
-        assert set(blob["samples"][0]) == {"n", "line", "normal", "f1", "f2", "graph_residual",
+        assert set(blob["samples"][0]) == {"n", "line", "f1", "f2", "graph_residual",
                                            "seed_index", "arc"}
         for rec, s in zip(blob["samples"], samples):
-            back = OrbitPoint.from_json(rec)
-            assert np.array_equal(back.x, s.point.x)
+            back = OrbitPoint.from_json(rec, blob["meta"]["twist"])
+            assert np.array_equal(back.x, s.x)
             assert potential(h, back).real == rec["f1"]
         csv = thimble_csv(samples).splitlines()
         assert csv[0] == "seed_index,arc,f1,f2,graph_residual"
         assert len(csv) == len(samples) + 1
+
+    @pytest.mark.parametrize("n, j, sign", [(2, 1, "-"), (4, 3, "+"), (3, 4, "+")])
+    def test_json_reloads_every_sample_through_the_twist(self, n, j, sign):
+        # m_1^- at n = 2 (m = 1), the mixed m_3^+ at n = 4 and m_4^+ at
+        # n = 3 (m = -1): each record's line and the file's twist give back
+        # the traced chart point bit for bit
+        samples = trace_thimble(j, sign, default_cartan(n), c_offset=0.4, directions=4, radii=3,
+                                rng=np.random.default_rng(9))
+        blob = json.loads(thimble_json(samples, {}, m_j_pm(n, j, sign).m_diag.real))
+        back = np.array([OrbitPoint.from_json(rec, blob["meta"]["twist"]).x
+                         for rec in blob["samples"]])
+        assert np.array_equal(back, samples.x)
+
+    def test_trace_is_one_record_per_sample(self):
+        # the contract a caller counts through: len() and .flow_index of rows
+        directions, radii = 3, 2
+        samples = trace_thimble(1, "-", default_cartan(2), c_offset=0.4, directions=directions,
+                                radii=radii, rng=np.random.default_rng(15))
+        assert isinstance(samples, np.recarray)
+        assert len(samples) == len(samples.f1) > directions * radii
+        assert {s.flow_index for s in samples} == set(range(directions * radii))
+        assert samples.line.shape == (len(samples), 3) and samples.x.shape == (len(samples), 3, 3)
 
     def test_rank_four_traces_every_point_both_signs(self):
         h = default_cartan(4)
@@ -627,7 +643,7 @@ class TestTraceThimble:
                                         radii=3, rng=rng)
                 assert max(x.graph_residual for x in samples) < 1e-6
                 assert max(abs(x.f2) for x in samples) < 1e-8
-                assert lagrangian_check(samples) < 1e-5
+                assert lagrangian_check(samples.x) < 1e-5
 
     def test_integrity_error_reports_worst_sample(self):
         h = default_cartan(2)
