@@ -69,24 +69,29 @@ def advance(state, rhs, dt):
 
 
 def ad_inverse(pt, v, tangency_tol=TANGENCY_TOL):
-    """Solve ad(x) w = v with w orthogonal to the kernel of ad(x).
+    """Solve ad(x) w = v with w orthogonal to the kernel of ad(x), for one
+    matrix v or a stack (k, d, d) of them at the one point ``pt``.
 
     This is the pseudo-inverse needed for the metric: the solution picked
     in the inner-product complement of the kernel is what makes the field
     Z the negative metric gradient of the real height.  Raises
-    TangencyError when v is not in the image of ad(x) within tolerance.
+    TangencyError when some v is not in the image of ad(x) within
+    tolerance of its own norm, naming the stack index of the worst.
     """
     vm = _mat(v)
     w, outside = invert_pair(*pair_of(pt), vm)
-    residual = np.linalg.norm(outside)
-    if residual > tangency_tol * max(1.0, np.linalg.norm(vm)):
-        raise TangencyError(f"component outside im ad(x): {residual:.3e}")
+    excess = (np.linalg.norm(outside, axis=(-2, -1))
+              / np.maximum(1.0, np.linalg.norm(vm, axis=(-2, -1))))
+    k = np.argmax(excess)
+    if excess.flat[k] > tangency_tol:
+        where = f" (stack index {k})" if excess.ndim else ""
+        raise TangencyError(f"component outside im ad(x): {excess.flat[k]:.3e} of max(1, |v|){where}")
     return w
 
 
 def metric_m(pt, u, v, tangency_tol=TANGENCY_TOL):
-    """Riemannian metric m_x(u, v) = b_tau(ad(x)^-1 u, ad(x)^-1 v)."""
-    return b_tau(ad_inverse(pt, u, tangency_tol), ad_inverse(pt, v, tangency_tol))
+    """Orbit metric b_tau(ad(x)^-1 u, ad(x)^-1 v); u and v are inverted as one stack."""
+    return b_tau(*ad_inverse(pt, np.stack([_mat(u), _mat(v)]), tangency_tol))
 
 
 @dataclass(frozen=True)

@@ -442,6 +442,6 @@ def tangent_frame(pt):
 
 
 def tangent_project(x, v):
-    """Hermitian-orthogonal projection of an ambient matrix onto im ad(x),
-    at an OrbitPoint or at each of stacked orbit matrices."""
+    """Hermitian-orthogonal projection of ambient matrices onto im ad(x), at an
+    OrbitPoint (one matrix or a stack) or at each of stacked orbit matrices."""
     return project_pair(*pair_of(x), np.asarray(v, dtype=complex))

@@ -44,11 +44,11 @@ LEVEL_ITERATIONS = 8
 def kaehler_gradients(pt, h):
     """Ambient-metric gradients (F1, F2) of Re f_H and Im f_H on the orbit.
 
-    Both are Hermitian-orthogonal projections of constant matrices (H and
-    iH); holomorphy forces F2 = i F1, which callers may verify.
+    Both are Hermitian-orthogonal projections, at the one point ``pt``, of
+    the stack (H, iH); holomorphy forces F2 = i F1, which callers may verify.
     """
     hm = cartan_matrix(h)
-    return tangent_project(pt, hm), tangent_project(pt, 1j * hm)
+    return tuple(tangent_project(pt, np.stack([hm, 1j * hm])))
 
 
 @dataclass(frozen=True)
@@ -136,22 +136,25 @@ def pair_gap(m, ua, ub):
     """Frobenius distance between the chart points of graph pairs (ua, m ua)
     and (ub, m ub), m = +/-1, from the lines.
 
-    With beta = m u / sum m |u|^2 the point is x + I = d u beta^H, and
-    x_a - x_b = d [(ua - ub) beta_a^H + ub (beta_a - beta_b)^H], whose squared
-    norm is read off six inner products without the cancellation of
-    |x_a|^2 + |x_b|^2 - 2 Re tr(x_a^H x_b).  Lines with the same phases, as
-    on one flow, have the gap of their moduli.
+    With beta = m u / sum m w, w = |u|^2, the point is x + I = d u beta^H, and
+    x_a - x_b = d [(ua - ub) beta_a^H + ub (beta_a - beta_b)^H].  Its squared
+    norm is read off inner products of the unit lines, which cancel neither
+    as |x_a|^2 + |x_b|^2 - 2 Re tr(x_a^H x_b) nor as a difference of lengths
+    in ua - ub; there |ub| = 1 and |beta_a| = sum w / sum m w.  Lines with
+    the same phases, as on one flow, have the gap of their moduli.
     """
-    def beta(u):
-        mu = m * u
-        return mu / (mu.conj() * u).real.sum(axis=-1, keepdims=True)
+    def unit_and_beta(u):
+        w = u.real ** 2 + u.imag ** 2
+        norm2 = w.sum(axis=-1, keepdims=True)
+        ratio, root = norm2 / (m * w).sum(axis=-1, keepdims=True), np.sqrt(norm2)
+        return u / root, m * u * (ratio / root), ratio[..., 0]
 
     def dot(a, b):
         return (a.conj() * b).sum(axis=-1)
 
-    ba = beta(ua)
-    du, dbeta = ua - ub, ba - beta(ub)
-    sq = (dot(du, du).real * dot(ba, ba).real + dot(ub, ub).real * dot(dbeta, dbeta).real
+    (ua, ba, ratio), (ub, bb, _) = unit_and_beta(ua), unit_and_beta(ub)
+    du, dbeta = ua - ub, ba - bb
+    sq = (dot(du, du).real * ratio ** 2 + dot(dbeta, dbeta).real
           + 2.0 * (dot(du, ub) * dot(dbeta, ba)).real)
     return ua.shape[-1] * np.sqrt(np.maximum(sq, 0.0))
 

@@ -506,8 +506,7 @@ def _restart_gap(samples, j, s, h, step):
     g = graphs.m_j_pm(len(h) - 1, j, s)
     landed, _ = thimble.flow_to_level(mid.line[None], h, g, end.f1, step, 4000)
     u = thimble.graph_lines(mid.line, landed)
-    # unit lines of one flow share their phases, so the gap does not cancel
-    return float(thimble.pair_gap(g.m_diag.real, u / np.linalg.norm(u), end.line[None])[0])
+    return float(thimble.pair_gap(g.m_diag.real, u, end.line[None])[0])
 
 
 def thimble_suite(cfg, rng):

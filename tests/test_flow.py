@@ -150,6 +150,69 @@ class TestMetric:
         with pytest.raises(TangencyError):
             ad_inverse(pt, np.diag([1.0, 0.0, -1.0]).astype(complex))
 
+    @pytest.mark.parametrize("n", (2, 5, 12))
+    def test_ad_inverse_of_a_stack_is_each_matrix_alone(self, n):
+        rng = np.random.default_rng(80 + n)
+        for pt in (random_orbit_point(rng, n), critical_points(n)[0]):
+            vs = np.array([random_tangent(rng, pt) for _ in range(4)])
+            got = ad_inverse(pt, vs)
+            assert got.shape == vs.shape
+            for k, v in enumerate(vs):
+                assert np.array_equal(got[k], ad_inverse(pt, v))
+
+    def test_tangency_error_names_the_worst_stack_index(self):
+        rng = np.random.default_rng(6)
+        pt = critical_points(2)[0]
+        off = np.diag([1.0, 0.0, -1.0])
+        vs = np.array([random_tangent(rng, pt) for _ in range(4)])
+        vs[1] += 1e-6 * off
+        vs[2] += off
+        with pytest.raises(TangencyError, match=r"\(stack index 2\)"):
+            ad_inverse(pt, vs)
+        with pytest.raises(TangencyError, match=r"\(stack index 1\)"):
+            ad_inverse(pt, vs[:2])
+        ad_inverse(pt, vs[[0, 3]])
+
+    def test_metric_inverts_both_matrices_in_one_call(self, monkeypatch):
+        from orbitflow import flow
+
+        rng = np.random.default_rng(9)
+        h = default_cartan(4)
+        pt = random_orbit_point(rng, 4)
+        u, v = random_tangent(rng, pt), z_field(pt, h)
+        want = b_tau(ad_inverse(pt, u), ad_inverse(pt, v))
+        calls = []
+        invert_pair_ = flow.invert_pair
+
+        def counting_invert_pair(*args):
+            calls.append(args[-1].shape)
+            return invert_pair_(*args)
+
+        monkeypatch.setattr(flow, "invert_pair", counting_invert_pair)
+        got = metric_m(pt, u, v)
+        assert calls == [(2, 5, 5)]
+        assert got == want
+
+    def test_geometry_identities_at_benchmark_size(self):
+        # the four identities the benchmark gates, at n = 12 and the same tolerance
+        from orbitflow.cycles import grad_height, ham_height
+        from orbitflow.thimble import kaehler_gradients
+        from orbitflow.util import random_traceless
+
+        n = 12
+        rng = np.random.default_rng(12)
+        h = default_cartan(n)
+        for _ in range(3):
+            pt = random_orbit_point(rng, n)
+            v = random_tangent(rng, pt)
+            x_elem = random_traceless(rng, n + 1)
+            f1, f2 = kaehler_gradients(pt, h)
+            dfx = b_tau(v, x_elem)
+            assert abs(b_tau(v, cartan_matrix(h)) + metric_m(pt, v, z_field(pt, h))) < 1e-10
+            assert b_norm(f2 - 1j * f1) < 1e-10
+            assert abs(dfx - b_tau(v, grad_height(x_elem, pt))) < 1e-10
+            assert abs(dfx - omega(v, ham_height(x_elem, pt))) < 1e-10
+
 
 class TestLinearize:
     def test_rank_one_spectrum(self):

@@ -81,6 +81,26 @@ class TestKaehlerGradients:
             f1, f2 = kaehler_gradients(pt, h)
             assert b_norm(f2 - 1j * f1) / b_norm(f1) < 1e-10
 
+    def test_projects_h_and_ih_in_one_call(self, monkeypatch):
+        from orbitflow import orbit
+
+        rng = np.random.default_rng(4)
+        h = default_cartan(4)
+        pt = random_orbit_point(rng, 4)
+        hm = cartan_matrix(h)
+        want = orbit.tangent_project(pt, hm), orbit.tangent_project(pt, 1j * hm)
+        calls = []
+        project_pair_ = orbit.project_pair
+
+        def counting_project_pair(*args):
+            calls.append(args[-1].shape)
+            return project_pair_(*args)
+
+        monkeypatch.setattr(orbit, "project_pair", counting_project_pair)
+        f1, f2 = kaehler_gradients(pt, h)
+        assert calls == [(2, 5, 5)]
+        assert np.array_equal(f1, want[0]) and np.array_equal(f2, want[1])
+
     def test_hessian_index_balance(self):
         # equal positive and negative counts of the real-part Hessian at a
         # singularity, computed by central differences along retracted rays
@@ -281,6 +301,22 @@ class TestGraphClosedForms:
             diff = assemble(ext_a, m * ext_a) - assemble(ext_b, m * ext_b)
             want = np.sqrt((np.abs(diff) ** 2).sum(axis=(-2, -1))).astype(float)
             assert (np.abs(pair_gap(m, ua, ub) - want) / want).max() < tol
+
+    def test_pair_gap_of_lines_of_different_lengths(self):
+        # a line at 0.83 of unit length, 1e-10 along its torus surface from a
+        # unit line: inner products of the unscaled lines cancel to 0
+        n = 4
+        h = default_cartan(n)
+        rng = np.random.default_rng(40)
+        for j, s in ((1, "-"), (3, "+")):
+            m = m_j_pm(n, j, s).m_diag.real
+            ub = random_unit_vector(rng, n + 1)
+            ua = ub * np.exp(np.log(0.83) + 1e-10 * h * m)
+            ext_a, ext_b = ua.astype(np.clongdouble), ub.astype(np.clongdouble)
+            diff = assemble(ext_a, m * ext_a) - assemble(ext_b, m * ext_b)
+            want = float(np.sqrt((np.abs(diff) ** 2).sum()))
+            assert 1e-10 < want < 1e-8
+            assert abs(pair_gap(m, ua[None], ub[None])[0] - want) < 1e-4 * want
 
     def test_stepping_loop_assembles_no_matrix(self, monkeypatch):
         # neither the stepping loop nor the landing of flow_to_level
