@@ -1,18 +1,19 @@
 """Real subspaces V_w, the isotropic distribution, Hamiltonian lifts and
 vanishing-cycle spheres in the compact flag.
 
-The flag here is the intersection of the orbit with the Hermitian matrices;
-it carries the restriction of the height function, whose levels just below
-the maximum are the vanishing-cycle spheres.
+The flag here is the intersection of the orbit with the Hermitian matrices,
+the graph of m_1^- = 1; the levels of its height just below the maximum are
+the vanishing-cycle spheres, the boundaries of the flag thimble.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LevelRangeError, SamplingError
-from .liecore import RootSystemAn, b_norm, cartan_matrix, minimal_cartan, pi_w
-from .orbit import critical_points, potential, retract, tangent_frame, tangent_project
+from .errors import LevelRangeError
+from .liecore import RootSystemAn, cartan_matrix, minimal_cartan, pi_w
+from .orbit import OrbitPoint, retract, tangent_frame, tangent_project
+from .thimble import line_height, trace_thimble
 from .util import realify, subspace_intersection_real, unrealify
 
 INTERSECTION_CUTOFF = 1e-8
@@ -91,72 +92,19 @@ def flag_sample(n, count, radius, rng):
     return out
 
 
-def _flag_directions(rs, rng, count):
-    """Random compact directions with a nonzero tangent component at H0."""
-    roots = [a for a in rs.positive_roots if a[0] == 1]  # tangent roots at H0
-    gens = [g for a in roots for g in rs.compact_root_basis(a)]
-    dirs = []
-    for _ in range(count):
-        coeff = rng.standard_normal(len(gens))
-        a = sum(c * g for c, g in zip(coeff, gens))
-        dirs.append(a / b_norm(a))
-    return dirs
-
-
-def vanishing_sphere(h, c, count, rng, tol=1e-8, max_ray=25.0):
-    """Sample the level f1 = c of the flag height near its maximum H0.
-
-    The maximum sits at H0 with negative definite Hessian, so levels just
-    below it are spheres of codimension one in the flag; each sample is
-    found by bisection along a one-parameter compact motion of H0.
-    """
-    h = np.asarray(h, dtype=float)
-    n = len(h) - 1
-    rs = RootSystemAn(n)
-    crit_values = sorted(potential(h, p).real for p in critical_points(n))
-    top, second = crit_values[-1], crit_values[-2]
+def vanishing_sphere(h, c, count, rng):
+    """Sample the level f1 = c of the flag, the graph of m_1^- = 1, below
+    its maximum [e_1]: the landed ends of ``count`` flows of its thimble
+    (``trace_thimble(1, "-", ...)``, one seed radius), in flow order, with
+    normal = line.  Raises ValueError when count < 1, and LevelRangeError
+    unless f1 peaks at [e_1] and c lies between its two largest values."""
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
+    values = line_height(np.asarray(h, dtype=float), 1.0, np.eye(len(h)))
+    if values.argmax() != 0:
+        raise LevelRangeError(f"f1 is largest at [e_{values.argmax() + 1}], not at [e_1]")
+    second, top = np.sort(values)[-2:]
     if not second < c < top:
         raise LevelRangeError(f"level {c} outside the attracting range ({second}, {top})")
-    samples = []
-    for a in _flag_directions(rs, rng, 20 * count):
-        try:
-            samples.append(vanishing_sphere_point(h, c, a, tol, max_ray))
-        except SamplingError:
-            continue
-        if len(samples) == count:
-            return samples
-    raise SamplingError(f"could not place {count} level samples (got {len(samples)})")
-
-
-def vanishing_sphere_point(h, c, direction, tol=1e-10, max_ray=25.0):
-    """Bisect the level f1 = c along one prescribed compact direction.
-
-    Stops once |f1 - c| < tol / 10; raises SamplingError when the level is
-    not reached within ``max_ray`` along the direction.
-    """
-    from scipy.linalg import expm
-
-    h = np.asarray(h, dtype=float)
-    n = len(h) - 1
-    h0m = cartan_matrix(minimal_cartan(n))
-
-    def f1_along(t):
-        g = expm(t * direction)
-        return potential(h, g @ h0m @ g.conj().T).real
-
-    t_hi, t_lo = 0.1, 0.0
-    while f1_along(t_hi) > c and t_hi < max_ray:
-        t_lo, t_hi = t_hi, 2.0 * t_hi
-    if f1_along(t_hi) > c:
-        raise SamplingError("level not reached along the given direction")
-    for _ in range(100):
-        t = 0.5 * (t_lo + t_hi)
-        f = f1_along(t)
-        if abs(f - c) < 0.1 * tol:
-            break
-        if f > c:
-            t_lo = t
-        else:
-            t_hi = t
-    g = expm(t * direction)
-    return retract(g @ h0m @ g.conj().T)
+    landed = trace_thimble(1, "-", h, c_offset=top - c, directions=count, radii=1, rng=rng)[-count:]
+    return [OrbitPoint(x=x, line=u, normal=u) for u, x in zip(landed.line, landed.x)]

@@ -279,8 +279,8 @@ class OrbitPoint:
 
         Raises ShapeError naming the key when ``line`` or ``normal`` does not
         have n+1 entries, when the record has no ``normal`` and no m is given,
-        or when m does not have n+1 entries; and TransversalityError when
-        |v^H u| is below TRANSVERSALITY_TOL.
+        or when m is not n+1 entries of exactly +/-1; and TransversalityError
+        when |v^H u| is below TRANSVERSALITY_TOL.
         """
         d = obj["n"] + 1
         u = _read_re_im(obj["line"], "line", d)
@@ -288,6 +288,8 @@ class OrbitPoint:
             m = np.asarray(m, dtype=float)
             if m.shape != (d,):
                 raise ShapeError(f"twist m has shape {m.shape}, expected ({d},)")
+            if not (np.abs(m) == 1.0).all():
+                raise ShapeError(f"twist m has entries {m.tolist()}, not all +/-1")
             v = m * u
         elif "normal" in obj:
             v = _read_re_im(obj["normal"], "normal", d)

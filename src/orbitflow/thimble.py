@@ -318,7 +318,8 @@ def trace_thimble(
     the unit line u, ``x`` (d, d) its chart point, ``f1``, ``f2``,
     ``graph_residual``, ``seed_index``, ``flow_index`` (one (direction,
     radius) flow line; seed_index = flow_index // radii) and ``arc``, the
-    flow parameter from the seed.  The seeds come first, in flow order.
+    flow parameter from the seed.  The seeds come first and the landed
+    samples last, each directions * radii rows in flow order.
 
     Every seed lies strictly inside the level by a bound, with no search.
     A seed line is u = e_j + rho w, |w| = 1, w ⊥ e_j, rho = r / (2 d^{3/2});

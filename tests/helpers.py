@@ -2,7 +2,9 @@
 
 import numpy as np
 
-from orbitflow.liecore import WeylElement, weyl_action, weyl_group
+from orbitflow.errors import SamplingError
+from orbitflow.liecore import WeylElement, cartan_matrix, minimal_cartan, weyl_action, weyl_group
+from orbitflow.orbit import potential, retract
 from orbitflow.util import complex_gaussian
 
 
@@ -24,3 +26,38 @@ def random_special_unitary(rng, d):
     q, r = np.linalg.qr(complex_gaussian(rng, (d, d)))
     q = q * (np.diag(r) / np.abs(np.diag(r)))
     return q / np.linalg.det(q) ** (1.0 / d)
+
+
+def vanishing_sphere_point(h, c, direction):
+    """Bisect the level f1 = c along the compact motion expm(t direction) H0.
+
+    An independent reference for the flag-thimble landings of
+    ``cycles.vanishing_sphere``.  Stops once |f1 - c| < 1e-11; raises
+    SamplingError when the level is not reached by t = 25.
+    """
+    from scipy.linalg import expm
+
+    h = np.asarray(h, dtype=float)
+    n = len(h) - 1
+    h0m = cartan_matrix(minimal_cartan(n))
+
+    def f1_along(t):
+        g = expm(t * direction)
+        return potential(h, g @ h0m @ g.conj().T).real
+
+    t_hi, t_lo = 0.1, 0.0
+    while f1_along(t_hi) > c and t_hi < 25.0:
+        t_lo, t_hi = t_hi, 2.0 * t_hi
+    if f1_along(t_hi) > c:
+        raise SamplingError("level not reached along the given direction")
+    for _ in range(100):
+        t = 0.5 * (t_lo + t_hi)
+        f = f1_along(t)
+        if abs(f - c) < 1e-11:
+            break
+        if f > c:
+            t_lo = t
+        else:
+            t_hi = t
+    g = expm(t * direction)
+    return retract(g @ h0m @ g.conj().T)

@@ -10,7 +10,6 @@ from orbitflow.cycles import (
     grad_height,
     ham_height,
     vanishing_sphere,
-    vanishing_sphere_point,
 )
 from orbitflow.errors import LevelRangeError
 from orbitflow.liecore import (
@@ -29,7 +28,7 @@ from orbitflow.orbit import critical_points, membership_residual, potential
 from orbitflow.util import random_compact, random_traceless, realify, subspace_intersection_real
 from orbitflow.verification import random_orbit_point, random_tangent
 
-from helpers import identity_weyl
+from helpers import identity_weyl, vanishing_sphere_point
 
 
 class TestVw:
@@ -232,6 +231,33 @@ class TestVanishingSphere:
             vanishing_sphere(h0, 9.0, 4, rng)   # above the top value 8
         with pytest.raises(LevelRangeError):
             vanishing_sphere(h0, -8.5, 4, rng)  # below the next value -8
+
+    def test_maximum_away_from_the_flag_maximum_raises(self):
+        # h = (-1, 0, 1) peaks at [e_3]: 9 lies below that maximum, not [e_1]
+        rng = np.random.default_rng(10)
+        with pytest.raises(LevelRangeError, match=r"\[e_3\]"):
+            vanishing_sphere(np.array([-1.0, 0.0, 1.0]), 9.0, 4, rng)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_raises(self, count):
+        with pytest.raises(ValueError, match="count"):
+            vanishing_sphere(minimal_cartan(1), 7.5, count, np.random.default_rng(10))
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_landings_at_both_ends_of_the_attracting_range(self, n):
+        # 1e-9 of the range above the second critical value the level
+        # nearly touches the next critical points; 1e-10 below the top it
+        # is a tiny sphere about [e_1]
+        from orbitflow.liecore import default_cartan
+
+        h = default_cartan(n)
+        second, top = sorted(potential(h, p).real for p in critical_points(n))[-2:]
+        for c in (second + 1e-9 * (top - second), top - 1e-10):
+            sph = vanishing_sphere(h, c, 12, np.random.default_rng(n))
+            assert len(sph) == 12
+            for pt in sph:
+                assert np.array_equal(pt.x, pt.x.conj().T)
+                assert abs(potential(h, pt).real - c) <= 1e-10
 
     def test_dimension_count_formula(self):
         # sphere dim = dim flag - 1 = 2n - 1, half the regular fibre dimension

@@ -290,6 +290,16 @@ class TestSerialization:
         with pytest.raises(ShapeError, match="twist m has shape \\(2,\\), expected \\(3,\\)"):
             OrbitPoint.from_json(obj, [1.0, -1.0])
 
+    @pytest.mark.parametrize("bad", [0.5, math.nan])
+    def test_from_json_rejects_a_twist_entry_that_is_not_plus_or_minus_one(self, bad):
+        # a 0.5 entry would reload a point off the recorded f1, a NaN entry a
+        # NaN point; a twist is the diagonal of an involution
+        obj = critical_points(2)[0].to_json()
+        del obj["normal"]
+        with pytest.raises(ShapeError, match="twist"):
+            OrbitPoint.from_json(obj, [1.0, bad, -1.0])
+        assert OrbitPoint.from_json(obj, [1.0, -1.0, -1.0]).transversality == 1.0
+
     def test_from_json_rejects_a_line_incident_to_its_twisted_normal(self):
         # |u_1| = |u_2|, so (m u)^H u = 0 for m = (1, -1) but not for m = 1
         s = math.sqrt(0.5)

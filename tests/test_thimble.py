@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from orbitflow import thimble
-from orbitflow.cycles import vanishing_sphere_point
 from orbitflow.errors import (
     DensityWarning,
     GraphIntegrityError,
@@ -43,6 +42,8 @@ from orbitflow.thimble import (
 )
 from orbitflow.util import random_unit_vector, gram_schmidt_real
 from orbitflow.verification import random_orbit_point, random_tangent
+
+from helpers import vanishing_sphere_point
 
 
 def _graph_seed_stack(n, directions=8):
@@ -434,6 +435,20 @@ class TestTraceThimble:
             assert s.arc == 0.0
             assert s.seed_index == s.flow_index // radii
             assert (s.f1 - c_level) * (f1c - c_level) > 0
+
+    @pytest.mark.parametrize("j, sign", [(1, "-"), (2, "+")])
+    def test_landed_samples_come_last_in_flow_order_on_the_level(self, j, sign):
+        h = default_cartan(2)
+        directions, radii = 5, 3
+        samples = trace_thimble(j, sign, h, c_offset=0.5, directions=directions, radii=radii,
+                                rng=np.random.default_rng(12))
+        landed = samples[-directions * radii:]
+        f1c = potential(h, critical_points(2)[j - 1]).real
+        c_level = f1c - 0.5 if sign == "-" else f1c + 0.5
+        assert landed.flow_index.tolist() == list(range(directions * radii))
+        assert (landed.seed_index == landed.flow_index // radii).all()
+        assert (landed.arc > 0.0).all()
+        assert np.abs(landed.f1 - c_level).max() <= 1e-12
 
     def test_lagrangian_of_traced_thimble(self):
         h = default_cartan(2)
