@@ -106,5 +106,5 @@ def vanishing_sphere(h, c, count, rng):
     second, top = np.sort(values)[-2:]
     if not second < c < top:
         raise LevelRangeError(f"level {c} outside the attracting range ({second}, {top})")
-    landed = trace_thimble(1, "-", h, c_offset=top - c, directions=count, radii=1, rng=rng)[-count:]
+    landed = trace_thimble(1, "-", h, top - c, count, radii=1, rng=rng, record_sep=np.inf)[-count:]
     return [OrbitPoint(x=x, line=u, normal=u) for u, x in zip(landed.line, landed.x)]

@@ -5,18 +5,19 @@ Z is minus the gradient of the real height h_H(x) = Re<H, x> (that is,
 m_x(u, v) = b_tau(ad(x)^-1 u, ad(x)^-1 v), where ad(x)^-1 is the
 minimum-norm inverse, in closed form in the pair coordinates
 ``orbit.pair_of(x)`` of an OrbitPoint or of stacked matrices.
-``advance``, the one stepper of the package, takes a classical RK4 step of
-a field on stacked chart pairs (u, v), such as ``orbit.lax_velocity`` for Z,
-or on the log-moduli phi of graph lines (``thimble.gradient_field``).
 ``integrate`` flows a whole stack of pairs along Z and records it as arrays
-(``Trajectory``): a single point is a batch of one.
+(``Trajectory``): a single point is a batch of one.  Z is tangent to the
+graph of every +/-1 diagonal m, where a row steps the log-moduli of its line
+(``thimble.z_rate``); other rows step by ``orbit.lax_velocity``.  At [e_j],
+V- of dZ spans the graph of m_j^+ and V+ that of m_j^-.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import NotCriticalError, StepSizeError, TangencyError
+from .errors import NotCriticalError, TangencyError
 from .liecore import (
     RootSystemAn,
     b_norm,
@@ -27,7 +28,8 @@ from .liecore import (
     root_eval,
     tau,
 )
-from .orbit import (DRIFT_LIMIT, OrbitPoint, chart, displace, invert_pair, lax_velocity,
+from . import thimble
+from .orbit import (OrbitPoint, advance, assemble, chart, invert_pair, lax_velocity,
                     membership_residual, pair_of, potential)
 
 TANGENCY_TOL = 1e-8
@@ -46,26 +48,6 @@ def z_field(x, h):
     tx = -np.swapaxes(xm, -1, -2).conj()
     inner = tx * h - h[:, None] * tx
     return xm @ inner - inner @ xm
-
-
-def advance(state, rhs, dt):
-    """One RK4 step of the field ``rhs`` from a stack of complex pairs (u, v),
-    shape (batch, 2, d), checked by ``orbit.displace``, or of real log-moduli
-    phi (batch, d), refused when it moves some phi_i by more than DRIFT_LIMIT
-    or by a non-finite amount; StepSizeError names the row.  ``dt`` broadcasts."""
-    k1 = rhs(state)
-    k2 = rhs(state + 0.5 * dt * k1)
-    k3 = rhs(state + 0.5 * dt * k2)
-    k4 = rhs(state + dt * k3)
-    move = (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    if np.iscomplexobj(state):
-        return displace(state, move)
-    size = np.abs(move).max(axis=-1)
-    bad = np.flatnonzero(~(size <= DRIFT_LIMIT))
-    if bad.size:
-        raise StepSizeError(f"step moved a log-modulus by {size[bad[0]]:.3e} (batch index "
-                            f"{bad[0]}); reduce the integration step")
-    return state + move
 
 
 def ad_inverse(pt, v, tangency_tol=TANGENCY_TOL):
@@ -164,46 +146,51 @@ def default_step(n, h):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A flow of a stack of B pairs over T steps of the whole stack: ``times``
-    (T,) and, per step and row, the unit ``lines`` (T, B, d), chart
-    ``points`` (T, B, d, d), f_H ``potentials`` and |Z| ``z_norms`` (T, B),
-    NaN where no row could freeze (conv_tol <= 0).  A row frozen at
-    convergence repeats its last entry.  ``steps`` (B,) counts the steps of
-    each row, and ``limit_index`` (B,) is the 1-based slot j = argmax |u| of
-    the critical point [e_j] a converged row reached, or 0."""
+    """A flow of B pairs over T steps: ``times`` (T,), per step and row the unit
+    ``lines`` and ``normals`` (T, B, d) and |Z| ``z_norms`` (T, B), NaN where no
+    row could freeze (conv_tol <= 0), and, assembled on first use, the chart
+    ``points`` (T, B, d, d) and f_H ``potentials`` (T, B).  A frozen row repeats
+    its last entry.  ``steps`` (B,) counts the steps of each row, and
+    ``limit_index`` (B,) is the slot j = argmax |u| of the [e_j] a converged row
+    reached, or 0."""
 
     times: np.ndarray
     lines: np.ndarray
-    points: np.ndarray
-    potentials: np.ndarray
+    normals: np.ndarray
     z_norms: np.ndarray
     steps: np.ndarray
     limit_index: np.ndarray
+    h: np.ndarray
+
+    @cached_property
+    def points(self):
+        return assemble(self.lines, self.normals)
+
+    @cached_property
+    def potentials(self):
+        return potential(self.h, self.points)
 
 
 def integrate(pairs, h, direction="forward", step=None, max_steps=10000, conv_tol=CONV_TOL):
-    """Flow a stack of pairs (u, v), shape (batch, 2, d), along +/-Z with
-    ``advance`` and ``orbit.lax_velocity``.  A row freezes once its |Z|
+    """Flow a stack of pairs (u, v), shape (batch, 2, d), along +/-Z by
+    ``advance``: a row (u0, e^{i theta} m u0), m = +/-1 (m = 1: Hermitian),
+    steps the log-moduli of u0 e^phi (``thimble.z_rate``) on its graph and
+    other rows step by ``orbit.lax_velocity``.  A row freezes once its |Z|
     drops below conv_tol; the flow stops when every row has, or after
-    max_steps.  Hermitian data stays Hermitian under the exact flow but its
-    transverse roundoff grows along saddle passages, so a row whose chart
-    point is Hermitian steps as the graph flow of m = 1, with v = u.  Every
-    kernel reduces row by row, so a row flows bit for bit as it does alone.
-    """
+    max_steps.  Every kernel reduces row by row, so a row flows bit for bit
+    as it does alone."""
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
     sign = 1.0 if direction == "forward" else -1.0
     pairs = np.array(pairs, dtype=complex)
     dt = step if step is not None else default_step(pairs.shape[-1] - 1, h)
-    x = chart(pairs)[2]
-    herm = (np.linalg.norm(x - np.swapaxes(x, -1, -2).conj(), axis=(-2, -1))
-            < 1e-12 * np.linalg.norm(x, axis=(-2, -1)))
-    pairs[herm, 1] = pairs[herm, 0]
-
-    def rhs(p):
-        vel = sign * lax_velocity(p, h)
-        vel[on_locus, 1] = vel[on_locus, 0]
-        return vel
+    # v u_k = v_k m u within 1e-12 at the largest |u_k| finds m, up to sign
+    u0, k = pairs[:, 0].copy(), np.argmax(np.abs(pairs[:, 0]), axis=-1)[:, None]
+    a, b = pairs[:, 1] * np.take_along_axis(u0, k, -1), np.take_along_axis(pairs[:, 1], k, -1) * u0
+    m = np.where((b.conj() * a).real < 0, -1.0, 1.0)
+    on_graph = np.linalg.norm(a - m * b, axis=-1) <= 1e-12 * np.linalg.norm(a, axis=-1)
+    pairs[on_graph, 1] = m[on_graph] * u0[on_graph]  # every recorded normal is m u
+    phi = np.zeros(m.shape)
 
     record = [pairs.copy()]
     zn, z_norms = np.full(len(pairs), np.nan), []  # |Z| only of rows that can still freeze
@@ -219,15 +206,19 @@ def integrate(pairs, h, direction="forward", step=None, max_steps=10000, conv_to
         z_norms.append(zn.copy())
         if not active.any() or len(record) > max_steps:
             break
-        rows = np.flatnonzero(active)
-        on_locus = herm[rows]  # the Hermitian rows among those rhs steps
-        pairs[rows] = advance(pairs[rows], rhs, dt)
-        steps[rows] += 1
+        free, graph = np.flatnonzero(active & ~on_graph), np.flatnonzero(active & on_graph)
+        if free.size:
+            pairs[free] = advance(pairs[free], lambda p: sign * lax_velocity(p, h), dt)
+        phi[graph] = advance(phi[graph], thimble.z_rate(h, m[graph], sign, np.abs(u0[graph])), dt)
+        line = thimble.graph_lines(u0[graph], phi[graph])
+        pairs[graph] = np.stack([line, m[graph] * line], axis=1)
+        steps[active] += 1
         record.append(pairs.copy())
-    lines, _, points = chart(np.array(record))
+    record = np.array(record)
+    unit = record / np.linalg.norm(record, axis=-1, keepdims=True)
     times = np.cumsum([0.0] + [dt] * (len(record) - 1))  # t += dt, step by step
-    limit = np.where(zn < conv_tol, np.argmax(np.abs(lines[-1]), axis=-1) + 1, 0)
-    return Trajectory(times, lines, points, potential(h, points), np.array(z_norms), steps, limit)
+    limit = np.where(zn < conv_tol, np.argmax(np.abs(unit[-1, :, 0]), axis=-1) + 1, 0)
+    return Trajectory(times, unit[..., 0, :], unit[..., 1, :], np.array(z_norms), steps, limit, h)
 
 
 def trajectory_csv(traj):

@@ -73,30 +73,29 @@ def identity_graph(n):
     return GraphSpec(np.ones(n + 1, dtype=complex), name="id")
 
 
-def m_j_pm(n, j, sign):
-    """Torus involution m_j^+/- attached to the critical point [e_j].
-
-    Entries are +1 before slot j, -1 after it, the slot itself carries the
-    superscript sign, and a global prefactor -(+/-)(-1)^j fixes det = 1.
-    An odd number of diagonal entries (even n) makes the determinant of
-    every m_j^+/- equal to one; at odd n only the sign patterns with an
-    even count of -1 entries admit a det-1 representative, which leaves
-    m_1^- and m_{n+1}^+ (both scalar), so other combinations are rejected.
-    """
+def sign_pattern(n, j, sign):
+    """Real diagonal of m_j^+/-: +1 before slot j, -1 after it, the slot
+    itself carrying the sign, times -(+/-)(-1)^j.  Its graph is that of -m."""
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     d = n + 1
     if not 1 <= j <= d:
         raise ValueError(f"j must be in 1..{d}")
+    diag = np.where(np.arange(1, d + 1) < j, 1.0, -1.0)
+    diag[j - 1] = 1.0 if sign == "+" else -1.0
+    return (-1.0 if sign == "+" else 1.0) * (-1.0) ** j * diag
+
+
+def m_j_pm(n, j, sign):
+    """Torus involution m_j^+/- at [e_j], of diagonal ``sign_pattern``; a
+    (j, sign) outside ``twists(n)`` (odd n) raises ParityError."""
+    diag = sign_pattern(n, j, sign)
     if (j, sign) not in twists(n):
         raise ParityError(
             f"m_{j}^{sign} has determinant -1 at odd rank n={n}; only m_1^- and "
-            f"m_{d}^+ exist in the unit-determinant torus"
+            f"m_{n + 1}^+ exist in the unit-determinant torus"
         )
-    diag = np.where(np.arange(1, d + 1) < j, 1.0, -1.0)
-    diag[j - 1] = 1.0 if sign == "+" else -1.0
-    pref = (-1.0 if sign == "+" else 1.0) * (-1.0) ** j
-    return GraphSpec(pref * diag.astype(complex), name=f"m{j}{sign}")
+    return GraphSpec(diag.astype(complex), name=f"m{j}{sign}")
 
 
 def twists(n):
@@ -138,8 +137,8 @@ def untwist(pt, g):
     return pair_point(pt.line, np.conj(g.m_diag) * pt.normal)
 
 
-def graph_tangent_frame(pt, g):
-    """b_tau-orthonormal real frame of the tangent space of the graph at pt.
+def graph_tangent_frame(pt, m):
+    """b_tau-orthonormal real frame at pt of the graph of the diagonal m.
 
     The graph of any unit-modulus twist m is the image of u -> assemble(u, m u),
     so its tangent space is spanned by the chart derivative along c_k and
@@ -149,7 +148,7 @@ def graph_tangent_frame(pt, g):
     u = pt.line
     c = complement(u).T
     deltas = np.stack([c, 1j * c], axis=1).reshape(-1, len(u))
-    mats = pair_tangent(u, g.m_diag * u, deltas, g.m_diag * deltas)
+    mats = pair_tangent(u, m * u, deltas, m * deltas)
     frame = gram_schmidt_real(mats, b_tau)
     if len(frame) != 2 * pt.n:
         raise GraphIntegrityError(

@@ -20,12 +20,12 @@ input, extended precision included:
   im ad(x) = {u b^H : b ⊥ u} + {c v^H : c ⊥ v}.
 
 Everything else here is a view over these six; ``tangent_project`` and
-``potential`` take an OrbitPoint or a stack of matrices.  Flows step
-stacks of pairs, shape (batch, 2, d), by pair velocities such as
-``lax_velocity``, checked by ``displace``; the thimble flows of
-``thimble.gradient_field`` move only the moduli of a graph line.  Only the
-snaps (``retract``, ``split_eigen``) assemble a split and measure how far
-that moves x.
+``potential`` take an OrbitPoint or a stack of matrices.  ``advance``, the
+one stepper and its guard, moves stacks of pairs (batch, 2, d) by velocities
+such as ``lax_velocity``, or the log-moduli of graph lines
+(``thimble.z_rate``, ``thimble.gradient_field``).  Only the snaps
+(``retract``, ``split_eigen``) assemble a split and measure how far that
+moves x.
 """
 
 from dataclasses import dataclass
@@ -193,19 +193,29 @@ def lax_velocity(pairs, h):
     return coef[..., None] * pairs[..., ::-1, :] * weights
 
 
-def displace(pairs, move):
-    """``pairs + move``; raises StepSizeError naming a batch index when the
-    move of u or v, orthogonal to itself, exceeds DRIFT_LIMIT times its
-    length, or when the result is not finite or has v^H u = 0."""
-    norm2 = _vdot(pairs, pairs).real
-    across = _vdot(move, move).real - np.abs(_vdot(pairs, move)) ** 2 / norm2
-    rel = np.sqrt(np.maximum(across, 0.0) / norm2).max(axis=-1)
-    out = pairs + move
-    s = _vdot(out[..., 1, :], out[..., 0, :])
-    bad = np.flatnonzero(~(rel <= DRIFT_LIMIT) | ~np.isfinite(s) | (s == 0))
+def advance(state, rhs, dt):
+    """One RK4 step of ``rhs`` from complex pairs (u, v) (batch, 2, d) or real
+    log-moduli phi (batch, d), ``dt`` broadcasting.  StepSizeError names the first
+    row whose u or v moves across itself by more than DRIFT_LIMIT of its length
+    (size inf where v^H u turns 0 or not finite), or whose phi_i moves by more."""
+    k1 = rhs(state)
+    k2 = rhs(state + 0.5 * dt * k1)
+    k3 = rhs(state + 0.5 * dt * k2)
+    k4 = rhs(state + dt * k3)
+    move = (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    out = state + move
+    if np.iscomplexobj(state):
+        norm2 = _vdot(state, state).real
+        across = _vdot(move, move).real - np.abs(_vdot(state, move)) ** 2 / norm2
+        s = _vdot(out[..., 1, :], out[..., 0, :])
+        rel = np.sqrt(np.maximum(across, 0.0) / norm2).max(axis=-1)
+        size = np.where(np.isfinite(s) & (s != 0), rel, np.inf)
+    else:
+        size = np.abs(move).max(axis=-1)
+    bad = np.flatnonzero(~(size <= DRIFT_LIMIT))
     if bad.size:
-        raise StepSizeError(f"step moved a pair by {rel[bad[0]]:.3e} of its length to v^H u = "
-                            f"{s[bad[0]]:.3e} (batch index {bad[0]}); reduce the integration step")
+        raise StepSizeError(f"step of size {size[bad[0]]:.3e} exceeds {DRIFT_LIMIT} (batch index "
+                            f"{bad[0]}); reduce the integration step")
     return out
 
 

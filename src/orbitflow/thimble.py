@@ -12,10 +12,11 @@ So flows step the real log-moduli phi, and the seeds (``seed_lines``), the
 rate (``gradient_field``), the height (``line_height``) and the chart gap
 (``pair_gap``) are closed forms in the lines (``graph_lines``), one stack
 of which may mix twists.  ``flow_to_level`` steps them with
-``flow.advance`` and one ``cross_level`` lands them; matrices appear once,
+``orbit.advance`` and one ``cross_level`` lands them; matrices appear once,
 in the ``chart`` of the recorded lines.  A trace is one record array, and
 ``thimble_json`` writes each sample as its unit line, with the twist m once
-per file.  The split F1 = G1 - i G2 uses ``graphs.graph_tangent_frame``.
+per file.  The split F1 = G1 - i G2 uses ``graphs.graph_tangent_frame``;
+Z is tangent to the graphs too (``z_rate``, stepped by ``flow.integrate``).
 """
 
 import json
@@ -30,9 +31,8 @@ from .errors import (
     MembershipError,
     NearCriticalError,
 )
-from .flow import advance
 from .liecore import b_norm, b_tau, cartan_matrix, root_eval
-from .orbit import chart, complement, points_json, potential, tangent_project
+from .orbit import advance, chart, complement, points_json, potential, tangent_project
 from .graphs import graph_membership, graph_tangent_frame, m_j_pm
 from .util import realify
 
@@ -68,7 +68,7 @@ def fg_decomposition_check(pt, g, h, membership_tol=1e-6):
     if res > membership_tol:
         raise MembershipError(f"graph membership residual {res:.3e} exceeds tolerance")
     f1, f2 = kaehler_gradients(pt, h)
-    frame = graph_tangent_frame(pt, g)
+    frame = graph_tangent_frame(pt, g.m_diag)
     g1 = sum(b_tau(f1, e) * e for e in frame)
     g2 = sum(b_tau(f2, e) * e for e in frame)
     nf1 = b_norm(f1)
@@ -180,6 +180,21 @@ def gradient_field(h, m, orient, r0):
     return rate
 
 
+def z_rate(h, m, orient, r0):
+    """orient * Z on the graphs of involutions m = +/-1 as the rate of phi, as
+    ``gradient_field``: at (u, m u) the Lax form of Z moves u by c u and m u
+    by m c u, c = (d / sigma) (rho - h) m, so Z is tangent to the graph."""
+    h = np.asarray(h, dtype=float)
+    weights = _weights(h, m)
+
+    def rate(phi):
+        r = graph_lines(r0, phi)
+        norm, mw, hw, _ = _line_sums(weights, r * r)
+        return orient * (len(h) * norm / mw) * (hw / norm - h) * m
+
+    return rate
+
+
 def cross_level(r0, base, h, m, c, orient):
     """Land the log-moduli ``base`` of lines u0 e^phi, |u0| = r0, on the level
     f1 = c along orient * grad f1, each row on the graph of its row of m.
@@ -275,14 +290,13 @@ def default_thimble_step(h, j):
     return 0.1 / _unit_rate(h, j)
 
 
-def seed_lines(j, g, coeffs, radii):
-    """Lines u, shape (batch, d), of the graph pairs (u, m u) of seeds at
-    [e_j], one per row of coeffs and radius r, rows outer: u = e_j +
+def seed_lines(j, d, coeffs, radii):
+    """Lines u (batch, d) of seeds (u, m u) at [e_j] on the graph of any
+    diagonal m, per row of coeffs and radius r, rows outer: u = e_j +
     r / (2 d^{3/2}) sum_k coeffs_k delta_k, normalized, with delta_k
-    interleaving (c_k, i c_k) over the columns c_k of ``complement(e_j)``.  As ``pair_tangent(e_j, m e_j, delta, m delta)``
-    has b_tau length 2 d^{3/2} |delta|, r is the b_tau length of the seed's
-    graph tangent vector when coeffs is a unit vector."""
-    d = g.dim
+    interleaving (c_k, i c_k) over the columns c_k of ``complement(e_j)``.  As
+    ``pair_tangent(e_j, m e_j, delta, m delta)`` has b_tau length 2 d^{3/2}
+    |delta|, r is the b_tau length of the seed's tangent vector for unit coeffs."""
     e = np.eye(d, dtype=complex)[j - 1]
     c = complement(e).T
     deltas = np.stack([c, 1j * c], axis=1).reshape(-1, d)
@@ -342,7 +356,7 @@ def trace_thimble(
     dirs = rng.standard_normal((directions, 2 * n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     r_top = min(0.5, np.sqrt(1.8 * c_offset / _unit_rate(h, j)))
-    seeds = seed_lines(j, g, dirs, np.geomspace(min(1e-4, r_top / 10.0), r_top, radii))
+    seeds = seed_lines(j, n + 1, dirs, np.geomspace(min(1e-4, r_top / 10.0), r_top, radii))
     if step is None:
         step = default_thimble_step(h, j)
 

@@ -1,8 +1,8 @@
 """Invariant suites behind the ``verify`` command.
 
 Each suite mirrors the invariants of one module; a check records its name,
-measured value, tolerance, pass status and a short provenance label
-("plumbing" for artifact-internal machinery).  All randomness flows from
+measured value, tolerance, pass status and a short reference, the
+statement the value measures.  All randomness flows from
 the single seed in the run configuration and suites execute in a fixed
 order, so reports are byte-reproducible.
 """
@@ -29,6 +29,7 @@ from .liecore import (
     weyl_group,
 )
 from .util import (
+    orthonormal_rows,
     random_compact,
     random_traceless,
     random_unit_vector,
@@ -277,30 +278,28 @@ def double_bracket_solution(lines, h, times):
 
 
 def stable_unstable_measure(cfg, rng, seeds=200, eps=1e-4):
-    """Two-sided basin test at every singularity.
-
-    Seeds inside the stable space flow back to the singularity (measured as
-    the closest approach, limited by the quadratic offset of the seeds from
-    the stable manifold); seeds inside the unstable space must separate
-    monotonically over ten steps.  Each stack of seeds is one ``integrate``
-    run, so the seeds on the Hermitian locus (every V- seed at [e_{n+1}] and
-    every V+ seed at [e_1]) step on it like every Hermitian flow, and the
-    others step as free pairs in the Lax form of Z.
-    """
+    """Two-sided basin test at every singularity [e_j] on the graphs of m_j^+
+    and m_j^-, whose tangent spaces V- and V+ of dZ span (worst 1 - cos of a
+    principal angle).  Seeds at b_tau radius eps (``seed_lines``) step on
+    their graph, one ``integrate`` run per side: V- seeds flow back (closest
+    approach, limited by the steps), V+ seeds separate monotonically."""
     n, h = cfg.n, cfg.h
     dt = 30.0 * flow.default_step(n, h)
     worst = 0.0
-    for pt in orbit.critical_points(n):
+    for j, pt in enumerate(orbit.critical_points(n), start=1):
         spec = flow.linearize(pt, h)
-        for side, basis, steps in (("minus", spec.v_minus(), 120), ("plus", spec.v_plus(), 10)):
+        for basis, sign, steps in ((spec.v_minus(), "+", 120), (spec.v_plus(), "-", 10)):
+            m = graphs.sign_pattern(n, j, sign)
+            frame = orthonormal_rows(realify(graphs.graph_tangent_frame(pt, m)))
+            cos = np.linalg.svd(orthonormal_rows(realify(basis)) @ frame.T, compute_uv=False)
+            worst = max(worst, 1.0 - cos.min())
             coeff = rng.standard_normal((seeds // 2, len(basis)))
             coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
-            starts = [orbit.retract(pt.x + eps * sum(c * b for c, b in zip(row, basis)))
-                      for row in coeff]
-            traj = flow.integrate(np.array([[p.line, p.normal] for p in starts]), h, step=dt,
+            lines = thimble.seed_lines(j, n + 1, coeff, [eps])
+            traj = flow.integrate(np.stack([lines, m * lines], axis=1), h, step=dt,
                                   max_steps=steps, conv_tol=0.0)
-            dist = np.linalg.norm(traj.points - pt.x, axis=(-2, -1))
-            if side == "minus":
+            dist = thimble.pair_gap(m, traj.lines, pt.line)
+            if sign == "+":
                 worst = max(worst, float(dist.min(axis=0).max()))
             elif not np.all(np.diff(dist, axis=0) > 0):
                 worst = max(worst, 1.0)
@@ -340,14 +339,14 @@ def flow_suite(cfg, rng):
 
     checks.append(_check("perturbations-respect-the-splitting",
                          stable_unstable_measure(cfg, rng), 1e-5,
-                         "stable seeds flow back, unstable seeds separate"))
+                         "V-/V+ span the graphs of m_j^+/m_j^-, whose seeds flow back/separate"))
 
     seeds = cycles.flag_sample(n, 4, 0.6, rng)
     traj = flow.integrate(np.array([[p.line, p.normal] for p in seeds]), h, max_steps=2500,
                           conv_tol=0.0)
     exact = double_bracket_solution(traj.lines[0], h, traj.times)
     checks.append(_check("flag-flow-matches-double-bracket-solution",
-                         float(np.linalg.norm(traj.points - exact, axis=(-2, -1)).max()), 1e-8,
+                         float(np.linalg.norm(traj.points - exact, axis=(-2, -1)).max()), 1e-10,
                          "the Hermitian flow is Brockett's exp(-d t H) u0 in closed form"))
     return checks
 
@@ -496,61 +495,41 @@ def _topology_proxy(samples):
     return 1.0 if ((up > 0) & (down > 0)).any() else 0.0
 
 
-def _restart_gap(samples, j, s, h, step):
-    """Restart a flow from a recorded mid state; boundary points must agree."""
-    line = samples[samples.flow_index == np.bincount(samples.flow_index).argmax()]
-    if len(line) < 3:
-        return 0.0
-    line = line[np.argsort(line.arc, kind="stable")]
-    mid, end = line[len(line) // 2], line[-1]
-    g = graphs.m_j_pm(len(h) - 1, j, s)
-    landed, _ = thimble.flow_to_level(mid.line[None], h, g, end.f1, step, 4000)
-    u = thimble.graph_lines(mid.line, landed)
-    return float(thimble.pair_gap(g.m_diag.real, u, end.line[None])[0])
-
-
 def thimble_suite(cfg, rng):
-    """Traces the thimble of every twist (j, sign), one by one; then seeds at
-    each [e_j] contract back to it, all twists as one stack in which each row
-    has its own m, orient and step and stops at its own 1e-9 gap."""
+    """Traces the thimble of every twist (j, sign), one by one.  The thimble of
+    m_j^+ (m_j^-) lies in the stable (unstable) manifold of Z at [e_j], so its
+    rows flow back there on their graph under +Z (-Z), one run per sign."""
     checks = []
     n, h = cfg.n, cfg.h
-    twists = graphs.twists(n)
-    worst_res = worst_f2 = worst_topo = worst_semi = 0.0
-    for j, s in twists:
-        step = thimble.default_thimble_step(h, j)
-        samples = thimble.trace_thimble(j, s, h, c_offset=0.4, directions=12,
-                                        radii=4, rng=rng, step=step)
+    worst_res = worst_f2 = worst_topo = 0.0
+    rows = {"+": [], "-": []}
+    directions, radii = 12, 4
+    for j, s in graphs.twists(n):
+        samples = thimble.trace_thimble(j, s, h, c_offset=0.4, directions=directions,
+                                        radii=radii, rng=rng)
         worst_res = max(worst_res, samples.graph_residual.max())
         worst_f2 = max(worst_f2, np.abs(samples.f2).max())
         worst_topo = max(worst_topo, _topology_proxy(samples))
-        worst_semi = max(worst_semi, _restart_gap(samples, j, s, h, step))
-
-    slots = np.array([j for j, _ in twists])
-    gs = [graphs.m_j_pm(n, j, s) for j, s in twists]
-    m = np.array([g.m_diag.real for g in gs])
-    r0 = np.abs(np.concatenate([thimble.seed_lines(j, g, np.eye(2 * n)[0], [1e-3])
-                                for j, g in zip(slots, gs)]))
-    phi = np.zeros(r0.shape)
-    orient = np.array([[1.0 if s == "-" else -1.0] for _, s in twists])
-    steps = np.array([[thimble.default_thimble_step(h, j)] for j in slots])
-    e_j = np.eye(n + 1)[slots - 1]
-    gaps = thimble.pair_gap(m, r0, e_j)
-    for _ in range(20000):
-        todo = np.flatnonzero(~(gaps < 1e-9))
-        if not todo.size:
-            break
-        rate = thimble.gradient_field(h, m[todo], orient[todo], r0[todo])
-        phi[todo] = flow.advance(phi[todo], rate, steps[todo])
-        gaps[todo] = thimble.pair_gap(m[todo], thimble.graph_lines(r0[todo], phi[todo]), e_j[todo])
-    checks.append(_check("thimble-containment-and-openness", max(worst_res, gaps.max()), 1e-6,
-                         "the traced ball stays in the graph and the flow contracts inside it"))
+        m = graphs.sign_pattern(n, j, s)
+        # a 1e-3 seed, then the landed end of each direction's largest radius
+        landed = samples.line[-directions * radii:][radii - 1::radii]
+        lines = np.concatenate([thimble.seed_lines(j, n + 1, np.eye(2 * n)[0], [1e-3]), landed])
+        rows[s] += [(j, k == 0, m, u) for k, u in enumerate(lines)]
+    seed_gap = landed_gap = 0.0
+    for s, direction in (("+", "forward"), ("-", "backward")):
+        slots, seed, m, lines = (np.array(a) for a in zip(*rows[s]))
+        traj = flow.integrate(np.stack([lines, m * lines], axis=1), h, direction,
+                              step=30.0 * flow.default_step(n, h), max_steps=4000)
+        gap = thimble.pair_gap(m, traj.lines[-1], np.eye(n + 1)[slots - 1])
+        seed_gap, landed_gap = max(seed_gap, gap[seed].max()), max(landed_gap, gap[~seed].max())
+    checks.append(_check("thimble-containment-and-openness", max(worst_res, seed_gap), 1e-6,
+                         "the traced ball stays in the graph and +/-Z contracts it to [e_j]"))
     checks.append(_check("imaginary-part-constant-on-thimble", worst_f2, 1e-8,
                          "the twisted graphs carry a real superpotential"))
     checks.append(_check("ball-topology-proxy", worst_topo, 0.0,
                          "distinct seeds give distinct samples with monotone height"))
-    checks.append(_check("flow-restart-consistency", worst_semi, 1e-6,
-                         "plumbing"))
+    checks.append(_check("thimble-flows-back-under-z", landed_gap, 1e-8,
+                         "landed samples return to [e_j] under +Z on m_j^+ and -Z on m_j^-"))
     return checks
 
 

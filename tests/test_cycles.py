@@ -194,6 +194,29 @@ class TestVanishingSphere:
             assert abs(potential(h0, pt).real - 7.5) < 1e-8
             assert abs(potential(h0, pt).imag) < 1e-12
 
+    @pytest.mark.parametrize("n, c", ((1, 7.5), (6, 98.0)))
+    def test_charts_only_the_seeds_and_the_landed_rows(self, n, c, monkeypatch):
+        # the same points, bit for bit, as the landed rows of a trace that
+        # records along its flows, from a trace of 2 count rows
+        from orbitflow import cycles, thimble
+
+        h, count = minimal_cartan(n), 12
+        top = potential(h, critical_points(n)[0]).real
+        want = thimble.trace_thimble(1, "-", h, c_offset=top - c, directions=count, radii=1,
+                                     rng=np.random.default_rng(3))
+        traces = []
+
+        def recording_trace(*args, **kwargs):
+            traces.append(thimble.trace_thimble(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(cycles, "trace_thimble", recording_trace)
+        got = vanishing_sphere(h, c, count, np.random.default_rng(3))
+        assert len(want) > 2 * count and len(traces[0]) == 2 * count
+        for pt, line, x in zip(got, want.line[-count:], want.x[-count:], strict=True):
+            assert np.array_equal(pt.line, line) and np.array_equal(pt.normal, line)
+            assert np.array_equal(pt.x, x)
+
     def test_opposite_directions_hit_same_level(self):
         rs = RootSystemAn(1)
         h0 = minimal_cartan(1)

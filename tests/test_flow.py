@@ -324,23 +324,37 @@ class TestIntegrate:
         exact = double_bracket_solution(traj.lines[0], h, traj.times)
         assert np.linalg.norm(traj.points - exact, axis=(-2, -1)).max() < 1e-8
 
-    def test_a_stack_flows_each_row_as_it_flows_alone(self):
-        # Hermitian flag rows, free rows on the stable manifold of [e_1] and a
-        # row at [e_2], which converges at once and stays frozen while the
-        # others flow and freeze one by one
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_a_stack_flows_each_row_as_it_flows_alone(self, n):
+        # Hermitian flag rows; two rows on the stable manifold of [e_1]; a row
+        # on the graph of the pattern of m_1^+, mixed-sign at n = 2 and of
+        # determinant -1 at n = 3, given with a phase on its normal; a free
+        # row 1e-8 off that graph, which the Lax form steps; and a row at
+        # [e_2], which converges at once and stays frozen while the others
+        # flow and freeze one by one
         from orbitflow.cycles import flag_sample
+        from orbitflow.graphs import sign_pattern
+        from orbitflow.orbit import pair_point, split
+        from orbitflow.thimble import seed_lines
 
-        n = 2
         h = default_cartan(n)
         crit = critical_points(n)
-        v_minus = linearize(crit[0], h).v_minus()
-        points = (flag_sample(n, 2, 0.9, np.random.default_rng(12))
-                  + [retract(crit[0].x + 1e-3 * v) for v in v_minus[:2]] + [crit[1]])
-        traj = integrate(stack(points), h, max_steps=4000, conv_tol=1e-4)
-        assert traj.limit_index.tolist() == [3, 3, 1, 1, 2]
+        rng = np.random.default_rng(12)
+        spec = linearize(crit[0], h)
+        v_minus, v_plus = spec.v_minus(), spec.v_plus()
+        m = sign_pattern(n, 1, "+")
+        assert (m < 0).any() and (m > 0).any() and np.prod(m) == (1.0 if n % 2 == 0 else -1.0)
+        u = seed_lines(1, n + 1, rng.standard_normal(2 * n), [0.3])[0]
+        free = retract(crit[0].x + 1e-3 * v_minus[0] + 1e-8 * v_plus[0])
+        points = (flag_sample(n, 2, 0.9, rng) + [retract(crit[0].x + 1e-3 * v) for v in v_minus[:2]]
+                  + [pair_point(u, np.exp(0.7j) * m * u), free, crit[1]])
+        graph_rows = {0: np.ones(n + 1), 1: np.ones(n + 1), 4: m}
+        dt = 3.0 * default_step(n, h)
+        traj = integrate(stack(points), h, step=dt, max_steps=4000, conv_tol=1e-4)
+        assert traj.limit_index.tolist() == [n + 1, n + 1, 1, 1, 1, 1, 2]
         assert traj.steps[-1] == 0 and traj.steps.max() == len(traj.times) - 1
         for k in range(len(points)):
-            alone = integrate(stack(points[k:k + 1]), h, max_steps=4000, conv_tol=1e-4)
+            alone = integrate(stack(points[k:k + 1]), h, step=dt, max_steps=4000, conv_tol=1e-4)
             steps = len(alone.times)
             assert traj.steps[k] == alone.steps[0] == steps - 1
             assert np.array_equal(traj.times[:steps], alone.times)
@@ -349,10 +363,22 @@ class TestIntegrate:
                 row, ref = getattr(traj, name)[:, k], getattr(alone, name)[:, 0]
                 assert np.array_equal(row[:steps], ref)
                 assert (row[steps:] == ref[-1]).all()
+        for k, mk in graph_rows.items():
+            # v = e^{i theta} m u: the unit normal is parallel to m u at every step
+            line, normal = split(traj.points[:, k])
+            mu = mk * line
+            assert np.abs(mu - normal * (normal.conj() * mu).sum(axis=-1)[:, None]).max() < 1e-12
+            # and the recorded normal is m u itself, from the first step on
+            assert np.array_equal(traj.normals[:, k], mk * traj.lines[:, k])
+        for k in (0, 1):
+            steps = traj.steps[k] + 1
+            exact = double_bracket_solution(traj.lines[0, k:k + 1], h, traj.times[:steps])[:, 0]
+            assert np.linalg.norm(traj.points[:steps, k] - exact, axis=(-2, -1)).max() <= 1e-12
 
     def test_z_is_computed_only_for_rows_that_can_freeze(self, monkeypatch):
         # conv_tol = 0 freezes no row, so no |Z| is computed (z_norms is NaN);
-        # otherwise a row frozen at [e_2] is not recomputed while a flag row flows
+        # otherwise a row frozen at [e_2] is not recomputed while a flag row
+        # (stepped on its graph) and a free row flow
         from orbitflow import flow
         from orbitflow.cycles import flag_sample
 
@@ -366,12 +392,13 @@ class TestIntegrate:
         monkeypatch.setattr(flow, "z_field", counting_z_field)
         n = 2
         h = default_cartan(n)
-        points = flag_sample(n, 1, 0.9, np.random.default_rng(12)) + [critical_points(n)[1]]
+        rng = np.random.default_rng(12)
+        points = flag_sample(n, 1, 0.9, rng) + [critical_points(n)[1], random_orbit_point(rng, n)]
         traj = integrate(stack(points), h, max_steps=50, conv_tol=0.0)
         assert rows == [] and np.isnan(traj.z_norms).all()
         traj = integrate(stack(points), h, max_steps=50, conv_tol=1e-4)
-        assert traj.steps.tolist() == [50, 0]
-        assert rows == [2] + [1] * 50
+        assert traj.steps.tolist() == [50, 0, 50]
+        assert rows == [3] + [2] * 50
         assert (traj.z_norms[:, 1] == traj.z_norms[0, 1]).all()
 
     def test_height_monotone_and_residual_bounded(self):
@@ -406,7 +433,7 @@ class TestIntegrate:
         g = m_j_pm(n, 1, "+")
         m = g.m_diag.real
         crit = critical_points(n)[0]
-        line = retract(crit.x + 0.5 * graph_tangent_frame(crit, g)[0]).line
+        line = retract(crit.x + 0.5 * graph_tangent_frame(crit, g.m_diag)[0]).line
         flag = flag_sample(n, 1, 0.9, np.random.default_rng(3))[0].line
 
         def hermitian(pairs):

@@ -53,7 +53,7 @@ def _graph_seed_stack(n, directions=8):
     h = default_cartan(n)
     g = m_j_pm(n, 1, "-")
     xc = critical_points(n)[0]
-    frame = np.array(graph_tangent_frame(xc, g))
+    frame = np.array(graph_tangent_frame(xc, g.m_diag))
     coeffs = np.random.default_rng(n).standard_normal((directions, len(frame)))
     lines = np.array([retract(xc.x + r * np.tensordot(c / np.linalg.norm(c), frame, axes=1)).line
                       for c in coeffs for r in np.geomspace(1e-4, 0.05, 6)])
@@ -144,7 +144,7 @@ class TestFGDecomposition:
         rng = np.random.default_rng(12)
         g = m_j_pm(1, 1, "-")
         pt = _graph_sample(rng, g, 1)
-        frame = graph_tangent_frame(pt, g)
+        frame = graph_tangent_frame(pt, g.m_diag)
         assert len(frame) == 2
         assert abs(omega(frame[0], frame[1])) < 1e-10
 
@@ -172,7 +172,7 @@ class TestFGDecomposition:
         worst_res, worst_om = 0.0, 0.0
         for _ in range(10):
             pt = _graph_sample(rng, g, 2)
-            frame = graph_tangent_frame(pt, g)
+            frame = graph_tangent_frame(pt, g.m_diag)
             defect = max(abs(omega(a, b)) for a in frame for b in frame)
             rep = fg_decomposition_check(pt, g, h)
             worst_res = max(worst_res, rep.residual)
@@ -218,7 +218,7 @@ class TestGraphClosedForms:
 
     def test_flow_to_level_rejects_a_non_involution(self):
         g = GraphSpec(np.array([1j, -1j, 1.0]), name="quarter-turn")
-        lines = thimble.seed_lines(1, g, np.eye(4)[0], [1e-2])
+        lines = thimble.seed_lines(1, g.dim, np.eye(4)[0], [1e-2])
         with pytest.raises(ValueError, match="twist quarter-turn is not an involution"):
             flow_to_level(lines, default_cartan(2), g, 17.5, 0.01, 10)
 
@@ -228,7 +228,7 @@ class TestGraphClosedForms:
         n = 4
         h = default_cartan(n)
         gs = [m_j_pm(n, j, s) for j, s in twists(n)]
-        r0 = np.abs(np.concatenate([thimble.seed_lines(j, g, np.eye(2 * n)[0], [0.2])
+        r0 = np.abs(np.concatenate([thimble.seed_lines(j, g.dim, np.eye(2 * n)[0], [0.2])
                                     for (j, _), g in zip(twists(n), gs)]))
         phi = np.random.default_rng(30).uniform(-0.5, 0.5, r0.shape)
         m = np.array([g.m_diag.real for g in gs])
@@ -265,6 +265,31 @@ class TestGraphClosedForms:
                 want = gradient_field(h, m, 1.0, ext)(np.zeros(u.shape, np.longdouble)) * ext
                 err = np.sqrt(((got - want) ** 2).sum(1) / (want ** 2).sum(1))
                 assert float(err.max()) < 1e-9
+
+    @pytest.mark.parametrize("n, j, sign", ((2, 1, "+"), (6, 3, "+"), (6, 4, "-"), (3, 1, "+")))
+    def test_z_rate_moves_graph_pairs_as_z(self, n, j, sign):
+        # off the Hermitian locus: mixed-sign patterns at n = 2 and 6 and a
+        # determinant -1 pattern at n = 3.  The move (c u, m c u) of a pair
+        # (u, e^{i theta} m u), with c = z_rate, is Z in the chart, as is the
+        # move of the pair by the Lax form of Z
+        from orbitflow.flow import z_field
+        from orbitflow.graphs import sign_pattern
+        from orbitflow.orbit import lax_velocity, pair_tangent
+
+        h = default_cartan(n)
+        m = sign_pattern(n, j, sign)
+        assert (m > 0).any() and (m < 0).any() and np.prod(m) == (-1.0 if n == 3 else 1.0)
+        rng = np.random.default_rng(34 + n)
+        u = rng.standard_normal((16, n + 1)) + 1j * rng.standard_normal((16, n + 1))
+        v = np.exp(1j * rng.uniform(0, 2 * np.pi, (16, 1))) * m * u
+        z = z_field(assemble(u, v), h)
+        lax = lax_velocity(np.stack([u, v], axis=1), h)
+        for orient in (1.0, -1.0):
+            c = thimble.z_rate(h, np.tile(m, (16, 1)), orient, np.abs(u))(np.zeros(u.shape))
+            for du, dv in ((c * u, c * v), (orient * lax[:, 0], orient * lax[:, 1])):
+                move = pair_tangent(u, v, du, dv)
+                err = [b_norm(a - orient * b) / b_norm(b) for a, b in zip(move, z)]
+                assert max(err) < 1e-12
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_line_height_is_the_potential(self, n):
@@ -391,10 +416,10 @@ class TestTraceThimble:
         for j, s in twists(n):
             g = m_j_pm(n, j, s)
             xc = critical_points(n)[j - 1]
-            frame = np.array(graph_tangent_frame(xc, g))
+            frame = np.array(graph_tangent_frame(xc, g.m_diag))
             coeffs = rng.standard_normal((3, 2 * n))
             coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
-            lines = thimble.seed_lines(j, g, coeffs, radii)
+            lines = thimble.seed_lines(j, g.dim, coeffs, radii)
             want = [retract(xc.x + r * np.tensordot(c, frame, axes=1)).line
                     for c in coeffs for r in radii]
             assert lines.shape == (len(want), n + 1)
@@ -472,7 +497,7 @@ class TestTraceThimble:
         g = m_j_pm(n, 1, "-")
         xc = critical_points(n)[0]
         c_level = 8.0 - 0.5
-        frame = graph_tangent_frame(xc, g)
+        frame = graph_tangent_frame(xc, g.m_diag)
         rng = np.random.default_rng(5)
         for _ in range(6):
             coeff = rng.standard_normal(len(frame))
@@ -492,7 +517,8 @@ class TestTraceThimble:
         h = default_cartan(2)
         g = m_j_pm(2, 1, "-")
         xc = critical_points(2)[0]
-        lines = np.array([retract(xc.x + 1e-2 * e).line for e in graph_tangent_frame(xc, g)[:2]])
+        frame = graph_tangent_frame(xc, g.m_diag)
+        lines = np.array([retract(xc.x + 1e-2 * e).line for e in frame[:2]])
         with pytest.raises(StepSizeError, match="batch index"):
             flow_to_level(lines, h, g, potential(h, xc).real - 0.5, 50.0, 10)
 
@@ -506,7 +532,7 @@ class TestTraceThimble:
         n = 2
         h = default_cartan(n)
         g = m_j_pm(n, 1, "-")
-        r0 = np.abs(thimble.seed_lines(1, g, np.eye(2 * n)[:3], [0.1]))
+        r0 = np.abs(thimble.seed_lines(1, g.dim, np.eye(2 * n)[:3], [0.1]))
         dt = np.array([[0.01], [1e3], [0.01]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")

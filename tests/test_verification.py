@@ -1,0 +1,96 @@
+"""The verify checks built on the graphs of the stable and unstable manifolds
+of Z fail under named mutations of the Z rule and of the seeds' graphs."""
+
+import numpy as np
+import pytest
+
+from orbitflow import graphs, thimble, verification
+from orbitflow.cli import RunConfig
+from orbitflow.errors import StepSizeError
+
+
+def failing(suite, n):
+    """Names of the failing checks of one suite at rank n and seed 0."""
+    return {c.name for c in suite(RunConfig(n=n), np.random.default_rng(0)) if c.status == "fail"}
+
+
+def measure_splitting(n):
+    return verification.stable_unstable_measure(RunConfig(n=n), np.random.default_rng(0))
+
+
+@pytest.fixture
+def flipped_z_sign(monkeypatch):
+    z_rate = thimble.z_rate
+    monkeypatch.setattr(thimble, "z_rate", lambda h, m, orient, r0: z_rate(h, m, -orient, r0))
+
+
+@pytest.fixture
+def d_plus_one(monkeypatch):
+    # (d + 1) / sigma in place of d / sigma in the rate of Z
+    z_rate = thimble.z_rate
+
+    def rate(h, m, orient, r0):
+        return z_rate(h, m, orient * (len(h) + 1) / len(h), r0)
+
+    monkeypatch.setattr(thimble, "z_rate", rate)
+
+
+@pytest.fixture
+def swapped_twists(monkeypatch):
+    # V- seeds on the pattern of m_j^-, V+ seeds on that of m_j^+
+    sign_pattern = graphs.sign_pattern
+    monkeypatch.setattr(graphs, "sign_pattern",
+                        lambda n, j, s: sign_pattern(n, j, "-" if s == "+" else "+"))
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_the_unmutated_checks_pass(n):
+    assert measure_splitting(n) <= 1e-9
+    assert failing(verification.flow_suite, n) == set()
+    assert failing(verification.thimble_suite, n) == set()
+
+
+@pytest.mark.usefixtures("flipped_z_sign")
+class TestFlippedZSign:
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_stable_seeds_leave_and_the_step_guard_names_the_row(self, n):
+        with pytest.raises(StepSizeError, match=r"batch index \d+"):
+            measure_splitting(n)
+
+    def test_flag_flow_leaves_the_double_bracket_solution(self, monkeypatch):
+        monkeypatch.setattr(verification, "stable_unstable_measure", lambda cfg, rng: 0.0)
+        assert failing(verification.flow_suite, 2) == {"flag-flow-matches-double-bracket-solution"}
+
+    def test_thimble_rows_do_not_return(self):
+        assert failing(verification.thimble_suite, 3) == {"thimble-containment-and-openness",
+                                                          "thimble-flows-back-under-z"}
+
+    def test_or_the_step_guard_names_the_row(self):
+        with pytest.raises(StepSizeError, match=r"batch index \d+"):
+            verification.thimble_suite(RunConfig(n=2), np.random.default_rng(0))
+
+
+@pytest.mark.usefixtures("d_plus_one")
+def test_d_plus_one_breaks_the_flag_flow():
+    assert failing(verification.flow_suite, 2) == {"flag-flow-matches-double-bracket-solution"}
+
+
+@pytest.mark.usefixtures("swapped_twists")
+@pytest.mark.parametrize("n", (2, 3))
+def test_stable_seeds_on_m_j_minus_leave_and_the_step_guard_names_the_row(n):
+    with pytest.raises(StepSizeError, match=r"batch index \d+"):
+        measure_splitting(n)
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_principal_angles_see_swapped_graphs(n, monkeypatch):
+    # the angle part alone: the seeds stay on their graphs, but V- and V+
+    # are measured against the tangent frames of the other twist at [e_j],
+    # whose pattern differs (up to sign) in the slot j alone
+    frame = graphs.graph_tangent_frame
+
+    def swapped_frame(pt, m):
+        return frame(pt, np.where(np.abs(pt.line) == 1.0, -m, m))
+
+    monkeypatch.setattr(graphs, "graph_tangent_frame", swapped_frame)
+    assert measure_splitting(n) > 0.5
