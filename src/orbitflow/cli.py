@@ -280,7 +280,8 @@ def cmd_thimble(cfg):
         rng=rng,
         max_steps=cfg.steps,
     )
-    max_omega = thimble.lagrangian_check(samples.x)
+    twist = graphs.m_j_pm(cfg.n, cfg.j, cfg.sign).m_diag.real
+    max_omega = thimble.lagrangian_check(samples.x, twist)
     f1_range = [float(samples.f1.min()), float(samples.f1.max())]
     summary = {
         "max_graph_residual": float(samples.graph_residual.max()),
@@ -290,7 +291,6 @@ def cmd_thimble(cfg):
         "samples": len(samples),
     }
     meta = {"config": cfg.as_dict(), "summary": summary}
-    twist = graphs.m_j_pm(cfg.n, cfg.j, cfg.sign).m_diag.real
     text = thimble.thimble_json(samples, meta, twist)
     if cfg.out:
         with open(cfg.out, "w") as fh:

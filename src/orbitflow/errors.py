@@ -51,7 +51,3 @@ class NearCriticalError(ValueError):
 
 class ConfigError(ValueError):
     """Invalid run configuration."""
-
-
-class DensityWarning(UserWarning):
-    """Sample cloud is too sparse for reliable finite-difference estimates."""

@@ -193,12 +193,13 @@ def lax_velocity(pairs, h):
     return coef[..., None] * pairs[..., ::-1, :] * weights
 
 
-def advance(state, rhs, dt):
+def advance(state, rhs, dt, k1=None):
     """One RK4 step of ``rhs`` from complex pairs (u, v) (batch, 2, d) or real
-    log-moduli phi (batch, d), ``dt`` broadcasting.  StepSizeError names the first
-    row whose u or v moves across itself by more than DRIFT_LIMIT of its length
-    (size inf where v^H u turns 0 or not finite), or whose phi_i moves by more."""
-    k1 = rhs(state)
+    log-moduli phi (batch, d), ``dt`` broadcasting, from ``k1 = rhs(state)`` if
+    given.  StepSizeError names the first row whose u or v moves across itself
+    by more than DRIFT_LIMIT of its length (size inf where v^H u turns 0 or not
+    finite), or whose phi_i moves by more."""
+    k1 = rhs(state) if k1 is None else k1
     k2 = rhs(state + 0.5 * dt * k1)
     k3 = rhs(state + 0.5 * dt * k2)
     k4 = rhs(state + dt * k3)

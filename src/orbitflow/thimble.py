@@ -20,25 +20,19 @@ Z is tangent to the graphs too (``z_rate``, stepped by ``flow.integrate``).
 """
 
 import json
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DensityWarning,
-    GraphIntegrityError,
-    MembershipError,
-    NearCriticalError,
-)
+from .errors import GraphIntegrityError, MembershipError, NearCriticalError
 from .liecore import b_norm, b_tau, cartan_matrix, root_eval
 from .orbit import advance, chart, complement, points_json, potential, tangent_project
 from .graphs import graph_membership, graph_tangent_frame, m_j_pm
-from .util import realify
 
 RESIDUAL_LIMIT = 1e-5
 LEVEL_ULPS = 32
 LEVEL_ITERATIONS = 8
+GRAM_BLOCK = 128  # samples per block of ``lagrangian_check``'s secant Grams
 
 
 def kaehler_gradients(pt, h):
@@ -124,12 +118,35 @@ def graph_lines(u0, phi):
     return u0 * np.exp(phi - phi.max(axis=-1, keepdims=True))
 
 
+def _height(h, sums):
+    """f1 from the ``_line_sums`` (w, m w, h w, h m w) of graph lines."""
+    return 2.0 * len(h) * (len(h) * (sums[3] / sums[1])[..., 0] - np.sum(h))
+
+
 def line_height(h, m, u):
     """f1 at the chart points of graph pairs (u, m u), m = +/-1, from the line
     alone: 2d (d R_m(u) - sum h), R_m(u) = sum h m |u|^2 / sum m |u|^2."""
-    _, mw, _, hmw = _line_sums(_weights(h, m), (u.conj() * u).real)
-    d = u.shape[-1]
-    return 2.0 * d * (d * (hmw / mw)[..., 0] - np.sum(h))
+    return _height(h, _line_sums(_weights(h, m), (u.conj() * u).real))
+
+
+def _unit_and_beta(m, u):
+    """The unit line u / |u|, its beta and |beta| (``pair_gap``)."""
+    w = u.real ** 2 + u.imag ** 2
+    norm2 = w.sum(axis=-1, keepdims=True)
+    ratio, root = norm2 / (m * w).sum(axis=-1, keepdims=True), np.sqrt(norm2)
+    return u / root, m * u * (ratio / root), ratio[..., 0]
+
+
+def _gap(a, b):
+    """``pair_gap`` from the ``_unit_and_beta`` of its two lines."""
+    def dot(x, y):
+        return (x.conj() * y).sum(axis=-1)
+
+    (ua, ba, ratio), (ub, bb, _) = a, b
+    du, dbeta = ua - ub, ba - bb
+    sq = (dot(du, du).real * ratio ** 2 + dot(dbeta, dbeta).real
+          + 2.0 * (dot(du, ub) * dot(dbeta, ba)).real)
+    return ua.shape[-1] * np.sqrt(np.maximum(sq, 0.0))
 
 
 def pair_gap(m, ua, ub):
@@ -143,20 +160,7 @@ def pair_gap(m, ua, ub):
     in ua - ub; there |ub| = 1 and |beta_a| = sum w / sum m w.  Lines with
     the same phases, as on one flow, have the gap of their moduli.
     """
-    def unit_and_beta(u):
-        w = u.real ** 2 + u.imag ** 2
-        norm2 = w.sum(axis=-1, keepdims=True)
-        ratio, root = norm2 / (m * w).sum(axis=-1, keepdims=True), np.sqrt(norm2)
-        return u / root, m * u * (ratio / root), ratio[..., 0]
-
-    def dot(a, b):
-        return (a.conj() * b).sum(axis=-1)
-
-    (ua, ba, ratio), (ub, bb, _) = unit_and_beta(ua), unit_and_beta(ub)
-    du, dbeta = ua - ub, ba - bb
-    sq = (dot(du, du).real * ratio ** 2 + dot(dbeta, dbeta).real
-          + 2.0 * (dot(du, ub) * dot(dbeta, ba)).real)
-    return ua.shape[-1] * np.sqrt(np.maximum(sq, 0.0))
+    return _gap(_unit_and_beta(m, ua), _unit_and_beta(m, ub))
 
 
 def gradient_field(h, m, orient, r0):
@@ -169,15 +173,18 @@ def gradient_field(h, m, orient, r0):
     a = p / (2 - sigma^2).  On a scalar twist (a = 0) RK4 is exact."""
     h = np.asarray(h, dtype=float)
     weights = _weights(h, m)
+    return lambda phi: _gradient_parts(h, weights, m, orient, r0, phi)[0]
 
-    def rate(phi):
-        r = graph_lines(r0, phi)
-        norm, mw, hw, hmw = _line_sums(weights, r * r)
-        sigma, rho = mw / norm, hw / norm
-        a = (hmw / norm - rho * sigma) / (2.0 - sigma ** 2)
-        return orient * (sigma / len(h)) * ((h - rho + a * sigma) * m - a)
 
-    return rate
+def _gradient_parts(h, weights, m, orient, r0, phi):
+    """The rate of ``gradient_field`` at phi, the lines r = ``graph_lines(r0,
+    phi)`` it is read from and their ``_line_sums``, which give f1 (``_height``)."""
+    r = graph_lines(r0, phi)
+    sums = _line_sums(weights, r * r)
+    norm, mw, hw, hmw = sums
+    sigma, rho = mw / norm, hw / norm
+    a = (hmw / norm - rho * sigma) / (2.0 - sigma ** 2)
+    return orient * (sigma / len(h)) * ((h - rho + a * sigma) * m - a), r, sums
 
 
 def z_rate(h, m, orient, r0):
@@ -240,10 +247,12 @@ def flow_to_level(lines, h, g, c, step, max_steps, visit=None):
     along grad f1, up when f1 < c and down otherwise, in steps of ``advance``
     of the log-moduli phi of the lines u0 e^phi, from phi = 0, with no matrix.
 
-    After each step ``visit(indices, phi, arcs, r)`` sees the flows that did
-    not cross the level, with the moduli r = ``graph_lines(|u0|, phi)`` of
-    the crossing test.  A crossing flow waits at its last phi before the
-    level, and one ``cross_level`` after the loop lands them all.  Returns
+    One evaluation of the field at each stepped phi gives the moduli r =
+    ``graph_lines(|u0|, phi)`` and row sums of the crossing test and the first
+    RK4 stage of the next step.  After each step ``visit(indices, phi, arcs,
+    r)`` sees the flows that did not cross the level.  A crossing flow waits
+    at its last phi before the level, and one ``cross_level`` after the loop
+    lands them all.  Returns
     the landed phi and arcs; raises ValueError when g is not an involution,
     and GraphIntegrityError if some flow has not landed after max_steps.
     """
@@ -257,16 +266,17 @@ def flow_to_level(lines, h, g, c, step, max_steps, visit=None):
     orient = np.where(line_height(h, m, r0) > c, -1.0, 1.0)
     arcs = np.zeros(len(phi))
     active = np.ones(len(phi), dtype=bool)
+    weights, k1 = _weights(h, m), None
     for _ in range(max_steps):
         if not active.any():
             break
         idx = np.flatnonzero(active)
-        stepped = advance(phi[idx], gradient_field(h, m, orient[idx, None], r0[idx]), step)
-        r = graph_lines(r0[idx], stepped)
-        crossed = orient[idx] * (line_height(h, m, r) - c) > 0
+        stepped = advance(phi[idx], gradient_field(h, m, orient[idx, None], r0[idx]), step, k1)
+        rate, r, sums = _gradient_parts(h, weights, m, orient[idx, None], r0[idx], stepped)
+        crossed = orient[idx] * (_height(h, sums) - c) > 0
         active[idx[crossed]] = False
         alive = idx[~crossed]
-        phi[alive] = stepped[~crossed]
+        phi[alive], k1 = stepped[~crossed], rate[~crossed]
         arcs[alive] += step
         if visit is not None and alive.size:
             visit(alive, phi[alive], arcs[alive], r[~crossed])
@@ -362,13 +372,15 @@ def trace_thimble(
 
     flows = np.arange(len(seeds))
     chunks = [(flows, np.zeros(seeds.shape), np.zeros(len(seeds)))]
-    last_rec = np.abs(seeds)
+    last_rec = _unit_and_beta(m, np.abs(seeds))
 
     def visit(indices, phi, arcs, r):
-        due = pair_gap(m, r, last_rec[indices]) >= record_sep
+        cur = _unit_and_beta(m, r)
+        due = _gap(cur, [a[indices] for a in last_rec]) >= record_sep
         if due.any():
             chunks.append((indices[due], phi[due], arcs[due]))
-            last_rec[indices[due]] = r[due]
+            for a, b in zip(last_rec, cur):
+                a[indices[due]] = b[due]
 
     landed, arcs = flow_to_level(seeds, h, g, c_level, step, max_steps, visit)
     chunks.append((flows, landed, arcs))
@@ -390,15 +402,20 @@ def trace_thimble(
     return samples
 
 
-def lagrangian_check(mats, k=4, step_hint=None, density_factor=10.0):
+def lagrangian_check(mats, m, k=4):
     """Max normalized |omega| over finite-difference tangent pairs of a
-    stack of chart points, shape (S, d, d), such as the ``x`` of a trace.
+    stack of chart points, shape (S, d, d), on the graph of the real
+    diagonal m = +/-1, such as the ``x`` and ``twist`` of a trace.
 
     Tangents at each sample are secants to its k nearest neighbours; on an
     exactly Lagrangian sample cloud the symplectic pairing of any two
-    secants vanishes.  Secants shorter than 1e3 ulps of the largest entry
-    are rounding, not directions, and are skipped; raises ValueError when
-    no sample keeps two secants.
+    secants vanishes.  The points are fixed by x -> m x^H m, so |x - y|^2 =
+    sum (x_ii - y_ii)^2 + 2 sum_{i<j} |x_ij - y_ij|^2, and the neighbours are
+    searched in those d^2 real coordinates; the secant Grams are ambient,
+    GRAM_BLOCK samples at a time.  Secants shorter than 1e3 ulps of the
+    largest entry are rounding, not directions, and are skipped.  Raises
+    ValueError naming the worst sample when x -> m x^H m moves one by more
+    than that, and when no sample keeps two secants.
     """
     from scipy.spatial import cKDTree
 
@@ -406,26 +423,30 @@ def lagrangian_check(mats, k=4, step_hint=None, density_factor=10.0):
         raise ValueError("need at least three samples")
     mats = np.ascontiguousarray(mats)
     nsamp, d = mats.shape[0], mats.shape[-1]
-    kk = min(k, nsamp - 1)
-    cloud = realify(mats)
-    tree = cKDTree(cloud)
-    dist, idx = tree.query(cloud, k=kk + 1)
-    if step_hint is not None and np.median(dist[:, 1]) > density_factor * step_hint:
-        warnings.warn(
-            f"nearest-neighbour spacing {np.median(dist[:, 1]):.3e} exceeds "
-            f"{density_factor} x step",
-            DensityWarning,
-        )
     flat = mats.reshape(nsamp, -1)
-    diffs = flat[idx[:, 1:]] - flat[:, None, :]
-    long = np.linalg.norm(diffs, axis=-1) > 1e3 * np.finfo(float).eps * np.abs(flat).max()
-    pairs = long[:, :, None] & long[:, None, :] & ~np.eye(kk, dtype=bool)
-    if not pairs.any():
+    tiny = 1e3 * np.finfo(float).eps * np.abs(flat).max()
+    off = np.abs(mats - np.outer(m, m) * mats.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    bad = np.argmax(off)
+    if off[bad] > tiny:
+        raise ValueError(f"sample {bad} is off the graph of m: |x - m x^H m| = {off[bad]:.3e}")
+    kk = min(k, nsamp - 1)
+    rows, cols = np.triu_indices(d, 1)
+    upper, diag = mats[:, rows, cols], np.diagonal(mats, axis1=-2, axis2=-1)
+    cloud = np.concatenate([diag.real, np.sqrt(2.0) * upper.real, np.sqrt(2.0) * upper.imag], 1)
+    _, idx = cKDTree(cloud).query(cloud, k=kk + 1)
+    worst, other = -1.0, ~np.eye(kk, dtype=bool)
+    for lo in range(0, nsamp, GRAM_BLOCK):
+        block = slice(lo, lo + GRAM_BLOCK)
+        diffs = flat[idx[block, 1:]] - flat[block, None, :]
+        long = np.linalg.norm(diffs, axis=-1) > tiny
+        pairs = long[:, :, None] & long[:, None, :] & other
+        gram = 2.0 * d * np.einsum("nad,nbd->nab", diffs, diffs.conj())
+        norms = np.sqrt(np.abs(np.einsum("naa->na", gram).real))
+        denom = norms[:, :, None] * norms[:, None, :]
+        worst = (np.abs(gram.imag[pairs]) / denom[pairs]).max(initial=worst)
+    if worst < 0.0:
         raise ValueError("no sample has two neighbour secants longer than rounding")
-    gram = 2.0 * d * np.einsum("nad,nbd->nab", diffs, diffs.conj())
-    norms = np.sqrt(np.abs(np.einsum("naa->na", gram).real))
-    denom = norms[:, :, None] * norms[:, None, :]
-    return float((np.abs(gram.imag[pairs]) / denom[pairs]).max())
+    return float(worst)
 
 
 def thimble_json(samples, meta, twist):

@@ -5,7 +5,7 @@ import numpy as np
 from orbitflow.errors import SamplingError
 from orbitflow.liecore import WeylElement, cartan_matrix, minimal_cartan, weyl_action, weyl_group
 from orbitflow.orbit import potential, retract
-from orbitflow.util import complex_gaussian
+from orbitflow.util import complex_gaussian, realify
 
 
 def identity_weyl(d):
@@ -61,3 +61,28 @@ def vanishing_sphere_point(h, c, direction):
             t_hi = t
     g = expm(t * direction)
     return retract(g @ h0m @ g.conj().T)
+
+
+def ambient_lagrangian_check(mats, k=4):
+    """``thimble.lagrangian_check`` with the neighbours searched in all 2 d^2
+    real coordinates of the chart points and every secant Gram in one block.
+
+    An independent reference for the graph-coordinate search: returns the
+    neighbour indices of the search (self first) and the max normalized
+    |omega|.
+    """
+    from scipy.spatial import cKDTree
+
+    mats = np.ascontiguousarray(mats)
+    nsamp, d = mats.shape[0], mats.shape[-1]
+    kk = min(k, nsamp - 1)
+    cloud = realify(mats)
+    _, idx = cKDTree(cloud).query(cloud, k=kk + 1)
+    flat = mats.reshape(nsamp, -1)
+    diffs = flat[idx[:, 1:]] - flat[:, None, :]
+    long = np.linalg.norm(diffs, axis=-1) > 1e3 * np.finfo(float).eps * np.abs(flat).max()
+    pairs = long[:, :, None] & long[:, None, :] & ~np.eye(kk, dtype=bool)
+    gram = 2.0 * d * np.einsum("nad,nbd->nab", diffs, diffs.conj())
+    norms = np.sqrt(np.abs(np.einsum("naa->na", gram).real))
+    denom = norms[:, :, None] * norms[:, None, :]
+    return idx, float((np.abs(gram.imag[pairs]) / denom[pairs]).max())

@@ -1,5 +1,6 @@
 """Kaehler gradients, F/G restriction, thimble tracing and isotropy checks."""
 
+import functools
 import json
 import re
 import warnings
@@ -8,12 +9,7 @@ import numpy as np
 import pytest
 
 from orbitflow import thimble
-from orbitflow.errors import (
-    DensityWarning,
-    GraphIntegrityError,
-    MembershipError,
-    NearCriticalError,
-)
+from orbitflow.errors import GraphIntegrityError, MembershipError, NearCriticalError
 from orbitflow.flow import ad_inverse, advance
 from orbitflow.graphs import (GraphSpec, graph_point, graph_tangent_frame, identity_graph, m_j_pm,
                               twists)
@@ -43,7 +39,7 @@ from orbitflow.thimble import (
 from orbitflow.util import random_unit_vector, gram_schmidt_real
 from orbitflow.verification import random_orbit_point, random_tangent
 
-from helpers import vanishing_sphere_point
+from helpers import ambient_lagrangian_check, vanishing_sphere_point
 
 
 def _graph_seed_stack(n, directions=8):
@@ -479,14 +475,14 @@ class TestTraceThimble:
         h = default_cartan(2)
         samples = trace_thimble(1, "-", h, c_offset=0.5, directions=16,
                                 rng=np.random.default_rng(3))
-        assert lagrangian_check(samples.x) < 1e-5
+        assert lagrangian_check(samples.x, m_j_pm(2, 1, "-").m_diag.real) < 1e-5
 
     def test_zero_section_thimble_isotropic(self):
         # rank one: the plain graph is the Hermitian locus, secants exact
         h0 = minimal_cartan(1)
         samples = trace_thimble(1, "-", h0, c_offset=0.5, directions=8,
                                 rng=np.random.default_rng(4))
-        assert lagrangian_check(samples.x) < 1e-6
+        assert lagrangian_check(samples.x, np.ones(2)) < 1e-6
 
     def test_boundary_matches_level_sphere_along_meridians(self):
         # rank one, plain graph: the flag is a round sphere and the height
@@ -558,6 +554,32 @@ class TestTraceThimble:
         # some flows cross in the same step as another, and some alone
         counts = np.bincount(crossing)[crossing]
         assert (counts > 1).any() and (counts == 1).any()
+        for k in range(len(lines)):
+            alone, arc = flow_to_level(lines[k:k + 1], h, g, c, step, 4000)
+            assert np.array_equal(alone[0], landed[k])
+            assert np.array_equal(arc[0], arcs[k])
+
+    def test_mixed_twist_rows_land_as_when_they_flow_alone(self):
+        # every step reuses the field at the stepped phi of the rows that did
+        # not cross as its first RK4 stage; on m_3^+ at n = 4 each of 12 rows
+        # of a stack whose rows cross at different steps lands bit for bit
+        # as when it flows alone
+        n, j = 4, 3
+        h, g = default_cartan(n), m_j_pm(n, j, "+")
+        dirs = np.random.default_rng(40).standard_normal((3, 2 * n))
+        lines = thimble.seed_lines(j, n + 1, dirs / np.linalg.norm(dirs, axis=1, keepdims=True),
+                                   np.geomspace(1e-4, 0.1, 4))
+        c = line_height(h, g.m_diag.real, np.eye(n + 1)[j - 1]) + 0.4
+        step = default_thimble_step(h, j)
+        last_step = np.zeros(len(lines), dtype=int)
+        steps = [0]
+
+        def visit(indices, *_):
+            steps[0] += 1
+            last_step[indices] = steps[0]
+
+        landed, arcs = flow_to_level(lines, h, g, c, step, 4000, visit)
+        assert len(lines) == 12 and len(set(last_step.tolist())) > 1
         for k in range(len(lines)):
             alone, arc = flow_to_level(lines[k:k + 1], h, g, c, step, 4000)
             assert np.array_equal(alone[0], landed[k])
@@ -649,7 +671,7 @@ class TestTraceThimble:
                                 rng=np.random.default_rng(6))
         line = samples.x[samples.flow_index == 0]
         assert len(line) >= 3
-        assert lagrangian_check(line) < 1e-6
+        assert lagrangian_check(line, m_j_pm(2, 1, "-").m_diag.real) < 1e-6
 
     def test_lagrangian_check_rejects_a_cloud_of_rounding(self):
         # copies of one sample a few ulps apart leave only rounding secants
@@ -659,17 +681,7 @@ class TestTraceThimble:
         eps = np.finfo(float).eps
         copies = x * (1.0 + np.arange(5) * eps)[:, None, None]
         with pytest.raises(ValueError, match="rounding"):
-            lagrangian_check(copies)
-
-    def test_density_warning(self):
-        h = default_cartan(2)
-        samples = trace_thimble(1, "-", h, c_offset=0.4, directions=4, radii=2,
-                                rng=np.random.default_rng(7))
-        sparse = samples[:: max(1, len(samples) // 8)]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            lagrangian_check(sparse.x, step_hint=1e-6)
-        assert any(issubclass(w.category, DensityWarning) for w in caught)
+            lagrangian_check(copies, m_j_pm(2, 1, "-").m_diag.real)
 
     def test_json_and_csv_dumps(self):
         h = default_cartan(2)
@@ -720,10 +732,66 @@ class TestTraceThimble:
                                         radii=3, rng=rng)
                 assert max(x.graph_residual for x in samples) < 1e-6
                 assert max(abs(x.f2) for x in samples) < 1e-8
-                assert lagrangian_check(samples.x) < 1e-5
+                assert lagrangian_check(samples.x, m_j_pm(4, j, s).m_diag.real) < 1e-5
 
     def test_integrity_error_reports_worst_sample(self):
         h = default_cartan(2)
         with pytest.raises(GraphIntegrityError, match="residual"):
             trace_thimble(1, "-", h, c_offset=0.3, directions=2, radii=2,
                           rng=np.random.default_rng(11), residual_limit=0.0)
+
+
+# the thimble command's three configurations: m_1^- at n = 8, the mixed-sign
+# m_3^+ at n = 4 and m_4^+ at n = 3, where m = -1
+COMMAND_TRACES = [(8, 1, "-", 0.5, 16), (4, 3, "+", 0.4, 8), (3, 4, "+", 0.5, 8)]
+
+
+@functools.lru_cache(maxsize=None)
+def _command_trace(n, j, sign, c_offset, directions):
+    samples = trace_thimble(j, sign, default_cartan(n), c_offset=c_offset, directions=directions,
+                            rng=np.random.default_rng(0))
+    return samples, m_j_pm(n, j, sign).m_diag.real
+
+
+class TestLagrangianCheck:
+    """The neighbour search in graph coordinates and the blocked secant Grams."""
+
+    @pytest.mark.parametrize("cfg", COMMAND_TRACES, ids=lambda cfg: f"n{cfg[0]}-j{cfg[1]}")
+    def test_matches_the_ambient_search(self, cfg, monkeypatch):
+        # the d^2 graph coordinates find the neighbours that all 2 d^2 real
+        # coordinates find, and the value is the same to the bit
+        import scipy.spatial
+
+        samples, m = _command_trace(*cfg)
+        found = []
+
+        class RecordingTree(scipy.spatial.cKDTree):
+            def query(self, *args, **kwargs):
+                out = super().query(*args, **kwargs)
+                found.append(out[1])
+                return out
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", RecordingTree)
+        value = lagrangian_check(samples.x, m)
+        monkeypatch.undo()
+        idx, want = ambient_lagrangian_check(samples.x)
+        assert len(found) == 1 and np.array_equal(found[0], idx)
+        assert value == want
+
+    def test_blocks_give_the_one_shot_value(self, monkeypatch):
+        # the n = 8 trace spans several blocks of secant Grams
+        samples, m = _command_trace(*COMMAND_TRACES[0])
+        assert len(samples) > 2 * thimble.GRAM_BLOCK
+        blocked = lagrangian_check(samples.x, m)
+        for size in (len(samples), 7):
+            monkeypatch.setattr(thimble, "GRAM_BLOCK", size)
+            assert lagrangian_check(samples.x, m) == blocked
+
+    def test_rejects_points_off_the_graph_of_m(self):
+        # the trace of the mixed-sign m_3^+ checked against m = 1
+        samples, _ = _command_trace(*COMMAND_TRACES[1])
+        x, wrong = samples.x, np.ones(5)
+        off = np.abs(x - x.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        with pytest.raises(ValueError, match=rf"sample {np.argmax(off)} is off the graph of m: "
+                                             rf"\|x - m x\^H m\| = {off.max():.3e}"):
+            lagrangian_check(x, wrong)
