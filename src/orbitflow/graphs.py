@@ -91,19 +91,17 @@ def m_j_pm(n, j, sign):
     (j, sign) outside ``twists(n)`` (odd n) raises ParityError."""
     diag = sign_pattern(n, j, sign)
     if (j, sign) not in twists(n):
-        raise ParityError(
-            f"m_{j}^{sign} has determinant -1 at odd rank n={n}; only m_1^- and "
-            f"m_{n + 1}^+ exist in the unit-determinant torus"
-        )
+        raise ParityError(f"m_{j}^{sign} has determinant -1 at odd rank n={n}; there the unit-"
+                          "determinant torus holds m_j^- for odd j and m_j^+ for even j")
     return GraphSpec(diag.astype(complex), name=f"m{j}{sign}")
 
 
 def twists(n):
-    """The (j, sign) pairs for which m_j^sign exists at rank n: every pair
-    at even n, only (1, '-') and (n+1, '+') at odd n."""
-    if n % 2 == 0:
-        return [(j, s) for j in range(1, n + 2) for s in ("+", "-")]
-    return [(1, "-"), (n + 1, "+")]
+    """The (j, sign) pairs for which m_j^sign exists at rank n, those whose
+    ``sign_pattern`` has determinant +1: every pair at even n, and at odd n
+    (j, '-') for odd j and (j, '+') for even j."""
+    return [(j, s) for j in range(1, n + 2) for s in ("+", "-")
+            if np.prod(sign_pattern(n, j, s)) > 0]
 
 
 def graph_point(u, g, tol=1e-8):

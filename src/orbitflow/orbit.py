@@ -193,12 +193,11 @@ def lax_velocity(pairs, h):
     return coef[..., None] * pairs[..., ::-1, :] * weights
 
 
-def advance(state, rhs, dt, k1=None):
+def rk4_step(state, rhs, dt, k1=None):
     """One RK4 step of ``rhs`` from complex pairs (u, v) (batch, 2, d) or real
     log-moduli phi (batch, d), ``dt`` broadcasting, from ``k1 = rhs(state)`` if
-    given.  StepSizeError names the first row whose u or v moves across itself
-    by more than DRIFT_LIMIT of its length (size inf where v^H u turns 0 or not
-    finite), or whose phi_i moves by more."""
+    given, and each row's size: its largest move across u or v relative to the
+    length (inf where v^H u turns 0 or not finite), or of a phi_i."""
     k1 = rhs(state) if k1 is None else k1
     k2 = rhs(state + 0.5 * dt * k1)
     k3 = rhs(state + 0.5 * dt * k2)
@@ -210,9 +209,14 @@ def advance(state, rhs, dt, k1=None):
         across = _vdot(move, move).real - np.abs(_vdot(state, move)) ** 2 / norm2
         s = _vdot(out[..., 1, :], out[..., 0, :])
         rel = np.sqrt(np.maximum(across, 0.0) / norm2).max(axis=-1)
-        size = np.where(np.isfinite(s) & (s != 0), rel, np.inf)
-    else:
-        size = np.abs(move).max(axis=-1)
+        return out, np.where(np.isfinite(s) & (s != 0), rel, np.inf)
+    return out, np.abs(move).max(axis=-1)
+
+
+def advance(state, rhs, dt, k1=None):
+    """``rk4_step`` that raises StepSizeError naming the first row whose move
+    has a size above DRIFT_LIMIT (or not finite)."""
+    out, size = rk4_step(state, rhs, dt, k1)
     bad = np.flatnonzero(~(size <= DRIFT_LIMIT))
     if bad.size:
         raise StepSizeError(f"step of size {size[bad[0]]:.3e} exceeds {DRIFT_LIMIT} (batch index "
@@ -278,11 +282,13 @@ class OrbitPoint:
         return complement(self.normal)
 
     def to_json(self):
-        return points_json(self.line[None], self.normal[None])[0]
+        """JSON record {"n", "line", "normal"} of the unit pair, each entry an
+        [re, im] list, from which x = (n+1) u v^H / (v^H u) - I."""
+        return {"n": self.n, "line": _re_im(self.line), "normal": _re_im(self.normal)}
 
     @staticmethod
     def from_json(obj, m=None):
-        """The point of a ``points_json`` record, exactly: its x is
+        """The point of a ``to_json`` record, exactly: its x is
         ``assemble`` of the stored unit line u and normal v, with no
         renormalization.  Given the real diagonal m = +/-1 of a graph (the
         ``twist`` of a thimble file), the normal is m u, the v that ``chart``
@@ -322,18 +328,6 @@ def _read_re_im(pairs, key, d):
     if arr.shape != (d, 2):
         raise ShapeError(f"{key} has shape {arr.shape}, expected ({d}, 2)")
     return arr.view(complex)[:, 0]
-
-
-def points_json(lines, normals=None):
-    """JSON records {"n", "line", "normal"} of a stack of unit pairs of one
-    rank, each entry an [re, im] list, from which x = (n+1) u v^H / (v^H u)
-    - I; with no normals, records {"n", "line"} of graph lines, whose normal
-    m u the reader supplies.  ``OrbitPoint.from_json`` reloads a record
-    exactly."""
-    n = lines.shape[-1] - 1
-    if normals is None:
-        return [{"n": n, "line": a} for a in _re_im(lines)]
-    return [{"n": n, "line": a, "normal": b} for a, b in zip(_re_im(lines), _re_im(normals))]
 
 
 def membership_residual(x):

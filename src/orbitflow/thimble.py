@@ -11,12 +11,12 @@ surface u0 e^phi (the torus orbits of Bloch, Brockett and Ratiu when m = 1).
 So flows step the real log-moduli phi, and the seeds (``seed_lines``), the
 rate (``gradient_field``), the height (``line_height``) and the chart gap
 (``pair_gap``) are closed forms in the lines (``graph_lines``), one stack
-of which may mix twists.  ``flow_to_level`` steps them with
-``orbit.advance`` and one ``cross_level`` lands them; matrices appear once,
-in the ``chart`` of the recorded lines.  A trace is one record array, and
-``thimble_json`` writes each sample as its unit line, with the twist m once
-per file.  The split F1 = G1 - i G2 uses ``graphs.graph_tangent_frame``;
-Z is tangent to the graphs too (``z_rate``, stepped by ``flow.integrate``).
+of which may mix twists.  ``flow_to_level`` steps them with ``orbit.advance``
+(by chart distance on the scalar twists m = +/-1, where the flow is exact)
+and one ``cross_level`` lands them; matrices appear once, in the ``chart`` of
+the recorded lines.  ``thimble_json`` writes each sample as its unit line.
+The split F1 = G1 - i G2 uses ``graphs.graph_tangent_frame``; Z is tangent
+to the graphs too (``z_rate``, stepped by ``flow.integrate``).
 """
 
 import json
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import GraphIntegrityError, MembershipError, NearCriticalError
 from .liecore import b_norm, b_tau, cartan_matrix, root_eval
-from .orbit import advance, chart, complement, points_json, potential, tangent_project
+from .orbit import DRIFT_LIMIT, advance, chart, complement, potential, rk4_step, tangent_project
 from .graphs import graph_membership, graph_tangent_frame, m_j_pm
 
 RESIDUAL_LIMIT = 1e-5
@@ -202,15 +202,31 @@ def z_rate(h, m, orient, r0):
     return rate
 
 
+def phi_guard(h):
+    """Longest step of ``gradient_field`` that moves no phi_i by 0.9 DRIFT_LIMIT
+    on a graph of m = +/-1.  With rho_+, rho_- the means of h over the entries
+    m = 1 and m = -1, of weights alpha and beta, c_i d / sigma = m_i (h_i -
+    rho_i), rho_i a mean of rho_+ and rho_- (weight beta / (1 + 4 alpha beta)
+    on rho_- if m_i = 1, else alpha / (1 + 4 alpha beta) on rho_+): |c_i| <= spread(h) / d."""
+    return 0.9 * DRIFT_LIMIT * len(h) / np.ptp(h)
+
+
+def _f1_rate(h, sums, dsums):
+    """df1/dt = 2d^2 dR_m/dt along du = rate u, from the ``_line_sums`` of |u|^2 and rate |u|^2."""
+    _, mw, _, hmw = sums
+    _, mdw, _, hmdw = dsums
+    return 4.0 * len(h) ** 2 * (hmdw - hmw / mw * mdw)[..., 0] / mw[..., 0]
+
+
 def cross_level(r0, base, h, m, c, orient):
     """Land the log-moduli ``base`` of lines u0 e^phi, |u0| = r0, on the level
     f1 = c along orient * grad f1, each row on the graph of its row of m.
 
-    Newton's method in the length tau of one ``advance`` from ``base``: f1 is
-    2d^2 R_m(u) up to a constant, with rate 4d^2 sum m (h - R_m) c |u|^2 /
-    sum m |u|^2 along du = c u.  A row stops when |f1 - c| is within LEVEL_ULPS
-    ulps of 2d sum |h_i x_ii|, the sum that computes f1 at its chart point, on
-    its own.  Returns the landed phi and tau; raises GraphIntegrityError
+    Newton's method (rate ``_f1_rate``) in the length tau >= 0 of one RK4 step
+    from ``base``; a row whose step would move phi further than ``advance``
+    allows takes the step ``phi_guard``.  A row stops when |f1 - c| is within
+    LEVEL_ULPS ulps of 2d sum |h_i x_ii|, the sum that computes f1 at its chart
+    point, on its own.  Returns the landed phi and tau; raises GraphIntegrityError
     naming the stack index of the worst miss after LEVEL_ITERATIONS steps.
     """
     d = base.shape[-1]
@@ -222,11 +238,12 @@ def cross_level(r0, base, h, m, c, orient):
     for _ in range(LEVEL_ITERATIONS):
         rhs = gradient_field(h, m[todo], orient[todo, None], r0[todo])
         w, weights = graph_lines(r0[todo], cur[todo]) ** 2, _weights(h, m[todo])
-        _, mw, _, hmw = _line_sums(weights, w)
-        _, mdw, _, hmdw = _line_sums(weights, rhs(cur[todo]) * w)
-        rate = 4.0 * d * d * (hmdw - hmw / mw * mdw)[:, 0] / mw[:, 0]
+        rate = _f1_rate(h, _line_sums(weights, w), _line_sums(weights, rhs(cur[todo]) * w))
         tau[todo] = np.maximum(tau[todo] + miss[todo] / rate, 0.0)
-        cur[todo] = advance(base[todo], rhs, tau[todo, None])
+        cur[todo], size = rk4_step(base[todo], rhs, tau[todo, None])
+        if not (ok := size <= DRIFT_LIMIT).all():
+            tau[todo] = np.where(ok, tau[todo], np.minimum(tau[todo], phi_guard(h)))
+            cur[todo] = advance(base[todo], rhs, tau[todo, None])
         u = graph_lines(r0[todo], cur[todo])
         miss[todo] = c - line_height(h, m[todo], u)
         w = m[todo] * u * u
@@ -242,44 +259,56 @@ def cross_level(r0, base, h, m, c, orient):
     )
 
 
-def flow_to_level(lines, h, g, c, step, max_steps, visit=None):
+def flow_to_level(lines, h, g, c, step, max_steps, visit=None, record_sep=np.inf):
     """Flow a stack of lines u0, shape (batch, d), of graph pairs (u0, m u0)
     along grad f1, up when f1 < c and down otherwise, in steps of ``advance``
     of the log-moduli phi of the lines u0 e^phi, from phi = 0, with no matrix.
 
-    One evaluation of the field at each stepped phi gives the moduli r =
-    ``graph_lines(|u0|, phi)`` and row sums of the crossing test and the first
-    RK4 stage of the next step.  After each step ``visit(indices, phi, arcs,
-    r)`` sees the flows that did not cross the level.  A crossing flow waits
-    at its last phi before the level, and one ``cross_level`` after the loop
-    lands them all.  Returns
-    the landed phi and arcs; raises ValueError when g is not an involution,
-    and GraphIntegrityError if some flow has not landed after max_steps.
+    A float ``step`` is one grid for every row.  With ``step`` None, on a
+    scalar twist (a = 0: RK4 is exact), each row steps by at most ``phi_guard``
+    and so that its chart point moves 0.45 ``record_sep`` at its speed |F1| =
+    sqrt(|df1/dt| / 2d) at the start, which records a ``visit`` sample about
+    every third step, ``record_sep`` to 2 ``record_sep`` apart.  The field at
+    each stepped phi gives the moduli r = ``graph_lines(|u0|, phi)``, the
+    crossing test, the next step and its first RK4 stage.  After each step
+    ``visit(indices, phi, arcs, r)`` sees the flows that did not cross the
+    level; one ``cross_level`` lands them from their last phi after the loop.
+    Raises ValueError when g is not an involution (or not scalar with ``step``
+    None), GraphIntegrityError if a flow has not landed after max_steps;
+    returns the landed phi and arcs.
     """
     if not g.is_involution:
         raise ValueError(f"twist {g.name or g.m_diag} is not an involution: "
                          "the closed-form gradient needs m = +/-1")
     h = np.asarray(h, dtype=float)
     m = g.m_diag.real
+    if step is None and np.ptp(m):
+        raise ValueError(f"twist {g.name or m} is not scalar: its flows need a fixed step")
+    guard = phi_guard(h)
     r0 = np.abs(lines)
     phi = np.zeros(r0.shape)
     orient = np.where(line_height(h, m, r0) > c, -1.0, 1.0)
     arcs = np.zeros(len(phi))
     active = np.ones(len(phi), dtype=bool)
-    weights, k1 = _weights(h, m), None
+    weights = _weights(h, m)
+    k1, r, sums = _gradient_parts(h, weights, m, orient[:, None], r0, phi)
+    dt = np.full((len(phi), 1), float(step or 0.0))
     for _ in range(max_steps):
         if not active.any():
             break
+        if step is None:
+            speed = np.sqrt(np.abs(_f1_rate(h, sums, _line_sums(weights, k1 * r * r))) / (2 * len(h)))
+            dt = (guard / np.maximum(1.0, guard * speed / (0.45 * record_sep)))[:, None]
         idx = np.flatnonzero(active)
-        stepped = advance(phi[idx], gradient_field(h, m, orient[idx, None], r0[idx]), step, k1)
+        stepped = advance(phi[idx], gradient_field(h, m, orient[idx, None], r0[idx]), dt, k1)
         rate, r, sums = _gradient_parts(h, weights, m, orient[idx, None], r0[idx], stepped)
         crossed = orient[idx] * (_height(h, sums) - c) > 0
         active[idx[crossed]] = False
-        alive = idx[~crossed]
-        phi[alive], k1 = stepped[~crossed], rate[~crossed]
-        arcs[alive] += step
+        alive, keep = idx[~crossed], ~crossed
+        arcs[alive] += dt[keep, 0]
+        phi[alive], k1, r, sums, dt = stepped[keep], rate[keep], r[keep], sums[:, keep], dt[keep]
         if visit is not None and alive.size:
-            visit(alive, phi[alive], arcs[alive], r[~crossed])
+            visit(alive, phi[alive], arcs[alive], r)
     if active.any():
         raise GraphIntegrityError(
             f"{int(active.sum())} flows failed to reach the level in {max_steps} steps"
@@ -296,7 +325,10 @@ def _unit_rate(h, j):
 
 
 def default_thimble_step(h, j):
-    """Step resolving the stiffest Hessian rate per unit b_tau length."""
+    """Step resolving the stiffest Hessian rate per unit b_tau length, which
+    ``trace_thimble`` takes on a mixed twist, where RK4 is not exact; on a
+    scalar twist it steps by chart distance (``flow_to_level``), and a given
+    ``step`` (the CLI's ``--step-size``) is one grid on every twist."""
     return 0.1 / _unit_rate(h, j)
 
 
@@ -333,10 +365,11 @@ def trace_thimble(
     Seeds random unit directions of the graph tangent space at [e_j] on a
     geometric radius ladder (``seed_lines``) and flows them along -grad f1
     (sign '-', negative definite) or +grad f1 (sign '+') to the level
-    f1([e_j]) -/+ c_offset.  Samples are the pairs (u, m u), u = u0 e^phi,
-    so they lie on the graph and the surface of their seed by construction
-    and their residual measures only rounding; one above ``residual_limit``
-    raises GraphIntegrityError.
+    f1([e_j]) -/+ c_offset with ``flow_to_level``, at ``step`` or else as
+    ``default_thimble_step`` says.  Samples are the pairs (u, m u), u = u0
+    e^phi, so they lie on the graph and the surface of their seed by
+    construction and their residual measures only rounding; one above
+    ``residual_limit`` raises GraphIntegrityError.
 
     Returns one ``np.recarray``, a row per sample, with fields ``line`` (d,)
     the unit line u, ``x`` (d, d) its chart point, ``f1``, ``f2``,
@@ -367,7 +400,7 @@ def trace_thimble(
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     r_top = min(0.5, np.sqrt(1.8 * c_offset / _unit_rate(h, j)))
     seeds = seed_lines(j, n + 1, dirs, np.geomspace(min(1e-4, r_top / 10.0), r_top, radii))
-    if step is None:
+    if step is None and np.ptp(m):
         step = default_thimble_step(h, j)
 
     flows = np.arange(len(seeds))
@@ -382,7 +415,7 @@ def trace_thimble(
             for a, b in zip(last_rec, cur):
                 a[indices[due]] = b[due]
 
-    landed, arcs = flow_to_level(seeds, h, g, c_level, step, max_steps, visit)
+    landed, arcs = flow_to_level(seeds, h, g, c_level, step, max_steps, visit, record_sep)
     chunks.append((flows, landed, arcs))
 
     indices, phi, arcs = (np.concatenate(part) for part in zip(*chunks))
@@ -407,13 +440,15 @@ def lagrangian_check(mats, m, k=4):
     stack of chart points, shape (S, d, d), on the graph of the real
     diagonal m = +/-1, such as the ``x`` and ``twist`` of a trace.
 
-    Tangents at each sample are secants to its k nearest neighbours; on an
-    exactly Lagrangian sample cloud the symplectic pairing of any two
-    secants vanishes.  The points are fixed by x -> m x^H m, so |x - y|^2 =
-    sum (x_ii - y_ii)^2 + 2 sum_{i<j} |x_ij - y_ij|^2, and the neighbours are
-    searched in those d^2 real coordinates; the secant Grams are ambient,
-    GRAM_BLOCK samples at a time.  Secants shorter than 1e3 ulps of the
-    largest entry are rounding, not directions, and are skipped.  Raises
+    Tangents at each sample are secants to its k nearest neighbours.  The
+    points, and so the secants X, Y, are fixed by the anti-symplectic
+    involution x -> m x^H m, so tr(X Y^H) = tr(X^H Y) is real: omega
+    vanishes identically on these graphs, and the value reads only the
+    rounding of the Gram sums.  As |x - y|^2 = sum (x_ii - y_ii)^2 +
+    2 sum_{i<j} |x_ij - y_ij|^2 there, the neighbours are searched in those
+    d^2 real coordinates; the secant Grams are ambient, GRAM_BLOCK samples
+    at a time.  Secants shorter than 1e3 ulps of the largest entry are
+    rounding, not directions, and are skipped.  Raises
     ValueError naming the worst sample when x -> m x^H m moves one by more
     than that, and when no sample keeps two secants.
     """
@@ -453,22 +488,20 @@ def thimble_json(samples, meta, twist):
     """JSON text {"meta", "samples"} of a trace: ``meta`` with the real
     diagonal m of the traced graph added as ``twist``, and per sample the
     record {"n", "line", "f1", "f2", "graph_residual", "seed_index", "arc"},
-    which ``OrbitPoint.from_json(record, twist)`` reloads exactly."""
-    columns = zip(points_json(samples.line), samples.f1.tolist(), samples.f2.tolist(),
-                  samples.graph_residual.tolist(), samples.seed_index.tolist(),
-                  samples.arc.tolist())
-    payload = {
-        "meta": {**meta, "twist": np.asarray(twist, dtype=float).tolist()},
-        "samples": [
-            {**p, "f1": f1, "f2": f2, "graph_residual": res, "seed_index": i, "arc": arc}
-            for p, f1, f2, res, i, arc in columns
-        ],
-    }
-    return json.dumps(payload)
+    which ``OrbitPoint.from_json(record, twist)`` reloads exactly: the text of
+    ``json.dumps``, each record one ``%`` template over a row of numbers."""
+    d = samples.line.shape[-1]
+    rows = np.column_stack([samples.line.view(float), samples.f1, samples.f2,
+                            samples.graph_residual, samples.seed_index, samples.arc]).tolist()
+    record = ('{"n": %d, "line": [' % (d - 1) + ", ".join(["[%r, %r]"] * d) + '], "f1": %r, '
+              '"f2": %r, "graph_residual": %r, "seed_index": %d, "arc": %r}')
+    head = json.dumps({**meta, "twist": np.asarray(twist, dtype=float).tolist()})
+    # repr writes nan and inf where json.dumps writes NaN and Infinity; no key holds either
+    body = ", ".join([record % tuple(r) for r in rows]).replace("nan", "NaN").replace("inf", "Infinity")
+    return f'{{"meta": {head}, "samples": [{body}]}}'
 
 
 def thimble_csv(samples):
-    columns = zip(samples.seed_index.tolist(), samples.arc.tolist(), samples.f1.tolist(),
-                  samples.f2.tolist(), samples.graph_residual.tolist())
-    return "seed_index,arc,f1,f2,graph_residual\n" + "".join(
-        f"{i},{arc:.17g},{f1:.17g},{f2:.17g},{res:.17g}\n" for i, arc, f1, f2, res in columns)
+    cols = ("seed_index", "arc", "f1", "f2", "graph_residual")
+    rows = np.column_stack([samples[k] for k in cols]).tolist()
+    return ",".join(cols) + "\n" + "".join(["%d,%.17g,%.17g,%.17g,%.17g\n" % tuple(r) for r in rows])

@@ -196,8 +196,9 @@ class TestVanishingSphere:
 
     @pytest.mark.parametrize("n, c", ((1, 7.5), (6, 98.0)))
     def test_charts_only_the_seeds_and_the_landed_rows(self, n, c, monkeypatch):
-        # the same points, bit for bit, as the landed rows of a trace that
-        # records along its flows, from a trace of 2 count rows
+        # the same points, to rounding, as the landed rows of a trace that
+        # records along its flows, from a trace of 2 count rows; the exact
+        # flows of m = 1 step by record_sep, so the two take different steps
         from orbitflow import cycles, thimble
 
         h, count = minimal_cartan(n), 12
@@ -214,8 +215,8 @@ class TestVanishingSphere:
         got = vanishing_sphere(h, c, count, np.random.default_rng(3))
         assert len(want) > 2 * count and len(traces[0]) == 2 * count
         for pt, line, x in zip(got, want.line[-count:], want.x[-count:], strict=True):
-            assert np.array_equal(pt.line, line) and np.array_equal(pt.normal, line)
-            assert np.array_equal(pt.x, x)
+            assert np.abs(pt.line - line).max() <= 1e-13 and np.array_equal(pt.normal, pt.line)
+            assert np.abs(pt.x - x).max() <= 1e-13
 
     def test_opposite_directions_hit_same_level(self):
         rs = RootSystemAn(1)

@@ -16,6 +16,7 @@ from orbitflow.graphs import (
     identity_graph,
     m_j_pm,
     reality_check,
+    sign_pattern,
     twists,
     untwist,
 )
@@ -60,9 +61,22 @@ class TestInvolutions:
             g = m_j_pm(3, j, s)
             assert abs(np.prod(g.m_diag) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_odd_rank_twists_are_every_unit_determinant_pattern(self, n):
+        # m_j^- for odd j and m_j^+ for even j, n + 1 pairs
+        want = [(j, "-" if j % 2 else "+") for j in range(1, n + 2)]
+        assert twists(n) == want
+        for j, s in want:
+            assert np.prod(sign_pattern(n, j, s)) == 1.0
+            assert abs(np.prod(m_j_pm(n, j, s).m_diag) - 1.0) < 1e-12
+            other = "+" if s == "-" else "-"
+            assert np.prod(sign_pattern(n, j, other)) == -1.0
+            with pytest.raises(ParityError, match="determinant -1"):
+                m_j_pm(n, j, other)
+
     def test_odd_rank_interior_and_wrong_sign_rejected(self):
         with pytest.raises(ParityError):
-            m_j_pm(3, 2, "+")
+            m_j_pm(3, 2, "-")
         with pytest.raises(ParityError):
             m_j_pm(3, 1, "+")
         with pytest.raises(ParityError):

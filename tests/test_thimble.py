@@ -21,7 +21,7 @@ from orbitflow.liecore import (
     minimal_cartan,
     omega,
 )
-from orbitflow.orbit import OrbitPoint, assemble, critical_points, potential, retract
+from orbitflow.orbit import DRIFT_LIMIT, OrbitPoint, assemble, critical_points, potential, retract
 from orbitflow.thimble import (
     default_thimble_step,
     fg_decomposition_check,
@@ -54,6 +54,32 @@ def _graph_seed_stack(n, directions=8):
     lines = np.array([retract(xc.x + r * np.tensordot(c / np.linalg.norm(c), frame, axes=1)).line
                       for c in coeffs for r in np.geomspace(1e-4, 0.05, 6)])
     return h, g, lines, potential(h, xc).real - 0.5
+
+
+SCALAR_TWISTS = [(8, 1, "-"), (3, 4, "+"), (2, 1, "-")]  # m = 1, -1 and 1
+
+
+def _loop_advances(monkeypatch, j, sign, h, step):
+    """``advance`` calls of a trace outside its one ``cross_level``."""
+    calls, landing = [0], [False]
+    cross_level, advance = thimble.cross_level, thimble.advance
+
+    def counting_cross_level(*args):
+        landing[0] = True
+        try:
+            return cross_level(*args)
+        finally:
+            landing[0] = False
+
+    def counting_advance(*args):
+        calls[0] += not landing[0]
+        return advance(*args)
+
+    monkeypatch.setattr(thimble, "cross_level", counting_cross_level)
+    monkeypatch.setattr(thimble, "advance", counting_advance)
+    trace_thimble(j, sign, h, c_offset=0.5, directions=8, step=step, rng=np.random.default_rng(0))
+    monkeypatch.undo()
+    return calls[0]
 
 
 def _graph_sample(rng, g, n):
@@ -234,6 +260,20 @@ class TestGraphClosedForms:
         for k in range(len(gs)):
             alone = advance(phi[k:k + 1], gradient_field(h, m[k], orient[k], r0[k]), steps[k])
             assert np.array_equal(stacked[k], alone[0])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_phi_guard_bounds_every_rate(self, n):
+        # |c_i| <= spread(h) / d on every twist, so that a step of phi_guard
+        # moves no phi_i by more than 0.9 DRIFT_LIMIT
+        rng = np.random.default_rng(n)
+        for h in (default_cartan(n), rng.standard_normal(n + 1)):
+            for j, s in twists(n):
+                m = m_j_pm(n, j, s).m_diag.real
+                r0 = np.abs(rng.standard_normal((500, n + 1))) * np.exp(rng.uniform(-8, 0, (500, n + 1)))
+                rate = gradient_field(h, m, rng.choice([-1.0, 1.0], (500, 1)), r0)(np.zeros(r0.shape))
+                bound = 0.9 * DRIFT_LIMIT / thimble.phi_guard(h)
+                assert np.abs(rate).max() <= bound * (1 + 1e-12), (j, s)
+            assert np.isclose(bound, np.ptp(h) / (n + 1))
 
     def test_gradient_field_is_well_conditioned_near_the_divisor(self):
         # graph lines with |sigma| = |sum m |u|^2| / |u|^2 from 5e-4 down to
@@ -630,6 +670,72 @@ class TestTraceThimble:
         assert calls["loop"] > 0
         assert calls["landing"] <= thimble.LEVEL_ITERATIONS
 
+    @pytest.mark.parametrize("n, j, sign", SCALAR_TWISTS)
+    def test_scalar_twists_record_between_one_and_two_record_seps(self, n, j, sign):
+        # each step moves the chart point 0.45 record_sep at its starting speed
+        samples = trace_thimble(j, sign, default_cartan(n), c_offset=0.5, directions=8,
+                                rng=np.random.default_rng(0))
+        flows = samples[:-8 * 8]  # the landed rows come last
+        for f in np.unique(flows.flow_index):
+            x = flows.x[flows.flow_index == f]
+            gaps = np.linalg.norm(np.diff(x, axis=0), axis=(1, 2))
+            assert gaps.min() >= 0.03 * (1 - 1e-9) and gaps.max() <= 0.06, f
+
+    @pytest.mark.parametrize("n, j, sign", SCALAR_TWISTS)
+    def test_scalar_twists_take_at_most_half_the_steps_of_the_fixed_grid(self, n, j, sign,
+                                                                         monkeypatch):
+        h = default_cartan(n)
+        loops = [_loop_advances(monkeypatch, j, sign, h, step)
+                 for step in (None, default_thimble_step(h, j))]
+        assert 0 < loops[0] <= loops[1] / 2, loops
+
+    @pytest.mark.parametrize("n, j, sign, step", [(4, 3, "+", None), (2, 1, "+", None),
+                                                  (8, 1, "-", 0.2), (3, 4, "+", 0.05)])
+    def test_fixed_grids_record_at_multiples_of_the_step(self, n, j, sign, step):
+        # mixed twists at the default step, and any twist at an explicit one
+        h = default_cartan(n)
+        samples = trace_thimble(j, sign, h, c_offset=0.4, directions=4, step=step,
+                                rng=np.random.default_rng(1))
+        step = default_thimble_step(h, j) if step is None else step
+        arcs = samples.arc[:-4 * 8]  # the landed rows come last
+        assert (arcs > 0).any()
+        np.testing.assert_allclose(arcs, np.round(arcs / step) * step, rtol=1e-12, atol=0)
+
+    def test_chart_steps_need_a_scalar_twist(self):
+        h, g = default_cartan(2), m_j_pm(2, 1, "+")
+        lines = thimble.seed_lines(1, g.dim, np.eye(4)[:1], [1e-2])
+        with pytest.raises(ValueError, match="twist m1\\+ is not scalar"):
+            flow_to_level(lines, h, g, line_height(h, g.m_diag.real, lines)[0] - 0.1, None, 10)
+
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_chart_steps_do_not_depend_on_the_batch(self, n):
+        h, g, lines, c = _graph_seed_stack(n)
+        landed, arcs = flow_to_level(lines, h, g, c, None, 4000, record_sep=0.03)
+        for k in range(0, len(lines), 5):
+            alone, arc = flow_to_level(lines[k:k + 1], h, g, c, None, 4000, record_sep=0.03)
+            assert np.array_equal(alone[0], landed[k]) and np.array_equal(arc[0], arcs[k])
+
+    def test_landing_steps_stay_inside_the_guard(self, monkeypatch):
+        # at step 0.45 no loop step of m_1^- at n = 8 moves phi by more than
+        # 0.4, but Newton's first landing step would move a row by 0.51: that
+        # row lands from the step phi_guard instead of raising StepSizeError
+        h, sizes = default_cartan(8), []
+        rk4_step = thimble.rk4_step
+
+        def recording(*args):
+            out = rk4_step(*args)
+            sizes.append(out[1].max())
+            return out
+
+        monkeypatch.setattr(thimble, "rk4_step", recording)
+        samples = trace_thimble(1, "-", h, c_offset=0.5, directions=16, step=0.45,
+                                rng=np.random.default_rng(0))
+        assert max(sizes) > DRIFT_LIMIT
+        level = line_height(h, 1.0, np.eye(9)[0]) - 0.5
+        landed = samples[-16 * 8:]
+        assert np.abs(landed.f1 - level).max() <= 1e-9
+        assert (np.bincount(landed.seed_index, minlength=16) == 8).all()
+
     @pytest.mark.parametrize("n, j, sign", [(2, 1, "-"), (8, 1, "-"), (3, 4, "+")])
     def test_scalar_twist_samples_are_exact_torus_orbits(self, n, j, sign):
         # on m = 1 (m_1^- at n = 2, 8) and m = -1 (m_4^+ at n = 3) the flow
@@ -700,6 +806,23 @@ class TestTraceThimble:
         csv = thimble_csv(samples).splitlines()
         assert csv[0] == "seed_index,arc,f1,f2,graph_residual"
         assert len(csv) == len(samples) + 1
+
+    @pytest.mark.parametrize("n, j, sign", [(2, 1, "-"), (4, 3, "+")])
+    def test_json_and_csv_are_the_text_of_the_record_dicts(self, n, j, sign):
+        # json.dumps of one dict per sample and f-strings of the CSV columns,
+        # non-finite values included
+        samples = trace_thimble(j, sign, default_cartan(n), c_offset=0.4, directions=3, radii=2,
+                                rng=np.random.default_rng(4))
+        samples.f1[1], samples.f2[2], samples.arc[3] = np.nan, np.inf, -np.inf
+        twist, meta = m_j_pm(n, j, sign).m_diag.real, {"config": {"n": n}, "x": [0.1, 2]}
+        records = [{"n": n, "line": np.stack([s.line.real, s.line.imag], -1).tolist(),
+                    "f1": float(s.f1), "f2": float(s.f2), "graph_residual": float(s.graph_residual),
+                    "seed_index": int(s.seed_index), "arc": float(s.arc)} for s in samples]
+        want = json.dumps({"meta": {**meta, "twist": twist.tolist()}, "samples": records})
+        assert thimble_json(samples, meta, twist) == want
+        rows = "".join(f"{r['seed_index']},{r['arc']:.17g},{r['f1']:.17g},{r['f2']:.17g},"
+                       f"{r['graph_residual']:.17g}\n" for r in records)
+        assert thimble_csv(samples) == "seed_index,arc,f1,f2,graph_residual\n" + rows
 
     @pytest.mark.parametrize("n, j, sign", [(2, 1, "-"), (4, 3, "+"), (3, 4, "+")])
     def test_json_reloads_every_sample_through_the_twist(self, n, j, sign):

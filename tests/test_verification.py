@@ -62,7 +62,9 @@ class TestFlippedZSign:
         assert failing(verification.flow_suite, 2) == {"flag-flow-matches-double-bracket-solution"}
 
     def test_thimble_rows_do_not_return(self):
-        assert failing(verification.thimble_suite, 3) == {"thimble-containment-and-openness",
+        # n = 1 has only the scalar twists m = 1 and m = -1; at every n >= 2
+        # a mixed-sign twist trips the step guard first, as below
+        assert failing(verification.thimble_suite, 1) == {"thimble-containment-and-openness",
                                                           "thimble-flows-back-under-z"}
 
     def test_or_the_step_guard_names_the_row(self):
