@@ -62,8 +62,8 @@ def ad_inverse(pt, v, tangency_tol=TANGENCY_TOL):
     """
     vm = _mat(v)
     w, outside = invert_pair(*pair_of(pt), vm)
-    excess = (np.linalg.norm(outside, axis=(-2, -1))
-              / np.maximum(1.0, np.linalg.norm(vm, axis=(-2, -1))))
+    sq_out, sq_v = ((np.abs(a) ** 2).sum(axis=(-2, -1)) for a in (outside, vm))
+    excess = np.sqrt(sq_out / np.maximum(1.0, sq_v))
     k = np.argmax(excess)
     if excess.flat[k] > tangency_tol:
         where = f" (stack index {k})" if excess.ndim else ""
@@ -73,7 +73,7 @@ def ad_inverse(pt, v, tangency_tol=TANGENCY_TOL):
 
 def metric_m(pt, u, v, tangency_tol=TANGENCY_TOL):
     """Orbit metric b_tau(ad(x)^-1 u, ad(x)^-1 v); u and v are inverted as one stack."""
-    return b_tau(*ad_inverse(pt, np.stack([_mat(u), _mat(v)]), tangency_tol))
+    return b_tau(*ad_inverse(pt, np.array([_mat(u), _mat(v)]), tangency_tol))
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,11 @@ input, extended precision included:
   ``pair_of`` returns it for an OrbitPoint (cached) or stacked matrices;
 * ``assemble`` is the formula above and ``pair_tangent`` its derivative;
 * ``complement`` is an orthonormal basis of the hyperplane of a normal;
-* ``project_pair`` is the closed-form projection onto the tangent space
-  im ad(x) = {u b^H : b ⊥ u} + {c v^H : c ⊥ v}.
+* ``project_pair`` is the rank-two closed-form projection onto the tangent
+  space im ad(x) = {u b^H : b ⊥ u} + {c v^H : c ⊥ v}, and ``invert_pair``
+  the minimum-norm inverse of ad(x), the same form at the pair (v, u).
 
-Everything else here is a view over these six; ``tangent_project`` and
+Everything else here is a view over these seven; ``tangent_project`` and
 ``potential`` take an OrbitPoint or a stack of matrices.  ``advance``, the
 one stepper and its guard, moves stacks of pairs (batch, 2, d) by velocities
 such as ``lax_velocity``, or the log-moduli of graph lines
@@ -152,33 +153,30 @@ def complement(v):
     return eye - w[..., :, None] * w[..., None, 1:].conj() / (1.0 + mag[..., None])
 
 
-def _tangent_parts(u, v, m):
-    """The vectors (b, c) of the projection u b^H + c v^H of ``project_pair``."""
-    s2 = np.abs(_vdot(v, u)) ** 2
-    t = (1.0 - s2)[..., None]
-    mhu = _matvec(np.swapaxes(m, -1, -2).conj(), u)
-    beta0 = mhu - u * _vdot(u, mhu)[..., None]
-    gamma0 = _matvec(m, v)
-    gamma0 = gamma0 - v * _vdot(v, gamma0)[..., None]
-    p = _vdot(gamma0, u)[..., None]
-    q = _vdot(beta0, v)[..., None]
-    a = (p - t * q.conj()) / (s2 * (2.0 - s2))[..., None]
-    b = q - t * a.conj()
-    beta = beta0 - a * (v - u * _vdot(u, v)[..., None])
-    return beta, gamma0 - b * (u - v * _vdot(v, u)[..., None])
+def _project_rows(u, v, s, r, c):
+    """``project_pair`` at (u, v), s = v^H u, of the m with u^H m = r and m v = c."""
+    s_c, v_h = s.conj(), v.conj()
+    a_uv = (r * v).sum(axis=-1, keepdims=True)
+    k = ((r * u + v_h * c).sum(axis=-1, keepdims=True) - s * a_uv) / (2.0 - (s * s_c).real)
+    row = r - k * u.conj() + (k * s_c - a_uv) * v_h
+    return u[..., :, None] * row[..., None, :] + (c - k * v)[..., :, None] * v_h[..., None, :]
 
 
 def project_pair(u, v, m):
-    """Hermitian-orthogonal projection of m onto {u b^H : b ⊥ u} + {c v^H : c ⊥ v}.
+    """Hermitian-orthogonal projection of m onto {u b^H : b ⊥ u} + {c v^H : c ⊥ v},
+    the tangent space im ad(x) at the chart point x of unit u, v.
 
-    For unit u, v this is the tangent space of the orbit at the chart
-    point of (u, v).  The normal equations give b = P_u m^H u - (c^H u) P_u v
-    and c = P_v m v - (b^H v) P_v u, with P_w = I - w w^H; the two scalars
-    c^H u and b^H v are coupled through t = 1 - |v^H u|^2 and solved for in
-    closed form.
+    With s = v^H u, P_w = I - w w^H and N = u u^H + v v^H - conj(s) u v^H,
+    the complement ker ad(x^H) is {P_u m P_v} + C N and |N|^2 = 2 - |s|^2, so
+    the projection m - P_u m P_v - k N is the rank-two map
+    u (u^H m - k u^H + (k conj(s) - a_uv) v^H) + (m v - k v) v^H, where
+    k = (a_uu + a_vv - s a_uv) / (2 - |s|^2) of the forms a_uu = u^H m u,
+    a_uv = u^H m v, a_vv = v^H m v: two matvecs m @ w[..., None] and three dot
+    products, with no division by |s|.  Each per-matrix scalar is a (..., 1)
+    array, not 0-d, so a stack of m gives each matrix bit for bit what it gives alone.
     """
-    beta, gamma = _tangent_parts(u, v, m)
-    return u[..., :, None] * beta.conj()[..., None, :] + gamma[..., :, None] * v.conj()[..., None, :]
+    return _project_rows(u, v, _vdot(v, u)[..., None],
+                         _matvec(np.swapaxes(m, -1, -2), u.conj()), _matvec(m, v))
 
 
 def lax_velocity(pairs, h):
@@ -234,20 +232,23 @@ def invert_pair(u, v, m):
     """Minimum-norm w with [x, w] = m at the chart point x of (u, v), and
     the part of m outside im ad(x), which [x, w] misses.
 
-    With P = u v^H / (v^H u) and x = (n+1) P - I, w0 = [P, m] / (n+1)
-    solves the equation on im ad(x), where [P, [P, m]] = m.  The kernel of
-    ad(x) is orthogonal to im ad(x^H), the tangent space of the swapped
-    pair (v, u), so projecting w0 there gives the minimum-norm solution.
-    The missed part is P m P + (I - P) m (I - P).
+    With s = v^H u, P = u v^H / s and x = (n+1) P - I, the rank-two
+    w0 = [P, m] / (n+1) = (u (v^H m) - (m u) v^H) / (s (n+1)) solves the
+    equation on im ad(x), where [P, [P, m]] = m.  The kernel of ad(x) is
+    orthogonal to im ad(x^H), the tangent space of the swapped pair (v, u),
+    so ``project_pair`` there of w0, from the vectors v^H w0 and w0 u, is the
+    minimum-norm solution, with scalars kept as (..., 1) arrays.  The missed
+    part is P m P + (I - P) m (I - P) = m - u (v^H m / s - 2 (v^H m u / s^2) v^H)
+    - (m u / s) v^H.
     """
     d = u.shape[-1]
-    s = _vdot(v, u)[..., None]
-    mu = _matvec(m, u) / s
-    vm = _matvec(np.swapaxes(m, -1, -2), v.conj()) / s
-    pm = u[..., :, None] * vm[..., None, :]
-    mp = mu[..., :, None] * v.conj()[..., None, :]
-    pmp = (_vdot(v, mu)[..., None] / s)[..., None] * u[..., :, None] * v.conj()[..., None, :]
-    return project_pair(v, u, (pm - mp) / d), m - pm - mp + 2.0 * pmp
+    v_h = v.conj()
+    s = (v_h * u).sum(axis=-1, keepdims=True)
+    mu, vm = _matvec(m, u), _matvec(np.swapaxes(m, -1, -2), v_h)
+    vmu = (vm * u).sum(axis=-1, keepdims=True) / s
+    w = _project_rows(v, u, s.conj(), (vm - vmu * v_h) / d, (vmu * u - mu) / d)
+    return w, (m - u[..., :, None] * ((vm - 2.0 * vmu * v_h) / s)[..., None, :]
+               - (mu / s)[..., :, None] * v_h[..., None, :])
 
 
 @dataclass(frozen=True)

@@ -41,8 +41,7 @@ def kaehler_gradients(pt, h):
     Both are Hermitian-orthogonal projections, at the one point ``pt``, of
     the stack (H, iH); holomorphy forces F2 = i F1, which callers may verify.
     """
-    hm = cartan_matrix(h)
-    return tuple(tangent_project(pt, np.stack([hm, 1j * hm])))
+    return tuple(tangent_project(pt, cartan_matrix(h) * np.array([1.0, 1j])[:, None, None]))
 
 
 @dataclass(frozen=True)

@@ -407,15 +407,15 @@ def word_with_slot(n, j):
 
 def graphs_suite(cfg, rng):
     checks = []
+    n, h = cfg.n, cfg.h
     worst = 0.0
-    for m in (2, 4, 6):
+    for m in sorted({1, 2, 3, 4, 5, 6, n}):
         for j, s in graphs.twists(m):
             g = graphs.m_j_pm(m, j, s)
             worst = max(worst, abs(np.prod(g.m_diag) - 1.0))
     checks.append(_check("involutions-have-unit-determinant", worst, 1e-12,
-                         "odd matrix size fixes the determinant of the sign twists"))
+                         "every twist listed at ranks 1..6 and n has determinant 1"))
 
-    n, h = cfg.n, cfg.h
     twists = graphs.twists(n)
     worst = 0.0
     for j, s in twists:

@@ -20,6 +20,7 @@ from orbitflow.liecore import bracket, cartan_matrix, minimal_cartan, default_ca
 from orbitflow.orbit import (
     OrbitPoint,
     assemble,
+    complement,
     critical_points,
     invert_pair,
     lax_velocity,
@@ -369,6 +370,44 @@ class TestPairKernel:
             assert res.shape == (len(pts),)
             for k, pt in enumerate(pts):
                 assert close(res[k], graph_membership(pt, g))
+
+    @pytest.mark.parametrize("n", RANKS)
+    def test_tangent_project_of_a_stack_is_each_matrix_alone(self, n):
+        rng = np.random.default_rng(35 + n)
+        for pt in (random_orbit_point(rng, n), critical_points(n)[0]):
+            ms = np.array([random_traceless(rng, n + 1) for _ in range(4)])
+            got = tangent_project(pt, ms)
+            assert got.shape == ms.shape
+            for k, m in enumerate(ms):
+                assert np.array_equal(got[k], tangent_project(pt, m))
+
+    @pytest.mark.parametrize("n", (2, 5, 12))
+    @pytest.mark.parametrize("s", (1e-1, 1e-2, 1e-3))
+    def test_pair_kernels_near_the_incidence_divisor(self, n, s):
+        # at |v^H u| = s, the projection against least squares on the
+        # spanning set {u b^H : b ⊥ u} + {c v^H : c ⊥ v}; the inverse against
+        # the pseudo-inverse of ad(x), and its split [x, w] + outside = m
+        # within rounding of its largest terms, |x| |w| and |m| / s^2
+        rng = np.random.default_rng(50 + n)
+        d = n + 1
+        for _ in range(3):
+            u, w = random_unit_vector(rng, d), random_unit_vector(rng, d)
+            w = w - u * np.vdot(u, w)
+            w = np.sqrt(1.0 - s * s) * w / np.linalg.norm(w)
+            pt = pair_point(u, s * np.exp(2j * np.pi * rng.uniform()) * u + w)
+            u, v = pt.line, pt.normal
+            m = random_traceless(rng, d)
+            cands = np.concatenate([u[None, :, None] * complement(u).T.conj()[:, None, :],
+                                    complement(v).T[:, :, None] * v.conj()[None, None, :]])
+            a = cands.reshape(len(cands), -1).T
+            want = a @ np.linalg.lstsq(a, m.ravel(), rcond=None)[0]
+            assert np.linalg.norm(tangent_project(pt, m).ravel() - want) < 1e-12 * np.linalg.norm(m)
+            inv, outside = invert_pair(u, v, m)
+            ad = np.kron(pt.x, np.eye(d)) - np.kron(np.eye(d), pt.x.T)
+            ref = (np.linalg.pinv(ad, rcond=1e-13) @ (m - outside).ravel()).reshape(d, d)
+            assert np.linalg.norm(inv - ref) < 1e-12 * np.linalg.norm(ref)
+            scale = np.linalg.norm(pt.x) * np.linalg.norm(inv) + np.linalg.norm(m) / s ** 2
+            assert np.linalg.norm(bracket(pt.x, inv) + outside - m) < 1e-13 * scale
 
     @pytest.mark.parametrize("n", RANKS)
     def test_ad_inverse_split_of_the_ambient_space(self, n):

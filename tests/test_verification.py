@@ -1,5 +1,6 @@
 """The verify checks built on the graphs of the stable and unstable manifolds
-of Z fail under named mutations of the Z rule and of the seeds' graphs."""
+of Z fail under named mutations of the Z rule and of the seeds' graphs, and
+the unit-determinant check fails when a twist of determinant -1 is listed."""
 
 import numpy as np
 import pytest
@@ -96,3 +97,27 @@ def test_principal_angles_see_swapped_graphs(n, monkeypatch):
 
     monkeypatch.setattr(graphs, "graph_tangent_frame", swapped_frame)
     assert measure_splitting(n) > 0.5
+
+
+def every_sign_pattern(monkeypatch, from_rank):
+    """Let ``twists`` list the determinant -1 patterns of the ranks from
+    ``from_rank`` on, and ``m_j_pm`` build them past GraphSpec's own check."""
+    twists, sign_pattern = graphs.twists, graphs.sign_pattern
+
+    def m_j_pm(n, j, s):
+        g = object.__new__(graphs.GraphSpec)
+        object.__setattr__(g, "m_diag", sign_pattern(n, j, s).astype(complex))
+        object.__setattr__(g, "name", f"m{j}{s}")
+        return g
+
+    monkeypatch.setattr(graphs, "twists", lambda n: twists(n) if n < from_rank else
+                        [(j, s) for j in range(1, n + 2) for s in "+-"])
+    monkeypatch.setattr(graphs, "m_j_pm", m_j_pm)
+
+
+@pytest.mark.parametrize("n, from_rank", [(2, 1), (7, 7)])
+def test_unit_determinant_check_reads_every_odd_rank(n, from_rank, monkeypatch):
+    # (2, 1): only ranks 1, 3 and 5 list a determinant -1 pattern;
+    # (7, 7): only the configured rank does
+    every_sign_pattern(monkeypatch, from_rank)
+    assert "involutions-have-unit-determinant" in failing(verification.graphs_suite, n)
