@@ -6,7 +6,8 @@ Reports are JSON with each float written as the shortest decimal that
 reads back exactly; identical configuration and seed produce
 byte-identical output.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error.
+Exit codes: 0 all checks pass, 1 a check failed or a flow raised StepSizeError
+or GraphIntegrityError (``error: <message>`` on stderr), 2 configuration error.
 """
 
 import argparse
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import flow, graphs, thimble, verification
-from .errors import ConfigError
+from .errors import ConfigError, GraphIntegrityError, StepSizeError
 from .liecore import default_cartan
 from .orbit import critical_points, potential
 
@@ -345,6 +346,9 @@ def main(argv=None):
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
+    except (StepSizeError, GraphIntegrityError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

@@ -7,9 +7,9 @@ minimum-norm inverse, in closed form in the pair coordinates
 ``orbit.pair_of(x)`` of an OrbitPoint or of stacked matrices.
 ``integrate`` flows a whole stack of pairs along Z and records it as arrays
 (``Trajectory``): a single point is a batch of one.  Z is tangent to the
-graph of every +/-1 diagonal m, where a row steps the log-moduli of its line
-(``thimble.z_rate``); other rows step by ``orbit.lax_velocity``.  At [e_j],
-V- of dZ spans the graph of m_j^+ and V+ that of m_j^-.
+graph of every +/-1 diagonal m, where a row steps the two scalars (s, B) of its
+line u0 e^{m (h s - B)} by the Z rule of ``thimble._line_rate``; other rows step
+by ``orbit.lax_velocity``.  At [e_j], V- of dZ spans the graph of m_j^+ and V+ that of m_j^-.
 """
 
 from dataclasses import dataclass
@@ -173,12 +173,12 @@ class Trajectory:
 
 def integrate(pairs, h, direction="forward", step=None, max_steps=10000, conv_tol=CONV_TOL):
     """Flow a stack of pairs (u, v), shape (batch, 2, d), along +/-Z by
-    ``advance``: a row (u0, e^{i theta} m u0), m = +/-1 (m = 1: Hermitian),
-    steps the log-moduli of u0 e^phi (``thimble.z_rate``) on its graph and
-    other rows step by ``orbit.lax_velocity``.  A row freezes once its |Z|
-    drops below conv_tol; the flow stops when every row has, or after
-    max_steps.  Every kernel reduces row by row, so a row flows bit for bit
-    as it does alone."""
+    ``advance`` on one grid in t: a row (u0, e^{i theta} m u0), m = +/-1
+    (m = 1: Hermitian), steps the state (s, B) of its lines u0 e^{m (h s - B)}
+    on its graph under the Z rule, and other rows step by
+    ``orbit.lax_velocity``.  A row freezes once its |Z| drops below conv_tol;
+    the flow stops when every row has, or after max_steps.  Every kernel
+    reduces row by row, so a row flows bit for bit as it does alone."""
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
     sign = 1.0 if direction == "forward" else -1.0
@@ -190,7 +190,7 @@ def integrate(pairs, h, direction="forward", step=None, max_steps=10000, conv_to
     m = np.where((b.conj() * a).real < 0, -1.0, 1.0)
     on_graph = np.linalg.norm(a - m * b, axis=-1) <= 1e-12 * np.linalg.norm(a, axis=-1)
     pairs[on_graph, 1] = m[on_graph] * u0[on_graph]  # every recorded normal is m u
-    phi = np.zeros(m.shape)
+    state, r0, weights = np.zeros((len(pairs), 2)), np.abs(u0), thimble._weights(h, m)
 
     record = [pairs.copy()]
     zn, z_norms = np.full(len(pairs), np.nan), []  # |Z| only of rows that can still freeze
@@ -209,8 +209,10 @@ def integrate(pairs, h, direction="forward", step=None, max_steps=10000, conv_to
         free, graph = np.flatnonzero(active & ~on_graph), np.flatnonzero(active & on_graph)
         if free.size:
             pairs[free] = advance(pairs[free], lambda p: sign * lax_velocity(p, h), dt)
-        phi[graph] = advance(phi[graph], thimble.z_rate(h, m[graph], sign, np.abs(u0[graph])), dt)
-        line = thimble.graph_lines(u0[graph], phi[graph])
+        rule = (h, weights[graph], m[graph], sign, r0[graph])
+        state[graph] = advance(state[graph], lambda s: thimble._line_rate(*rule, s, True)[0], dt,
+                               None, h)
+        line = thimble.graph_lines(u0[graph], h, m[graph], state[graph])
         pairs[graph] = np.stack([line, m[graph] * line], axis=1)
         steps[active] += 1
         record.append(pairs.copy())

@@ -23,8 +23,8 @@ input, extended precision included:
 Everything else here is a view over these seven; ``tangent_project`` and
 ``potential`` take an OrbitPoint or a stack of matrices.  ``advance``, the
 one stepper and its guard, moves stacks of pairs (batch, 2, d) by velocities
-such as ``lax_velocity``, or the log-moduli of graph lines
-(``thimble.z_rate``, ``thimble.gradient_field``).  Only the snaps
+such as ``lax_velocity``, or the two scalars (s, B) of graph lines
+u0 e^{m (h s - B)} (``thimble.flow_to_level``, ``flow.integrate``).  Only the snaps
 (``retract``, ``split_eigen``) assemble a split and measure how far that
 moves x.
 """
@@ -191,11 +191,12 @@ def lax_velocity(pairs, h):
     return coef[..., None] * pairs[..., ::-1, :] * weights
 
 
-def rk4_step(state, rhs, dt, k1=None):
+def rk4_step(state, rhs, dt, k1=None, h=None):
     """One RK4 step of ``rhs`` from complex pairs (u, v) (batch, 2, d) or real
-    log-moduli phi (batch, d), ``dt`` broadcasting, from ``k1 = rhs(state)`` if
-    given, and each row's size: its largest move across u or v relative to the
-    length (inf where v^H u turns 0 or not finite), or of a phi_i."""
+    states (s, B) (batch, 2) of graph lines u0 e^{m (h s - B)}, ``dt``
+    broadcasting, from ``k1 = rhs(state)`` if given, and each row's size: its
+    largest move across u or v relative to the length (inf where v^H u turns
+    0 or not finite), or of a log-modulus, max_i |h_i ds - dB|."""
     k1 = rhs(state) if k1 is None else k1
     k2 = rhs(state + 0.5 * dt * k1)
     k3 = rhs(state + 0.5 * dt * k2)
@@ -208,13 +209,13 @@ def rk4_step(state, rhs, dt, k1=None):
         s = _vdot(out[..., 1, :], out[..., 0, :])
         rel = np.sqrt(np.maximum(across, 0.0) / norm2).max(axis=-1)
         return out, np.where(np.isfinite(s) & (s != 0), rel, np.inf)
-    return out, np.abs(move).max(axis=-1)
+    return out, np.abs(h * move[..., :1] - move[..., 1:]).max(axis=-1)
 
 
-def advance(state, rhs, dt, k1=None):
+def advance(state, rhs, dt, k1=None, h=None):
     """``rk4_step`` that raises StepSizeError naming the first row whose move
     has a size above DRIFT_LIMIT (or not finite)."""
-    out, size = rk4_step(state, rhs, dt, k1)
+    out, size = rk4_step(state, rhs, dt, k1, h)
     bad = np.flatnonzero(~(size <= DRIFT_LIMIT))
     if bad.size:
         raise StepSizeError(f"step of size {size[bad[0]]:.3e} exceeds {DRIFT_LIMIT} (batch index "

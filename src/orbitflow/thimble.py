@@ -5,18 +5,18 @@ graph of a twisted complement map; near a critical point with definite
 restricted Hessian its sublevel (or superlevel) ball is a Lagrangian
 thimble, traced along the ambient gradient of f1, the tangent projection of
 H.  On the graph of an involution m = +/-1 a point is the line u of its pair
-(u, m u), and the gradient scales each entry of u by a real factor in
-span{h m, m, 1}: a flow keeps the phases of its seed u0 and stays on the
-surface u0 e^phi (the torus orbits of Bloch, Brockett and Ratiu when m = 1).
-So flows step the real log-moduli phi, and the seeds (``seed_lines``), the
-rate (``gradient_field``), the height (``line_height``) and the chart gap
-(``pair_gap``) are closed forms in the lines (``graph_lines``), one stack
-of which may mix twists.  ``flow_to_level`` steps them with ``orbit.advance``
-(by chart distance on the scalar twists m = +/-1, where the flow is exact)
-and one ``cross_level`` lands them; matrices appear once, in the ``chart`` of
-the recorded lines.  ``thimble_json`` writes each sample as its unit line.
-The split F1 = G1 - i G2 uses ``graphs.graph_tangent_frame``; Z is tangent
-to the graphs too (``z_rate``, stepped by ``flow.integrate``).
+(u, m u), and both F1 and the Morse field Z scale each entry of u by a real
+factor: a flow keeps the phases of its seed u0 and stays on the lines
+u0 e^{m (h s - B)} up to scale (the torus orbits of Bloch, Brockett and Ratiu
+when m = 1).  So every flow steps two scalars (s, B) per row, by one rule for
+F1 and Z (``_line_rate``), and the seeds (``seed_lines``), the height
+(``line_height``) and the chart gap (``pair_gap``) are closed forms in the
+lines (``graph_lines``), one stack of which may mix twists.
+``flow_to_level`` steps them with ``orbit.advance`` by chart distance on
+every twist and one ``cross_level`` lands them; matrices appear once, in the
+``chart`` of the recorded lines.  ``thimble_json`` writes each sample as its
+unit line.  The split F1 = G1 - i G2 uses ``graphs.graph_tangent_frame``;
+``flow.integrate`` steps Z on the graphs by the same rule.
 """
 
 import json
@@ -94,8 +94,8 @@ def horizontal_lift_check(pt, h, min_grad=1e-8):
 
 
 # ---------------------------------------------------------------------------
-# batched flow engine: many seeds stepped together as log-moduli phi of the
-# graph lines u0 e^phi
+# batched flow engine: many seeds stepped together as the states (s, B) of
+# the graph lines u0 e^{m (h s - B)}
 
 
 def _weights(h, m):
@@ -111,9 +111,16 @@ def _line_sums(weights, w):
     return np.einsum("...d,...kd->k...", w, weights)[..., None]
 
 
-def graph_lines(u0, phi):
-    """The lines u0 e^phi, each scaled by e^-max(phi) so that none overflows;
-    their heights and chart gaps depend on |u| only, so u0 = |u0| will do."""
+def _log_moduli(h, m, state):
+    """m (h s - B) of states (s, B), shape (..., 2), or of their rates."""
+    return m * (h * state[..., :1] - state[..., 1:])
+
+
+def graph_lines(u0, h, m, state):
+    """The lines u0 e^{m (h s - B)} of states (s, B), each scaled by e^-max of
+    its log-moduli so that none overflows; their heights and chart gaps
+    depend on |u| only, so u0 = |u0| will do."""
+    phi = _log_moduli(h, m, state)
     return u0 * np.exp(phi - phi.max(axis=-1, keepdims=True))
 
 
@@ -162,92 +169,82 @@ def pair_gap(m, ua, ub):
     return _gap(_unit_and_beta(m, ua), _unit_and_beta(m, ub))
 
 
-def gradient_field(h, m, orient, r0):
-    """orient * grad f1 on the graphs of involutions m = +/-1 as the rate of the
-    log-moduli phi (batch, d) of lines u0 e^phi, |u0| = r0, row by row.
+def _line_rate(h, weights, m, orient, r0, state, z=False):
+    """The rate (s', B') = k (1, b) of states (s, B), shape (batch, 2), of lines
+    u0 e^{m (h s - B)}, |u0| = r0, m = +/-1 row by row (``weights`` is
+    ``_weights(h, m)``), along orient * grad f1, or orient * Z with ``z``; and
+    the lines r it reads with their ``_line_sums``, which give f1 (``_height``).
 
     At (u, m u), with w = |u|^2, N = sum w, sigma = sum m w / N, rho =
-    sum h w / N and p = sum h m w / N - rho sigma, the tangent projection of
-    H = diag(h) moves u by c u, c = (sigma / d) [(h - rho + a sigma) m - a],
-    a = p / (2 - sigma^2).  On a scalar twist (a = 0) RK4 is exact."""
-    h = np.asarray(h, dtype=float)
-    weights = _weights(h, m)
-    return lambda phi: _gradient_parts(h, weights, m, orient, r0, phi)[0]
-
-
-def _gradient_parts(h, weights, m, orient, r0, phi):
-    """The rate of ``gradient_field`` at phi, the lines r = ``graph_lines(r0,
-    phi)`` it is read from and their ``_line_sums``, which give f1 (``_height``)."""
-    r = graph_lines(r0, phi)
+    sum h w / N and a = (sum h m w / N - rho sigma) / (2 - sigma^2), the
+    projection of H moves u by c u, c = (sigma / d) [(h - rho + a sigma) m - a],
+    and the Lax form of Z moves (u, m u) by (c u, m c u), c = (d / sigma) (rho
+    - h) m.  Up to a part common to all entries, which only scales u, each c
+    is m (h s' - B'): k = orient sigma / d, b = rho - a sigma for F1 and
+    k = -orient d / sigma, b = rho for Z.  On a scalar twist sigma = +/-1, so
+    s' is constant and B only scales u: there RK4 is exact."""
+    r = graph_lines(r0, h, m, state)
     sums = _line_sums(weights, r * r)
     norm, mw, hw, hmw = sums
     sigma, rho = mw / norm, hw / norm
-    a = (hmw / norm - rho * sigma) / (2.0 - sigma ** 2)
-    return orient * (sigma / len(h)) * ((h - rho + a * sigma) * m - a), r, sums
-
-
-def z_rate(h, m, orient, r0):
-    """orient * Z on the graphs of involutions m = +/-1 as the rate of phi, as
-    ``gradient_field``: at (u, m u) the Lax form of Z moves u by c u and m u
-    by m c u, c = (d / sigma) (rho - h) m, so Z is tangent to the graph."""
-    h = np.asarray(h, dtype=float)
-    weights = _weights(h, m)
-
-    def rate(phi):
-        r = graph_lines(r0, phi)
-        norm, mw, hw, _ = _line_sums(weights, r * r)
-        return orient * (len(h) * norm / mw) * (hw / norm - h) * m
-
-    return rate
+    if z:
+        k, b = -orient * len(h) / sigma, rho
+    else:
+        a = (hmw / norm - rho * sigma) / (2.0 - sigma ** 2)
+        k, b = orient * sigma / len(h), rho - a * sigma
+    return np.concatenate([k, k * b], axis=-1), r, sums
 
 
 def phi_guard(h):
-    """Longest step of ``gradient_field`` that moves no phi_i by 0.9 DRIFT_LIMIT
-    on a graph of m = +/-1.  With rho_+, rho_- the means of h over the entries
-    m = 1 and m = -1, of weights alpha and beta, c_i d / sigma = m_i (h_i -
-    rho_i), rho_i a mean of rho_+ and rho_- (weight beta / (1 + 4 alpha beta)
-    on rho_- if m_i = 1, else alpha / (1 + 4 alpha beta) on rho_+): |c_i| <= spread(h) / d."""
+    """Longest step of the F1 rule that moves no log-modulus m_i k (h_i - b) by
+    0.9 DRIFT_LIMIT on a graph of m = +/-1.  With alpha, beta the weights of the
+    entries m = 1, -1 and rho_+, rho_- their means of h, b = rho_- + alpha (1 +
+    2 beta) / (1 + 4 alpha beta) (rho_+ - rho_-) lies in [min h, max h], and
+    |k| = |sigma| / d = |alpha - beta| / d <= 1 / d: |m_i k (h_i - b)| <= spread(h) / d."""
     return 0.9 * DRIFT_LIMIT * len(h) / np.ptp(h)
 
 
-def _f1_rate(h, sums, dsums):
-    """df1/dt = 2d^2 dR_m/dt along du = rate u, from the ``_line_sums`` of |u|^2 and rate |u|^2."""
+def _f1_rate(h, m, weights, rate, r, sums):
+    """df1/dt = 2d^2 dR_m/dt at lines r with ``_line_sums`` sums and rate (s', B'),
+    along d|u|^2 = 2 m (h s' - B') |u|^2 dt, up to a part common to all entries."""
     _, mw, _, hmw = sums
-    _, mdw, _, hmdw = dsums
+    _, mdw, _, hmdw = _line_sums(weights, _log_moduli(h, m, rate) * r * r)
     return 4.0 * len(h) ** 2 * (hmdw - hmw / mw * mdw)[..., 0] / mw[..., 0]
 
 
 def cross_level(r0, base, h, m, c, orient):
-    """Land the log-moduli ``base`` of lines u0 e^phi, |u0| = r0, on the level
-    f1 = c along orient * grad f1, each row on the graph of its row of m.
+    """Land the states (s, B) ``base`` of lines u0 e^{m (h s - B)}, |u0| = r0,
+    on the level f1 = c along orient * grad f1, each row on the graph of its
+    row of m.
 
-    Newton's method (rate ``_f1_rate``) in the length tau >= 0 of one RK4 step
-    from ``base``; a row whose step would move phi further than ``advance``
-    allows takes the step ``phi_guard``.  A row stops when |f1 - c| is within
-    LEVEL_ULPS ulps of 2d sum |h_i x_ii|, the sum that computes f1 at its chart
-    point, on its own.  Returns the landed phi and tau; raises GraphIntegrityError
-    naming the stack index of the worst miss after LEVEL_ITERATIONS steps.
+    Newton's method (rate ``_f1_rate``) in the length tau >= 0 in t of one
+    RK4 step from ``base``; a row whose step would move a log-modulus further
+    than ``advance`` allows takes the step ``phi_guard``.  A row stops when
+    |f1 - c| is within LEVEL_ULPS ulps of 2d sum |h_i x_ii|, the sum that
+    computes f1 at its chart point, on its own.  Returns the landed states
+    and tau; raises GraphIntegrityError naming the stack index of the worst
+    miss after LEVEL_ITERATIONS steps.
     """
-    d = base.shape[-1]
-    m = np.broadcast_to(m, base.shape)
-    tau = np.zeros(base.shape[0])
+    m = np.broadcast_to(m, r0.shape)
+    tau = np.zeros(len(base))
     cur = base.copy()
-    miss = c - line_height(h, m, graph_lines(r0, cur))
-    todo = np.arange(base.shape[0])
+    miss = c - line_height(h, m, graph_lines(r0, h, m, cur))
+    todo = np.arange(len(base))
     for _ in range(LEVEL_ITERATIONS):
-        rhs = gradient_field(h, m[todo], orient[todo, None], r0[todo])
-        w, weights = graph_lines(r0[todo], cur[todo]) ** 2, _weights(h, m[todo])
-        rate = _f1_rate(h, _line_sums(weights, w), _line_sums(weights, rhs(cur[todo]) * w))
+        args = (h, _weights(h, m[todo]), m[todo], orient[todo, None], r0[todo])
+        rate = _f1_rate(h, m[todo], args[1], *_line_rate(*args, cur[todo]))
         tau[todo] = np.maximum(tau[todo] + miss[todo] / rate, 0.0)
-        cur[todo], size = rk4_step(base[todo], rhs, tau[todo, None])
+        cur[todo], size = rk4_step(base[todo], lambda s: _line_rate(*args, s)[0], tau[todo, None],
+                                   None, h)
         if not (ok := size <= DRIFT_LIMIT).all():
             tau[todo] = np.where(ok, tau[todo], np.minimum(tau[todo], phi_guard(h)))
-            cur[todo] = advance(base[todo], rhs, tau[todo, None])
-        u = graph_lines(r0[todo], cur[todo])
+            cur[todo] = advance(base[todo], lambda s: _line_rate(*args, s)[0], tau[todo, None],
+                                None, h)
+        u = graph_lines(r0[todo], h, m[todo], cur[todo])
         miss[todo] = c - line_height(h, m[todo], u)
         w = m[todo] * u * u
-        diag = d * w / w.sum(axis=-1, keepdims=True) - 1.0
-        scale = 2.0 * d * (np.abs(h) * np.abs(diag)).sum(axis=-1)
+        diag = len(h) * w / w.sum(axis=-1, keepdims=True) - 1.0
+        scale = 2.0 * len(h) * (np.abs(h) * np.abs(diag)).sum(axis=-1)
         todo = todo[np.abs(miss[todo]) > LEVEL_ULPS * np.finfo(float).eps * scale]
         if not todo.size:
             return cur, tau
@@ -261,74 +258,65 @@ def cross_level(r0, base, h, m, c, orient):
 def flow_to_level(lines, h, g, c, step, max_steps, visit=None, record_sep=np.inf):
     """Flow a stack of lines u0, shape (batch, d), of graph pairs (u0, m u0)
     along grad f1, up when f1 < c and down otherwise, in steps of ``advance``
-    of the log-moduli phi of the lines u0 e^phi, from phi = 0, with no matrix.
+    of the states (s, B) of the lines u0 e^{m (h s - B)} (``_line_rate``),
+    from (0, 0), with no matrix.
 
-    A float ``step`` is one grid for every row.  With ``step`` None, on a
-    scalar twist (a = 0: RK4 is exact), each row steps by at most ``phi_guard``
-    and so that its chart point moves 0.45 ``record_sep`` at its speed |F1| =
-    sqrt(|df1/dt| / 2d) at the start, which records a ``visit`` sample about
-    every third step, ``record_sep`` to 2 ``record_sep`` apart.  The field at
-    each stepped phi gives the moduli r = ``graph_lines(|u0|, phi)``, the
-    crossing test, the next step and its first RK4 stage.  After each step
-    ``visit(indices, phi, arcs, r)`` sees the flows that did not cross the
-    level; one ``cross_level`` lands them from their last phi after the loop.
-    Raises ValueError when g is not an involution (or not scalar with ``step``
-    None), GraphIntegrityError if a flow has not landed after max_steps;
-    returns the landed phi and arcs.
+    A float ``step`` is one grid in t for every row.  With ``step`` None, each
+    row steps by at most ``phi_guard`` and so that its chart point moves
+    0.45 ``record_sep`` at its speed |F1| = sqrt(|df1/dt| / 2d) at the start,
+    which records a ``visit`` sample about every third step, ``record_sep`` to
+    2 ``record_sep`` apart.  The field at each stepped state gives the moduli
+    r = ``graph_lines(|u0|, h, m, state)``, the crossing test, the next step
+    and its first RK4 stage.  After each step ``visit(indices, states, arcs,
+    r)`` sees the flows that did not cross the level; one ``cross_level``
+    lands them from their last state after the loop.  Raises ValueError when
+    g is not an involution, GraphIntegrityError naming the unlanded flow
+    furthest from the level if a flow has not crossed it after max_steps;
+    returns the landed states and arcs.
     """
     if not g.is_involution:
         raise ValueError(f"twist {g.name or g.m_diag} is not an involution: "
                          "the closed-form gradient needs m = +/-1")
     h = np.asarray(h, dtype=float)
     m = g.m_diag.real
-    if step is None and np.ptp(m):
-        raise ValueError(f"twist {g.name or m} is not scalar: its flows need a fixed step")
     guard = phi_guard(h)
     r0 = np.abs(lines)
-    phi = np.zeros(r0.shape)
+    state = np.zeros((len(r0), 2))
     orient = np.where(line_height(h, m, r0) > c, -1.0, 1.0)
-    arcs = np.zeros(len(phi))
-    active = np.ones(len(phi), dtype=bool)
+    arcs = np.zeros(len(state))
+    active = np.ones(len(state), dtype=bool)
     weights = _weights(h, m)
-    k1, r, sums = _gradient_parts(h, weights, m, orient[:, None], r0, phi)
-    dt = np.full((len(phi), 1), float(step or 0.0))
+    k1, r, sums = _line_rate(h, weights, m, orient[:, None], r0, state)
+    dt = np.full((len(state), 1), float(step or 0.0))
     for _ in range(max_steps):
         if not active.any():
             break
         if step is None:
-            speed = np.sqrt(np.abs(_f1_rate(h, sums, _line_sums(weights, k1 * r * r))) / (2 * len(h)))
+            speed = np.sqrt(np.abs(_f1_rate(h, m, weights, k1, r, sums)) / (2 * len(h)))
             dt = (guard / np.maximum(1.0, guard * speed / (0.45 * record_sep)))[:, None]
         idx = np.flatnonzero(active)
-        stepped = advance(phi[idx], gradient_field(h, m, orient[idx, None], r0[idx]), dt, k1)
-        rate, r, sums = _gradient_parts(h, weights, m, orient[idx, None], r0[idx], stepped)
+        args = (h, weights, m, orient[idx, None], r0[idx])
+        stepped = advance(state[idx], lambda s: _line_rate(*args, s)[0], dt, k1, h)
+        rate, r, sums = _line_rate(*args, stepped)
         crossed = orient[idx] * (_height(h, sums) - c) > 0
         active[idx[crossed]] = False
         alive, keep = idx[~crossed], ~crossed
         arcs[alive] += dt[keep, 0]
-        phi[alive], k1, r, sums, dt = stepped[keep], rate[keep], r[keep], sums[:, keep], dt[keep]
+        state[alive], k1, r, sums, dt = stepped[keep], rate[keep], r[keep], sums[:, keep], dt[keep]
         if visit is not None and alive.size:
-            visit(alive, phi[alive], arcs[alive], r)
+            visit(alive, state[alive], arcs[alive], r)
     if active.any():
-        raise GraphIntegrityError(
-            f"{int(active.sum())} flows failed to reach the level in {max_steps} steps"
-        )
-    phi, tau = cross_level(r0, phi, h, m, c, orient)
-    return phi, arcs + tau
+        miss = np.abs(_height(h, sums) - c)
+        raise GraphIntegrityError(f"{int(active.sum())} flows failed to reach the level in "
+                                  f"{max_steps} steps: |f1 - c| = {miss.max():.3e} at batch index "
+                                  f"{np.flatnonzero(active)[np.argmax(miss)]}")
+    state, tau = cross_level(r0, state, h, m, c, orient)
+    return state, arcs + tau
 
 
 def _unit_rate(h, j):
     """Stiffest Hessian rate at [e_j] per unit b_tau length."""
-    h = np.asarray(h, dtype=float)
-    d = len(h)
-    return max(abs(root_eval((k, j), h)) for k in range(1, d + 1) if k != j) / d
-
-
-def default_thimble_step(h, j):
-    """Step resolving the stiffest Hessian rate per unit b_tau length, which
-    ``trace_thimble`` takes on a mixed twist, where RK4 is not exact; on a
-    scalar twist it steps by chart distance (``flow_to_level``), and a given
-    ``step`` (the CLI's ``--step-size``) is one grid on every twist."""
-    return 0.1 / _unit_rate(h, j)
+    return max(abs(root_eval((k, j), h)) for k in range(1, len(h) + 1) if k != j) / len(h)
 
 
 def seed_lines(j, d, coeffs, radii):
@@ -364,9 +352,9 @@ def trace_thimble(
     Seeds random unit directions of the graph tangent space at [e_j] on a
     geometric radius ladder (``seed_lines``) and flows them along -grad f1
     (sign '-', negative definite) or +grad f1 (sign '+') to the level
-    f1([e_j]) -/+ c_offset with ``flow_to_level``, at ``step`` or else as
-    ``default_thimble_step`` says.  Samples are the pairs (u, m u), u = u0
-    e^phi, so they lie on the graph and the surface of their seed by
+    f1([e_j]) -/+ c_offset with ``flow_to_level``, on the grid ``step`` in t or
+    else by chart distance.  Samples are the pairs (u, m u), u = u0 e^{m (h s
+    - B)}, so they lie on the graph and the surface of their seed by
     construction and their residual measures only rounding; one above
     ``residual_limit`` raises GraphIntegrityError.
 
@@ -399,26 +387,24 @@ def trace_thimble(
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     r_top = min(0.5, np.sqrt(1.8 * c_offset / _unit_rate(h, j)))
     seeds = seed_lines(j, n + 1, dirs, np.geomspace(min(1e-4, r_top / 10.0), r_top, radii))
-    if step is None and np.ptp(m):
-        step = default_thimble_step(h, j)
 
     flows = np.arange(len(seeds))
-    chunks = [(flows, np.zeros(seeds.shape), np.zeros(len(seeds)))]
+    chunks = [(flows, np.zeros((len(seeds), 2)), np.zeros(len(seeds)))]
     last_rec = _unit_and_beta(m, np.abs(seeds))
 
-    def visit(indices, phi, arcs, r):
+    def visit(indices, states, arcs, r):
         cur = _unit_and_beta(m, r)
         due = _gap(cur, [a[indices] for a in last_rec]) >= record_sep
         if due.any():
-            chunks.append((indices[due], phi[due], arcs[due]))
+            chunks.append((indices[due], states[due], arcs[due]))
             for a, b in zip(last_rec, cur):
                 a[indices[due]] = b[due]
 
     landed, arcs = flow_to_level(seeds, h, g, c_level, step, max_steps, visit, record_sep)
     chunks.append((flows, landed, arcs))
 
-    indices, phi, arcs = (np.concatenate(part) for part in zip(*chunks))
-    lines = graph_lines(seeds[indices], phi)
+    indices, states, arcs = (np.concatenate(part) for part in zip(*chunks))
+    lines = graph_lines(seeds[indices], h, m, states)
     u, v, mats = chart(np.stack([lines, m * lines], axis=1))
     f = potential(h, mats)
     res = graph_membership((u, v), g)

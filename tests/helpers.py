@@ -86,3 +86,55 @@ def ambient_lagrangian_check(mats, k=4):
     norms = np.sqrt(np.abs(np.einsum("naa->na", gram).real))
     denom = norms[:, :, None] * norms[:, None, :]
     return idx, float((np.abs(gram.imag[pairs]) / denom[pairs]).max())
+
+
+def phi_rate(h, m, orient, r0, z=False):
+    """The rate of the log-moduli phi, shape (batch, d), of graph lines
+    r0 e^phi, m = +/-1, under orient * grad f1, or orient * Z with ``z``:
+    c = (sigma / d) [(h - rho + a sigma) m - a] or c = (d / sigma) (rho - h) m,
+    with w = |u|^2, sigma = sum m w / sum w, rho = sum h w / sum w and
+    a = (sum h m w / sum w - rho sigma) / (2 - sigma^2).  An independent
+    reference for the two-scalar rule of ``thimble``."""
+    def rate(phi):
+        w = (r0 * np.exp(phi - phi.max(axis=-1, keepdims=True))) ** 2
+        sigma, rho, hm = ((q * w).sum(-1, keepdims=True) / w.sum(-1, keepdims=True)
+                          for q in (m, h, h * m))
+        if z:
+            return orient * (len(h) / sigma) * (rho - h) * m
+        a = (hm - rho * sigma) / (2.0 - sigma ** 2)
+        return orient * (sigma / len(h)) * ((h - rho + a * sigma) * m - a)
+    return rate
+
+
+def phi_rk4(phi, rate, dt):
+    """One classical RK4 step of the log-moduli phi."""
+    k1 = rate(phi)
+    k2 = rate(phi + 0.5 * dt * k1)
+    k3 = rate(phi + 0.5 * dt * k2)
+    k4 = rate(phi + dt * k3)
+    return phi + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def phi_landing(r0, h, m, c, step):
+    """Lines r0 e^phi of graph pairs flowed along grad f1 towards the level
+    f1 = c in RK4 steps of ``phi_rate`` on the grid ``step``, then landed by
+    bisection in the length of one more RK4 step: a reference for
+    ``thimble.flow_to_level`` on an explicit grid."""
+    from orbitflow.thimble import line_height
+
+    def height(phi):
+        return line_height(h, m, r0 * np.exp(phi - phi.max(axis=-1, keepdims=True)))
+
+    orient = np.where(height(np.zeros(r0.shape)) > c, -1.0, 1.0)
+    rate = phi_rate(h, m, orient[:, None], r0)
+    phi, active = np.zeros(r0.shape), np.ones(len(r0), dtype=bool)
+    while active.any():
+        stepped = phi_rk4(phi, rate, step)
+        active &= ~(orient * (height(stepped) - c) > 0)
+        phi[active] = stepped[active]
+    lo, hi = np.zeros(len(r0)), np.full(len(r0), float(step))
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        above = orient * (height(phi_rk4(phi, rate, mid[:, None])) - c) > 0
+        lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+    return r0 * np.exp(phi_rk4(phi, rate, hi[:, None]))

@@ -190,6 +190,30 @@ class TestCommands:
         assert (tmp_path / "th.csv").exists()
         assert "thimble:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["thimble", "--n", "4", "--j", "3", "--sign", "+", "--c-offset", "0.4",
+          "--directions", "4", "--steps", "2"],
+         r"error: 32 flows failed to reach the level in 2 steps: "
+         r"\|f1 - c\| = \S+ at batch index \d+"),
+        (["flow", "--n", "2", "--step-size", "5"],
+         r"error: step of size \S+ exceeds 0\.5 \(batch index 0\); reduce the integration step"),
+    ])
+    def test_flow_failures_exit_1_with_the_message(self, argv, message, tmp_path):
+        # as a process: one line on stderr, and no traceback
+        import os
+        import subprocess
+        import sys
+
+        import orbitflow
+
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(orbitflow.__file__))}
+        out = str(tmp_path / ("out.json" if argv[0] == "thimble" else "out.csv"))
+        proc = subprocess.run([sys.executable, "-m", "orbitflow.cli", *argv, "--out", out],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert re.fullmatch(message + "\n", proc.stderr), proc.stderr
+        assert "Traceback" not in proc.stderr + proc.stdout
+
 
 class TestVerifyReport:
     def test_rank_one_report_structure_and_completeness(self, tmp_path):

@@ -423,10 +423,10 @@ class TestIntegrate:
     def test_pair_flows_converge_at_fourth_order(self):
         # halving dt cuts the error against a 50x finer run by ~16x for the
         # Hermitian Z flow of pairs and for a graph thimble flow inside m_1^+
-        # stepped in log-moduli, whose error is smaller at the same step
+        # stepped as (s, B), whose error is smaller at the same step
+        from orbitflow import thimble
         from orbitflow.cycles import flag_sample
         from orbitflow.graphs import graph_tangent_frame, m_j_pm
-        from orbitflow.thimble import gradient_field
 
         n = 2
         h = default_cartan(n)
@@ -441,18 +441,21 @@ class TestIntegrate:
             vel[:, 1] = vel[:, 0]
             return vel
 
-        def on_graph(phi):
-            u = line * np.exp(phi)
+        def on_graph(state):
+            u = thimble.graph_lines(line, h, m, state)
             return assemble(u, m * u)
+
+        def f1_rule(state):
+            return thimble._line_rate(h, thimble._weights(h, m), m, -1.0, np.abs(line), state)[0]
 
         flows = (
             (hermitian, np.array([[flag, flag]]), 0.02, lambda p: assemble(p[:, 0], p[:, 1])),
-            (gradient_field(h, m, -1.0, np.abs(line)), np.zeros((1, n + 1)), 0.5, on_graph),
+            (f1_rule, np.zeros((1, 2)), 0.5, on_graph),
         )
 
         def run(rhs, state, dt, steps, points):
             for _ in range(steps):
-                state = advance(state, rhs, dt)
+                state = advance(state, rhs, dt, None, h)
             return points(state)
 
         for rhs, state, dt, points in flows:

@@ -485,10 +485,10 @@ class TestPairVelocities:
     @pytest.mark.parametrize("n", (1, 2, 4, 8))
     def test_velocities_map_onto_z_and_the_projection_of_h(self, n):
         # lax_velocity on free pairs and on graph pairs (u, m u), and the
-        # closed-form thimble gradient on graph pairs, for m = 1 and every
-        # twist, at lengths far from one; pair_tangent of each is the field
+        # two-scalar thimble rule on graph pairs, for m = 1 and every twist,
+        # at lengths far from one; pair_tangent of each is the field
+        from orbitflow import thimble
         from orbitflow.flow import z_field
-        from orbitflow.thimble import gradient_field
 
         rng = np.random.default_rng(80 + n)
         d = n + 1
@@ -508,10 +508,13 @@ class TestPairVelocities:
             return rhs
 
         def thimble_rate(m):
-            # du = c u, c the log-modulus rate of the thimble field
+            # du = c u, c = m (h s' - B') of the rate (s', B') of the F1 rule,
+            # which drops a common term that only scales u and m u
             def rate(pairs):
                 u = pairs[:, 0]
-                return gradient_field(h, m, 1.0, np.abs(u))(np.zeros(u.shape)) * u
+                sb = thimble._line_rate(h, thimble._weights(h, m), m, 1.0, np.abs(u),
+                                        np.zeros((len(u), 2)))[0]
+                return m * (h * sb[:, :1] - sb[:, 1:]) * u
             return rate
 
         cases = [(np.stack([draw(3.0), draw(0.2)], axis=1), lax, z_field)]

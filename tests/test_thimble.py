@@ -23,11 +23,9 @@ from orbitflow.liecore import (
 )
 from orbitflow.orbit import DRIFT_LIMIT, OrbitPoint, assemble, critical_points, potential, retract
 from orbitflow.thimble import (
-    default_thimble_step,
     fg_decomposition_check,
     flow_to_level,
     horizontal_lift_check,
-    gradient_field,
     kaehler_gradients,
     lagrangian_check,
     line_height,
@@ -39,7 +37,7 @@ from orbitflow.thimble import (
 from orbitflow.util import random_unit_vector, gram_schmidt_real
 from orbitflow.verification import random_orbit_point, random_tangent
 
-from helpers import ambient_lagrangian_check, vanishing_sphere_point
+from helpers import ambient_lagrangian_check, phi_landing, phi_rate, phi_rk4, vanishing_sphere_point
 
 
 def _graph_seed_stack(n, directions=8):
@@ -57,6 +55,22 @@ def _graph_seed_stack(n, directions=8):
 
 
 SCALAR_TWISTS = [(8, 1, "-"), (3, 4, "+"), (2, 1, "-")]  # m = 1, -1 and 1
+
+
+def _hessian_step(h, j):
+    """An explicit step in t that resolves the stiffest Hessian rate at [e_j]."""
+    return 0.1 / thimble._unit_rate(h, j)
+
+
+def _rule(h, m, orient, r0, z=False):
+    """The rate closure of the two-scalar rule on states (s, B)."""
+    weights = thimble._weights(h, m)
+    return lambda state: thimble._line_rate(h, weights, m, orient, r0, state, z)[0]
+
+
+def _entry_rate(h, m, rate):
+    """The log-modulus rate m (h s' - B') of a rate (s', B')."""
+    return m * (h * rate[..., :1] - rate[..., 1:])
 
 
 def _loop_advances(monkeypatch, j, sign, h, step):
@@ -246,39 +260,44 @@ class TestGraphClosedForms:
 
     def test_gradient_field_steps_a_stack_of_twists_row_by_row(self):
         # one stack of every twist, each row with its own orient and step,
-        # advances each row bit for bit as the row advances alone
+        # advances each row bit for bit as the row advances alone, under the
+        # F1 rule (the gradient field) and the Z rule of the (s, B) engine
         n = 4
         h = default_cartan(n)
         gs = [m_j_pm(n, j, s) for j, s in twists(n)]
         r0 = np.abs(np.concatenate([thimble.seed_lines(j, g.dim, np.eye(2 * n)[0], [0.2])
                                     for (j, _), g in zip(twists(n), gs)]))
-        phi = np.random.default_rng(30).uniform(-0.5, 0.5, r0.shape)
+        state = np.random.default_rng(30).uniform(-0.5, 0.5, (len(gs), 2))
         m = np.array([g.m_diag.real for g in gs])
         orient = np.where(np.arange(len(gs)) % 3 == 0, 1.0, -1.0)[:, None]
-        steps = np.linspace(0.01, 0.05, len(gs))
-        stacked = advance(phi, gradient_field(h, m, orient, r0), steps[:, None])
-        for k in range(len(gs)):
-            alone = advance(phi[k:k + 1], gradient_field(h, m[k], orient[k], r0[k]), steps[k])
-            assert np.array_equal(stacked[k], alone[0])
+        for z in (False, True):
+            steps = np.linspace(0.01, 0.05, len(gs)) / (30.0 if z else 1.0)
+            stacked = advance(state, _rule(h, m, orient, r0, z), steps[:, None], None, h)
+            for k in range(len(gs)):
+                alone = advance(state[k:k + 1], _rule(h, m[k], orient[k], r0[k:k + 1], z),
+                                steps[k], None, h)
+                assert np.array_equal(stacked[k], alone[0])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6])
     def test_phi_guard_bounds_every_rate(self, n):
-        # |c_i| <= spread(h) / d on every twist, so that a step of phi_guard
-        # moves no phi_i by more than 0.9 DRIFT_LIMIT
+        # |c_i| = |m_i (h_i s' - B')| <= spread(h) / d for the F1 rule on
+        # every twist, so that a step of phi_guard moves no log-modulus by
+        # more than 0.9 DRIFT_LIMIT
         rng = np.random.default_rng(n)
         for h in (default_cartan(n), rng.standard_normal(n + 1)):
             for j, s in twists(n):
                 m = m_j_pm(n, j, s).m_diag.real
                 r0 = np.abs(rng.standard_normal((500, n + 1))) * np.exp(rng.uniform(-8, 0, (500, n + 1)))
-                rate = gradient_field(h, m, rng.choice([-1.0, 1.0], (500, 1)), r0)(np.zeros(r0.shape))
+                orient = rng.choice([-1.0, 1.0], (500, 1))
+                rate = _entry_rate(h, m, _rule(h, m, orient, r0)(np.zeros((500, 2))))
                 bound = 0.9 * DRIFT_LIMIT / thimble.phi_guard(h)
                 assert np.abs(rate).max() <= bound * (1 + 1e-12), (j, s)
             assert np.isclose(bound, np.ptp(h) / (n + 1))
 
     def test_gradient_field_is_well_conditioned_near_the_divisor(self):
         # graph lines with |sigma| = |sum m |u|^2| / |u|^2 from 5e-4 down to
-        # 1e-6: the line velocity c u in float64 agrees with the same closed
-        # form in extended precision
+        # 1e-6: the line velocity c u, c = m (h s' - B') of the F1 rule, in
+        # float64 agrees with the same closed form in extended precision
         rng = np.random.default_rng(31)
         sigma = np.geomspace(1e-6, 5e-4, 8) * (-1.0) ** np.arange(8)
         for n in (2, 4, 8):
@@ -296,9 +315,10 @@ class TestGraphClosedForms:
                 w = np.abs(u) ** 2
                 assert (np.abs((m * w).sum(1)) < 1e-3 * w.sum(1)).all()
                 r0 = np.abs(u)
-                got = gradient_field(h, m, 1.0, r0)(np.zeros(u.shape)) * r0
+                got = _entry_rate(h, m, _rule(h, m, 1.0, r0)(np.zeros((8, 2)))) * r0
                 ext = r0.astype(np.longdouble)
-                want = gradient_field(h, m, 1.0, ext)(np.zeros(u.shape, np.longdouble)) * ext
+                rate = _rule(h, m, 1.0, ext)(np.zeros((8, 2), np.longdouble))
+                want = _entry_rate(h, m, rate) * ext
                 err = np.sqrt(((got - want) ** 2).sum(1) / (want ** 2).sum(1))
                 assert float(err.max()) < 1e-9
 
@@ -306,8 +326,8 @@ class TestGraphClosedForms:
     def test_z_rate_moves_graph_pairs_as_z(self, n, j, sign):
         # off the Hermitian locus: mixed-sign patterns at n = 2 and 6 and a
         # determinant -1 pattern at n = 3.  The move (c u, m c u) of a pair
-        # (u, e^{i theta} m u), with c = z_rate, is Z in the chart, as is the
-        # move of the pair by the Lax form of Z
+        # (u, e^{i theta} m u), with c = m (h s' - B') from the Z rule, is Z
+        # in the chart, as is the move of the pair by the Lax form of Z
         from orbitflow.flow import z_field
         from orbitflow.graphs import sign_pattern
         from orbitflow.orbit import lax_velocity, pair_tangent
@@ -321,7 +341,8 @@ class TestGraphClosedForms:
         z = z_field(assemble(u, v), h)
         lax = lax_velocity(np.stack([u, v], axis=1), h)
         for orient in (1.0, -1.0):
-            c = thimble.z_rate(h, np.tile(m, (16, 1)), orient, np.abs(u))(np.zeros(u.shape))
+            rate = _rule(h, np.tile(m, (16, 1)), orient, np.abs(u), True)(np.zeros((16, 2)))
+            c = _entry_rate(h, m, rate)
             for du, dv in ((c * u, c * v), (orient * lax[:, 0], orient * lax[:, 1])):
                 move = pair_tangent(u, v, du, dv)
                 err = [b_norm(a - orient * b) / b_norm(b) for a, b in zip(move, z)]
@@ -394,7 +415,7 @@ class TestGraphClosedForms:
         h, g, lines, c = _graph_seed_stack(4, directions=3)
         for module in (orbit, thimble):
             monkeypatch.setattr(module, "assemble", counting_assemble, raising=False)
-        flow_to_level(lines, h, g, c, default_thimble_step(h, 1), 4000, lambda *_: None)
+        flow_to_level(lines, h, g, c, None, 4000, lambda *_: None)
         assert calls == []
 
 
@@ -466,7 +487,7 @@ class TestTraceThimble:
         # the cap on the top radius, with no search, keeps every seed of every
         # definite graph strictly between f1([e_j]) and the level
         def seeds_only(lines, *_):
-            return np.zeros(lines.shape), np.zeros(len(lines))
+            return np.zeros((len(lines), 2)), np.zeros(len(lines))
 
         monkeypatch.setattr(thimble, "flow_to_level", seeds_only)
         rng = np.random.default_rng(80 + n)
@@ -541,7 +562,7 @@ class TestTraceThimble:
             v = sum(c * e for c, e in zip(coeff, frame))
             line = retract(xc.x + 1e-3 * v).line
             landed, _ = flow_to_level(line[None], h0, g, c_level, 0.02, 4000)
-            u = line * np.exp(landed[0])
+            u = thimble.graph_lines(line, h0, g.m_diag.real, landed[0])
             # geodesic velocity [A, H0] must equal +v, so A solves [A, H0] = v
             direction = -ad_inverse(xc, v)
             q = vanishing_sphere_point(h0, c_level, direction)
@@ -559,10 +580,10 @@ class TestTraceThimble:
             flow_to_level(lines, h, g, potential(h, xc).real - 0.5, 50.0, 10)
 
     def test_overflowing_step_raises_step_size_error(self):
-        # a step of row 1 would move phi by hundreds, past the float range of
-        # e^{2 phi}; the stages read each line relative to its largest entry,
-        # so the |d phi| bound refuses the step and names the row, with no
-        # RuntimeWarning on the way
+        # a step of row 1 would move a log-modulus by hundreds, past the float
+        # range of |u|^2; the stages read each line relative to its largest
+        # entry, so the step guard refuses the step and names the row, with
+        # no RuntimeWarning on the way
         from orbitflow.errors import StepSizeError
 
         n = 2
@@ -573,7 +594,7 @@ class TestTraceThimble:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(StepSizeError, match="batch index 1"):
-                advance(np.zeros(r0.shape), gradient_field(h, g.m_diag.real, -1.0, r0), dt)
+                advance(np.zeros((3, 2)), _rule(h, g.m_diag.real, -1.0, r0), dt, None, h)
             with pytest.raises(StepSizeError, match="batch index 0"):
                 flow_to_level(r0, h, g, line_height(h, g.m_diag.real, np.eye(n + 1)[0]) - 0.5,
                               1e3, 10)
@@ -581,7 +602,7 @@ class TestTraceThimble:
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_landing_does_not_depend_on_the_batch(self, n):
         h, g, lines, c = _graph_seed_stack(n)
-        step = default_thimble_step(h, 1)
+        step = _hessian_step(h, 1)
         last_step = np.zeros(len(lines), dtype=int)
         steps = [0]
 
@@ -600,17 +621,16 @@ class TestTraceThimble:
             assert np.array_equal(arc[0], arcs[k])
 
     def test_mixed_twist_rows_land_as_when_they_flow_alone(self):
-        # every step reuses the field at the stepped phi of the rows that did
-        # not cross as its first RK4 stage; on m_3^+ at n = 4 each of 12 rows
-        # of a stack whose rows cross at different steps lands bit for bit
-        # as when it flows alone
+        # every step reuses the field at the stepped state of the rows that
+        # did not cross as its first RK4 stage; on m_3^+ at n = 4 each of 12
+        # rows of a stack whose rows cross at different steps, each by its
+        # own chart distance, lands bit for bit as when it flows alone
         n, j = 4, 3
         h, g = default_cartan(n), m_j_pm(n, j, "+")
         dirs = np.random.default_rng(40).standard_normal((3, 2 * n))
         lines = thimble.seed_lines(j, n + 1, dirs / np.linalg.norm(dirs, axis=1, keepdims=True),
                                    np.geomspace(1e-4, 0.1, 4))
         c = line_height(h, g.m_diag.real, np.eye(n + 1)[j - 1]) + 0.4
-        step = default_thimble_step(h, j)
         last_step = np.zeros(len(lines), dtype=int)
         steps = [0]
 
@@ -618,17 +638,17 @@ class TestTraceThimble:
             steps[0] += 1
             last_step[indices] = steps[0]
 
-        landed, arcs = flow_to_level(lines, h, g, c, step, 4000, visit)
+        landed, arcs = flow_to_level(lines, h, g, c, None, 4000, visit, 0.03)
         assert len(lines) == 12 and len(set(last_step.tolist())) > 1
         for k in range(len(lines)):
-            alone, arc = flow_to_level(lines[k:k + 1], h, g, c, step, 4000)
+            alone, arc = flow_to_level(lines[k:k + 1], h, g, c, None, 4000, record_sep=0.03)
             assert np.array_equal(alone[0], landed[k])
             assert np.array_equal(arc[0], arcs[k])
 
     def test_failed_landing_names_the_flow(self, monkeypatch):
         monkeypatch.setattr(thimble, "LEVEL_ITERATIONS", 1)
         h, g, lines, c = _graph_seed_stack(4, directions=3)
-        step = default_thimble_step(h, 1)
+        step = _hessian_step(h, 1)
         pattern = r"\|f1 - c\| = (\S+) at batch index (\d+)"
         with pytest.raises(GraphIntegrityError, match=pattern) as err:
             flow_to_level(lines, h, g, c, step, 4000)
@@ -686,26 +706,18 @@ class TestTraceThimble:
                                                                          monkeypatch):
         h = default_cartan(n)
         loops = [_loop_advances(monkeypatch, j, sign, h, step)
-                 for step in (None, default_thimble_step(h, j))]
+                 for step in (None, _hessian_step(h, j))]
         assert 0 < loops[0] <= loops[1] / 2, loops
 
-    @pytest.mark.parametrize("n, j, sign, step", [(4, 3, "+", None), (2, 1, "+", None),
-                                                  (8, 1, "-", 0.2), (3, 4, "+", 0.05)])
+    @pytest.mark.parametrize("n, j, sign, step", [(8, 1, "-", 0.2), (3, 4, "+", 0.05)])
     def test_fixed_grids_record_at_multiples_of_the_step(self, n, j, sign, step):
-        # mixed twists at the default step, and any twist at an explicit one
+        # any twist at an explicit step
         h = default_cartan(n)
         samples = trace_thimble(j, sign, h, c_offset=0.4, directions=4, step=step,
                                 rng=np.random.default_rng(1))
-        step = default_thimble_step(h, j) if step is None else step
         arcs = samples.arc[:-4 * 8]  # the landed rows come last
         assert (arcs > 0).any()
         np.testing.assert_allclose(arcs, np.round(arcs / step) * step, rtol=1e-12, atol=0)
-
-    def test_chart_steps_need_a_scalar_twist(self):
-        h, g = default_cartan(2), m_j_pm(2, 1, "+")
-        lines = thimble.seed_lines(1, g.dim, np.eye(4)[:1], [1e-2])
-        with pytest.raises(ValueError, match="twist m1\\+ is not scalar"):
-            flow_to_level(lines, h, g, line_height(h, g.m_diag.real, lines)[0] - 0.1, None, 10)
 
     @pytest.mark.parametrize("n", [2, 8])
     def test_chart_steps_do_not_depend_on_the_batch(self, n):
@@ -863,6 +875,98 @@ class TestTraceThimble:
             trace_thimble(1, "-", h, c_offset=0.3, directions=2, radii=2,
                           rng=np.random.default_rng(11), residual_limit=0.0)
 
+
+
+def _twist_seeds(n, j, sign, h, rng, radii):
+    """Seed lines of three random directions at [e_j] at the fractions
+    ``radii`` of the trace's top radius, the graph's m and the level 0.4 from
+    f1([e_j])."""
+    m = m_j_pm(n, j, sign).m_diag.real
+    dirs = rng.standard_normal((3, 2 * n))
+    r_top = min(0.5, np.sqrt(1.8 * 0.4 / thimble._unit_rate(h, j)))
+    lines = thimble.seed_lines(j, n + 1, dirs / np.linalg.norm(dirs, axis=1, keepdims=True),
+                               r_top * np.asarray(radii))
+    c = line_height(h, m, np.eye(n + 1)[j - 1]) + (0.4 if sign == "+" else -0.4)
+    return lines, m, c
+
+
+class TestTwoScalarRule:
+    """Every +/-1-graph flow steps (s, B) of its lines u0 e^{m (h s - B)}: the
+    same flows as RK4 on the d log-moduli of the rules it reduces."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 8])
+    def test_landings_are_those_of_the_log_moduli_rule(self, n):
+        # on an explicit grid, every twist, against helpers.phi_landing
+        h = default_cartan(n)
+        rng = np.random.default_rng(90 + n)
+        for j, s in twists(n):
+            lines, m, c = _twist_seeds(n, j, s, h, rng, [1e-3, 0.5])
+            step = _hessian_step(h, j)
+            landed, _ = flow_to_level(lines, h, m_j_pm(n, j, s), c, step, 4000)
+            want = phi_landing(np.abs(lines), h, m, c, step)
+            gap = pair_gap(m, thimble.graph_lines(np.abs(lines), h, m, landed), want)
+            assert gap.max() < 1e-11, (j, s, gap.max())
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 8])
+    def test_z_rows_of_integrate_are_those_of_the_log_moduli_rule(self, n):
+        # every twist, +Z on m_j^+ and -Z on m_j^-, 40 steps of the thimble
+        # suite's step, against RK4 of helpers.phi_rate at each step
+        from orbitflow.flow import default_step, integrate
+
+        h = default_cartan(n)
+        dt = 30.0 * default_step(n, h)
+        rng = np.random.default_rng(100 + n)
+        for j, s in twists(n):
+            lines, m, _ = _twist_seeds(n, j, s, h, rng, [0.1, 0.5])
+            orient = 1.0 if s == "+" else -1.0
+            traj = integrate(np.stack([lines, m * lines], axis=1), h,
+                             "forward" if s == "+" else "backward", step=dt, max_steps=40,
+                             conv_tol=0.0)
+            rate, phi = phi_rate(h, m, orient, np.abs(lines), z=True), np.zeros(lines.shape)
+            assert (traj.steps == 40).all()
+            for k in range(1, 41):
+                phi = phi_rk4(phi, rate, dt)
+                gap = pair_gap(m, traj.lines[k], lines * np.exp(phi - phi.max(-1, keepdims=True)))
+                assert gap.max() < 1e-11, (j, s, k, gap.max())
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_mixed_twists_step_by_chart_distance(self, n, monkeypatch):
+        # landings within 1e-8 of a grid of 1/20 of the Hessian step, in no
+        # more loop steps than that step takes
+        h = default_cartan(n)
+        rng = np.random.default_rng(110 + n)
+        for j, s in twists(n):
+            g = m_j_pm(n, j, s)
+            if not np.ptp(g.m_diag.real):
+                continue
+            lines, m, c = _twist_seeds(n, j, s, h, rng, [1e-3, 0.1, 1.0])
+            landed, _ = flow_to_level(lines, h, g, c, None, 4000, record_sep=0.03)
+            fine, _ = flow_to_level(lines, h, g, c, _hessian_step(h, j) / 20, 4000)
+            gap = pair_gap(m, *(thimble.graph_lines(lines, h, m, a) for a in (landed, fine)))
+            assert gap.max() < 1e-8, (j, s, gap.max())
+            loops = [_loop_advances(monkeypatch, j, s, h, step)
+                     for step in (None, _hessian_step(h, j))]
+            assert 0 < loops[0] <= loops[1], (j, s, loops)
+
+    def test_step_limit_names_the_flow_furthest_from_the_level(self):
+        h, g, lines, c = _graph_seed_stack(4, directions=3)
+        step, m = _hessian_step(h, 1), g.m_diag.real
+        miss = {}
+
+        def visit(indices, states, arcs, r):
+            miss.update(zip(indices.tolist(), np.abs(line_height(h, m, r) - c)))
+
+        pattern = (r"(\d+) flows failed to reach the level in 3 steps: "
+                   r"\|f1 - c\| = (\S+) at batch index (\d+)")
+        with pytest.raises(GraphIntegrityError, match=pattern) as err:
+            flow_to_level(lines, h, g, c, step, 3, visit)
+        count, worst, k = re.search(pattern, str(err.value)).groups()
+        assert int(count) == len(miss) == len(lines)
+        assert int(k) == max(miss, key=miss.get) and worst == f"{miss[int(k)]:.3e}"
+        # the named flow fails alone with the same miss
+        with pytest.raises(GraphIntegrityError, match=pattern) as one:
+            flow_to_level(lines[int(k):int(k) + 1], h, g, c, step, 3)
+        assert re.search(pattern, str(one.value)).groups() == ("1", worst, "0")
 
 # the thimble command's three configurations: m_1^- at n = 8, the mixed-sign
 # m_3^+ at n = 4 and m_4^+ at n = 3, where m = -1

@@ -21,19 +21,25 @@ def measure_splitting(n):
 
 @pytest.fixture
 def flipped_z_sign(monkeypatch):
-    z_rate = thimble.z_rate
-    monkeypatch.setattr(thimble, "z_rate", lambda h, m, orient, r0: z_rate(h, m, -orient, r0))
+    # the Z rule of the two-scalar engine with its sign flipped; F1 as it is
+    line_rate = thimble._line_rate
+
+    def rate(h, weights, m, orient, r0, state, z=False):
+        return line_rate(h, weights, m, -orient if z else orient, r0, state, z)
+
+    monkeypatch.setattr(thimble, "_line_rate", rate)
 
 
 @pytest.fixture
 def d_plus_one(monkeypatch):
     # (d + 1) / sigma in place of d / sigma in the rate of Z
-    z_rate = thimble.z_rate
+    line_rate = thimble._line_rate
 
-    def rate(h, m, orient, r0):
-        return z_rate(h, m, orient * (len(h) + 1) / len(h), r0)
+    def rate(h, weights, m, orient, r0, state, z=False):
+        return line_rate(h, weights, m, orient * (len(h) + 1) / len(h) if z else orient, r0,
+                         state, z)
 
-    monkeypatch.setattr(thimble, "z_rate", rate)
+    monkeypatch.setattr(thimble, "_line_rate", rate)
 
 
 @pytest.fixture
