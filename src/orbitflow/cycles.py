@@ -11,10 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LevelRangeError
-from .liecore import RootSystemAn, cartan_matrix, minimal_cartan, pi_w
-from .orbit import OrbitPoint, retract, tangent_frame, tangent_project
+from .liecore import RootSystemAn, pi_w
+from .orbit import OrbitPoint, _near_base, tangent_frame, tangent_project
 from .thimble import line_height, trace_thimble
-from .util import realify, subspace_intersection_real, unrealify
+from .util import random_compact, realify, subspace_intersection_real, unrealify
 
 INTERSECTION_CUTOFF = 1e-8
 
@@ -78,18 +78,10 @@ def ham_height(x_elem, pt):
 
 
 def flag_sample(n, count, radius, rng):
-    """Hermitian orbit points Ad(exp(A)) H0 with A compact, |A| <= radius."""
-    from scipy.linalg import expm
-
-    from .util import random_compact
-
-    h0m = cartan_matrix(minimal_cartan(n))
-    out = []
-    for _ in range(count):
-        a = random_compact(rng, n + 1, scale=radius * rng.uniform())
-        g = expm(a)
-        out.append(retract(g @ h0m @ g.conj().T))
-    return out
+    """Hermitian orbit points of the pairs (u, u), u = e_1 + A e_1, of
+    anti-Hermitian traceless A with |A| uniform in [0, radius)."""
+    return [_near_base(random_compact(rng, n + 1, scale=radius * rng.uniform()))
+            for _ in range(count)]
 
 
 def vanishing_sphere(h, c, count, rng):

@@ -104,13 +104,13 @@ def twists(n):
             if np.prod(sign_pattern(n, j, s)) > 0]
 
 
-def graph_point(u, g, tol=1e-8):
+def graph_point(u, g):
     """Chart point Phi([u], m [u]^perp) on the graph of the twisted map.
 
     For unitary diagonal m the hyperplane m [u]^perp has normal m u.
     """
     u = np.asarray(u, dtype=complex)
-    return pair_point(u, g.m_diag * u, tol)
+    return pair_point(u, g.m_diag * u)
 
 
 def graph_membership(x, g):

@@ -24,9 +24,9 @@ Everything else here is a view over these seven; ``tangent_project`` and
 ``potential`` take an OrbitPoint or a stack of matrices.  ``advance``, the
 one stepper and its guard, moves stacks of pairs (batch, 2, d) by velocities
 such as ``lax_velocity``, or the two scalars (s, B) of graph lines
-u0 e^{m (h s - B)} (``thimble.flow_to_level``, ``flow.integrate``).  Only the snaps
-(``retract``, ``split_eigen``) assemble a split and measure how far that
-moves x.
+u0 e^{m (h s - B)} (``thimble.flow_to_level``, ``flow.integrate``).  Samplers
+build pairs; only the snaps (``retract``, ``split_eigen``), for matrices from
+outside the library, assemble a split and measure how far that moves x.
 """
 
 from dataclasses import dataclass
@@ -343,21 +343,21 @@ def membership_residual(x):
     return np.linalg.norm(r, axis=(-2, -1) if r.ndim > 2 else None)
 
 
-def pair_point(line, normal, tol=TRANSVERSALITY_TOL):
+def pair_point(line, normal):
     """Orbit point of an eigenline and a hyperplane given by its normal.
 
-    Raises TransversalityError when the line lies in the hyperplane within
-    tolerance; the point's transversality |v^H u| is the conditioning proxy.
+    Raises TransversalityError when |v^H u| of the unit pair, the point's
+    conditioning proxy, is below TRANSVERSALITY_TOL.
     """
     u = _unit(np.asarray(line, dtype=complex).reshape(-1))
     v = _unit(np.asarray(normal, dtype=complex).reshape(-1))
     trans = float(abs(_vdot(v, u)))
-    if trans < tol:
+    if trans < TRANSVERSALITY_TOL:
         raise TransversalityError(f"line lies in hyperplane within tolerance ({trans:.3e})")
     return OrbitPoint(x=assemble(u, v), line=u, normal=v)
 
 
-def phi_pair(line, hyper, tol=TRANSVERSALITY_TOL):
+def phi_pair(line, hyper):
     """Orbit point of a transversal (line, hyperplane basis) pair.
 
     The hyperplane normal is the part of the line left over by a least
@@ -370,33 +370,40 @@ def phi_pair(line, hyper, tol=TRANSVERSALITY_TOL):
         raise ShapeError(f"hyperplane basis has shape {w.shape}, expected ({len(u)}, {len(u)-1})")
     normal = u - w @ np.linalg.lstsq(w, u, rcond=None)[0]
     trans = np.linalg.norm(normal)
-    if trans < tol:
+    if trans < TRANSVERSALITY_TOL:
         raise TransversalityError(f"line lies in hyperplane within tolerance ({trans:.3e})")
-    return pair_point(u, normal, tol)
+    return pair_point(u, normal)
 
 
-def split_eigen(x, tol=MEMBERSHIP_TOL):
+def split_eigen(x):
     """Eigenline and hyperplane basis of an orbit matrix (inverse of phi_pair).
 
-    Raises MembershipError when x is further than ``tol`` from the orbit
-    point its pair coordinates assemble to.
+    Raises MembershipError when x is further than MEMBERSHIP_TOL from the
+    orbit point its pair coordinates assemble to.
     """
     u, v, _, moved = _snap(np.asarray(x, dtype=complex))
-    if not moved <= tol:
-        raise MembershipError(f"matrix is {moved:.3e} off the orbit (tolerance {tol:.1e})")
+    if not moved <= MEMBERSHIP_TOL:
+        raise MembershipError(f"matrix is {moved:.3e} off the orbit (tolerance {MEMBERSHIP_TOL:.1e})")
     return u, complement(v)
 
 
-def retract(x, drift_limit=DRIFT_LIMIT):
-    """Snap a near-orbit matrix onto the orbit through the pair chart.
+def retract(x):
+    """Snap a near-orbit matrix from outside the library onto the orbit.
 
     Points on the orbit are fixed to rounding; off it the move is first
-    order in the distance.  Raises StepSizeError past ``drift_limit``.
+    order in the distance.  Raises StepSizeError past DRIFT_LIMIT.
     """
     u, v, y, moved = _snap(np.asarray(x, dtype=complex))
-    if not moved <= drift_limit:
-        raise StepSizeError(f"retraction moved a point by {moved:.3e} > {drift_limit}")
+    if not moved <= DRIFT_LIMIT:
+        raise StepSizeError(f"retraction moved a point by {moved:.3e} > {DRIFT_LIMIT}")
     return OrbitPoint(x=y, line=u, normal=v)
+
+
+def _near_base(a):
+    """Pair (e_1 + A e_1, e_1 - A^H e_1), the first-order part of the pair of
+    exp(A) H0 exp(-A); Hermitian bit for bit when A is anti-Hermitian."""
+    e1 = np.eye(len(a))[0]
+    return pair_point(e1 + a[:, 0], e1 - a[0].conj())
 
 
 def r_w0_basis(line):

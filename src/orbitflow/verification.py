@@ -22,7 +22,6 @@ from .liecore import (
     default_cartan,
     hermitian_form,
     killing_form,
-    minimal_cartan,
     omega,
     root_eval,
     tau,
@@ -61,17 +60,11 @@ def _check(name, measured, tolerance, reference, larger_is_fail=True):
 
 
 def random_orbit_point(rng, n, spread=0.4, unitary=False):
-    from scipy.linalg import expm
-
-    d = n + 1
-    h0m = cartan_matrix(minimal_cartan(n))
+    """Orbit point near H0 of a traceless A of entry scale spread / (n+1), or of an
+    anti-Hermitian A of norm ``spread`` (a Hermitian point) when ``unitary``."""
     if unitary:
-        a = random_compact(rng, d, scale=spread)
-        g = expm(a)
-        return orbit.retract(g @ h0m @ g.conj().T)
-    a = random_traceless(rng, d, scale=spread / d)
-    g = expm(a)
-    return orbit.retract(g @ h0m @ np.linalg.inv(g))
+        return orbit._near_base(random_compact(rng, n + 1, scale=spread))
+    return orbit._near_base(random_traceless(rng, n + 1, scale=spread / (n + 1)))
 
 
 def random_tangent(rng, pt):
@@ -84,18 +77,10 @@ def random_tangent(rng, pt):
 
 
 def sl_basis(d):
-    out = []
-    for i in range(d):
-        for j in range(d):
-            if i != j:
-                m = np.zeros((d, d), dtype=complex)
-                m[i, j] = 1.0
-                out.append(m)
-    for k in range(d - 1):
-        m = np.zeros((d, d), dtype=complex)
-        m[k, k], m[k + 1, k + 1] = 1.0, -1.0
-        out.append(m)
-    return out
+    """Elementary E_ij, i != j, then E_kk - E_k+1,k+1."""
+    eye = np.eye(d, dtype=complex)
+    return ([np.outer(eye[i], eye[j]) for i in range(d) for j in range(d) if i != j]
+            + [np.diag(eye[k] - eye[k + 1]) for k in range(d - 1)])
 
 
 def _coords(x, flat, gram_inv):
@@ -227,7 +212,8 @@ def orbit_suite(cfg, rng):
     for pt in cycles.flag_sample(n, 50, 0.8, rng):
         worst = max(worst, abs(orbit.potential(h, pt).imag))
     checks.append(_check("height-real-on-flag", worst, 1e-12,
-                         "superpotential is real on the Hermitian locus"))
+                         "superpotential is real on the Hermitian locus; flag points are "
+                         "Hermitian bit for bit, so it reads exactly 0"))
 
     vals = sorted(orbit.potential(h, p).real for p in orbit.critical_points(n))
     gap = min(b - a for a, b in zip(vals, vals[1:]))
@@ -478,12 +464,24 @@ def graphs_suite(cfg, rng):
 # ---------------------------------------------------------------------------
 
 
-def _topology_proxy(samples):
-    from scipy.spatial import cKDTree
+def _close_pairs(rows, r):
+    """Index pairs (i, j), i < j, of the rows within Euclidean distance r: rows
+    that close are within r in the first coordinate, so after a sort by it
+    each row is compared only with the next rows within r there."""
+    order = np.argsort(rows[:, 0])
+    key, found = rows[order, 0], [np.empty((0, 2), dtype=np.intp)]
+    for k in range(1, len(rows)):
+        near = np.flatnonzero(key[k:] - key[:-k] <= r)
+        if not near.size:
+            break
+        pairs = np.sort(np.stack([order[near], order[near + k]], axis=-1), axis=-1)
+        found.append(pairs[np.linalg.norm(rows[pairs[:, 0]] - rows[pairs[:, 1]], axis=-1) <= r])
+    return np.concatenate(found)
 
+
+def _topology_proxy(samples):
     seeds = samples.seed_index
-    tree = cKDTree(realify(samples.x))
-    pairs = tree.query_pairs(1e-9, output_type="ndarray")
+    pairs = _close_pairs(realify(samples.x), 1e-9)
     if (seeds[pairs[:, 0]] != seeds[pairs[:, 1]]).any():
         return 1.0
     order = np.lexsort((samples.arc, samples.flow_index))

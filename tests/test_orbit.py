@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from orbitflow.cycles import flag_sample
 from orbitflow.errors import (
     MembershipError,
     ShapeError,
@@ -536,3 +537,44 @@ class TestPairVelocities:
             got = pair_tangent(a, b, vel[:, 0], vel[:, 1])[keep]
             err = np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
             assert err.max() < 1e-12
+
+
+class TestSamplers:
+    """random_orbit_point and flag_sample build a pair from the matrix draws
+    alone, and their points lie on the orbit."""
+
+    @staticmethod
+    def draw(kind, rng, n):
+        if kind == "flag":
+            return flag_sample(n, 3, 0.8, rng)
+        return [random_orbit_point(rng, n, unitary=(kind == "compact")) for _ in range(3)]
+
+    @pytest.mark.parametrize("n", (1, 2, 6))
+    @pytest.mark.parametrize("kind", ("traceless", "compact", "flag"))
+    def test_a_draw_takes_only_its_matrix_draws_from_the_rng(self, kind, n):
+        rng, bare = np.random.default_rng(11), np.random.default_rng(11)
+        self.draw(kind, rng, n)
+        for _ in range(3):
+            if kind == "traceless":
+                random_traceless(bare, n + 1)
+            elif kind == "compact":
+                random_compact(bare, n + 1)
+            else:
+                bare.uniform()
+                random_compact(bare, n + 1)
+        assert rng.bit_generator.state == bare.bit_generator.state
+
+    @pytest.mark.parametrize("n", (1, 2, 5, 8))
+    def test_hermitian_draws_are_hermitian_exactly(self, n):
+        rng = np.random.default_rng(12 + n)
+        for _ in range(20):
+            for pt in self.draw("compact", rng, n) + self.draw("flag", rng, n):
+                assert np.array_equal(pt.x, pt.x.conj().T)
+
+    @pytest.mark.parametrize("n", (1, 2, 5, 8))
+    def test_every_draw_lies_on_the_orbit(self, n):
+        rng = np.random.default_rng(13 + n)
+        for _ in range(20):
+            for kind in ("traceless", "compact", "flag"):
+                for pt in self.draw(kind, rng, n):
+                    assert membership_residual(pt.x) <= 1e-12

@@ -1,6 +1,8 @@
 """The verify checks built on the graphs of the stable and unstable manifolds
 of Z fail under named mutations of the Z rule and of the seeds' graphs, and
-the unit-determinant check fails when a twist of determinant -1 is listed."""
+the unit-determinant check fails when a twist of determinant -1 is listed,
+and the thimble topology proxy fails on repeated samples of two seeds and on
+flows whose height turns."""
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ import pytest
 from orbitflow import graphs, thimble, verification
 from orbitflow.cli import RunConfig
 from orbitflow.errors import StepSizeError
+from orbitflow.liecore import default_cartan
+from orbitflow.util import realify
 
 
 def failing(suite, n):
@@ -127,3 +131,57 @@ def test_unit_determinant_check_reads_every_odd_rank(n, from_rank, monkeypatch):
     # (7, 7): only the configured rank does
     every_sign_pattern(monkeypatch, from_rank)
     assert "involutions-have-unit-determinant" in failing(verification.graphs_suite, n)
+
+
+def trace(n, seed=0):
+    """A thimble trace of the size ``thimble_suite`` draws, of m_1^-."""
+    return thimble.trace_thimble(1, "-", default_cartan(n), c_offset=0.4, directions=12,
+                                 radii=4, rng=np.random.default_rng(seed))
+
+
+def with_row(samples, row):
+    return np.concatenate([samples, row]).view(np.recarray)
+
+
+class TestTopologyProxy:
+    def test_a_trace_passes(self):
+        assert verification._topology_proxy(trace(2)) == 0.0
+
+    def test_a_sample_repeated_under_another_seed_fails(self):
+        samples = trace(2)
+        dup = samples[5:6].copy()
+        dup.seed_index += 1
+        assert verification._topology_proxy(with_row(samples, dup)) == 1.0
+
+    def test_a_sample_repeated_under_its_own_seed_passes(self):
+        samples = trace(2)
+        assert verification._topology_proxy(with_row(samples, samples[5:6].copy())) == 0.0
+
+    def test_a_flow_that_goes_down_then_up_fails(self):
+        samples = trace(2).copy()
+        rows = np.flatnonzero(samples.flow_index == samples.flow_index[-1])
+        rows = rows[np.argsort(samples.arc[rows])]
+        assert len(rows) >= 3
+        samples.f1[rows[len(rows) // 2]] = samples.f1[rows].min() - 1.0
+        assert verification._topology_proxy(samples) == 1.0
+
+    @pytest.mark.parametrize("n", (2, 6))
+    @pytest.mark.parametrize("planted", (False, True))
+    def test_close_pairs_match_the_kd_tree(self, n, planted):
+        from scipy.spatial import cKDTree
+
+        rows = realify(trace(n).x)
+        if planted:
+            # rows 0.9e-9 and 1.1e-9 from rows 3 and 7 along the sort key, the
+            # first coordinate, 0.9e-9 from row 9 along a random direction, and
+            # a duplicate of row 0
+            step = np.zeros((3, rows.shape[1]))
+            step[:2, 0] = 0.9e-9, 1.1e-9
+            step[2] = np.random.default_rng(n).standard_normal(rows.shape[1])
+            step[2] *= 0.9e-9 / np.linalg.norm(step[2])
+            rows = np.concatenate([rows, rows[[3, 7, 9]] + step, rows[:1]])
+        got = sorted(map(tuple, verification._close_pairs(rows, 1e-9)))
+        assert got == sorted(map(tuple, cKDTree(rows).query_pairs(1e-9, output_type="ndarray")))
+        if planted:
+            k = len(rows) - 4
+            assert {(3, k), (9, k + 2), (0, k + 3)} <= set(got) and (7, k + 1) not in got
