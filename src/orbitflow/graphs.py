@@ -86,11 +86,16 @@ def sign_pattern(n, j, sign):
     return (-1.0 if sign == "+" else 1.0) * (-1.0) ** j * diag
 
 
+def _unit_determinant(diag):
+    """Whether a +/-1 diagonal lies in the unit-determinant torus."""
+    return np.prod(diag) > 0
+
+
 def m_j_pm(n, j, sign):
     """Torus involution m_j^+/- at [e_j], of diagonal ``sign_pattern``; a
     (j, sign) outside ``twists(n)`` (odd n) raises ParityError."""
     diag = sign_pattern(n, j, sign)
-    if (j, sign) not in twists(n):
+    if not _unit_determinant(diag):
         raise ParityError(f"m_{j}^{sign} has determinant -1 at odd rank n={n}; there the unit-"
                           "determinant torus holds m_j^- for odd j and m_j^+ for even j")
     return GraphSpec(diag.astype(complex), name=f"m{j}{sign}")
@@ -101,7 +106,7 @@ def twists(n):
     ``sign_pattern`` has determinant +1: every pair at even n, and at odd n
     (j, '-') for odd j and (j, '+') for even j."""
     return [(j, s) for j in range(1, n + 2) for s in ("+", "-")
-            if np.prod(sign_pattern(n, j, s)) > 0]
+            if _unit_determinant(sign_pattern(n, j, s))]
 
 
 def graph_point(u, g):

@@ -212,13 +212,13 @@ def rk4_step(state, rhs, dt, k1=None, h=None):
     return out, np.abs(h * move[..., :1] - move[..., 1:]).max(axis=-1)
 
 
-def advance(state, rhs, dt, k1=None, h=None):
+def advance(state, rhs, dt, k1=None, h=None, limit=DRIFT_LIMIT):
     """``rk4_step`` that raises StepSizeError naming the first row whose move
-    has a size above DRIFT_LIMIT (or not finite)."""
+    has a size above ``limit`` (inf where RK4 is exact) or not finite."""
     out, size = rk4_step(state, rhs, dt, k1, h)
-    bad = np.flatnonzero(~(size <= DRIFT_LIMIT))
+    bad = np.flatnonzero(~(np.isfinite(size) & (size <= limit)))
     if bad.size:
-        raise StepSizeError(f"step of size {size[bad[0]]:.3e} exceeds {DRIFT_LIMIT} (batch index "
+        raise StepSizeError(f"step of size {size[bad[0]]:.3e} exceeds {limit} (batch index "
                             f"{bad[0]}); reduce the integration step")
     return out
 
@@ -347,12 +347,14 @@ def pair_point(line, normal):
     """Orbit point of an eigenline and a hyperplane given by its normal.
 
     Raises TransversalityError when |v^H u| of the unit pair, the point's
-    conditioning proxy, is below TRANSVERSALITY_TOL.
+    conditioning proxy, is below TRANSVERSALITY_TOL or not a number, as for
+    a zero or non-finite vector.
     """
-    u = _unit(np.asarray(line, dtype=complex).reshape(-1))
-    v = _unit(np.asarray(normal, dtype=complex).reshape(-1))
+    with np.errstate(invalid="ignore"):  # a zero vector is NaN, which the check refuses
+        u = _unit(np.asarray(line, dtype=complex).reshape(-1))
+        v = _unit(np.asarray(normal, dtype=complex).reshape(-1))
     trans = float(abs(_vdot(v, u)))
-    if trans < TRANSVERSALITY_TOL:
+    if not trans >= TRANSVERSALITY_TOL:
         raise TransversalityError(f"line lies in hyperplane within tolerance ({trans:.3e})")
     return OrbitPoint(x=assemble(u, v), line=u, normal=v)
 
@@ -370,7 +372,7 @@ def phi_pair(line, hyper):
         raise ShapeError(f"hyperplane basis has shape {w.shape}, expected ({len(u)}, {len(u)-1})")
     normal = u - w @ np.linalg.lstsq(w, u, rcond=None)[0]
     trans = np.linalg.norm(normal)
-    if trans < TRANSVERSALITY_TOL:
+    if not trans >= TRANSVERSALITY_TOL:
         raise TransversalityError(f"line lies in hyperplane within tolerance ({trans:.3e})")
     return pair_point(u, normal)
 

@@ -12,11 +12,11 @@ when m = 1).  So every flow steps two scalars (s, B) per row, by one rule for
 F1 and Z (``_line_rate``), and the seeds (``seed_lines``), the height
 (``line_height``) and the chart gap (``pair_gap``) are closed forms in the
 lines (``graph_lines``), one stack of which may mix twists.
-``flow_to_level`` steps them with ``orbit.advance`` by chart distance on
-every twist and one ``cross_level`` lands them; matrices appear once, in the
-``chart`` of the recorded lines.  ``thimble_json`` writes each sample as its
-unit line.  The split F1 = G1 - i G2 uses ``graphs.graph_tangent_frame``;
-``flow.integrate`` steps Z on the graphs by the same rule.
+``flow_to_level`` steps them with ``orbit.advance`` by chart distance (past
+the accuracy guard where RK4 is exact) and one ``cross_level`` lands them;
+matrices appear once, in the ``chart`` of the recorded lines.  ``thimble_json``
+writes each sample as its unit line.  The split F1 = G1 - i G2 uses
+``graphs.graph_tangent_frame``; ``flow.integrate`` steps Z by the same rule.
 """
 
 import json
@@ -263,23 +263,34 @@ def flow_to_level(lines, h, g, c, step, max_steps, visit=None, record_sep=np.inf
 
     A float ``step`` is one grid in t for every row.  With ``step`` None, each
     row steps by at most ``phi_guard`` and so that its chart point moves
-    0.45 ``record_sep`` at its speed |F1| = sqrt(|df1/dt| / 2d) at the start,
-    which records a ``visit`` sample about every third step, ``record_sep`` to
-    2 ``record_sep`` apart.  The field at each stepped state gives the moduli
-    r = ``graph_lines(|u0|, h, m, state)``, the crossing test, the next step
-    and its first RK4 stage.  After each step ``visit(indices, states, arcs,
-    r)`` sees the flows that did not cross the level; one ``cross_level``
-    lands them from their last state after the loop.  Raises ValueError when
-    g is not an involution, GraphIntegrityError naming the unlanded flow
-    furthest from the level if a flow has not crossed it after max_steps;
-    returns the landed states and arcs.
+    0.45 ``record_sep`` at its speed v = |F1| = sqrt(|df1/dt| / 2d) at the
+    start, which records a ``visit`` sample about every third step,
+    ``record_sep`` to 2 ``record_sep`` apart.  On a scalar twist (m = +/-1)
+    RK4 is exact and v^2 = 2 k2, k2 and k3 the variance and third central
+    moment of h under w = |u|^2 / sum |u|^2, which tilts along h at rate 2/d;
+    so |d log v / dt| = |k3| / (d k2) <= spread(h) / d < L = 2 spread(h) / d
+    (at spread(h) / d, more ``vanishing_sphere`` landings start Newton far
+    from the level).  A step dt then moves the chart point at most v (e^{L dt}
+    - 1) / L and f1 at most |f1'| (e^{2 L dt} - 1) / (2 L), so the step grows
+    to min(log1p(0.45 record_sep L / v) / L, log1p(2 L |c - f1| / |f1'|) /
+    (2 L)) where longer and finite, and ``advance`` refuses only a non-finite
+    move.
+    The field at each stepped state gives the moduli r = ``graph_lines(|u0|,
+    h, m, state)``, the crossing test, the next step and its first RK4 stage.
+    After each step ``visit(indices, states, arcs, r)`` sees the flows that
+    did not cross the level; one ``cross_level`` lands them from their last
+    state after the loop.  Raises ValueError when g is not an involution,
+    GraphIntegrityError naming the unlanded flow furthest from the level if a
+    flow has not crossed it after max_steps; returns the landed states and
+    arcs.
     """
     if not g.is_involution:
         raise ValueError(f"twist {g.name or g.m_diag} is not an involution: "
                          "the closed-form gradient needs m = +/-1")
     h = np.asarray(h, dtype=float)
     m = g.m_diag.real
-    guard = phi_guard(h)
+    guard, lam = phi_guard(h), 2.0 * np.ptp(h) / len(h)
+    grow = step is None and not np.ptp(m)
     r0 = np.abs(lines)
     state = np.zeros((len(r0), 2))
     orient = np.where(line_height(h, m, r0) > c, -1.0, 1.0)
@@ -292,11 +303,19 @@ def flow_to_level(lines, h, g, c, step, max_steps, visit=None, record_sep=np.inf
         if not active.any():
             break
         if step is None:
-            speed = np.sqrt(np.abs(_f1_rate(h, m, weights, k1, r, sums)) / (2 * len(h)))
-            dt = (guard / np.maximum(1.0, guard * speed / (0.45 * record_sep)))[:, None]
+            df1 = np.abs(_f1_rate(h, m, weights, k1, r, sums))
+            speed = np.sqrt(df1 / (2 * len(h)))
+            dt = guard / np.maximum(1.0, guard * speed / (0.45 * record_sep))
+            if grow:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    grown = np.minimum(np.log1p(0.45 * record_sep * lam / speed), 0.5 * np.log1p(
+                        2.0 * lam * np.abs(c - _height(h, sums)) / df1)) / lam
+                dt = np.maximum(dt, np.where(np.isfinite(grown), grown, 0.0))
+            dt = dt[:, None]
         idx = np.flatnonzero(active)
         args = (h, weights, m, orient[idx, None], r0[idx])
-        stepped = advance(state[idx], lambda s: _line_rate(*args, s)[0], dt, k1, h)
+        stepped = advance(state[idx], lambda s: _line_rate(*args, s)[0], dt, k1, h,
+                          np.inf if grow else DRIFT_LIMIT)
         rate, r, sums = _line_rate(*args, stepped)
         crossed = orient[idx] * (_height(h, sums) - c) > 0
         active[idx[crossed]] = False
@@ -408,9 +427,9 @@ def trace_thimble(
     u, v, mats = chart(np.stack([lines, m * lines], axis=1))
     f = potential(h, mats)
     res = graph_membership((u, v), g)
-    bad = np.argmax(res)
-    if res[bad] > residual_limit:
-        raise GraphIntegrityError(f"flow left the graph: residual {res[bad]:.3e} "
+    bad = np.argmax(np.where(np.isfinite(f.real), res, np.nan))  # the first NaN, if any
+    if not (res[bad] <= residual_limit and np.isfinite(f[bad].real)):
+        raise GraphIntegrityError(f"flow left the graph or is not finite: residual {res[bad]:.3e} "
                                   f"at seed {indices[bad] // radii}, f1={f[bad].real:.6f}")
     cols = {"line": u, "x": mats, "f1": f.real, "f2": f.imag, "graph_residual": res,
             "seed_index": indices // radii, "flow_index": indices, "arc": arcs}
@@ -473,17 +492,22 @@ def thimble_json(samples, meta, twist):
     """JSON text {"meta", "samples"} of a trace: ``meta`` with the real
     diagonal m of the traced graph added as ``twist``, and per sample the
     record {"n", "line", "f1", "f2", "graph_residual", "seed_index", "arc"},
-    which ``OrbitPoint.from_json(record, twist)`` reloads exactly: the text of
-    ``json.dumps``, each record one ``%`` template over a row of numbers."""
-    d = samples.line.shape[-1]
-    rows = np.column_stack([samples.line.view(float), samples.f1, samples.f2,
-                            samples.graph_residual, samples.seed_index, samples.arc]).tolist()
-    record = ('{"n": %d, "line": [' % (d - 1) + ", ".join(["[%r, %r]"] * d) + '], "f1": %r, '
-              '"f2": %r, "graph_residual": %r, "seed_index": %d, "arc": %r}')
+    which ``OrbitPoint.from_json(record, twist)`` reloads exactly.  ``meta``
+    is the text of ``json.dumps``; the samples are orjson's compact text,
+    whose floats read back bit for bit, and a non-finite value in one raises
+    ValueError naming the sample and the key."""
+    import orjson
+
+    cols = {"line": samples.line.view(float).reshape(len(samples), -1, 2),
+            **{k: samples[k] for k in ("f1", "f2", "graph_residual", "arc")}}
+    for key, col in cols.items():
+        if (bad := np.flatnonzero(~np.isfinite(col.reshape(len(col), -1)).all(axis=-1))).size:
+            raise ValueError(f"sample {bad[0]}: {key} is not finite ({col[bad[0]].tolist()})")
+    rows = zip(*(col.tolist() for col in cols.values()), samples.seed_index.tolist())
+    records = [{"n": len(line) - 1, "line": line, "f1": f1, "f2": f2, "graph_residual": res,
+                "seed_index": seed, "arc": arc} for line, f1, f2, res, arc, seed in rows]
     head = json.dumps({**meta, "twist": np.asarray(twist, dtype=float).tolist()})
-    # repr writes nan and inf where json.dumps writes NaN and Infinity; no key holds either
-    body = ", ".join([record % tuple(r) for r in rows]).replace("nan", "NaN").replace("inf", "Infinity")
-    return f'{{"meta": {head}, "samples": [{body}]}}'
+    return f'{{"meta": {head}, "samples": {orjson.dumps(records).decode()}}}'
 
 
 def thimble_csv(samples):

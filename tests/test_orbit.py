@@ -16,7 +16,7 @@ from orbitflow.errors import (
     TransversalityError,
     UnsupportedOrbitError,
 )
-from orbitflow.graphs import graph_membership, identity_graph, m_j_pm, twists
+from orbitflow.graphs import graph_membership, graph_point, identity_graph, m_j_pm, twists
 from orbitflow.liecore import bracket, cartan_matrix, minimal_cartan, default_cartan
 from orbitflow.orbit import (
     OrbitPoint,
@@ -82,6 +82,30 @@ class TestPhiPair:
         d = 3
         with pytest.raises(TransversalityError):
             phi_pair(_e(d, 1), np.eye(d, dtype=complex)[:, 1:])
+
+    @pytest.mark.parametrize("d", [3, 5, 9])
+    def test_line_in_a_non_orthonormal_hyperplane_raises(self, d):
+        # the least-squares residual of a line inside the hyperplane is
+        # rounding with no direction; its length, not its unit vector, is read
+        rng = np.random.default_rng(d)
+        w = rng.standard_normal((d, d - 1)) + 1j * rng.standard_normal((d, d - 1))
+        line = w @ (rng.standard_normal(d - 1) + 1j * rng.standard_normal(d - 1))
+        with pytest.raises(TransversalityError, match="within tolerance"):
+            phi_pair(line, w)
+
+    @pytest.mark.parametrize("line, normal", [
+        (np.zeros(3), np.eye(3)[0]),
+        (np.eye(3)[0], np.zeros(3)),
+        (np.array([1.0, np.nan, 0.0]), np.eye(3)[0]),
+    ], ids=["zero-line", "zero-normal", "nan-entry"])
+    def test_pair_without_a_transversality_raises(self, line, normal):
+        # |v^H u| is NaN there, which no comparison with the tolerance passes;
+        # graph_point builds its pair (u, m u) with pair_point
+        with pytest.raises(TransversalityError, match=r"tolerance \(nan\)"):
+            pair_point(line, normal)
+        if normal.any():
+            with pytest.raises(TransversalityError, match=r"tolerance \(nan\)"):
+                graph_point(line, identity_graph(2))
 
     def test_wrong_hyperplane_shape_raises(self):
         from orbitflow.errors import ShapeError

@@ -701,6 +701,36 @@ class TestTraceThimble:
             gaps = np.linalg.norm(np.diff(x, axis=0), axis=(1, 2))
             assert gaps.min() >= 0.03 * (1 - 1e-9) and gaps.max() <= 0.06, f
 
+    @pytest.mark.parametrize("n, j, sign", [(8, 1, "-"), (3, 4, "+")])
+    def test_scalar_twist_seeds_escape_within_eight_steps(self, n, j, sign):
+        # RK4 is exact on m = 1 (m_1^- at n = 8) and m = -1 (m_4^+ at n = 3),
+        # so steps capped at phi_guard grow: seeds of radius 1e-4 make their
+        # first record within 8 loop steps (16 to 20 at phi_guard)
+        h, g = default_cartan(n), m_j_pm(n, j, sign)
+        m = g.m_diag.real
+        dirs = np.random.default_rng(5).standard_normal((8, 2 * n))
+        lines = thimble.seed_lines(j, n + 1, dirs / np.linalg.norm(dirs, axis=1, keepdims=True),
+                                   [1e-4])
+        c = line_height(h, m, np.eye(n + 1)[j - 1]) + (0.5 if sign == "+" else -0.5)
+        first, steps = np.zeros(len(lines), dtype=int), [0]
+
+        def visit(indices, states, arcs, r):
+            steps[0] += 1
+            far = indices[pair_gap(m, r, np.abs(lines[indices])) >= 0.03]
+            first[far[first[far] == 0]] = steps[0]
+
+        flow_to_level(lines, h, g, c, None, 4000, visit, 0.03)
+        assert (first > 0).all() and first.max() <= 8, first
+
+    def test_a_flow_at_rest_keeps_the_guard_step(self):
+        # a line at [e_1] has no speed: its grown step is not finite, so it
+        # steps phi_guard and fails to reach the level, as on a mixed twist
+        h, g = default_cartan(2), m_j_pm(2, 1, "-")
+        c = line_height(h, 1.0, np.eye(3)[0]) - 0.5
+        with pytest.raises(GraphIntegrityError, match="1 flows failed to reach the level in 5 "
+                                                      r"steps: \|f1 - c\| = 5\.000e-01"):
+            flow_to_level(np.eye(3, dtype=complex)[:1], h, g, c, None, 5, record_sep=0.03)
+
     @pytest.mark.parametrize("n, j, sign", SCALAR_TWISTS)
     def test_scalar_twists_take_at_most_half_the_steps_of_the_fixed_grid(self, n, j, sign,
                                                                          monkeypatch):
@@ -821,19 +851,36 @@ class TestTraceThimble:
 
     @pytest.mark.parametrize("n, j, sign", [(2, 1, "-"), (4, 3, "+")])
     def test_json_and_csv_are_the_text_of_the_record_dicts(self, n, j, sign):
-        # json.dumps of one dict per sample and f-strings of the CSV columns,
-        # non-finite values included
+        # json.dumps of meta and orjson's text of one dict per sample, and
+        # f-strings of the CSV columns, non-finite values included; JSON holds
+        # no non-finite value, so the writer refuses one in a sample, naming
+        # the sample and the key; meta keeps integers of any size
+        import orjson
+
         samples = trace_thimble(j, sign, default_cartan(n), c_offset=0.4, directions=3, radii=2,
                                 rng=np.random.default_rng(4))
-        samples.f1[1], samples.f2[2], samples.arc[3] = np.nan, np.inf, -np.inf
-        twist, meta = m_j_pm(n, j, sign).m_diag.real, {"config": {"n": n}, "x": [0.1, 2]}
-        records = [{"n": n, "line": np.stack([s.line.real, s.line.imag], -1).tolist(),
-                    "f1": float(s.f1), "f2": float(s.f2), "graph_residual": float(s.graph_residual),
-                    "seed_index": int(s.seed_index), "arc": float(s.arc)} for s in samples]
-        want = json.dumps({"meta": {**meta, "twist": twist.tolist()}, "samples": records})
+        twist = m_j_pm(n, j, sign).m_diag.real
+        meta = {"config": {"n": n, "seed": 2**64}, "x": [0.1, 2]}
+
+        def records():
+            return [{"n": n, "line": np.stack([s.line.real, s.line.imag], -1).tolist(),
+                     "f1": float(s.f1), "f2": float(s.f2),
+                     "graph_residual": float(s.graph_residual), "seed_index": int(s.seed_index),
+                     "arc": float(s.arc)} for s in samples]
+
+        head = json.dumps({**meta, "twist": twist.tolist()})
+        want = f'{{"meta": {head}, "samples": {orjson.dumps(records()).decode()}}}'
         assert thimble_json(samples, meta, twist) == want
+        for key, k, value in (("f1", 1, np.nan), ("f2", 2, np.inf), ("arc", 3, -np.inf),
+                              ("graph_residual", 4, np.nan), ("line", 5, np.nan)):
+            saved = samples[key][k].copy()
+            samples[key][k] = value
+            with pytest.raises(ValueError, match=rf"^sample {k}: {key} is not finite"):
+                thimble_json(samples, meta, twist)
+            samples[key][k] = saved
+        samples.f1[1], samples.f2[2], samples.arc[3] = np.nan, np.inf, -np.inf
         rows = "".join(f"{r['seed_index']},{r['arc']:.17g},{r['f1']:.17g},{r['f2']:.17g},"
-                       f"{r['graph_residual']:.17g}\n" for r in records)
+                       f"{r['graph_residual']:.17g}\n" for r in records())
         assert thimble_csv(samples) == "seed_index,arc,f1,f2,graph_residual\n" + rows
 
     @pytest.mark.parametrize("n, j, sign", [(2, 1, "-"), (4, 3, "+"), (3, 4, "+")])
@@ -874,6 +921,23 @@ class TestTraceThimble:
         with pytest.raises(GraphIntegrityError, match="residual"):
             trace_thimble(1, "-", h, c_offset=0.3, directions=2, radii=2,
                           rng=np.random.default_rng(11), residual_limit=0.0)
+
+    @pytest.mark.parametrize("name", ["graph_membership", "potential"])
+    def test_a_non_finite_sample_raises_naming_its_seed(self, name, monkeypatch):
+        # a NaN residual or f1 is not below any limit: sample 5, the seed of
+        # flow 5 (the seeds come first), is refused, naming seed 5 // radii = 2
+        computed = getattr(thimble, name)
+
+        def planting(*args):
+            out = computed(*args).copy()
+            out[5] = np.nan
+            return out
+
+        monkeypatch.setattr(thimble, name, planting)
+        want = r"residual nan at seed 2," if name == "graph_membership" else r"at seed 2, f1=nan"
+        with pytest.raises(GraphIntegrityError, match=want):
+            trace_thimble(1, "-", default_cartan(2), c_offset=0.3, directions=3, radii=2,
+                          rng=np.random.default_rng(11))
 
 
 
@@ -978,6 +1042,23 @@ def _command_trace(n, j, sign, c_offset, directions):
     samples = trace_thimble(j, sign, default_cartan(n), c_offset=c_offset, directions=directions,
                             rng=np.random.default_rng(0))
     return samples, m_j_pm(n, j, sign).m_diag.real
+
+
+@pytest.mark.parametrize("cfg", COMMAND_TRACES, ids=lambda cfg: f"n{cfg[0]}-j{cfg[1]}")
+def test_json_floats_reload_bit_for_bit(cfg):
+    # every float of the text reads back as the traced double; the traces
+    # hold f2 = 0.0, and every other f2 is negated so that -0.0 is read too
+    samples, m = _command_trace(*cfg)
+    samples = samples.copy()
+    samples.f2[::2] *= -1.0
+    assert np.signbit(samples.f2[samples.f2 == 0.0]).any()
+    blob = json.loads(thimble_json(samples, {}, m))["samples"]
+    lines = np.array([rec["line"] for rec in blob])
+    assert lines.tobytes() == np.ascontiguousarray(samples.line).tobytes()
+    for key in ("f1", "f2", "graph_residual", "arc"):
+        back = np.array([rec[key] for rec in blob])
+        assert back.tobytes() == np.ascontiguousarray(samples[key]).tobytes(), key
+    assert [rec["seed_index"] for rec in blob] == samples.seed_index.tolist()
 
 
 class TestLagrangianCheck:
