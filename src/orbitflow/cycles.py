@@ -16,8 +16,6 @@ from .orbit import OrbitPoint, _near_base, tangent_frame, tangent_project
 from .thimble import line_height, trace_thimble
 from .util import random_compact, realify, subspace_intersection_real, unrealify
 
-INTERSECTION_CUTOFF = 1e-8
-
 
 @dataclass(frozen=True)
 class VwSubspace:
@@ -51,13 +49,13 @@ def build_vw(w):
     return VwSubspace(w=w, basis=tuple(basis), labels=tuple(labels))
 
 
-def delta_w(w, pt, cutoff=INTERSECTION_CUTOFF):
+def delta_w(w, pt):
     """Pointwise intersection V_w ∩ T_x O, computed by principal angles."""
     vw = build_vw(w)
     frame = tangent_frame(pt)
     tangent_real = [m for e in frame for m in (e, 1j * e)]
     rows = subspace_intersection_real(
-        realify(np.array(vw.basis)), realify(np.array(tangent_real)), cutoff
+        realify(np.array(vw.basis)), realify(np.array(tangent_real)), 1e-8
     )
     d = pt.x.shape[0]
     return list(unrealify(rows, d)) if rows.size else []

@@ -9,7 +9,8 @@ minimum-norm inverse, in closed form in the pair coordinates
 (``Trajectory``): a single point is a batch of one.  Z is tangent to the
 graph of every +/-1 diagonal m, where a row steps the two scalars (s, B) of its
 line u0 e^{m (h s - B)} by the Z rule of ``thimble._line_rate``; other rows step
-by ``orbit.lax_velocity``.  At [e_j], V- of dZ spans the graph of m_j^+ and V+ that of m_j^-.
+by ``orbit.lax_velocity``.  Every row's |Z| is ``orbit.z_norm``, read off that
+velocity with no matrix.  At [e_j], V- of dZ spans the graph of m_j^+ and V+ that of m_j^-.
 """
 
 from dataclasses import dataclass
@@ -29,8 +30,8 @@ from .liecore import (
     tau,
 )
 from . import thimble
-from .orbit import (OrbitPoint, advance, assemble, chart, invert_pair, lax_velocity,
-                    membership_residual, pair_of, potential)
+from .orbit import (OrbitPoint, advance, assemble, invert_pair, lax_velocity, membership_residual,
+                    pair_of, potential, z_norm)
 
 TANGENCY_TOL = 1e-8
 CONV_TOL = 1e-9
@@ -50,7 +51,7 @@ def z_field(x, h):
     return xm @ inner - inner @ xm
 
 
-def ad_inverse(pt, v, tangency_tol=TANGENCY_TOL):
+def ad_inverse(pt, v):
     """Solve ad(x) w = v with w orthogonal to the kernel of ad(x), for one
     matrix v or a stack (k, d, d) of them at the one point ``pt``.
 
@@ -58,22 +59,22 @@ def ad_inverse(pt, v, tangency_tol=TANGENCY_TOL):
     in the inner-product complement of the kernel is what makes the field
     Z the negative metric gradient of the real height.  Raises
     TangencyError when some v is not in the image of ad(x) within
-    tolerance of its own norm, naming the stack index of the worst.
+    TANGENCY_TOL of its own norm, naming the stack index of the worst.
     """
     vm = _mat(v)
     w, outside = invert_pair(*pair_of(pt), vm)
     sq_out, sq_v = ((np.abs(a) ** 2).sum(axis=(-2, -1)) for a in (outside, vm))
     excess = np.sqrt(sq_out / np.maximum(1.0, sq_v))
     k = np.argmax(excess)
-    if excess.flat[k] > tangency_tol:
+    if excess.flat[k] > TANGENCY_TOL:
         where = f" (stack index {k})" if excess.ndim else ""
         raise TangencyError(f"component outside im ad(x): {excess.flat[k]:.3e} of max(1, |v|){where}")
     return w
 
 
-def metric_m(pt, u, v, tangency_tol=TANGENCY_TOL):
+def metric_m(pt, u, v):
     """Orbit metric b_tau(ad(x)^-1 u, ad(x)^-1 v); u and v are inverted as one stack."""
-    return b_tau(*ad_inverse(pt, np.array([_mat(u), _mat(v)]), tangency_tol))
+    return b_tau(*ad_inverse(pt, np.array([_mat(u), _mat(v)])))
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ class LinearizationSpectrum:
         return [v for r in self.rates if not r.degenerate for v in r.unstable]
 
 
-def linearize(pt, h, crit_tol=1e-8):
+def linearize(pt, h):
     """Spectrum of dZ at a critical point.
 
     dZ_x(v) = -ad(x) ad(H) tau(v) has eigenvalues +/- alpha(x) alpha(H) on
@@ -116,7 +117,7 @@ def linearize(pt, h, crit_tol=1e-8):
     reported with rate zero and flagged degenerate.
     """
     zn = b_norm(z_field(pt, h))
-    if zn > crit_tol:
+    if zn > 1e-8:
         raise NotCriticalError(f"|Z(x)| = {zn:.3e}; not a singularity")
     n = pt.n
     rs = RootSystemAn(n)
@@ -176,8 +177,8 @@ def integrate(pairs, h, direction="forward", step=None, max_steps=10000, conv_to
     ``advance`` on one grid in t: a row (u0, e^{i theta} m u0), m = +/-1
     (m = 1: Hermitian), steps the state (s, B) of its lines u0 e^{m (h s - B)}
     on its graph under the Z rule, and other rows step by
-    ``orbit.lax_velocity``.  A row freezes once its |Z| drops below conv_tol;
-    the flow stops when every row has, or after max_steps.  Every kernel
+    ``orbit.lax_velocity``.  A row freezes once its |Z|, ``orbit.z_norm``, drops below
+    conv_tol; the flow stops when every row has, or after max_steps.  Every kernel
     reduces row by row, so a row flows bit for bit as it does alone."""
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
@@ -198,11 +199,8 @@ def integrate(pairs, h, direction="forward", step=None, max_steps=10000, conv_to
     steps = np.zeros(len(pairs), dtype=int)
     while True:
         if conv_tol > 0:
-            rows = np.flatnonzero(active)
-            # b_norm of each Z, rounded as b_norm rounds one: a dot product
-            z = z_field(chart(pairs[rows])[2], h).reshape(len(rows), 1, -1)
-            zn[rows] = np.sqrt((2.0 * len(h) * (z.conj() @ np.swapaxes(z, -1, -2))[:, 0, 0]).real)
-            active[rows] = ~(zn[rows] < conv_tol)
+            zn[active] = z_norm(pairs[active], h)
+            active &= ~(zn < conv_tol)
         z_norms.append(zn.copy())
         if not active.any() or len(record) > max_steps:
             break
@@ -226,17 +224,14 @@ def integrate(pairs, h, direction="forward", step=None, max_steps=10000, conv_to
 def trajectory_csv(traj):
     """CSV dump of the first row of a trajectory: t, Re f_H, Im f_H, orbit
     residual, |Z|, flattened entries."""
-    d = traj.points.shape[-1]
+    x, f = np.ascontiguousarray(traj.points[:, 0]), traj.potentials[:, 0]
     header = ["t", "re_f", "im_f", "orbit_residual", "z_norm"]
-    header += [f"{p}_{i}{j}" for i in range(d) for j in range(d) for p in ("re", "im")]
-    lines = [",".join(header)]
-    for k, x in enumerate(traj.points[:, 0]):
-        f = traj.potentials[k, 0]
-        row = [traj.times[k], f.real, f.imag, membership_residual(x), traj.z_norms[k, 0]]
-        for z in x.ravel():
-            row.extend([z.real, z.imag])
-        lines.append(",".join(format(v, ".17g") for v in row))
-    return "\n".join(lines) + "\n"
+    header += [f"{p}_{i}{j}" for i, j in np.ndindex(x.shape[1:]) for p in ("re", "im")]
+    # the residual of each matrix alone: a stack of them rounds differently
+    table = np.column_stack([traj.times, f.real, f.imag, [membership_residual(y) for y in x],
+                             traj.z_norms[:, 0], x.reshape(len(x), -1).view(float)])
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return ",".join(header) + "\n" + "".join([row % tuple(r) for r in table.tolist()])
 
 
 def nongradient_witness(h, h1, v, w):

@@ -261,10 +261,10 @@ def hessian_report_csv(reports, h):
     return buf.getvalue()
 
 
-def _transversal_unit(rng, weights, reject=REJECT_TOL, budget=200):
+def _transversal_unit(rng, weights, reject=REJECT_TOL):
     """Random unit vector u with |(u, Du)| above the rejection threshold."""
     d = len(weights)
-    for _ in range(budget):
+    for _ in range(200):
         u = random_unit_vector(rng, d)
         if abs(np.vdot(weights * u, u)) >= reject:
             return u

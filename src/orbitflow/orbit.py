@@ -18,9 +18,10 @@ input, extended precision included:
 * ``complement`` is an orthonormal basis of the hyperplane of a normal;
 * ``project_pair`` is the rank-two closed-form projection onto the tangent
   space im ad(x) = {u b^H : b ⊥ u} + {c v^H : c ⊥ v}, and ``invert_pair``
-  the minimum-norm inverse of ad(x), the same form at the pair (v, u).
+  the minimum-norm inverse of ad(x), the same form at the pair (v, u);
+* ``lax_velocity`` is the pair velocity of Z, and ``z_norm`` the length of Z.
 
-Everything else here is a view over these seven; ``tangent_project`` and
+Everything else here is a view over these nine; ``tangent_project`` and
 ``potential`` take an OrbitPoint or a stack of matrices.  ``advance``, the
 one stepper and its guard, moves stacks of pairs (batch, 2, d) by velocities
 such as ``lax_velocity``, or the two scalars (s, B) of graph lines
@@ -189,6 +190,19 @@ def lax_velocity(pairs, h):
     coef = pairs.shape[-1] / np.concatenate([s.conj(), s], axis=-1)
     weights = (sq @ h)[..., None] - h * sq.sum(axis=-1)[..., None]
     return coef[..., None] * pairs[..., ::-1, :] * weights
+
+
+def z_norm(pairs, h):
+    """b_tau length of Z = [x, B] at pairs (u, v) of any lengths, row by row, from
+    (p, q) = ``lax_velocity`` = (-B u, B^H v): with s = v^H u, Z = (d / s) (u q^H + p v^H),
+    so |Z|^2 = 2d (d / |s|)^2 (|u|^2 |q|^2 + |p|^2 |v|^2 + 2 Re((u^H p) (v^H q)))."""
+    # scale u and v exactly, by powers of two, to largest entries in [1/2, 1): graph
+    # rows of flow.integrate reach |u| = 1e-76, where |u|^2 |q|^2 would underflow to 0
+    pairs = pairs * np.exp2(-np.frexp(np.abs(pairs).max(axis=-1, keepdims=True))[1])
+    (u, v), (p, q) = np.moveaxis(pairs, -2, 0), np.moveaxis(lax_velocity(pairs, h), -2, 0)
+    sq = (_vdot(u, u).real * _vdot(q, q).real + _vdot(p, p).real * _vdot(v, v).real
+          + 2.0 * (_vdot(u, p) * _vdot(v, q)).real)
+    return np.sqrt(2.0 * len(h) * np.maximum(sq, 0.0)) * (len(h) / np.abs(_vdot(v, u)))
 
 
 def rk4_step(state, rhs, dt, k1=None, h=None):

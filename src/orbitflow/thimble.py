@@ -51,15 +51,15 @@ class FGReport:
     f1_tangency: float   # |F1 - G1| / |F1|
 
 
-def fg_decomposition_check(pt, g, h, membership_tol=1e-6):
+def fg_decomposition_check(pt, g, h):
     """Verify F1 = G1 - i G2 at a graph point.
 
     G1, G2 are the gradients of the restricted real and imaginary parts,
     obtained by projecting F1, F2 onto the graph tangent frame.
     """
     res = graph_membership(pt, g)
-    if res > membership_tol:
-        raise MembershipError(f"graph membership residual {res:.3e} exceeds tolerance")
+    if res > 1e-6:
+        raise MembershipError(f"graph membership residual {res:.3e} exceeds 1e-6")
     f1, f2 = kaehler_gradients(pt, h)
     frame = graph_tangent_frame(pt, g.m_diag)
     g1 = sum(b_tau(f1, e) * e for e in frame)
@@ -72,7 +72,7 @@ def fg_decomposition_check(pt, g, h, membership_tol=1e-6):
     )
 
 
-def horizontal_lift_check(pt, h, min_grad=1e-8):
+def horizontal_lift_check(pt, h):
     """Solve df(W) = 1 for W = a F1 + b J F1; returns (a, b).
 
     F1 and J F1 span the symplectic orthogonal of the fibre, and reality of
@@ -80,7 +80,7 @@ def horizontal_lift_check(pt, h, min_grad=1e-8):
     """
     hm = cartan_matrix(h)
     f1, _ = kaehler_gradients(pt, h)
-    if b_norm(f1) < min_grad:
+    if b_norm(f1) < 1e-8:
         raise NearCriticalError("gradient too small to condition the lift")
     jf1 = 1j * f1
     mat = np.array(
@@ -217,29 +217,29 @@ def cross_level(r0, base, h, m, c, orient):
     on the level f1 = c along orient * grad f1, each row on the graph of its
     row of m.
 
-    Newton's method (rate ``_f1_rate``) in the length tau >= 0 in t of one
-    RK4 step from ``base``; a row whose step would move a log-modulus further
-    than ``advance`` allows takes the step ``phi_guard``.  A row stops when
-    |f1 - c| is within LEVEL_ULPS ulps of 2d sum |h_i x_ii|, the sum that
-    computes f1 at its chart point, on its own.  Returns the landed states
-    and tau; raises GraphIntegrityError naming the stack index of the worst
-    miss after LEVEL_ITERATIONS steps.
+    Newton's method (rate ``_f1_rate``) in the length tau >= 0 in t of one RK4 step
+    from (0, 0) at the lines of ``base``, then added to it: a far state rounds its
+    log-moduli by about eps |s|, next to a saddle as much as the stop.  A row whose
+    step would move a log-modulus further than ``advance`` allows takes the step
+    ``phi_guard``.  A row stops when |f1 - c| is within LEVEL_ULPS ulps of 2d sum
+    |h_i x_ii|, the sum that computes f1 at its chart point, on its own.  Returns
+    the landed states and tau; raises GraphIntegrityError naming the stack index of
+    the worst miss after LEVEL_ITERATIONS steps.
     """
     m = np.broadcast_to(m, r0.shape)
-    tau = np.zeros(len(base))
-    cur = base.copy()
-    miss = c - line_height(h, m, graph_lines(r0, h, m, cur))
+    r0, tau, cur = graph_lines(r0, h, m, base), np.zeros(len(base)), np.zeros_like(base)
+    miss = c - line_height(h, m, r0)
     todo = np.arange(len(base))
     for _ in range(LEVEL_ITERATIONS):
         args = (h, _weights(h, m[todo]), m[todo], orient[todo, None], r0[todo])
         rate = _f1_rate(h, m[todo], args[1], *_line_rate(*args, cur[todo]))
         tau[todo] = np.maximum(tau[todo] + miss[todo] / rate, 0.0)
-        cur[todo], size = rk4_step(base[todo], lambda s: _line_rate(*args, s)[0], tau[todo, None],
-                                   None, h)
+        cur[todo], size = rk4_step(np.zeros((todo.size, 2)), lambda s: _line_rate(*args, s)[0],
+                                   tau[todo, None], None, h)
         if not (ok := size <= DRIFT_LIMIT).all():
             tau[todo] = np.where(ok, tau[todo], np.minimum(tau[todo], phi_guard(h)))
-            cur[todo] = advance(base[todo], lambda s: _line_rate(*args, s)[0], tau[todo, None],
-                                None, h)
+            cur[todo] = advance(np.zeros((todo.size, 2)), lambda s: _line_rate(*args, s)[0],
+                                tau[todo, None], None, h)
         u = graph_lines(r0[todo], h, m[todo], cur[todo])
         miss[todo] = c - line_height(h, m[todo], u)
         w = m[todo] * u * u
@@ -247,7 +247,7 @@ def cross_level(r0, base, h, m, c, orient):
         scale = 2.0 * len(h) * (np.abs(h) * np.abs(diag)).sum(axis=-1)
         todo = todo[np.abs(miss[todo]) > LEVEL_ULPS * np.finfo(float).eps * scale]
         if not todo.size:
-            return cur, tau
+            return base + cur, tau
     worst = todo[np.argmax(np.abs(miss[todo]))]
     raise GraphIntegrityError(
         f"level {c} not reached in {LEVEL_ITERATIONS} Newton steps: "
@@ -439,12 +439,12 @@ def trace_thimble(
     return samples
 
 
-def lagrangian_check(mats, m, k=4):
+def lagrangian_check(mats, m):
     """Max normalized |omega| over finite-difference tangent pairs of a
     stack of chart points, shape (S, d, d), on the graph of the real
     diagonal m = +/-1, such as the ``x`` and ``twist`` of a trace.
 
-    Tangents at each sample are secants to its k nearest neighbours.  The
+    Tangents at each sample are secants to its 4 nearest neighbours.  The
     points, and so the secants X, Y, are fixed by the anti-symplectic
     involution x -> m x^H m, so tr(X Y^H) = tr(X^H Y) is real: omega
     vanishes identically on these graphs, and the value reads only the
@@ -468,7 +468,7 @@ def lagrangian_check(mats, m, k=4):
     bad = np.argmax(off)
     if off[bad] > tiny:
         raise ValueError(f"sample {bad} is off the graph of m: |x - m x^H m| = {off[bad]:.3e}")
-    kk = min(k, nsamp - 1)
+    kk = min(4, nsamp - 1)
     rows, cols = np.triu_indices(d, 1)
     upper, diag = mats[:, rows, cols], np.diagonal(mats, axis1=-2, axis2=-1)
     cloud = np.concatenate([diag.real, np.sqrt(2.0) * upper.real, np.sqrt(2.0) * upper.imag], 1)

@@ -40,10 +40,10 @@ def unrealify(rows, d):
     return (rows[:, :half] + 1j * rows[:, half:]).reshape(-1, d, d)
 
 
-def orthonormal_rows(rows, tol=1e-12):
+def orthonormal_rows(rows):
     """Real orthonormal basis for the row span, dropping near-dependent rows."""
     q, r = np.linalg.qr(np.atleast_2d(rows).T)
-    keep = np.abs(np.diag(r)) > tol * max(1.0, np.abs(r).max())
+    keep = np.abs(np.diag(r)) > 1e-12 * max(1.0, np.abs(r).max())
     return q[:, keep].T
 
 
@@ -62,7 +62,7 @@ def subspace_intersection_real(rows_a, rows_b, cutoff=1e-8):
     return (qa.T @ u[:, mask]).T
 
 
-def gram_schmidt_real(mats, inner, tol=1e-10):
+def gram_schmidt_real(mats, inner):
     """Gram-Schmidt with real coefficients under a real inner product."""
     basis = []
     for m in mats:
@@ -70,6 +70,6 @@ def gram_schmidt_real(mats, inner, tol=1e-10):
         for b in basis:
             v = v - inner(v, b) * b
         nrm = np.sqrt(inner(v, v))
-        if nrm > tol:
+        if nrm > 1e-10:
             basis.append(v / nrm)
     return basis

@@ -235,21 +235,19 @@ def orbit_suite(cfg, rng):
 # ---------------------------------------------------------------------------
 
 
-def fd_jacobian_eigenvalues(pt, h, fd=1e-5):
-    """Eigenvalues of the finite-difference Jacobian of Z on the root span."""
+def fd_jacobian_eigenvalues(pt, h):
+    """Eigenvalues of the finite-difference Jacobian of Z on the root span.
+
+    Central differences of step 1e-5 along all X_a = s E_ij, s = ``weyl_scale``, and
+    i X_a, one stack per side.  Realified, these have Gram s^2 I = I / (2d), so the
+    coordinates of a difference on X_a and i X_a are Re and Im of its (i, j) entry / s."""
     rs = RootSystemAn(pt.n)
-    dirs = []
-    for alpha in rs.roots:
-        xa = rs.x_alpha(alpha)
-        dirs.extend([xa, 1j * xa])
-    flat = realify(np.array(dirs))
-    gram_inv = np.linalg.inv(flat @ flat.T)
-    cols = []
-    for v in dirs:
-        dz = (flow.z_field(pt.x + fd * v, h) - flow.z_field(pt.x - fd * v, h)) / (2 * fd)
-        cols.append(gram_inv @ (flat @ realify(dz[None])[0]))
-    eigvals = np.linalg.eigvals(np.array(cols).T)
-    return sorted(eigvals.real)
+    i, j = (np.array(k) - 1 for k in zip(*rs.roots))
+    dirs = np.array([v for a in rs.roots for v in (rs.x_alpha(a), 1j * rs.x_alpha(a))])
+    dz = (flow.z_field(pt.x + 1e-5 * dirs, h) - flow.z_field(pt.x - 1e-5 * dirs, h)) / 2e-5
+    # (Re, Im) of the (i, j) entries, root by root, are the coordinates in the order of dirs
+    coords = np.ascontiguousarray(dz[:, i, j]).view(float) / rs.weyl_scale
+    return sorted(np.linalg.eigvals(coords.T).real)
 
 
 def double_bracket_solution(lines, h, times):
@@ -263,12 +261,12 @@ def double_bracket_solution(lines, h, times):
     return d * u[..., :, None] * u[..., None, :].conj() - np.eye(d)
 
 
-def stable_unstable_measure(cfg, rng, seeds=200, eps=1e-4):
+def stable_unstable_measure(cfg, rng):
     """Two-sided basin test at every singularity [e_j] on the graphs of m_j^+
     and m_j^-, whose tangent spaces V- and V+ of dZ span (worst 1 - cos of a
-    principal angle).  Seeds at b_tau radius eps (``seed_lines``) step on
-    their graph, one ``integrate`` run per side: V- seeds flow back (closest
-    approach, limited by the steps), V+ seeds separate monotonically."""
+    principal angle).  100 seeds per side at b_tau radius 1e-4 (``seed_lines``)
+    step on their graph, one ``integrate`` run per side: V- seeds flow back
+    (closest approach, limited by the steps), V+ seeds separate monotonically."""
     n, h = cfg.n, cfg.h
     dt = 30.0 * flow.default_step(n, h)
     worst = 0.0
@@ -279,9 +277,9 @@ def stable_unstable_measure(cfg, rng, seeds=200, eps=1e-4):
             frame = orthonormal_rows(realify(graphs.graph_tangent_frame(pt, m)))
             cos = np.linalg.svd(orthonormal_rows(realify(basis)) @ frame.T, compute_uv=False)
             worst = max(worst, 1.0 - cos.min())
-            coeff = rng.standard_normal((seeds // 2, len(basis)))
+            coeff = rng.standard_normal((100, len(basis)))
             coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
-            lines = thimble.seed_lines(j, n + 1, coeff, [eps])
+            lines = thimble.seed_lines(j, n + 1, coeff, [1e-4])
             traj = flow.integrate(np.stack([lines, m * lines], axis=1), h, step=dt,
                                   max_steps=steps, conv_tol=0.0)
             dist = thimble.pair_gap(m, traj.lines, pt.line)

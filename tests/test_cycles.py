@@ -283,6 +283,23 @@ class TestVanishingSphere:
                 assert np.array_equal(pt.x, pt.x.conj().T)
                 assert abs(potential(h, pt).real - c) <= 1e-10
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_every_draw_lands_next_to_the_saddle(self, n):
+        # just above the second critical value df1/dt is tiny near the
+        # saddle, where a landing stepped from a far state (s, B) reads f1
+        # as noisily as Newton's stop and may miss it; every draw lands, at
+        # both ends of the range, with no seed left out
+        from orbitflow.liecore import default_cartan
+
+        h = default_cartan(n)
+        second, top = sorted(potential(h, p).real for p in critical_points(n))[-2:]
+        for frac in (1e-9, 1e-6, 1.0 - 1e-6):
+            c = second + frac * (top - second)
+            for seed in range(40):
+                sph = vanishing_sphere(h, c, 12, np.random.default_rng(seed))
+                assert len(sph) == 12
+                assert max(abs(potential(h, pt).real - c) for pt in sph) <= 1e-10
+
     def test_dimension_count_formula(self):
         # sphere dim = dim flag - 1 = 2n - 1, half the regular fibre dimension
         for n in (1, 2, 3):

@@ -375,6 +375,23 @@ class TestIntegrate:
             exact = double_bracket_solution(traj.lines[0, k:k + 1], h, traj.times[:steps])[:, 0]
             assert np.linalg.norm(traj.points[:steps, k] - exact, axis=(-2, -1)).max() <= 1e-12
 
+    def test_a_seed_with_zero_entries_freezes_only_next_to_its_limit(self):
+        # the seed row of the thimble suite's Z return at n=12: its line has
+        # zero entries, whose log-moduli scale the pair, so |u| falls to
+        # 1e-76 on the way; |Z| is still read there and does not underflow to
+        # 0, which froze the row 9.4e-11 from [e_1]
+        from orbitflow.flow import CONV_TOL
+        from orbitflow.graphs import sign_pattern
+        from orbitflow.thimble import pair_gap, seed_lines
+
+        n = 12
+        h, m = default_cartan(n), sign_pattern(n, 1, "+")
+        lines = seed_lines(1, n + 1, np.eye(2 * n)[0], [1e-3])
+        traj = integrate(np.stack([lines, m * lines], axis=1), h, step=30.0 * default_step(n, h),
+                         max_steps=4000)
+        assert traj.limit_index[0] == 1 and 0.0 < traj.z_norms[-1, 0] < CONV_TOL
+        assert pair_gap(m, traj.lines[-1], np.eye(n + 1)[0])[0] <= 2e-11
+
     def test_z_is_computed_only_for_rows_that_can_freeze(self, monkeypatch):
         # conv_tol = 0 freezes no row, so no |Z| is computed (z_norms is NaN);
         # otherwise a row frozen at [e_2] is not recomputed while a flag row
@@ -383,13 +400,13 @@ class TestIntegrate:
         from orbitflow.cycles import flag_sample
 
         rows = []
-        z_field_ = flow.z_field
+        z_norm_ = flow.z_norm
 
-        def counting_z_field(x, h):
-            rows.append(len(x))
-            return z_field_(x, h)
+        def counting_z_norm(pairs, h):
+            rows.append(len(pairs))
+            return z_norm_(pairs, h)
 
-        monkeypatch.setattr(flow, "z_field", counting_z_field)
+        monkeypatch.setattr(flow, "z_norm", counting_z_norm)
         n = 2
         h = default_cartan(n)
         rng = np.random.default_rng(12)
@@ -470,6 +487,23 @@ class TestIntegrate:
         header = trajectory_csv(traj).splitlines()[0].split(",")
         assert header[:5] == ["t", "re_f", "im_f", "orbit_residual", "z_norm"]
         assert len(header) == 5 + 2 * 4
+
+    @pytest.mark.parametrize("conv_tol", (0.0, 1e-4))
+    def test_csv_is_the_text_of_each_entry(self, conv_tol):
+        # the one-pass table against formatting entry by entry, on the first
+        # of two rows, with |Z| NaN where no row can freeze
+        rng = np.random.default_rng(14)
+        h = default_cartan(2)
+        points = [random_orbit_point(rng, 2), critical_points(2)[0]]
+        traj = integrate(stack(points), h, max_steps=40, conv_tol=conv_tol)
+        text = trajectory_csv(traj)
+        lines = text.splitlines()
+        assert text.endswith("\n") and len(lines) == len(traj.times) + 1
+        for k, line in enumerate(lines[1:]):
+            x, f = traj.points[k, 0], traj.potentials[k, 0]
+            row = [traj.times[k], f.real, f.imag, membership_residual(x), traj.z_norms[k, 0]]
+            row += [p for z in x.ravel() for p in (z.real, z.imag)]
+            assert line == ",".join(format(v, ".17g") for v in row)
 
     def test_default_step_scales_with_stiffness(self):
         assert default_step(2, default_cartan(2)) == pytest.approx(1e-2 / 6.0)

@@ -16,8 +16,9 @@ from orbitflow.errors import (
     TransversalityError,
     UnsupportedOrbitError,
 )
-from orbitflow.graphs import graph_membership, graph_point, identity_graph, m_j_pm, twists
-from orbitflow.liecore import bracket, cartan_matrix, minimal_cartan, default_cartan
+from orbitflow.graphs import (graph_membership, graph_point, identity_graph, m_j_pm, sign_pattern,
+                              twists)
+from orbitflow.liecore import b_norm, bracket, cartan_matrix, minimal_cartan, default_cartan
 from orbitflow.orbit import (
     OrbitPoint,
     assemble,
@@ -36,6 +37,7 @@ from orbitflow.orbit import (
     split_eigen,
     tangent_frame,
     tangent_project,
+    z_norm,
 )
 from orbitflow.util import (
     random_compact,
@@ -561,6 +563,41 @@ class TestPairVelocities:
             got = pair_tangent(a, b, vel[:, 0], vel[:, 1])[keep]
             err = np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
             assert err.max() < 1e-12
+
+
+    @pytest.mark.parametrize("n", (1, 2, 4, 12, 18))
+    def test_z_norm_is_the_length_of_z(self, n):
+        # free pairs of lengths far from one with a phase on v, and graph
+        # pairs (u, m u) of both signs at radius 1e-8..1e-12 about every
+        # [e_j], against b_norm of the matrix field; a row of a stack gets
+        # the bits it gets alone
+        from orbitflow.flow import z_field
+        from orbitflow.thimble import seed_lines
+
+        rng = np.random.default_rng(90 + n)
+        d = n + 1
+        h = default_cartan(n)
+
+        def draw(count):
+            scale = 10.0 ** rng.uniform(-1.0, 1.0, (count, 1))
+            return scale * (rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d)))
+
+        free = np.stack([draw(16), np.exp(1j * rng.uniform(0.0, 6.0, (16, 1))) * draw(16)], axis=1)
+        rows = [free]
+        for j in range(1, d + 1):
+            for sign in ("+", "-"):
+                m = sign_pattern(n, j, sign)
+                lines = seed_lines(j, d, rng.standard_normal((2, 2 * n)), [1e-8, 1e-10, 1e-12])
+                rows.append(np.stack([lines, m * lines], axis=1))
+        pairs = np.concatenate(rows)
+        got = z_norm(pairs, h)
+        want = np.array([b_norm(z) for z in z_field(assemble(pairs[:, 0], pairs[:, 1]), h)])
+        assert (np.abs(got - want) / want).max() <= 1e-13
+        # the same bits at lengths of 1e-100, which graph rows of integrate
+        # approach, scaled exactly by a power of two
+        assert np.array_equal(z_norm(2.0 ** -330 * pairs, h), got)
+        for k in range(len(pairs)):
+            assert z_norm(pairs[k:k + 1], h)[0] == got[k]
 
 
 class TestSamplers:

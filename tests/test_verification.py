@@ -10,7 +10,7 @@ import pytest
 from orbitflow import graphs, thimble, verification
 from orbitflow.cli import RunConfig
 from orbitflow.errors import StepSizeError
-from orbitflow.liecore import default_cartan
+from orbitflow.liecore import RootSystemAn, default_cartan
 from orbitflow.util import realify
 
 
@@ -185,3 +185,14 @@ class TestTopologyProxy:
         if planted:
             k = len(rows) - 4
             assert {(3, k), (9, k + 2), (0, k + 3)} <= set(got) and (7, k + 1) not in got
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 6))
+def test_realified_root_directions_have_gram_weyl_scale_squared(n):
+    # fd_jacobian_eigenvalues reads coordinates on X_a, i X_a as entries over
+    # weyl_scale, which holds only while their Gram is weyl_scale^2 I = I / (2d)
+    rs = RootSystemAn(n)
+    flat = realify(np.array([v for a in rs.roots for v in (rs.x_alpha(a), 1j * rs.x_alpha(a))]))
+    gram = flat @ flat.T
+    assert np.array_equal(gram, rs.weyl_scale ** 2 * np.eye(len(flat)))
+    np.testing.assert_allclose(np.diag(gram), 1.0 / (2 * (n + 1)), rtol=1e-15)
