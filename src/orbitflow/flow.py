@@ -8,7 +8,8 @@ minimum-norm inverse, in closed form in the pair coordinates
 ``integrate`` flows a whole stack of pairs along Z and records it as arrays
 (``Trajectory``): a single point is a batch of one.  Z is tangent to the
 graph of every +/-1 diagonal m, where a row steps the two scalars (s, B) of its
-line u0 e^{m (h s - B)} by the Z rule of ``thimble._line_rate``; other rows step
+line u0 e^{m (h s - B)} by the Z rule of ``thimble._line_rate`` (from its first
+stage alone where m is constant, ``thimble._stages``); other rows step
 by ``orbit.lax_velocity``.  Every row's |Z| is ``orbit.z_norm``, read off that
 velocity with no matrix.  At [e_j], V- of dZ spans the graph of m_j^+ and V+ that of m_j^-.
 """
@@ -177,9 +178,13 @@ def integrate(pairs, h, direction="forward", step=None, max_steps=10000, conv_to
     ``advance`` on one grid in t: a row (u0, e^{i theta} m u0), m = +/-1
     (m = 1: Hermitian), steps the state (s, B) of its lines u0 e^{m (h s - B)}
     on its graph under the Z rule, and other rows step by
-    ``orbit.lax_velocity``.  A row freezes once its |Z|, ``orbit.z_norm``, drops below
-    conv_tol; the flow stops when every row has, or after max_steps.  Every kernel
-    reduces row by row, so a row flows bit for bit as it does alone."""
+    ``orbit.lax_velocity``.  A graph row of constant m takes its first RK4 stage
+    as every stage (``thimble._stages``), since s' is constant there and B only
+    scales the line, so a stack with no mixed-twist graph row evaluates the Z rule
+    once per step.  A row freezes once its |Z|,
+    ``orbit.z_norm``, drops below conv_tol; the flow stops when every row has, or
+    after max_steps.  Every kernel reduces row by row, so a row flows bit for bit
+    as it does alone."""
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
     sign = 1.0 if direction == "forward" else -1.0
@@ -208,8 +213,8 @@ def integrate(pairs, h, direction="forward", step=None, max_steps=10000, conv_to
         if free.size:
             pairs[free] = advance(pairs[free], lambda p: sign * lax_velocity(p, h), dt)
         rule = (h, weights[graph], m[graph], sign, r0[graph])
-        state[graph] = advance(state[graph], lambda s: thimble._line_rate(*rule, s, True)[0], dt,
-                               None, h)
+        k1 = thimble._line_rate(*rule, state[graph], True)[0]
+        state[graph] = advance(state[graph], thimble._stages(rule, k1, True), dt, k1, h)
         line = thimble.graph_lines(u0[graph], h, m[graph], state[graph])
         pairs[graph] = np.stack([line, m[graph] * line], axis=1)
         steps[active] += 1

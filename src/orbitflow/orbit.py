@@ -196,8 +196,9 @@ def z_norm(pairs, h):
     """b_tau length of Z = [x, B] at pairs (u, v) of any lengths, row by row, from
     (p, q) = ``lax_velocity`` = (-B u, B^H v): with s = v^H u, Z = (d / s) (u q^H + p v^H),
     so |Z|^2 = 2d (d / |s|)^2 (|u|^2 |q|^2 + |p|^2 |v|^2 + 2 Re((u^H p) (v^H q)))."""
-    # scale u and v exactly, by powers of two, to largest entries in [1/2, 1): graph
-    # rows of flow.integrate reach |u| = 1e-76, where |u|^2 |q|^2 would underflow to 0
+    # scale u and v exactly, by powers of two, to largest entries in [1/2, 1), so
+    # that |u|^2 |q|^2, of the fourth power of the length, neither underflows nor
+    # overflows for pairs of any length
     pairs = pairs * np.exp2(-np.frexp(np.abs(pairs).max(axis=-1, keepdims=True))[1])
     (u, v), (p, q) = np.moveaxis(pairs, -2, 0), np.moveaxis(lax_velocity(pairs, h), -2, 0)
     sq = (_vdot(u, u).real * _vdot(q, q).real + _vdot(p, p).real * _vdot(v, v).real

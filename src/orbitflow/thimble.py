@@ -14,8 +14,11 @@ F1 and Z (``_line_rate``), and the seeds (``seed_lines``), the height
 lines (``graph_lines``), one stack of which may mix twists.
 ``flow_to_level`` steps them with ``orbit.advance`` by chart distance (past
 the accuracy guard where RK4 is exact) and one ``cross_level`` lands them;
-matrices appear once, in the ``chart`` of the recorded lines.  ``thimble_json``
-writes each sample as its unit line.  The split F1 = G1 - i G2 uses
+matrices appear once, in the ``chart`` of the recorded lines.  On a scalar
+twist (m = 1 or m = -1 on every entry) an RK4 step takes its first stage as
+every stage (``_stages``), so each step evaluates the field once.
+``lagrangian_check`` searches neighbours on the lines of the chart points, and
+``thimble_json`` writes each sample as its unit line.  The split F1 = G1 - i G2 uses
 ``graphs.graph_tangent_frame``; ``flow.integrate`` steps Z by the same rule.
 """
 
@@ -118,9 +121,10 @@ def _log_moduli(h, m, state):
 
 def graph_lines(u0, h, m, state):
     """The lines u0 e^{m (h s - B)} of states (s, B), each scaled by e^-max of
-    its log-moduli so that none overflows; their heights and chart gaps
-    depend on |u| only, so u0 = |u0| will do."""
-    phi = _log_moduli(h, m, state)
+    its log-moduli at the entries u0 != 0 so that none overflows; entries
+    u0 = 0 stay 0, however large their log-moduli grow.  Their heights and
+    chart gaps depend on |u| only, so u0 = |u0| will do."""
+    phi = np.where(u0 != 0, _log_moduli(h, m, state), -np.inf)
     return u0 * np.exp(phi - phi.max(axis=-1, keepdims=True))
 
 
@@ -182,7 +186,8 @@ def _line_rate(h, weights, m, orient, r0, state, z=False):
     - h) m.  Up to a part common to all entries, which only scales u, each c
     is m (h s' - B'): k = orient sigma / d, b = rho - a sigma for F1 and
     k = -orient d / sigma, b = rho for Z.  On a scalar twist sigma = +/-1, so
-    s' is constant and B only scales u: there RK4 is exact."""
+    s' is constant and B only scales u: there RK4 is exact, and ``_stages``
+    steps from the first stage alone."""
     r = graph_lines(r0, h, m, state)
     sums = _line_sums(weights, r * r)
     norm, mw, hw, hmw = sums
@@ -193,6 +198,19 @@ def _line_rate(h, weights, m, orient, r0, state, z=False):
         a = (hmw / norm - rho * sigma) / (2.0 - sigma ** 2)
         k, b = orient * sigma / len(h), rho - a * sigma
     return np.concatenate([k, k * b], axis=-1), r, sums
+
+
+def _stages(args, k1, z=False):
+    """The rhs of an RK4 step of ``_line_rate(*args, ., z)`` from its first
+    stage k1, row by row.  On a row of a scalar twist (m constant along it)
+    sigma = +/-1 along the whole step, so s' is constant and B' only scales
+    the line: k1 is every stage, and the step moves s by k dt and B by k b dt,
+    RK4's line up to scale.  Other rows take the stages of the rule, so the
+    field is evaluated again only when some row has a mixed twist."""
+    mixed = np.ptp(args[2], axis=-1) != 0
+    if not mixed.any():
+        return lambda s: k1
+    return lambda s: np.where(mixed[..., None], _line_rate(*args, s, z)[0], k1)
 
 
 def phi_guard(h):
@@ -219,7 +237,10 @@ def cross_level(r0, base, h, m, c, orient):
 
     Newton's method (rate ``_f1_rate``) in the length tau >= 0 in t of one RK4 step
     from (0, 0) at the lines of ``base``, then added to it: a far state rounds its
-    log-moduli by about eps |s|, next to a saddle as much as the stop.  A row whose
+    log-moduli by about eps |s|, next to a saddle as much as the stop.  The first
+    stage of that step, the rate at ``base``, is computed once per landing, with
+    the first Newton rate; on a scalar twist it is every stage (``_stages``), so
+    each Newton step evaluates the field once, at its landed state.  A row whose
     step would move a log-modulus further than ``advance`` allows takes the step
     ``phi_guard``.  A row stops when |f1 - c| is within LEVEL_ULPS ulps of 2d sum
     |h_i x_ii|, the sum that computes f1 at its chart point, on its own.  Returns
@@ -228,18 +249,23 @@ def cross_level(r0, base, h, m, c, orient):
     """
     m = np.broadcast_to(m, r0.shape)
     r0, tau, cur = graph_lines(r0, h, m, base), np.zeros(len(base)), np.zeros_like(base)
-    miss = c - line_height(h, m, r0)
+    weights = _weights(h, m)
+    field = _line_rate(h, weights, m, orient[:, None], r0, cur)
+    base_rate, miss = field[0], c - _height(h, field[2])
     todo = np.arange(len(base))
-    for _ in range(LEVEL_ITERATIONS):
-        args = (h, _weights(h, m[todo]), m[todo], orient[todo, None], r0[todo])
-        rate = _f1_rate(h, m[todo], args[1], *_line_rate(*args, cur[todo]))
+    for it in range(LEVEL_ITERATIONS):
+        args = (h, weights[todo], m[todo], orient[todo, None], r0[todo])
+        if it:
+            field = _line_rate(*args, cur[todo])
+        rate = _f1_rate(h, m[todo], args[1], *field)
         tau[todo] = np.maximum(tau[todo] + miss[todo] / rate, 0.0)
-        cur[todo], size = rk4_step(np.zeros((todo.size, 2)), lambda s: _line_rate(*args, s)[0],
-                                   tau[todo, None], None, h)
+        k1 = base_rate[todo]
+        cur[todo], size = rk4_step(np.zeros((todo.size, 2)), _stages(args, k1), tau[todo, None],
+                                   k1, h)
         if not (ok := size <= DRIFT_LIMIT).all():
             tau[todo] = np.where(ok, tau[todo], np.minimum(tau[todo], phi_guard(h)))
-            cur[todo] = advance(np.zeros((todo.size, 2)), lambda s: _line_rate(*args, s)[0],
-                                tau[todo, None], None, h)
+            cur[todo] = advance(np.zeros((todo.size, 2)), _stages(args, k1), tau[todo, None],
+                                k1, h)
         u = graph_lines(r0[todo], h, m[todo], cur[todo])
         miss[todo] = c - line_height(h, m[todo], u)
         w = m[todo] * u * u
@@ -276,7 +302,9 @@ def flow_to_level(lines, h, g, c, step, max_steps, visit=None, record_sep=np.inf
     (2 L)) where longer and finite, and ``advance`` refuses only a non-finite
     move.
     The field at each stepped state gives the moduli r = ``graph_lines(|u0|,
-    h, m, state)``, the crossing test, the next step and its first RK4 stage.
+    h, m, state)``, the crossing test, the next step and its first RK4 stage,
+    which on a scalar twist is every stage (``_stages``): there a step, grown
+    or on an explicit grid, evaluates the field once.
     After each step ``visit(indices, states, arcs, r)`` sees the flows that
     did not cross the level; one ``cross_level`` lands them from their last
     state after the loop.  Raises ValueError when g is not an involution,
@@ -314,8 +342,7 @@ def flow_to_level(lines, h, g, c, step, max_steps, visit=None, record_sep=np.inf
             dt = dt[:, None]
         idx = np.flatnonzero(active)
         args = (h, weights, m, orient[idx, None], r0[idx])
-        stepped = advance(state[idx], lambda s: _line_rate(*args, s)[0], dt, k1, h,
-                          np.inf if grow else DRIFT_LIMIT)
+        stepped = advance(state[idx], _stages(args, k1), dt, k1, h, np.inf if grow else DRIFT_LIMIT)
         rate, r, sums = _line_rate(*args, stepped)
         crossed = orient[idx] * (_height(h, sums) - c) > 0
         active[idx[crossed]] = False
@@ -448,13 +475,16 @@ def lagrangian_check(mats, m):
     points, and so the secants X, Y, are fixed by the anti-symplectic
     involution x -> m x^H m, so tr(X Y^H) = tr(X^H Y) is real: omega
     vanishes identically on these graphs, and the value reads only the
-    rounding of the Gram sums.  As |x - y|^2 = sum (x_ii - y_ii)^2 +
-    2 sum_{i<j} |x_ij - y_ij|^2 there, the neighbours are searched in those
-    d^2 real coordinates; the secant Grams are ambient, GRAM_BLOCK samples
-    at a time.  Secants shorter than 1e3 ulps of the largest entry are
-    rounding, not directions, and are skipped.  Raises
-    ValueError naming the worst sample when x -> m x^H m moves one by more
-    than that, and when no sample keeps two secants.
+    rounding of the Gram sums.  Fixedness is read off the pairs (x_ik, x_ki),
+    i < k, and the imaginary part of the diagonal.  A graph point is its line:
+    x + I = d u beta^H has rank one, and its column at its largest diagonal
+    entry, which is real and at least 1, is u with its phase fixed there.  The
+    neighbours are searched in the 2d real coordinates of those columns; the
+    secant Grams are ambient, GRAM_BLOCK samples at a time, each block one
+    stacked matrix product.  Secants shorter than 1e3 ulps of the largest
+    entry are rounding, not directions, and are skipped.  Raises ValueError
+    naming the worst sample when x -> m x^H m moves one by more than that,
+    and when no sample keeps two secants.
     """
     from scipy.spatial import cKDTree
 
@@ -464,25 +494,28 @@ def lagrangian_check(mats, m):
     nsamp, d = mats.shape[0], mats.shape[-1]
     flat = mats.reshape(nsamp, -1)
     tiny = 1e3 * np.finfo(float).eps * np.abs(flat).max()
-    off = np.abs(mats - np.outer(m, m) * mats.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    rows, cols = np.triu_indices(d, 1)
+    diag = np.diagonal(mats, axis1=-2, axis2=-1)
+    pairs = mats[:, rows, cols] - (m[rows] * m[cols]) * mats[:, cols, rows].conj()
+    off = np.maximum(np.abs(pairs).max(axis=-1), 2.0 * np.abs(diag.imag).max(axis=-1))
     bad = np.argmax(off)
     if off[bad] > tiny:
         raise ValueError(f"sample {bad} is off the graph of m: |x - m x^H m| = {off[bad]:.3e}")
-    kk = min(4, nsamp - 1)
-    rows, cols = np.triu_indices(d, 1)
-    upper, diag = mats[:, rows, cols], np.diagonal(mats, axis1=-2, axis2=-1)
-    cloud = np.concatenate([diag.real, np.sqrt(2.0) * upper.real, np.sqrt(2.0) * upper.imag], 1)
+    kk, top = min(4, nsamp - 1), np.argmax(diag.real, axis=-1)
+    lines = mats[np.arange(nsamp), :, top]
+    lines[np.arange(nsamp), top] += 1.0
+    cloud = lines.view(float)
     _, idx = cKDTree(cloud).query(cloud, k=kk + 1)
     worst, other = -1.0, ~np.eye(kk, dtype=bool)
     for lo in range(0, nsamp, GRAM_BLOCK):
         block = slice(lo, lo + GRAM_BLOCK)
         diffs = flat[idx[block, 1:]] - flat[block, None, :]
-        long = np.linalg.norm(diffs, axis=-1) > tiny
-        pairs = long[:, :, None] & long[:, None, :] & other
-        gram = 2.0 * d * np.einsum("nad,nbd->nab", diffs, diffs.conj())
-        norms = np.sqrt(np.abs(np.einsum("naa->na", gram).real))
+        gram = 2.0 * d * (diffs @ diffs.conj().swapaxes(-1, -2))
+        norms = np.sqrt(np.abs(np.diagonal(gram, axis1=-2, axis2=-1).real))
+        long = norms > np.sqrt(2.0 * d) * tiny
+        keep = long[:, :, None] & long[:, None, :] & other
         denom = norms[:, :, None] * norms[:, None, :]
-        worst = (np.abs(gram.imag[pairs]) / denom[pairs]).max(initial=worst)
+        worst = (np.abs(gram.imag[keep]) / denom[keep]).max(initial=worst)
     if worst < 0.0:
         raise ValueError("no sample has two neighbour secants longer than rounding")
     return float(worst)
@@ -494,20 +527,23 @@ def thimble_json(samples, meta, twist):
     record {"n", "line", "f1", "f2", "graph_residual", "seed_index", "arc"},
     which ``OrbitPoint.from_json(record, twist)`` reloads exactly.  ``meta``
     is the text of ``json.dumps``; the samples are orjson's compact text,
-    whose floats read back bit for bit, and a non-finite value in one raises
-    ValueError naming the sample and the key."""
+    whose floats read back bit for bit (the lines go to it as numpy rows, the
+    same text as lists), and a non-finite value in one raises ValueError
+    naming the sample and the key."""
     import orjson
 
-    cols = {"line": samples.line.view(float).reshape(len(samples), -1, 2),
-            **{k: samples[k] for k in ("f1", "f2", "graph_residual", "arc")}}
+    lines = np.ascontiguousarray(samples.line).view(float).reshape(len(samples), -1, 2)
+    cols = {"line": lines, **{k: samples[k] for k in ("f1", "f2", "graph_residual", "arc")}}
     for key, col in cols.items():
         if (bad := np.flatnonzero(~np.isfinite(col.reshape(len(col), -1)).all(axis=-1))).size:
             raise ValueError(f"sample {bad[0]}: {key} is not finite ({col[bad[0]].tolist()})")
-    rows = zip(*(col.tolist() for col in cols.values()), samples.seed_index.tolist())
-    records = [{"n": len(line) - 1, "line": line, "f1": f1, "f2": f2, "graph_residual": res,
+    rows = zip(lines, *(samples[k].tolist() for k in ("f1", "f2", "graph_residual", "arc",
+                                                       "seed_index")))
+    records = [{"n": lines.shape[1] - 1, "line": line, "f1": f1, "f2": f2, "graph_residual": res,
                 "seed_index": seed, "arc": arc} for line, f1, f2, res, arc, seed in rows]
     head = json.dumps({**meta, "twist": np.asarray(twist, dtype=float).tolist()})
-    return f'{{"meta": {head}, "samples": {orjson.dumps(records).decode()}}}'
+    text = orjson.dumps(records, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    return f'{{"meta": {head}, "samples": {text}}}'
 
 
 def thimble_csv(samples):

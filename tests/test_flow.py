@@ -377,9 +377,8 @@ class TestIntegrate:
 
     def test_a_seed_with_zero_entries_freezes_only_next_to_its_limit(self):
         # the seed row of the thimble suite's Z return at n=12: its line has
-        # zero entries, whose log-moduli scale the pair, so |u| falls to
-        # 1e-76 on the way; |Z| is still read there and does not underflow to
-        # 0, which froze the row 9.4e-11 from [e_1]
+        # zero entries, so its |Z| is read off a line with some entries 0 all
+        # the way, and the row freezes only once it is within 2e-11 of [e_1]
         from orbitflow.flow import CONV_TOL
         from orbitflow.graphs import sign_pattern
         from orbitflow.thimble import pair_gap, seed_lines
@@ -391,6 +390,22 @@ class TestIntegrate:
                          max_steps=4000)
         assert traj.limit_index[0] == 1 and 0.0 < traj.z_norms[-1, 0] < CONV_TOL
         assert pair_gap(m, traj.lines[-1], np.eye(n + 1)[0])[0] <= 2e-11
+
+    @pytest.mark.parametrize("n", (4, 12))
+    def test_a_seed_with_zero_entries_stays_finite_past_its_limit(self, n):
+        # a seed of m_1^- with zero entries flowed far past [e_2]: the
+        # log-moduli of its zero entries grow without bound, and the lines
+        # are scaled by the largest log-modulus of the others, so none is NaN
+        from orbitflow.graphs import m_j_pm
+        from orbitflow.thimble import seed_lines
+
+        h, m = default_cartan(n), m_j_pm(n, 1, "-").m_diag.real
+        lines = seed_lines(1, n + 1, np.eye(2 * n)[0], [1e-3])
+        assert (lines == 0).any()
+        traj = integrate(np.stack([lines, m * lines], axis=1), h, "forward",
+                         step=30.0 * default_step(n, h), max_steps=3000, conv_tol=0.0)
+        assert (traj.steps == 3000).all() and np.isfinite(traj.lines).all()
+        assert (traj.lines[:, 0, lines[0] == 0] == 0).all()
 
     def test_z_is_computed_only_for_rows_that_can_freeze(self, monkeypatch):
         # conv_tol = 0 freezes no row, so no |Z| is computed (z_norms is NaN);

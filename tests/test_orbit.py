@@ -593,8 +593,8 @@ class TestPairVelocities:
         got = z_norm(pairs, h)
         want = np.array([b_norm(z) for z in z_field(assemble(pairs[:, 0], pairs[:, 1]), h)])
         assert (np.abs(got - want) / want).max() <= 1e-13
-        # the same bits at lengths of 1e-100, which graph rows of integrate
-        # approach, scaled exactly by a power of two
+        # the same bits at lengths of 1e-100, where the fourth powers of the
+        # length in |Z|^2 underflow unless scaled exactly by a power of two
         assert np.array_equal(z_norm(2.0 ** -330 * pairs, h), got)
         for k in range(len(pairs)):
             assert z_norm(pairs[k:k + 1], h)[0] == got[k]

@@ -690,6 +690,54 @@ class TestTraceThimble:
         assert calls["loop"] > 0
         assert calls["landing"] <= thimble.LEVEL_ITERATIONS
 
+    def test_scalar_twists_evaluate_the_field_once_per_step(self, monkeypatch):
+        # on m_1^- at n = 8 the stages of every RK4 step are its first: one
+        # field evaluation at the seeds, one per loop step and one per Newton
+        # step, whose first also gives the base rate that each Newton step
+        # starts from; the mixed-sign m_3^+ at n = 4 keeps four per step
+        calls = {"rate": 0, "loop": 0, "newton": 0, "guarded": 0}
+        landing = [False]
+        line_rate, rk4_step = thimble._line_rate, thimble.rk4_step
+        cross_level, advance = thimble.cross_level, thimble.advance
+
+        def counting_line_rate(*args):
+            calls["rate"] += 1
+            return line_rate(*args)
+
+        def counting_rk4_step(*args):
+            calls["newton"] += 1  # called only by cross_level
+            return rk4_step(*args)
+
+        def counting_cross_level(*args):
+            landing[0] = True
+            try:
+                return cross_level(*args)
+            finally:
+                landing[0] = False
+
+        def counting_advance(*args):
+            calls["guarded" if landing[0] else "loop"] += 1
+            return advance(*args)
+
+        for name, fn in (("_line_rate", counting_line_rate), ("rk4_step", counting_rk4_step),
+                         ("cross_level", counting_cross_level), ("advance", counting_advance)):
+            monkeypatch.setattr(thimble, name, fn)
+        # at step 0.45 the m_1^- trace of seed 0 lands a row from phi_guard,
+        # whose guarded step evaluates the field per_step - 1 more times
+        for n, j, sign, offset, step, seed, per_step in ((8, 1, "-", 0.5, None, 5, 1),
+                                                         (8, 1, "-", 0.5, 0.45, 0, 1),
+                                                         (4, 3, "+", 0.4, None, 5, 4)):
+            calls.update(rate=0, loop=0, newton=0, guarded=0)
+            trace_thimble(j, sign, default_cartan(n), c_offset=offset, directions=16, step=step,
+                          rng=np.random.default_rng(seed))
+            assert calls["loop"] > 0 and calls["newton"] > 0, calls
+            assert (calls["guarded"] > 0) == (step is not None), calls
+            want = (1 + per_step * (calls["loop"] + calls["newton"])
+                    + (per_step - 1) * calls["guarded"])
+            assert calls["rate"] == want, (n, calls)
+            if step is None and n == 8:
+                assert calls["rate"] == 27, calls  # 109 with four stages in every step
+
     @pytest.mark.parametrize("n, j, sign", SCALAR_TWISTS)
     def test_scalar_twists_record_between_one_and_two_record_seps(self, n, j, sign):
         # each step moves the chart point 0.45 record_sep at its starting speed
@@ -1066,8 +1114,9 @@ class TestLagrangianCheck:
 
     @pytest.mark.parametrize("cfg", COMMAND_TRACES, ids=lambda cfg: f"n{cfg[0]}-j{cfg[1]}")
     def test_matches_the_ambient_search(self, cfg, monkeypatch):
-        # the d^2 graph coordinates find the neighbours that all 2 d^2 real
-        # coordinates find, and the value is the same to the bit
+        # the 2d real coordinates of the lines find the neighbours that all
+        # 2 d^2 real coordinates of the chart points find at 99 % of samples
+        # or more, and both values read only rounding
         import scipy.spatial
 
         samples, m = _command_trace(*cfg)
@@ -1083,8 +1132,10 @@ class TestLagrangianCheck:
         value = lagrangian_check(samples.x, m)
         monkeypatch.undo()
         idx, want = ambient_lagrangian_check(samples.x)
-        assert len(found) == 1 and np.array_equal(found[0], idx)
-        assert value == want
+        assert len(found) == 1
+        same = (np.sort(found[0], axis=1) == np.sort(idx, axis=1)).all(axis=1)
+        assert same.mean() >= 0.99, same.mean()
+        assert value <= 1e-15 and want <= 1e-15, (value, want)
 
     def test_blocks_give_the_one_shot_value(self, monkeypatch):
         # the n = 8 trace spans several blocks of secant Grams
