@@ -11,6 +11,7 @@ or GraphIntegrityError (``error: <message>`` on stderr), 2 configuration error.
 """
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -309,7 +310,10 @@ def cmd_thimble(cfg):
     return 0
 
 
+@functools.cache
 def make_parser():
+    """The parser of every command, built once per process: parsing leaves it
+    unchanged (``--tol`` defaults to None, not to a list all parses would share)."""
     parser = argparse.ArgumentParser(
         prog="orbitflow",
         description="Numerical Landau-Ginzburg engine on minimal adjoint orbits",

@@ -3,8 +3,8 @@
 Z is minus the gradient of the real height h_H(x) = Re<H, x> (that is,
 ``orbit.potential(h, x).real``) with respect to the orbit metric
 m_x(u, v) = b_tau(ad(x)^-1 u, ad(x)^-1 v), where ad(x)^-1 is the
-minimum-norm inverse, in closed form in the pair coordinates
-``orbit.pair_of(x)`` of an OrbitPoint or of stacked matrices.
+minimum-norm inverse, in closed form in the pair frame of an OrbitPoint
+(cached on the point) or of stacked matrices (``orbit.invert_at``).
 ``integrate`` flows a whole stack of pairs along Z and records it as arrays
 (``Trajectory``): a single point is a batch of one.  Z is tangent to the
 graph of every +/-1 diagonal m, where a row steps the two scalars (s, B) of its
@@ -31,8 +31,8 @@ from .liecore import (
     tau,
 )
 from . import thimble
-from .orbit import (OrbitPoint, advance, assemble, invert_pair, lax_velocity, membership_residual,
-                    pair_of, potential, z_norm)
+from .orbit import (OrbitPoint, advance, assemble, invert_at, lax_velocity, membership_residual,
+                    potential, z_norm)
 
 TANGENCY_TOL = 1e-8
 CONV_TOL = 1e-9
@@ -63,7 +63,7 @@ def ad_inverse(pt, v):
     TANGENCY_TOL of its own norm, naming the stack index of the worst.
     """
     vm = _mat(v)
-    w, outside = invert_pair(*pair_of(pt), vm)
+    w, outside = invert_at(pt, vm)
     sq_out, sq_v = ((np.abs(a) ** 2).sum(axis=(-2, -1)) for a in (outside, vm))
     excess = np.sqrt(sq_out / np.maximum(1.0, sq_v))
     k = np.argmax(excess)

@@ -13,16 +13,20 @@ is batch-first (leading axes index points) and runs in the dtype of its
 input, extended precision included:
 
 * ``split`` reads the pair off x + I as a rank-one factorization, and
-  ``pair_of`` returns it for an OrbitPoint (cached) or stacked matrices;
+  ``pair_of`` returns it for an OrbitPoint or stacked matrices;
 * ``assemble`` is the formula above and ``pair_tangent`` its derivative;
 * ``complement`` is an orthonormal basis of the hyperplane of a normal;
 * ``project_pair`` is the rank-two closed-form projection onto the tangent
   space im ad(x) = {u b^H : b ⊥ u} + {c v^H : c ⊥ v}, and ``invert_pair``
   the minimum-norm inverse of ad(x), the same form at the pair (v, u);
+  both run one kernel (``_project_rows``) on the pair's frame, the constants
+  conj u, conj v, s = v^H u, conj s and 2 - |s|^2 (``_frame``);
 * ``lax_velocity`` is the pair velocity of Z, and ``z_norm`` the length of Z.
 
-Everything else here is a view over these nine; ``tangent_project`` and
-``potential`` take an OrbitPoint or a stack of matrices.  ``advance``, the
+Everything else here is a view over these nine; ``tangent_project``,
+``invert_at`` and ``potential`` take an OrbitPoint or a stack of matrices.
+An OrbitPoint caches its frame (``OrbitPoint.frame``); a stack of matrices
+builds one per call.  ``advance``, the
 one stepper and its guard, moves stacks of pairs (batch, 2, d) by velocities
 such as ``lax_velocity``, or the two scalars (s, B) of graph lines
 u0 e^{m (h s - B)} (``thimble.flow_to_level``, ``flow.integrate``).  Samplers
@@ -31,6 +35,7 @@ outside the library, assemble a split and measure how far that moves x.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,10 +54,6 @@ def _vdot(a, b):
 
 def _unit(a):
     return a / np.sqrt(_vdot(a, a).real)[..., None]
-
-
-def _matvec(m, v):
-    return (m @ v[..., None])[..., 0]
 
 
 def split(xs):
@@ -154,13 +155,33 @@ def complement(v):
     return eye - w[..., :, None] * w[..., None, 1:].conj() / (1.0 + mag[..., None])
 
 
-def _project_rows(u, v, s, r, c):
-    """``project_pair`` at (u, v), s = v^H u, of the m with u^H m = r and m v = c."""
-    s_c, v_h = s.conj(), v.conj()
+def _frame(u, v):
+    """Pair frame (u, v, conj u, conj v, s, conj s, 2 - |s|^2) of lines u and
+    normals v, s = v^H u as a (..., 1) array: the constants of ``_project_rows``."""
+    u_c, v_c = u.conj(), v.conj()
+    s = (v_c * u).sum(axis=-1, keepdims=True)
+    s_c = s.conj()
+    return u, v, u_c, v_c, s, s_c, 2.0 - (s * s_c).real
+
+
+def _frame_of(x):
+    """Frame of an OrbitPoint (cached), or of a tuple or stacked matrices (built)."""
+    return x.frame if isinstance(x, OrbitPoint) else _frame(*pair_of(x))
+
+
+def _project_rows(frame, r, c):
+    """``project_pair`` at a frame of (u, v) of the m with u^H m = r and m v = c."""
+    u, v, u_c, v_c, s, s_c, g = frame
     a_uv = (r * v).sum(axis=-1, keepdims=True)
-    k = ((r * u + v_h * c).sum(axis=-1, keepdims=True) - s * a_uv) / (2.0 - (s * s_c).real)
-    row = r - k * u.conj() + (k * s_c - a_uv) * v_h
-    return u[..., :, None] * row[..., None, :] + (c - k * v)[..., :, None] * v_h[..., None, :]
+    k = ((r * u + v_c * c).sum(axis=-1, keepdims=True) - s * a_uv) / g
+    row = r - k * u_c + (k * s_c - a_uv) * v_c
+    return u[..., :, None] * row[..., None, :] + (c - k * v)[..., :, None] * v_c[..., None, :]
+
+
+def _project(frame, m):
+    v, u_c = frame[1], frame[2]
+    return _project_rows(frame, (m.swapaxes(-1, -2) @ u_c[..., None])[..., 0],
+                         (m @ v[..., None])[..., 0])
 
 
 def project_pair(u, v, m):
@@ -176,8 +197,7 @@ def project_pair(u, v, m):
     products, with no division by |s|.  Each per-matrix scalar is a (..., 1)
     array, not 0-d, so a stack of m gives each matrix bit for bit what it gives alone.
     """
-    return _project_rows(u, v, _vdot(v, u)[..., None],
-                         _matvec(np.swapaxes(m, -1, -2), u.conj()), _matvec(m, v))
+    return _project(_frame(u, v), m)
 
 
 def lax_velocity(pairs, h):
@@ -244,6 +264,16 @@ def chart(pairs):
     return u, v, assemble(u, v)
 
 
+def _invert(frame, m):
+    u, v, u_c, v_c, s, s_c, g = frame
+    d = u.shape[-1]
+    mu, vm = (m @ u[..., None])[..., 0], (m.swapaxes(-1, -2) @ v_c[..., None])[..., 0]
+    vmu = (vm * u).sum(axis=-1, keepdims=True) / s
+    w = _project_rows((v, u, v_c, u_c, s_c, s, g), (vm - vmu * v_c) / d, (vmu * u - mu) / d)
+    return w, (m - u[..., :, None] * ((vm - 2.0 * vmu * v_c) / s)[..., None, :]
+               - (mu / s)[..., :, None] * v_c[..., None, :])
+
+
 def invert_pair(u, v, m):
     """Minimum-norm w with [x, w] = m at the chart point x of (u, v), and
     the part of m outside im ad(x), which [x, w] misses.
@@ -257,14 +287,13 @@ def invert_pair(u, v, m):
     part is P m P + (I - P) m (I - P) = m - u (v^H m / s - 2 (v^H m u / s^2) v^H)
     - (m u / s) v^H.
     """
-    d = u.shape[-1]
-    v_h = v.conj()
-    s = (v_h * u).sum(axis=-1, keepdims=True)
-    mu, vm = _matvec(m, u), _matvec(np.swapaxes(m, -1, -2), v_h)
-    vmu = (vm * u).sum(axis=-1, keepdims=True) / s
-    w = _project_rows(v, u, s.conj(), (vm - vmu * v_h) / d, (vmu * u - mu) / d)
-    return w, (m - u[..., :, None] * ((vm - 2.0 * vmu * v_h) / s)[..., None, :]
-               - (mu / s)[..., :, None] * v_h[..., None, :])
+    return _invert(_frame(u, v), m)
+
+
+def invert_at(x, m):
+    """``invert_pair`` at an OrbitPoint (one matrix or a stack) or at each of
+    stacked orbit matrices."""
+    return _invert(_frame_of(x), m)
 
 
 @dataclass(frozen=True)
@@ -272,7 +301,8 @@ class OrbitPoint:
     """Orbit point with its cached pair coordinates.
 
     ``line`` is a unit vector spanning the eigenline for eigenvalue n and
-    ``normal`` the unit normal of the (-1)-eigenspace.
+    ``normal`` the unit normal of the (-1)-eigenspace.  The point owns its
+    arrays, read-only (a view is copied), so ``frame`` can be cached.
     """
 
     x: np.ndarray
@@ -280,8 +310,21 @@ class OrbitPoint:
     normal: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.x, self.line, self.normal):
+        for name in ("x", "line", "normal"):
+            arr = getattr(self, name)
+            if not arr.flags.owndata:
+                arr = arr.copy()
+                object.__setattr__(self, name, arr)
             arr.setflags(write=False)
+
+    @cached_property
+    def frame(self):
+        """Pair frame of (line, normal) that ``tangent_project`` and
+        ``invert_at`` read, built on first use (``_frame``)."""
+        frame = _frame(self.line, self.normal)
+        for arr in frame[2:]:
+            arr.setflags(write=False)
+        return frame
 
     @property
     def n(self):
@@ -477,4 +520,4 @@ def tangent_frame(pt):
 def tangent_project(x, v):
     """Hermitian-orthogonal projection of ambient matrices onto im ad(x), at an
     OrbitPoint (one matrix or a stack) or at each of stacked orbit matrices."""
-    return project_pair(*pair_of(x), np.asarray(v, dtype=complex))
+    return _project(_frame_of(x), np.asarray(v, dtype=complex))

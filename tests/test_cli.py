@@ -133,6 +133,25 @@ class TestConfigLayers:
         assert tolerances == {"verify": {"algebraic": 1e-10}, "spectrum": None,
                               "flow": {"convergence": 1e-9}, "thimble": None}
 
+    def test_successive_calls_share_one_parser_and_no_flags(self, monkeypatch):
+        # the parser is built once per process; each call sees only its own flags
+        from orbitflow import cli
+
+        seen = []
+        for name in ("cmd_flow", "cmd_thimble", "cmd_verify"):
+            monkeypatch.setattr(cli, name, lambda cfg: seen.append(cfg.as_dict()) or 0)
+        make_parser.cache_clear()
+        assert main(["thimble", "--n", "3", "--j", "2", "--sign", "+", "--directions", "4"]) == 0
+        assert main(["flow", "--n", "2", "--steps", "5", "--tol", "convergence=1e-7"]) == 0
+        assert main(["flow", "--n", "2"]) == 0
+        assert main(["verify", "--n", "1"]) == 0
+        assert make_parser.cache_info().misses == 1 and make_parser.cache_info().hits == 3
+        thimble_, flow_, flow_again, verify_ = seen
+        assert (thimble_["j"], thimble_["directions"], thimble_["steps"]) == (2, 4, 4000)
+        assert (flow_["n"], flow_["steps"], flow_["tolerances"]) == (2, 5, {"convergence": 1e-7})
+        assert (flow_again["steps"], flow_again["tolerances"]) == (4000, {"convergence": 1e-9})
+        assert "j" not in flow_ and verify_["tolerances"] == {"algebraic": 1e-10}
+
     def test_removed_kernel_cutoff_key_exit_code(self, capsys, tmp_path):
         for key in ("kernel_cutoff", "flow"):
             rc = main(["verify", "--n", "1", "--tol", f"{key}=1e-9",

@@ -218,6 +218,31 @@ class TestVanishingSphere:
             assert np.abs(pt.line - line).max() <= 1e-13 and np.array_equal(pt.normal, pt.line)
             assert np.abs(pt.x - x).max() <= 1e-13
 
+    def test_points_own_their_arrays(self, monkeypatch):
+        # the landed rows are views into the trace's record array; the points
+        # copy them, so writing into that array moves no point and no frame
+        from orbitflow import cycles, thimble
+
+        traces = []
+
+        def recording_trace(*args, **kwargs):
+            traces.append(thimble.trace_thimble(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(cycles, "trace_thimble", recording_trace)
+        sph = vanishing_sphere(minimal_cartan(2), 17.0, 4, np.random.default_rng(11))
+        frames = [pt.frame for pt in sph]
+        want = [(pt.x.copy(), pt.line.copy(), [a.copy() for a in pt.frame]) for pt in sph]
+        for name in ("line", "x"):
+            field = traces[0][name]
+            field.flags.writeable = True
+            field[...] = np.nan
+        for pt, frame, (x, line, parts) in zip(sph, frames, want, strict=True):
+            assert pt.line.flags.owndata and pt.x.flags.owndata
+            assert pt.frame is frame
+            assert np.array_equal(pt.x, x) and np.array_equal(pt.line, line)
+            assert all(np.array_equal(a, b) for a, b in zip(pt.frame, parts, strict=True))
+
     def test_opposite_directions_hit_same_level(self):
         rs = RootSystemAn(1)
         h0 = minimal_cartan(1)

@@ -174,7 +174,7 @@ class TestMetric:
         ad_inverse(pt, vs[[0, 3]])
 
     def test_metric_inverts_both_matrices_in_one_call(self, monkeypatch):
-        from orbitflow import flow
+        from orbitflow import orbit
 
         rng = np.random.default_rng(9)
         h = default_cartan(4)
@@ -182,13 +182,14 @@ class TestMetric:
         u, v = random_tangent(rng, pt), z_field(pt, h)
         want = b_tau(ad_inverse(pt, u), ad_inverse(pt, v))
         calls = []
-        invert_pair_ = flow.invert_pair
+        project_rows = orbit._project_rows
 
-        def counting_invert_pair(*args):
-            calls.append(args[-1].shape)
-            return invert_pair_(*args)
+        def counting_project_rows(*args):
+            out = project_rows(*args)
+            calls.append(out.shape)
+            return out
 
-        monkeypatch.setattr(flow, "invert_pair", counting_invert_pair)
+        monkeypatch.setattr(orbit, "_project_rows", counting_project_rows)
         got = metric_m(pt, u, v)
         assert calls == [(2, 5, 5)]
         assert got == want
@@ -212,6 +213,48 @@ class TestMetric:
             assert b_norm(f2 - 1j * f1) < 1e-10
             assert abs(dfx - b_tau(v, grad_height(x_elem, pt))) < 1e-10
             assert abs(dfx - omega(v, ham_height(x_elem, pt))) < 1e-10
+
+    def test_a_point_builds_its_frame_once(self, monkeypatch):
+        # the field, the metric and the Kähler and height gradients at one
+        # point all read the frame cached on it
+        from orbitflow import orbit
+        from orbitflow.cycles import grad_height, ham_height
+        from orbitflow.thimble import kaehler_gradients
+        from orbitflow.util import random_traceless
+
+        rng = np.random.default_rng(13)
+        h = default_cartan(4)
+        pt = random_orbit_point(rng, 4)
+        v, x_elem = random_tangent(rng, pt), random_traceless(rng, 5)
+        calls = []
+        frame_ = orbit._frame
+
+        def counting_frame(*args):
+            calls.append(args)
+            return frame_(*args)
+
+        monkeypatch.setattr(orbit, "_frame", counting_frame)
+        for _ in range(2):
+            metric_m(pt, v, z_field(pt, h))
+            kaehler_gradients(pt, h)
+            grad_height(x_elem, pt)
+            ham_height(x_elem, pt)
+        assert len(calls) == 1
+        assert calls[0][0] is pt.line and calls[0][1] is pt.normal
+
+    @pytest.mark.parametrize("n", (2, 5, 12))
+    def test_point_kernels_are_the_pair_kernels_bit_for_bit(self, n):
+        # the frame cached on a point gives what the pair kernels build per call
+        from orbitflow.orbit import invert_pair, project_pair
+        from orbitflow.util import random_traceless
+
+        rng = np.random.default_rng(90 + n)
+        for pt in (random_orbit_point(rng, n), critical_points(n)[0]):
+            ms = np.array([random_traceless(rng, n + 1) for _ in range(3)])
+            vs = np.array([random_tangent(rng, pt) for _ in range(3)])
+            for m, v in ((ms[0], vs[0]), (ms, vs)):
+                assert np.array_equal(tangent_project(pt, m), project_pair(pt.line, pt.normal, m))
+                assert np.array_equal(ad_inverse(pt, v), invert_pair(pt.line, pt.normal, v)[0])
 
 
 class TestLinearize:

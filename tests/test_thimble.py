@@ -127,13 +127,14 @@ class TestKaehlerGradients:
         hm = cartan_matrix(h)
         want = orbit.tangent_project(pt, hm), orbit.tangent_project(pt, 1j * hm)
         calls = []
-        project_pair_ = orbit.project_pair
+        project_rows = orbit._project_rows
 
-        def counting_project_pair(*args):
-            calls.append(args[-1].shape)
-            return project_pair_(*args)
+        def counting_project_rows(*args):
+            out = project_rows(*args)
+            calls.append(out.shape)
+            return out
 
-        monkeypatch.setattr(orbit, "project_pair", counting_project_pair)
+        monkeypatch.setattr(orbit, "_project_rows", counting_project_rows)
         f1, f2 = kaehler_gradients(pt, h)
         assert calls == [(2, 5, 5)]
         assert np.array_equal(f1, want[0]) and np.array_equal(f2, want[1])
