@@ -273,8 +273,7 @@ def cmd_flow(cfg):
 def cmd_thimble(cfg):
     rng = np.random.default_rng(cfg.seed)
     samples = thimble.trace_thimble(
-        cfg.j,
-        cfg.sign,
+        [(cfg.j, cfg.sign)],
         cfg.h,
         c_offset=cfg.c_offset,
         directions=cfg.directions,

@@ -85,7 +85,7 @@ def flag_sample(n, count, radius, rng):
 def vanishing_sphere(h, c, count, rng):
     """Sample the level f1 = c of the flag, the graph of m_1^- = 1, below
     its maximum [e_1]: the landed ends of ``count`` flows of its thimble
-    (``trace_thimble(1, "-", ...)``, one seed radius), in flow order, with
+    (``trace_thimble([(1, "-")], ...)``, one seed radius), in flow order, with
     normal = line.  Raises ValueError when count < 1, and LevelRangeError
     unless f1 peaks at [e_1] and c lies between its two largest values."""
     if count < 1:
@@ -96,5 +96,6 @@ def vanishing_sphere(h, c, count, rng):
     second, top = np.sort(values)[-2:]
     if not second < c < top:
         raise LevelRangeError(f"level {c} outside the attracting range ({second}, {top})")
-    landed = trace_thimble(1, "-", h, top - c, count, radii=1, rng=rng, record_sep=np.inf)[-count:]
+    landed = trace_thimble([(1, "-")], h, top - c, count, radii=1, rng=rng,
+                           record_sep=np.inf)[-count:]
     return [OrbitPoint(x=x, line=u, normal=u) for u, x in zip(landed.line, landed.x)]

@@ -58,11 +58,6 @@ class GraphSpec:
     def dim(self):
         return len(self.m_diag)
 
-    @property
-    def is_involution(self):
-        return bool(np.abs(self.m_diag.imag).max() < 1e-12
-                    and np.abs(np.abs(self.m_diag.real) - 1.0).max() < 1e-12)
-
     def phase(self, alpha):
         """exp(-i alpha_kj(H1)) = conj(m_k) m_j for the root (k, j)."""
         k, j = alpha
@@ -120,7 +115,8 @@ def graph_point(u, g):
 
 def graph_membership(x, g):
     """Membership residual |(I - nu nu^H) m u| in the graph of an OrbitPoint,
-    or of each of stacked orbit matrices or (lines, normals) pairs.
+    or of each of stacked orbit matrices or (lines, normals) pairs; g is a
+    GraphSpec or the diagonal m, one per row if stacked.
 
     This is the length of the part of m u inside the hyperplane (normal
     nu), i.e. of (w_i, m u) over any orthonormal hyperplane basis w_i.  It
@@ -129,7 +125,7 @@ def graph_membership(x, g):
     Hermitian-ness test.
     """
     u, nu = pair_of(x)
-    mu = g.m_diag * u
+    mu = (g.m_diag if isinstance(g, GraphSpec) else g) * u
     res = np.linalg.norm(mu - nu * (nu.conj() * mu).sum(axis=-1, keepdims=True), axis=-1)
     return float(res) if isinstance(x, OrbitPoint) else res
 

@@ -249,10 +249,12 @@ def rk4_step(state, rhs, dt, k1=None, h=None):
 
 def advance(state, rhs, dt, k1=None, h=None, limit=DRIFT_LIMIT):
     """``rk4_step`` that raises StepSizeError naming the first row whose move
-    has a size above ``limit`` (inf where RK4 is exact) or not finite."""
+    has a size above ``limit`` (one, or one per row; inf where RK4 is exact)
+    or not finite, and that row's limit."""
     out, size = rk4_step(state, rhs, dt, k1, h)
     bad = np.flatnonzero(~(np.isfinite(size) & (size <= limit)))
     if bad.size:
+        limit = np.broadcast_to(limit, size.shape)[bad[0]]
         raise StepSizeError(f"step of size {size[bad[0]]:.3e} exceeds {limit} (batch index "
                             f"{bad[0]}); reduce the integration step")
     return out

@@ -11,9 +11,10 @@ u0 e^{m (h s - B)} up to scale (the torus orbits of Bloch, Brockett and Ratiu
 when m = 1).  So every flow steps two scalars (s, B) per row, by one rule for
 F1 and Z (``_line_rate``), and the seeds (``seed_lines``), the height
 (``line_height``) and the chart gap (``pair_gap``) are closed forms in the
-lines (``graph_lines``), one stack of which may mix twists.
-``flow_to_level`` steps them with ``orbit.advance`` by chart distance (past
-the accuracy guard where RK4 is exact) and one ``cross_level`` lands them;
+lines (``graph_lines``).  Twists are row data: one stack may mix them, and
+``trace_thimble`` traces a list of twists (j, sign) as one stack.
+``flow_to_level`` steps it with ``orbit.advance`` by chart distance (past
+the accuracy guard where RK4 is exact) and one ``cross_level`` lands it;
 matrices appear once, in the ``chart`` of the recorded lines.  On a scalar
 twist (m = 1 or m = -1 on every entry) an RK4 step takes its first stage as
 every stage (``_stages``), so each step evaluates the field once.
@@ -207,7 +208,7 @@ def _stages(args, k1, z=False):
     the line: k1 is every stage, and the step moves s by k dt and B by k b dt,
     RK4's line up to scale.  Other rows take the stages of the rule, so the
     field is evaluated again only when some row has a mixed twist."""
-    mixed = np.ptp(args[2], axis=-1) != 0
+    mixed = (args[2] != args[2][..., :1]).any(axis=-1)
     if not mixed.any():
         return lambda s: k1
     return lambda s: np.where(mixed[..., None], _line_rate(*args, s, z)[0], k1)
@@ -222,10 +223,11 @@ def phi_guard(h):
     return 0.9 * DRIFT_LIMIT * len(h) / np.ptp(h)
 
 
-def _f1_rate(h, m, weights, rate, r, sums):
-    """df1/dt = 2d^2 dR_m/dt at lines r with ``_line_sums`` sums and rate (s', B'),
-    along d|u|^2 = 2 m (h s' - B') |u|^2 dt, up to a part common to all entries."""
-    _, mw, _, hmw = sums
+def _f1_rate(rule, rate, r, sums):
+    """df1/dt = 2d^2 dR_m/dt at lines r with ``_line_sums`` sums and rate (s', B')
+    of the ``_line_rate`` arguments ``rule`` (h, weights, m, ...), along d|u|^2 =
+    2 m (h s' - B') |u|^2 dt, up to a part common to all entries."""
+    (h, weights, m, *_), (_, mw, _, hmw) = rule, sums
     _, mdw, _, hmdw = _line_sums(weights, _log_moduli(h, m, rate) * r * r)
     return 4.0 * len(h) ** 2 * (hmdw - hmw / mw * mdw)[..., 0] / mw[..., 0]
 
@@ -233,7 +235,7 @@ def _f1_rate(h, m, weights, rate, r, sums):
 def cross_level(r0, base, h, m, c, orient):
     """Land the states (s, B) ``base`` of lines u0 e^{m (h s - B)}, |u0| = r0,
     on the level f1 = c along orient * grad f1, each row on the graph of its
-    row of m.
+    row of m and at its level c (m, c and orient have a row per state).
 
     Newton's method (rate ``_f1_rate``) in the length tau >= 0 in t of one RK4 step
     from (0, 0) at the lines of ``base``, then added to it: a far state rounds its
@@ -247,7 +249,6 @@ def cross_level(r0, base, h, m, c, orient):
     the landed states and tau; raises GraphIntegrityError naming the stack index of
     the worst miss after LEVEL_ITERATIONS steps.
     """
-    m = np.broadcast_to(m, r0.shape)
     r0, tau, cur = graph_lines(r0, h, m, base), np.zeros(len(base)), np.zeros_like(base)
     weights = _weights(h, m)
     field = _line_rate(h, weights, m, orient[:, None], r0, cur)
@@ -257,7 +258,7 @@ def cross_level(r0, base, h, m, c, orient):
         args = (h, weights[todo], m[todo], orient[todo, None], r0[todo])
         if it:
             field = _line_rate(*args, cur[todo])
-        rate = _f1_rate(h, m[todo], args[1], *field)
+        rate = _f1_rate(args, *field)
         tau[todo] = np.maximum(tau[todo] + miss[todo] / rate, 0.0)
         k1 = base_rate[todo]
         cur[todo], size = rk4_step(np.zeros((todo.size, 2)), _stages(args, k1), tau[todo, None],
@@ -267,7 +268,7 @@ def cross_level(r0, base, h, m, c, orient):
             cur[todo] = advance(np.zeros((todo.size, 2)), _stages(args, k1), tau[todo, None],
                                 k1, h)
         u = graph_lines(r0[todo], h, m[todo], cur[todo])
-        miss[todo] = c - line_height(h, m[todo], u)
+        miss[todo] = c[todo] - line_height(h, m[todo], u)
         w = m[todo] * u * u
         diag = len(h) * w / w.sum(axis=-1, keepdims=True) - 1.0
         scale = 2.0 * len(h) * (np.abs(h) * np.abs(diag)).sum(axis=-1)
@@ -276,86 +277,89 @@ def cross_level(r0, base, h, m, c, orient):
             return base + cur, tau
     worst = todo[np.argmax(np.abs(miss[todo]))]
     raise GraphIntegrityError(
-        f"level {c} not reached in {LEVEL_ITERATIONS} Newton steps: "
+        f"level {c[worst]} not reached in {LEVEL_ITERATIONS} Newton steps: "
         f"|f1 - c| = {abs(miss[worst]):.3e} at batch index {worst}"
     )
 
 
-def flow_to_level(lines, h, g, c, step, max_steps, visit=None, record_sep=np.inf):
-    """Flow a stack of lines u0, shape (batch, d), of graph pairs (u0, m u0)
-    along grad f1, up when f1 < c and down otherwise, in steps of ``advance``
-    of the states (s, B) of the lines u0 e^{m (h s - B)} (``_line_rate``),
-    from (0, 0), with no matrix.
+def flow_to_level(lines, h, m, c, step, max_steps, visit=None, record_sep=np.inf):
+    """Flow a stack of lines u0, shape (batch, d), of graph pairs (u0, m u0),
+    each with its own row of m = +/-1 and its own level c (either may
+    broadcast), along grad f1, up when f1 < c and down otherwise, in steps of
+    ``advance`` of the states (s, B) of the lines u0 e^{m (h s - B)}
+    (``_line_rate``), from (0, 0), with no matrix.
 
     A float ``step`` is one grid in t for every row.  With ``step`` None, each
     row steps by at most ``phi_guard`` and so that its chart point moves
     0.45 ``record_sep`` at its speed v = |F1| = sqrt(|df1/dt| / 2d) at the
     start, which records a ``visit`` sample about every third step,
-    ``record_sep`` to 2 ``record_sep`` apart.  On a scalar twist (m = +/-1)
-    RK4 is exact and v^2 = 2 k2, k2 and k3 the variance and third central
-    moment of h under w = |u|^2 / sum |u|^2, which tilts along h at rate 2/d;
-    so |d log v / dt| = |k3| / (d k2) <= spread(h) / d < L = 2 spread(h) / d
-    (at spread(h) / d, more ``vanishing_sphere`` landings start Newton far
-    from the level).  A step dt then moves the chart point at most v (e^{L dt}
-    - 1) / L and f1 at most |f1'| (e^{2 L dt} - 1) / (2 L), so the step grows
-    to min(log1p(0.45 record_sep L / v) / L, log1p(2 L |c - f1| / |f1'|) /
-    (2 L)) where longer and finite, and ``advance`` refuses only a non-finite
-    move.
+    ``record_sep`` to 2 ``record_sep`` apart.  On a row of a scalar twist (m =
+    +/-1 on every entry) RK4 is exact and v^2 = 2 k2, k2 and k3 the variance
+    and third central moment of h under w = |u|^2 / sum |u|^2, which tilts
+    along h at rate 2/d; so |d log v / dt| = |k3| / (d k2) <= spread(h) / d <
+    L = 2 spread(h) / d (at spread(h) / d, more ``vanishing_sphere`` landings
+    start Newton far from the level).  A step dt then moves the chart point at
+    most v (e^{L dt} - 1) / L and f1 at most |f1'| (e^{2 L dt} - 1) / (2 L), so
+    the row's step grows to min(log1p(0.45 record_sep L / v) / L, log1p(2 L
+    |c - f1| / |f1'|) / (2 L)) where longer and finite, and ``advance``
+    refuses only a non-finite move of it; rows of mixed twists keep
+    ``DRIFT_LIMIT``.
     The field at each stepped state gives the moduli r = ``graph_lines(|u0|,
     h, m, state)``, the crossing test, the next step and its first RK4 stage,
     which on a scalar twist is every stage (``_stages``): there a step, grown
     or on an explicit grid, evaluates the field once.
     After each step ``visit(indices, states, arcs, r)`` sees the flows that
     did not cross the level; one ``cross_level`` lands them from their last
-    state after the loop.  Raises ValueError when g is not an involution,
-    GraphIntegrityError naming the unlanded flow furthest from the level if a
-    flow has not crossed it after max_steps; returns the landed states and
-    arcs.
+    state after the loop.  Raises ValueError naming the first row of m that is
+    not exactly +/-1, GraphIntegrityError naming the unlanded flow furthest
+    from the level if a flow has not crossed it after max_steps; returns the
+    landed states and arcs.
     """
-    if not g.is_involution:
-        raise ValueError(f"twist {g.name or g.m_diag} is not an involution: "
+    m = np.broadcast_to(m, np.shape(lines))
+    if (bad := np.flatnonzero(~((m == 1) | (m == -1)).all(axis=-1))).size:
+        raise ValueError(f"row {bad[0]} of m is {m[bad[0]]}, not +/-1: "
                          "the closed-form gradient needs m = +/-1")
-    h = np.asarray(h, dtype=float)
-    m = g.m_diag.real
+    h, m, c = np.asarray(h, dtype=float), m.real, np.broadcast_to(c, len(m))
     guard, lam = phi_guard(h), 2.0 * np.ptp(h) / len(h)
-    grow = step is None and not np.ptp(m)
     r0 = np.abs(lines)
-    state = np.zeros((len(r0), 2))
+    state, arcs = np.zeros((len(r0), 2)), np.zeros(len(r0))
     orient = np.where(line_height(h, m, r0) > c, -1.0, 1.0)
-    arcs = np.zeros(len(state))
-    active = np.ones(len(state), dtype=bool)
     weights = _weights(h, m)
     k1, r, sums = _line_rate(h, weights, m, orient[:, None], r0, state)
+    # the flows that did not cross, their rows of the rule, levels and growth, compacted with keep
+    idx, rule, level = np.arange(len(r0)), (h, weights, m, orient[:, None], r0), c
+    grow = (step is None) & (np.ptp(m, axis=-1) == 0)
     dt = np.full((len(state), 1), float(step or 0.0))
     for _ in range(max_steps):
-        if not active.any():
+        if not idx.size:
             break
         if step is None:
-            df1 = np.abs(_f1_rate(h, m, weights, k1, r, sums))
+            df1 = np.abs(_f1_rate(rule, k1, r, sums))
             speed = np.sqrt(df1 / (2 * len(h)))
             dt = guard / np.maximum(1.0, guard * speed / (0.45 * record_sep))
-            if grow:
+            if grow.any():
                 with np.errstate(divide="ignore", invalid="ignore"):
                     grown = np.minimum(np.log1p(0.45 * record_sep * lam / speed), 0.5 * np.log1p(
-                        2.0 * lam * np.abs(c - _height(h, sums)) / df1)) / lam
-                dt = np.maximum(dt, np.where(np.isfinite(grown), grown, 0.0))
+                        2.0 * lam * np.abs(level - _height(h, sums)) / df1)) / lam
+                dt = np.maximum(dt, np.where(grow & np.isfinite(grown), grown, 0.0))
             dt = dt[:, None]
-        idx = np.flatnonzero(active)
-        args = (h, weights, m, orient[idx, None], r0[idx])
-        stepped = advance(state[idx], _stages(args, k1), dt, k1, h, np.inf if grow else DRIFT_LIMIT)
-        rate, r, sums = _line_rate(*args, stepped)
-        crossed = orient[idx] * (_height(h, sums) - c) > 0
-        active[idx[crossed]] = False
-        alive, keep = idx[~crossed], ~crossed
-        arcs[alive] += dt[keep, 0]
-        state[alive], k1, r, sums, dt = stepped[keep], rate[keep], r[keep], sums[:, keep], dt[keep]
-        if visit is not None and alive.size:
-            visit(alive, state[alive], arcs[alive], r)
-    if active.any():
-        miss = np.abs(_height(h, sums) - c)
-        raise GraphIntegrityError(f"{int(active.sum())} flows failed to reach the level in "
-                                  f"{max_steps} steps: |f1 - c| = {miss.max():.3e} at batch index "
-                                  f"{np.flatnonzero(active)[np.argmax(miss)]}")
+        stepped = advance(state[idx], _stages(rule, k1), dt, k1, h,
+                          np.where(grow, np.inf, DRIFT_LIMIT))
+        rate, r, sums = _line_rate(*rule, stepped)
+        keep = ~(rule[3][:, 0] * (_height(h, sums) - level) > 0)
+        if not keep.all():
+            idx, level, grow = idx[keep], level[keep], grow[keep]
+            rule = (h, *(a[keep] for a in rule[1:]))
+            stepped, rate, r, sums, dt = stepped[keep], rate[keep], r[keep], sums[:, keep], dt[keep]
+        arcs[idx] += dt[:, 0]
+        state[idx], k1 = stepped, rate
+        if visit is not None and idx.size:
+            visit(idx, state[idx], arcs[idx], r)
+    if idx.size:
+        miss = np.abs(_height(h, sums) - level)
+        raise GraphIntegrityError(f"{idx.size} flows failed to reach the level in {max_steps} "
+                                  f"steps: |f1 - c| = {miss.max():.3e} at batch index "
+                                  f"{idx[np.argmax(miss)]}")
     state, tau = cross_level(r0, state, h, m, c, orient)
     return state, arcs + tau
 
@@ -380,25 +384,16 @@ def seed_lines(j, d, coeffs, radii):
     return (u / np.linalg.norm(u, axis=-1, keepdims=True)).reshape(-1, d)
 
 
-def trace_thimble(
-    j,
-    sign,
-    h,
-    c_offset=0.5,
-    directions=64,
-    step=None,
-    radii=8,
-    rng=None,
-    record_sep=0.03,
-    max_steps=4000,
-    residual_limit=RESIDUAL_LIMIT,
-):
-    """Trace the real Lagrangian thimble of [e_j] inside its definite graph.
+def trace_thimble(twists, h, c_offset=0.5, directions=64, step=None, radii=8, rng=None,
+                  record_sep=0.03, max_steps=4000, residual_limit=RESIDUAL_LIMIT):
+    """Trace the real Lagrangian thimble of [e_j] inside the definite graph of
+    m_j^sign for every twist (j, sign) of the list ``twists``, as one stack.
 
-    Seeds random unit directions of the graph tangent space at [e_j] on a
-    geometric radius ladder (``seed_lines``) and flows them along -grad f1
-    (sign '-', negative definite) or +grad f1 (sign '+') to the level
-    f1([e_j]) -/+ c_offset with ``flow_to_level``, on the grid ``step`` in t or
+    Per twist, in list order, seeds random unit directions of the graph
+    tangent space at [e_j], drawn from ``rng``, on a geometric radius ladder
+    (``seed_lines``), and flows them along -grad f1 (sign '-', negative
+    definite) or +grad f1 (sign '+') to the level f1([e_j]) -/+ c_offset with
+    one ``flow_to_level`` for the whole stack, on the grid ``step`` in t or
     else by chart distance.  Samples are the pairs (u, m u), u = u0 e^{m (h s
     - B)}, so they lie on the graph and the surface of their seed by
     construction and their residual measures only rounding; one above
@@ -406,10 +401,13 @@ def trace_thimble(
 
     Returns one ``np.recarray``, a row per sample, with fields ``line`` (d,)
     the unit line u, ``x`` (d, d) its chart point, ``f1``, ``f2``,
-    ``graph_residual``, ``seed_index``, ``flow_index`` (one (direction,
-    radius) flow line; seed_index = flow_index // radii) and ``arc``, the
-    flow parameter from the seed.  The seeds come first and the landed
-    samples last, each directions * radii rows in flow order.
+    ``graph_residual``, ``twist`` (the index of its twist in ``twists``),
+    ``seed_index``, ``flow_index`` (one (twist, direction, radius) flow line,
+    twist-major; seed_index = flow_index // radii) and ``arc``, the flow
+    parameter from the seed.  The seeds come first and the landed samples
+    last, each len(twists) * directions * radii rows in flow order.  A flow
+    steps as it does alone, so the samples of one twist are, in their order,
+    those of its trace alone, with flow_index and seed_index offset.
 
     Every seed lies strictly inside the level by a bound, with no search.
     A seed line is u = e_j + rho w, |w| = 1, w ⊥ e_j, rho = r / (2 d^{3/2});
@@ -421,45 +419,48 @@ def trace_thimble(
     one sign, so each seed moves from f_c towards the level.
     """
     h = np.asarray(h, dtype=float)
-    n = len(h) - 1
-    g = m_j_pm(n, j, sign)
-    m = g.m_diag.real
+    n, flows_per = len(h) - 1, directions * radii
     rng = np.random.default_rng(0) if rng is None else rng
-
-    f1_c = line_height(h, m, np.eye(n + 1)[j - 1])
-    c_level = f1_c - c_offset if sign == "-" else f1_c + c_offset
-
-    dirs = rng.standard_normal((directions, 2 * n))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    r_top = min(0.5, np.sqrt(1.8 * c_offset / _unit_rate(h, j)))
-    seeds = seed_lines(j, n + 1, dirs, np.geomspace(min(1e-4, r_top / 10.0), r_top, radii))
+    seeds, m, c_level = [], [], []
+    for j, sign in twists:
+        twist = m_j_pm(n, j, sign).m_diag.real
+        f1_c = line_height(h, twist, np.eye(n + 1)[j - 1])
+        dirs = rng.standard_normal((directions, 2 * n))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        r_top = min(0.5, np.sqrt(1.8 * c_offset / _unit_rate(h, j)))
+        seeds.append(seed_lines(j, n + 1, dirs, np.geomspace(min(1e-4, r_top / 10), r_top, radii)))
+        m.append(np.tile(twist, (flows_per, 1)))
+        c_level.append(np.full(flows_per, f1_c - c_offset if sign == "-" else f1_c + c_offset))
+    seeds, m, c_level = (np.concatenate(a) for a in (seeds, m, c_level))
 
     flows = np.arange(len(seeds))
     chunks = [(flows, np.zeros((len(seeds), 2)), np.zeros(len(seeds)))]
     last_rec = _unit_and_beta(m, np.abs(seeds))
 
     def visit(indices, states, arcs, r):
-        cur = _unit_and_beta(m, r)
+        cur = _unit_and_beta(m[indices], r)
         due = _gap(cur, [a[indices] for a in last_rec]) >= record_sep
         if due.any():
             chunks.append((indices[due], states[due], arcs[due]))
             for a, b in zip(last_rec, cur):
                 a[indices[due]] = b[due]
 
-    landed, arcs = flow_to_level(seeds, h, g, c_level, step, max_steps, visit, record_sep)
+    landed, arcs = flow_to_level(seeds, h, m, c_level, step, max_steps, visit, record_sep)
     chunks.append((flows, landed, arcs))
 
     indices, states, arcs = (np.concatenate(part) for part in zip(*chunks))
+    m = m[indices]
     lines = graph_lines(seeds[indices], h, m, states)
     u, v, mats = chart(np.stack([lines, m * lines], axis=1))
     f = potential(h, mats)
-    res = graph_membership((u, v), g)
+    res = graph_membership((u, v), m)
     bad = np.argmax(np.where(np.isfinite(f.real), res, np.nan))  # the first NaN, if any
     if not (res[bad] <= residual_limit and np.isfinite(f[bad].real)):
         raise GraphIntegrityError(f"flow left the graph or is not finite: residual {res[bad]:.3e} "
                                   f"at seed {indices[bad] // radii}, f1={f[bad].real:.6f}")
     cols = {"line": u, "x": mats, "f1": f.real, "f2": f.imag, "graph_residual": res,
-            "seed_index": indices // radii, "flow_index": indices, "arc": arcs}
+            "twist": indices // flows_per, "seed_index": indices // radii, "flow_index": indices,
+            "arc": arcs}
     samples = np.recarray(len(indices), [(k, a.dtype, a.shape[1:]) for k, a in cols.items()])
     for k, a in cols.items():
         samples[k] = a

@@ -261,17 +261,17 @@ def double_bracket_solution(lines, h, times):
     return d * u[..., :, None] * u[..., None, :].conj() - np.eye(d)
 
 
-def stable_unstable_measure(cfg, rng):
+def stable_unstable_measure(cfg, rng, spectra):
     """Two-sided basin test at every singularity [e_j] on the graphs of m_j^+
-    and m_j^-, whose tangent spaces V- and V+ of dZ span (worst 1 - cos of a
-    principal angle).  100 seeds per side at b_tau radius 1e-4 (``seed_lines``)
+    and m_j^-, whose tangent spaces V- and V+ of dZ (``spectra``, the
+    ``linearize`` of each critical point) span (worst 1 - cos of a principal
+    angle).  100 seeds per side at b_tau radius 1e-4 (``seed_lines``)
     step on their graph, one ``integrate`` run per side: V- seeds flow back
     (closest approach, limited by the steps), V+ seeds separate monotonically."""
     n, h = cfg.n, cfg.h
     dt = 30.0 * flow.default_step(n, h)
     worst = 0.0
-    for j, pt in enumerate(orbit.critical_points(n), start=1):
-        spec = flow.linearize(pt, h)
+    for j, (pt, spec) in enumerate(zip(orbit.critical_points(n), spectra), start=1):
         for basis, sign, steps in ((spec.v_minus(), "+", 120), (spec.v_plus(), "-", 10)):
             m = graphs.sign_pattern(n, j, sign)
             frame = orthonormal_rows(realify(graphs.graph_tangent_frame(pt, m)))
@@ -303,26 +303,24 @@ def flow_suite(cfg, rng):
     checks.append(_check("gradient-identity", worst, 1e-10,
                          "Z is minus the metric gradient of the real height"))
 
+    spectra = [flow.linearize(pt, h) for pt in orbit.critical_points(n)]
     worst = 0.0
-    for pt in orbit.critical_points(n):
-        spec = flow.linearize(pt, h)
+    for spec in spectra:
         for side in (spec.v_minus(), spec.v_plus()):
-            for i, a in enumerate(side):
-                for b in side[i:]:
-                    worst = max(worst, abs(omega(a, b)))
+            flat = np.reshape(side, (len(side), -1))
+            worst = max(worst, np.abs((2.0 * (n + 1) * (flat @ flat.conj().T)).imag).max())
     checks.append(_check("stable-unstable-spaces-isotropic", worst, 1e-10,
                          "eigenspace sums of dZ are Lagrangian for the ambient form"))
 
     worst = 0.0
-    for pt in orbit.critical_points(n):
-        expected = flow.linearize(pt, h).eigenvalues()
-        observed = fd_jacobian_eigenvalues(pt, h)
-        worst = max(worst, float(np.abs(np.array(observed) - np.array(expected)).max()))
+    for spec in spectra:
+        observed = fd_jacobian_eigenvalues(spec.point, h)
+        worst = max(worst, float(np.abs(np.array(observed) - np.array(spec.eigenvalues())).max()))
     checks.append(_check("fd-jacobian-matches-rates", worst, 1e-6,
                          "finite differences reproduce the per-root rates"))
 
     checks.append(_check("perturbations-respect-the-splitting",
-                         stable_unstable_measure(cfg, rng), 1e-5,
+                         stable_unstable_measure(cfg, rng, spectra), 1e-5,
                          "V-/V+ span the graphs of m_j^+/m_j^-, whose seeds flow back/separate"))
 
     seeds = cycles.flag_sample(n, 4, 0.6, rng)
@@ -436,8 +434,7 @@ def graphs_suite(cfg, rng):
     checks.append(_check("phase-pattern-of-sign-twists", worst, 1e-14,
                          "the twist phases split by slot order"))
 
-    samples = thimble.trace_thimble(1, "-", h, c_offset=0.3, directions=8,
-                                    radii=4, rng=rng)
+    samples = thimble.trace_thimble([(1, "-")], h, c_offset=0.3, directions=8, radii=4, rng=rng)
     worst = samples.graph_residual.max()
     checks.append(_check("traced-thimble-stays-on-graph", worst, 1e-6,
                          "the thimble ball is contained in its graph"))
@@ -478,6 +475,7 @@ def _close_pairs(rows, r):
 
 
 def _topology_proxy(samples):
+    """1.0 if two seeds share a sample or a flow's height turns, on a trace or part of one."""
     seeds = samples.seed_index
     pairs = _close_pairs(realify(samples.x), 1e-9)
     if (seeds[pairs[:, 0]] != seeds[pairs[:, 1]]).any():
@@ -486,37 +484,38 @@ def _topology_proxy(samples):
     flows, diffs = samples.flow_index[order], np.diff(samples.f1[order])
     same = flows[1:] == flows[:-1]
     # a flow fails unless all its steps in f1 are <= 1e-12 or all >= -1e-12
-    up = np.bincount(flows[1:][same & ~(diffs <= 1e-12)], minlength=len(samples))
-    down = np.bincount(flows[1:][same & ~(diffs >= -1e-12)], minlength=len(samples))
+    up = np.bincount(flows[1:][same & ~(diffs <= 1e-12)], minlength=flows[-1] + 1)
+    down = np.bincount(flows[1:][same & ~(diffs >= -1e-12)], minlength=flows[-1] + 1)
     return 1.0 if ((up > 0) & (down > 0)).any() else 0.0
 
 
 def thimble_suite(cfg, rng):
-    """Traces the thimble of every twist (j, sign), one by one.  The thimble of
-    m_j^+ (m_j^-) lies in the stable (unstable) manifold of Z at [e_j], so its
-    rows flow back there on their graph under +Z (-Z), one run per sign."""
+    """Traces the thimble of every twist (j, sign) in one stack, and keeps only
+    its maxima and landed lines.  The thimble of m_j^+ (m_j^-) lies in the
+    stable (unstable) manifold of Z at [e_j], so its rows flow back there on
+    their graph under +Z (-Z), one run per sign."""
     checks = []
     n, h = cfg.n, cfg.h
-    worst_res = worst_f2 = worst_topo = 0.0
+    twists, directions, radii = graphs.twists(n), 12, 4
+    samples = thimble.trace_thimble(twists, h, c_offset=0.4, directions=directions, radii=radii,
+                                    rng=rng)
+    worst_res, worst_f2 = samples.graph_residual.max(), np.abs(samples.f2).max()
+    worst_topo = max(_topology_proxy(samples[samples.twist == t]) for t in range(len(twists)))
+    # per twist a 1e-3 seed, then the landed end of each direction's largest radius
+    landed = samples.line[-len(twists) * directions * radii:][radii - 1::radii]
     rows = {"+": [], "-": []}
-    directions, radii = 12, 4
-    for j, s in graphs.twists(n):
-        samples = thimble.trace_thimble(j, s, h, c_offset=0.4, directions=directions,
-                                        radii=radii, rng=rng)
-        worst_res = max(worst_res, samples.graph_residual.max())
-        worst_f2 = max(worst_f2, np.abs(samples.f2).max())
-        worst_topo = max(worst_topo, _topology_proxy(samples))
-        m = graphs.sign_pattern(n, j, s)
-        # a 1e-3 seed, then the landed end of each direction's largest radius
-        landed = samples.line[-directions * radii:][radii - 1::radii]
-        lines = np.concatenate([thimble.seed_lines(j, n + 1, np.eye(2 * n)[0], [1e-3]), landed])
-        rows[s] += [(j, k == 0, m, u) for k, u in enumerate(lines)]
+    for t, (j, s) in enumerate(twists):
+        lines = np.concatenate([thimble.seed_lines(j, n + 1, np.eye(2 * n)[0], [1e-3]),
+                                landed[t * directions:(t + 1) * directions]])
+        rows[s] += [(j, k == 0, graphs.sign_pattern(n, j, s), u) for k, u in enumerate(lines)]
+    del samples, landed
     seed_gap = landed_gap = 0.0
     for s, direction in (("+", "forward"), ("-", "backward")):
         slots, seed, m, lines = (np.array(a) for a in zip(*rows[s]))
-        traj = flow.integrate(np.stack([lines, m * lines], axis=1), h, direction,
-                              step=30.0 * flow.default_step(n, h), max_steps=4000)
-        gap = thimble.pair_gap(m, traj.lines[-1], np.eye(n + 1)[slots - 1])
+        # only the last lines are kept, so each run's trajectory is released before the next
+        end = flow.integrate(np.stack([lines, m * lines], axis=1), h, direction,
+                             step=30.0 * flow.default_step(n, h), max_steps=4000).lines[-1].copy()
+        gap = thimble.pair_gap(m, end, np.eye(n + 1)[slots - 1])
         seed_gap, landed_gap = max(seed_gap, gap[seed].max()), max(landed_gap, gap[~seed].max())
     checks.append(_check("thimble-containment-and-openness", max(worst_res, seed_gap), 1e-6,
                          "the traced ball stays in the graph and +/-Z contracts it to [e_j]"))

@@ -153,7 +153,7 @@ def test_criterion_07_thimble_suite():
     for j in (1, 2, 3):
         f1c = potential(h, critical_points(2)[j - 1]).real
         for s in ("+", "-"):
-            samples = trace_thimble(j, s, h, c_offset=0.5, directions=64, rng=rng)
+            samples = trace_thimble([(j, s)], h, c_offset=0.5, directions=64, rng=rng)
             worst_res = max(worst_res, max(x.graph_residual for x in samples))
             worst_f2 = max(worst_f2, max(abs(x.f2) for x in samples))
             f1s = [x.f1 for x in samples]

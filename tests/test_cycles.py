@@ -203,7 +203,7 @@ class TestVanishingSphere:
 
         h, count = minimal_cartan(n), 12
         top = potential(h, critical_points(n)[0]).real
-        want = thimble.trace_thimble(1, "-", h, c_offset=top - c, directions=count, radii=1,
+        want = thimble.trace_thimble([(1, "-")], h, c_offset=top - c, directions=count, radii=1,
                                      rng=np.random.default_rng(3))
         traces = []
 

@@ -91,7 +91,8 @@ def _loop_advances(monkeypatch, j, sign, h, step):
 
     monkeypatch.setattr(thimble, "cross_level", counting_cross_level)
     monkeypatch.setattr(thimble, "advance", counting_advance)
-    trace_thimble(j, sign, h, c_offset=0.5, directions=8, step=step, rng=np.random.default_rng(0))
+    trace_thimble([(j, sign)], h, c_offset=0.5, directions=8, step=step,
+                  rng=np.random.default_rng(0))
     monkeypatch.undo()
     return calls[0]
 
@@ -254,10 +255,12 @@ class TestGraphClosedForms:
     """The line velocity, height and chart gap that thimble flows step with."""
 
     def test_flow_to_level_rejects_a_non_involution(self):
-        g = GraphSpec(np.array([1j, -1j, 1.0]), name="quarter-turn")
-        lines = thimble.seed_lines(1, g.dim, np.eye(4)[0], [1e-2])
-        with pytest.raises(ValueError, match="twist quarter-turn is not an involution"):
-            flow_to_level(lines, default_cartan(2), g, 17.5, 0.01, 10)
+        # the quarter-turn twist, and a row one ulp from -1, named in a stack
+        # whose row 0 is the flag's m = 1
+        lines = thimble.seed_lines(1, 3, np.eye(4)[:2], [1e-2])
+        for bad in (np.array([1j, -1j, 1.0]), np.array([np.nextafter(-1.0, 0.0), -1.0, 1.0])):
+            with pytest.raises(ValueError, match=r"^row 1 of m is .*, not \+/-1"):
+                flow_to_level(lines, default_cartan(2), np.stack([np.ones(3), bad]), 17.5, 0.01, 10)
 
     def test_gradient_field_steps_a_stack_of_twists_row_by_row(self):
         # one stack of every twist, each row with its own orient and step,
@@ -368,7 +371,7 @@ class TestGraphClosedForms:
         # consecutive recorded lines of each flow of a trace, and random
         # lines at every twist, against assembled points in extended precision
         n = 4
-        samples = trace_thimble(1, "-", default_cartan(n), c_offset=0.4, directions=4, radii=3,
+        samples = trace_thimble([(1, "-")], default_cartan(n), c_offset=0.4, directions=4, radii=3,
                                 rng=np.random.default_rng(32))
         flows = {}
         for smp in samples:
@@ -416,14 +419,14 @@ class TestGraphClosedForms:
         h, g, lines, c = _graph_seed_stack(4, directions=3)
         for module in (orbit, thimble):
             monkeypatch.setattr(module, "assemble", counting_assemble, raising=False)
-        flow_to_level(lines, h, g, c, None, 4000, lambda *_: None)
+        flow_to_level(lines, h, g.m_diag.real, c, None, 4000, lambda *_: None)
         assert calls == []
 
 
 class TestTraceThimble:
     def test_tiny_offset_degenerates_to_point(self):
         h = default_cartan(2)
-        samples = trace_thimble(1, "-", h, c_offset=1e-6, directions=4, radii=2,
+        samples = trace_thimble([(1, "-")], h, c_offset=1e-6, directions=4, radii=2,
                                 rng=np.random.default_rng(0))
         xc = critical_points(2)[0].x
         assert np.linalg.norm(samples.x - xc, axis=(1, 2)).max() < 5e-3
@@ -441,13 +444,13 @@ class TestTraceThimble:
             return assemble_(u, v)
 
         monkeypatch.setattr(orbit, "assemble", counting_assemble)
-        samples = trace_thimble(2, "+", default_cartan(4), c_offset=0.4, directions=3, radii=2,
+        samples = trace_thimble([(2, "+")], default_cartan(4), c_offset=0.4, directions=3, radii=2,
                                 rng=np.random.default_rng(14))
         assert shapes == [(len(samples), 5)]
 
     def test_negative_case_rank_two(self):
         h = default_cartan(2)
-        samples = trace_thimble(1, "-", h, c_offset=0.5, directions=16,
+        samples = trace_thimble([(1, "-")], h, c_offset=0.5, directions=16,
                                 rng=np.random.default_rng(1))
         assert max(s.graph_residual for s in samples) < 1e-6
         assert max(abs(s.f2) for s in samples) < 1e-8
@@ -459,7 +462,7 @@ class TestTraceThimble:
 
     def test_positive_case_mirrored_range(self):
         h = default_cartan(2)
-        samples = trace_thimble(2, "+", h, c_offset=0.5, directions=8,
+        samples = trace_thimble([(2, "+")], h, c_offset=0.5, directions=8,
                                 rng=np.random.default_rng(2))
         f1c = potential(h, critical_points(2)[1]).real
         f1s = [s.f1 for s in samples]
@@ -499,7 +502,7 @@ class TestTraceThimble:
                 f1_c = potential(h, critical_points(n)[j - 1]).real
                 for c_offset in np.geomspace(1e-3, 30.0, 6):
                     level = f1_c - c_offset if s == "-" else f1_c + c_offset
-                    seeds = trace_thimble(j, s, h, c_offset=c_offset, directions=16, rng=rng)
+                    seeds = trace_thimble([(j, s)], h, c_offset=c_offset, directions=16, rng=rng)
                     f1 = seeds.f1
                     assert ((f1 - level) * (f1_c - level) > 0).all()
                     assert ((f1_c - f1) * (f1_c - level) > 0).all()
@@ -508,7 +511,7 @@ class TestTraceThimble:
     def test_seeds_come_first_in_flow_order_inside_the_level(self, j, sign):
         h = default_cartan(2)
         directions, radii = 5, 3
-        samples = trace_thimble(j, sign, h, c_offset=0.5, directions=directions, radii=radii,
+        samples = trace_thimble([(j, sign)], h, c_offset=0.5, directions=directions, radii=radii,
                                 rng=np.random.default_rng(12))
         seeds = samples[: directions * radii]
         f1c = potential(h, critical_points(2)[j - 1]).real
@@ -523,7 +526,7 @@ class TestTraceThimble:
     def test_landed_samples_come_last_in_flow_order_on_the_level(self, j, sign):
         h = default_cartan(2)
         directions, radii = 5, 3
-        samples = trace_thimble(j, sign, h, c_offset=0.5, directions=directions, radii=radii,
+        samples = trace_thimble([(j, sign)], h, c_offset=0.5, directions=directions, radii=radii,
                                 rng=np.random.default_rng(12))
         landed = samples[-directions * radii:]
         f1c = potential(h, critical_points(2)[j - 1]).real
@@ -535,14 +538,14 @@ class TestTraceThimble:
 
     def test_lagrangian_of_traced_thimble(self):
         h = default_cartan(2)
-        samples = trace_thimble(1, "-", h, c_offset=0.5, directions=16,
+        samples = trace_thimble([(1, "-")], h, c_offset=0.5, directions=16,
                                 rng=np.random.default_rng(3))
         assert lagrangian_check(samples.x, m_j_pm(2, 1, "-").m_diag.real) < 1e-5
 
     def test_zero_section_thimble_isotropic(self):
         # rank one: the plain graph is the Hermitian locus, secants exact
         h0 = minimal_cartan(1)
-        samples = trace_thimble(1, "-", h0, c_offset=0.5, directions=8,
+        samples = trace_thimble([(1, "-")], h0, c_offset=0.5, directions=8,
                                 rng=np.random.default_rng(4))
         assert lagrangian_check(samples.x, np.ones(2)) < 1e-6
 
@@ -562,7 +565,7 @@ class TestTraceThimble:
             coeff /= np.linalg.norm(coeff)
             v = sum(c * e for c, e in zip(coeff, frame))
             line = retract(xc.x + 1e-3 * v).line
-            landed, _ = flow_to_level(line[None], h0, g, c_level, 0.02, 4000)
+            landed, _ = flow_to_level(line[None], h0, g.m_diag.real, c_level, 0.02, 4000)
             u = thimble.graph_lines(line, h0, g.m_diag.real, landed[0])
             # geodesic velocity [A, H0] must equal +v, so A solves [A, H0] = v
             direction = -ad_inverse(xc, v)
@@ -578,7 +581,7 @@ class TestTraceThimble:
         frame = graph_tangent_frame(xc, g.m_diag)
         lines = np.array([retract(xc.x + 1e-2 * e).line for e in frame[:2]])
         with pytest.raises(StepSizeError, match="batch index"):
-            flow_to_level(lines, h, g, potential(h, xc).real - 0.5, 50.0, 10)
+            flow_to_level(lines, h, g.m_diag.real, potential(h, xc).real - 0.5, 50.0, 10)
 
     def test_overflowing_step_raises_step_size_error(self):
         # a step of row 1 would move a log-modulus by hundreds, past the float
@@ -597,8 +600,8 @@ class TestTraceThimble:
             with pytest.raises(StepSizeError, match="batch index 1"):
                 advance(np.zeros((3, 2)), _rule(h, g.m_diag.real, -1.0, r0), dt, None, h)
             with pytest.raises(StepSizeError, match="batch index 0"):
-                flow_to_level(r0, h, g, line_height(h, g.m_diag.real, np.eye(n + 1)[0]) - 0.5,
-                              1e3, 10)
+                flow_to_level(r0, h, g.m_diag.real,
+                              line_height(h, g.m_diag.real, np.eye(n + 1)[0]) - 0.5, 1e3, 10)
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_landing_does_not_depend_on_the_batch(self, n):
@@ -611,13 +614,13 @@ class TestTraceThimble:
             steps[0] += 1
             last_step[indices] = steps[0]
 
-        landed, arcs = flow_to_level(lines, h, g, c, step, 4000, visit)
+        landed, arcs = flow_to_level(lines, h, g.m_diag.real, c, step, 4000, visit)
         crossing = last_step + 1
         # some flows cross in the same step as another, and some alone
         counts = np.bincount(crossing)[crossing]
         assert (counts > 1).any() and (counts == 1).any()
         for k in range(len(lines)):
-            alone, arc = flow_to_level(lines[k:k + 1], h, g, c, step, 4000)
+            alone, arc = flow_to_level(lines[k:k + 1], h, g.m_diag.real, c, step, 4000)
             assert np.array_equal(alone[0], landed[k])
             assert np.array_equal(arc[0], arcs[k])
 
@@ -639,10 +642,11 @@ class TestTraceThimble:
             steps[0] += 1
             last_step[indices] = steps[0]
 
-        landed, arcs = flow_to_level(lines, h, g, c, None, 4000, visit, 0.03)
+        landed, arcs = flow_to_level(lines, h, g.m_diag.real, c, None, 4000, visit, 0.03)
         assert len(lines) == 12 and len(set(last_step.tolist())) > 1
         for k in range(len(lines)):
-            alone, arc = flow_to_level(lines[k:k + 1], h, g, c, None, 4000, record_sep=0.03)
+            alone, arc = flow_to_level(lines[k:k + 1], h, g.m_diag.real, c, None, 4000,
+                                       record_sep=0.03)
             assert np.array_equal(alone[0], landed[k])
             assert np.array_equal(arc[0], arcs[k])
 
@@ -652,14 +656,14 @@ class TestTraceThimble:
         step = _hessian_step(h, 1)
         pattern = r"\|f1 - c\| = (\S+) at batch index (\d+)"
         with pytest.raises(GraphIntegrityError, match=pattern) as err:
-            flow_to_level(lines, h, g, c, step, 4000)
+            flow_to_level(lines, h, g.m_diag.real, c, step, 4000)
         miss, k = re.search(pattern, str(err.value)).groups()
         k = int(k)
         assert k < len(lines)
         alone = []
         for i in range(len(lines)):
             with pytest.raises(GraphIntegrityError, match=pattern) as one:
-                flow_to_level(lines[i:i + 1], h, g, c, step, 4000)
+                flow_to_level(lines[i:i + 1], h, g.m_diag.real, c, step, 4000)
             alone.append(re.search(pattern, str(one.value)).group(1))
         # the named flow fails alone with the same miss, the worst of all
         assert alone[k] == miss
@@ -684,7 +688,7 @@ class TestTraceThimble:
 
         monkeypatch.setattr(thimble, "cross_level", counting_cross_level)
         monkeypatch.setattr(thimble, "advance", counting_advance)
-        trace_thimble(1, "-", default_cartan(4), c_offset=0.4, directions=6, radii=3,
+        trace_thimble([(1, "-")], default_cartan(4), c_offset=0.4, directions=6, radii=3,
                       rng=np.random.default_rng(13))
         # advance calls outside the landing are the stepping-loop iterations
         assert calls["cross_level"] == 1
@@ -729,7 +733,7 @@ class TestTraceThimble:
                                                          (8, 1, "-", 0.5, 0.45, 0, 1),
                                                          (4, 3, "+", 0.4, None, 5, 4)):
             calls.update(rate=0, loop=0, newton=0, guarded=0)
-            trace_thimble(j, sign, default_cartan(n), c_offset=offset, directions=16, step=step,
+            trace_thimble([(j, sign)], default_cartan(n), c_offset=offset, directions=16, step=step,
                           rng=np.random.default_rng(seed))
             assert calls["loop"] > 0 and calls["newton"] > 0, calls
             assert (calls["guarded"] > 0) == (step is not None), calls
@@ -742,7 +746,7 @@ class TestTraceThimble:
     @pytest.mark.parametrize("n, j, sign", SCALAR_TWISTS)
     def test_scalar_twists_record_between_one_and_two_record_seps(self, n, j, sign):
         # each step moves the chart point 0.45 record_sep at its starting speed
-        samples = trace_thimble(j, sign, default_cartan(n), c_offset=0.5, directions=8,
+        samples = trace_thimble([(j, sign)], default_cartan(n), c_offset=0.5, directions=8,
                                 rng=np.random.default_rng(0))
         flows = samples[:-8 * 8]  # the landed rows come last
         for f in np.unique(flows.flow_index):
@@ -768,7 +772,7 @@ class TestTraceThimble:
             far = indices[pair_gap(m, r, np.abs(lines[indices])) >= 0.03]
             first[far[first[far] == 0]] = steps[0]
 
-        flow_to_level(lines, h, g, c, None, 4000, visit, 0.03)
+        flow_to_level(lines, h, g.m_diag.real, c, None, 4000, visit, 0.03)
         assert (first > 0).all() and first.max() <= 8, first
 
     def test_a_flow_at_rest_keeps_the_guard_step(self):
@@ -778,7 +782,8 @@ class TestTraceThimble:
         c = line_height(h, 1.0, np.eye(3)[0]) - 0.5
         with pytest.raises(GraphIntegrityError, match="1 flows failed to reach the level in 5 "
                                                       r"steps: \|f1 - c\| = 5\.000e-01"):
-            flow_to_level(np.eye(3, dtype=complex)[:1], h, g, c, None, 5, record_sep=0.03)
+            flow_to_level(np.eye(3, dtype=complex)[:1], h, g.m_diag.real, c, None, 5,
+                          record_sep=0.03)
 
     @pytest.mark.parametrize("n, j, sign", SCALAR_TWISTS)
     def test_scalar_twists_take_at_most_half_the_steps_of_the_fixed_grid(self, n, j, sign,
@@ -792,7 +797,7 @@ class TestTraceThimble:
     def test_fixed_grids_record_at_multiples_of_the_step(self, n, j, sign, step):
         # any twist at an explicit step
         h = default_cartan(n)
-        samples = trace_thimble(j, sign, h, c_offset=0.4, directions=4, step=step,
+        samples = trace_thimble([(j, sign)], h, c_offset=0.4, directions=4, step=step,
                                 rng=np.random.default_rng(1))
         arcs = samples.arc[:-4 * 8]  # the landed rows come last
         assert (arcs > 0).any()
@@ -801,9 +806,10 @@ class TestTraceThimble:
     @pytest.mark.parametrize("n", [2, 8])
     def test_chart_steps_do_not_depend_on_the_batch(self, n):
         h, g, lines, c = _graph_seed_stack(n)
-        landed, arcs = flow_to_level(lines, h, g, c, None, 4000, record_sep=0.03)
+        landed, arcs = flow_to_level(lines, h, g.m_diag.real, c, None, 4000, record_sep=0.03)
         for k in range(0, len(lines), 5):
-            alone, arc = flow_to_level(lines[k:k + 1], h, g, c, None, 4000, record_sep=0.03)
+            alone, arc = flow_to_level(lines[k:k + 1], h, g.m_diag.real, c, None, 4000,
+                                       record_sep=0.03)
             assert np.array_equal(alone[0], landed[k]) and np.array_equal(arc[0], arcs[k])
 
     def test_landing_steps_stay_inside_the_guard(self, monkeypatch):
@@ -819,7 +825,7 @@ class TestTraceThimble:
             return out
 
         monkeypatch.setattr(thimble, "rk4_step", recording)
-        samples = trace_thimble(1, "-", h, c_offset=0.5, directions=16, step=0.45,
+        samples = trace_thimble([(1, "-")], h, c_offset=0.5, directions=16, step=0.45,
                                 rng=np.random.default_rng(0))
         assert max(sizes) > DRIFT_LIMIT
         level = line_height(h, 1.0, np.eye(9)[0]) - 0.5
@@ -833,7 +839,7 @@ class TestTraceThimble:
         # is u(t) ~ u_seed exp(orient t h / d) in closed form, which RK4 on
         # the log-moduli meets at any step
         h = default_cartan(n)
-        samples = trace_thimble(j, sign, h, c_offset=0.5, directions=8,
+        samples = trace_thimble([(j, sign)], h, c_offset=0.5, directions=8,
                                 rng=np.random.default_rng(0))
         seeds = {s.flow_index: s.line for s in samples if s.arc == 0.0}
         orient = 1.0 if sign == "+" else -1.0
@@ -851,7 +857,7 @@ class TestTraceThimble:
         n = 4
         h = default_cartan(n)
         m = m_j_pm(n, 3, "+").m_diag.real
-        samples = trace_thimble(3, "+", h, c_offset=0.4, directions=8,
+        samples = trace_thimble([(3, "+")], h, c_offset=0.4, directions=8,
                                 rng=np.random.default_rng(0))
         seeds = {s.flow_index: s.line for s in samples if s.arc == 0.0}
         basis = np.stack([h * m, m, np.ones(n + 1)], axis=1)
@@ -864,7 +870,7 @@ class TestTraceThimble:
 
     def test_lagrangian_check_on_single_flow_line(self):
         h = default_cartan(2)
-        samples = trace_thimble(1, "-", h, c_offset=0.4, directions=1, radii=1,
+        samples = trace_thimble([(1, "-")], h, c_offset=0.4, directions=1, radii=1,
                                 rng=np.random.default_rng(6))
         line = samples.x[samples.flow_index == 0]
         assert len(line) >= 3
@@ -873,7 +879,7 @@ class TestTraceThimble:
     def test_lagrangian_check_rejects_a_cloud_of_rounding(self):
         # copies of one sample a few ulps apart leave only rounding secants
         h = default_cartan(2)
-        x = trace_thimble(1, "-", h, c_offset=0.4, directions=1, radii=1,
+        x = trace_thimble([(1, "-")], h, c_offset=0.4, directions=1, radii=1,
                           rng=np.random.default_rng(6)).x[-1]
         eps = np.finfo(float).eps
         copies = x * (1.0 + np.arange(5) * eps)[:, None, None]
@@ -882,7 +888,7 @@ class TestTraceThimble:
 
     def test_json_and_csv_dumps(self):
         h = default_cartan(2)
-        samples = trace_thimble(1, "-", h, c_offset=0.3, directions=2, radii=2,
+        samples = trace_thimble([(1, "-")], h, c_offset=0.3, directions=2, radii=2,
                                 rng=np.random.default_rng(8))
         twist = m_j_pm(2, 1, "-").m_diag.real
         blob = json.loads(thimble_json(samples, {"j": 1, "sign": "-"}, twist))
@@ -906,7 +912,7 @@ class TestTraceThimble:
         # the sample and the key; meta keeps integers of any size
         import orjson
 
-        samples = trace_thimble(j, sign, default_cartan(n), c_offset=0.4, directions=3, radii=2,
+        samples = trace_thimble([(j, sign)], default_cartan(n), c_offset=0.4, directions=3, radii=2,
                                 rng=np.random.default_rng(4))
         twist = m_j_pm(n, j, sign).m_diag.real
         meta = {"config": {"n": n, "seed": 2**64}, "x": [0.1, 2]}
@@ -937,7 +943,7 @@ class TestTraceThimble:
         # m_1^- at n = 2 (m = 1), the mixed m_3^+ at n = 4 and m_4^+ at
         # n = 3 (m = -1): each record's line and the file's twist give back
         # the traced chart point bit for bit
-        samples = trace_thimble(j, sign, default_cartan(n), c_offset=0.4, directions=4, radii=3,
+        samples = trace_thimble([(j, sign)], default_cartan(n), c_offset=0.4, directions=4, radii=3,
                                 rng=np.random.default_rng(9))
         blob = json.loads(thimble_json(samples, {}, m_j_pm(n, j, sign).m_diag.real))
         back = np.array([OrbitPoint.from_json(rec, blob["meta"]["twist"]).x
@@ -947,7 +953,7 @@ class TestTraceThimble:
     def test_trace_is_one_record_per_sample(self):
         # the contract a caller counts through: len() and .flow_index of rows
         directions, radii = 3, 2
-        samples = trace_thimble(1, "-", default_cartan(2), c_offset=0.4, directions=directions,
+        samples = trace_thimble([(1, "-")], default_cartan(2), c_offset=0.4, directions=directions,
                                 radii=radii, rng=np.random.default_rng(15))
         assert isinstance(samples, np.recarray)
         assert len(samples) == len(samples.f1) > directions * radii
@@ -959,7 +965,7 @@ class TestTraceThimble:
         rng = np.random.default_rng(10)
         for j in (1, 2, 3, 4, 5):
             for s in ("+", "-"):
-                samples = trace_thimble(j, s, h, c_offset=0.4, directions=4,
+                samples = trace_thimble([(j, s)], h, c_offset=0.4, directions=4,
                                         radii=3, rng=rng)
                 assert max(x.graph_residual for x in samples) < 1e-6
                 assert max(abs(x.f2) for x in samples) < 1e-8
@@ -968,7 +974,7 @@ class TestTraceThimble:
     def test_integrity_error_reports_worst_sample(self):
         h = default_cartan(2)
         with pytest.raises(GraphIntegrityError, match="residual"):
-            trace_thimble(1, "-", h, c_offset=0.3, directions=2, radii=2,
+            trace_thimble([(1, "-")], h, c_offset=0.3, directions=2, radii=2,
                           rng=np.random.default_rng(11), residual_limit=0.0)
 
     @pytest.mark.parametrize("name", ["graph_membership", "potential"])
@@ -985,7 +991,7 @@ class TestTraceThimble:
         monkeypatch.setattr(thimble, name, planting)
         want = r"residual nan at seed 2," if name == "graph_membership" else r"at seed 2, f1=nan"
         with pytest.raises(GraphIntegrityError, match=want):
-            trace_thimble(1, "-", default_cartan(2), c_offset=0.3, directions=3, radii=2,
+            trace_thimble([(1, "-")], default_cartan(2), c_offset=0.3, directions=3, radii=2,
                           rng=np.random.default_rng(11))
 
 
@@ -1015,7 +1021,7 @@ class TestTwoScalarRule:
         for j, s in twists(n):
             lines, m, c = _twist_seeds(n, j, s, h, rng, [1e-3, 0.5])
             step = _hessian_step(h, j)
-            landed, _ = flow_to_level(lines, h, m_j_pm(n, j, s), c, step, 4000)
+            landed, _ = flow_to_level(lines, h, m_j_pm(n, j, s).m_diag.real, c, step, 4000)
             want = phi_landing(np.abs(lines), h, m, c, step)
             gap = pair_gap(m, thimble.graph_lines(np.abs(lines), h, m, landed), want)
             assert gap.max() < 1e-11, (j, s, gap.max())
@@ -1053,8 +1059,8 @@ class TestTwoScalarRule:
             if not np.ptp(g.m_diag.real):
                 continue
             lines, m, c = _twist_seeds(n, j, s, h, rng, [1e-3, 0.1, 1.0])
-            landed, _ = flow_to_level(lines, h, g, c, None, 4000, record_sep=0.03)
-            fine, _ = flow_to_level(lines, h, g, c, _hessian_step(h, j) / 20, 4000)
+            landed, _ = flow_to_level(lines, h, g.m_diag.real, c, None, 4000, record_sep=0.03)
+            fine, _ = flow_to_level(lines, h, g.m_diag.real, c, _hessian_step(h, j) / 20, 4000)
             gap = pair_gap(m, *(thimble.graph_lines(lines, h, m, a) for a in (landed, fine)))
             assert gap.max() < 1e-8, (j, s, gap.max())
             loops = [_loop_advances(monkeypatch, j, s, h, step)
@@ -1072,14 +1078,81 @@ class TestTwoScalarRule:
         pattern = (r"(\d+) flows failed to reach the level in 3 steps: "
                    r"\|f1 - c\| = (\S+) at batch index (\d+)")
         with pytest.raises(GraphIntegrityError, match=pattern) as err:
-            flow_to_level(lines, h, g, c, step, 3, visit)
+            flow_to_level(lines, h, g.m_diag.real, c, step, 3, visit)
         count, worst, k = re.search(pattern, str(err.value)).groups()
         assert int(count) == len(miss) == len(lines)
         assert int(k) == max(miss, key=miss.get) and worst == f"{miss[int(k)]:.3e}"
         # the named flow fails alone with the same miss
         with pytest.raises(GraphIntegrityError, match=pattern) as one:
-            flow_to_level(lines[int(k):int(k) + 1], h, g, c, step, 3)
+            flow_to_level(lines[int(k):int(k) + 1], h, g.m_diag.real, c, step, 3)
         assert re.search(pattern, str(one.value)).groups() == ("1", worst, "0")
+
+
+class TestRowTwists:
+    """m and the level are row data: one stack of flows may mix twists and
+    levels, and each row flows bit for bit as it does alone."""
+
+    # a mixed-sign and a scalar twist at odd and even n: m_2^+ and m_4^+ (m =
+    # -1) at n = 3, m_1^- (m = 1) and m_3^+ at n = 4
+    STACKS = [(3, [(2, "+"), (4, "+")]), (4, [(1, "-"), (3, "+")])]
+
+    @pytest.mark.parametrize("n, stack", STACKS)
+    @pytest.mark.parametrize("explicit", (False, True))
+    def test_each_twist_of_a_stack_traces_as_alone(self, n, stack, explicit):
+        h = default_cartan(n)
+        directions, radii = 4, 3
+        step = min(_hessian_step(h, j) for j, _ in stack) if explicit else None
+        kwargs = dict(c_offset=0.4, directions=directions, radii=radii, step=step)
+        stacked = trace_thimble(stack, h, rng=np.random.default_rng(7), **kwargs)
+        rng = np.random.default_rng(7)  # the same draws, twist by twist in list order
+        alone = [trace_thimble([twist], h, rng=rng, **kwargs) for twist in stack]
+        assert stacked.dtype.names == alone[0].dtype.names
+        assert len(stacked) == sum(len(a) for a in alone)
+        for t, one in enumerate(alone):
+            block = stacked[stacked.twist == t]
+            offset = t * directions * radii
+            for name in stacked.dtype.names:
+                want = {"twist": one.twist + t, "flow_index": one.flow_index + offset,
+                        "seed_index": one.seed_index + offset // radii}.get(name, one[name])
+                assert np.array_equal(block[name], want), (t, name)
+            assert (one.twist == 0).all()
+
+    def test_each_row_lands_on_its_own_level(self):
+        # one level per row of one twist, and per row of a stack of two twists
+        n = 4
+        h = default_cartan(n)
+        rng = np.random.default_rng(21)
+        lines, m, c = _twist_seeds(n, 3, "+", h, rng, [1e-3, 0.5])
+        more, m_more, c_more = _twist_seeds(n, 1, "-", h, rng, [1e-3, 0.5])
+        lines, m = np.concatenate([lines, more]), np.stack([m] * 6 + [m_more] * 6)
+        c = np.concatenate([c + np.linspace(0.0, 0.3, 6), c_more - np.linspace(0.0, 0.3, 6)])
+        for step in (None, 0.05):
+            landed, arcs = flow_to_level(lines, h, m, c, step, 4000, record_sep=0.03)
+            heights = line_height(h, m, thimble.graph_lines(np.abs(lines), h, m, landed))
+            assert np.abs(heights - c).max() <= 1e-9
+            for k in range(len(lines)):
+                alone, arc = flow_to_level(lines[k:k + 1], h, m[k], c[k], step, 4000,
+                                           record_sep=0.03)
+                assert np.array_equal(alone[0], landed[k]) and arc[0] == arcs[k], (step, k)
+
+    def test_advance_names_the_limit_of_the_failing_row(self):
+        # rows 0 and 1 move by more than 0.5 and row 2 by more than 1e-3; the
+        # error names the first row past its own limit, and that limit
+        from orbitflow.errors import StepSizeError
+
+        n = 2
+        h = default_cartan(n)
+        m = m_j_pm(n, 1, "-").m_diag.real
+        r0 = np.abs(thimble.seed_lines(1, n + 1, np.eye(2 * n)[:3], [0.1]))
+        dt = np.array([[1.0], [1.0], [0.01]])
+        rule = _rule(h, m, -1.0, r0)
+        _, size = thimble.rk4_step(np.zeros((3, 2)), rule, dt, None, h)
+        assert size[1] > 0.5 and 1e-3 < size[2] < 0.5
+        with pytest.raises(StepSizeError, match=r"exceeds 0\.5 \(batch index 1\)"):
+            advance(np.zeros((3, 2)), rule, dt, None, h, np.array([np.inf, 0.5, np.inf]))
+        with pytest.raises(StepSizeError, match=r"exceeds 0\.001 \(batch index 2\)"):
+            advance(np.zeros((3, 2)), rule, dt, None, h, np.array([np.inf, np.inf, 1e-3]))
+
 
 # the thimble command's three configurations: m_1^- at n = 8, the mixed-sign
 # m_3^+ at n = 4 and m_4^+ at n = 3, where m = -1
@@ -1088,8 +1161,8 @@ COMMAND_TRACES = [(8, 1, "-", 0.5, 16), (4, 3, "+", 0.4, 8), (3, 4, "+", 0.5, 8)
 
 @functools.lru_cache(maxsize=None)
 def _command_trace(n, j, sign, c_offset, directions):
-    samples = trace_thimble(j, sign, default_cartan(n), c_offset=c_offset, directions=directions,
-                            rng=np.random.default_rng(0))
+    samples = trace_thimble([(j, sign)], default_cartan(n), c_offset=c_offset,
+                            directions=directions, rng=np.random.default_rng(0))
     return samples, m_j_pm(n, j, sign).m_diag.real
 
 

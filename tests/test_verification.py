@@ -7,10 +7,11 @@ flows whose height turns."""
 import numpy as np
 import pytest
 
-from orbitflow import graphs, thimble, verification
+from orbitflow import flow, graphs, thimble, verification
 from orbitflow.cli import RunConfig
 from orbitflow.errors import StepSizeError
 from orbitflow.liecore import RootSystemAn, default_cartan
+from orbitflow.orbit import critical_points
 from orbitflow.util import realify
 
 
@@ -20,7 +21,9 @@ def failing(suite, n):
 
 
 def measure_splitting(n):
-    return verification.stable_unstable_measure(RunConfig(n=n), np.random.default_rng(0))
+    cfg = RunConfig(n=n)
+    spectra = [flow.linearize(pt, cfg.h) for pt in critical_points(n)]
+    return verification.stable_unstable_measure(cfg, np.random.default_rng(0), spectra)
 
 
 @pytest.fixture
@@ -69,7 +72,7 @@ class TestFlippedZSign:
             measure_splitting(n)
 
     def test_flag_flow_leaves_the_double_bracket_solution(self, monkeypatch):
-        monkeypatch.setattr(verification, "stable_unstable_measure", lambda cfg, rng: 0.0)
+        monkeypatch.setattr(verification, "stable_unstable_measure", lambda cfg, rng, spectra: 0.0)
         assert failing(verification.flow_suite, 2) == {"flag-flow-matches-double-bracket-solution"}
 
     def test_thimble_rows_do_not_return(self):
@@ -135,7 +138,7 @@ def test_unit_determinant_check_reads_every_odd_rank(n, from_rank, monkeypatch):
 
 def trace(n, seed=0):
     """A thimble trace of the size ``thimble_suite`` draws, of m_1^-."""
-    return thimble.trace_thimble(1, "-", default_cartan(n), c_offset=0.4, directions=12,
+    return thimble.trace_thimble([(1, "-")], default_cartan(n), c_offset=0.4, directions=12,
                                  radii=4, rng=np.random.default_rng(seed))
 
 
@@ -164,6 +167,23 @@ class TestTopologyProxy:
         assert len(rows) >= 3
         samples.f1[rows[len(rows) // 2]] = samples.f1[rows].min() - 1.0
         assert verification._topology_proxy(samples) == 1.0
+
+    def test_one_twist_of_a_stack_reads_as_its_trace_alone(self):
+        # at record_sep 0.3 the flow indices of the last twists' blocks exceed
+        # the blocks' lengths; each block reads as its twist traced alone
+        twists, h = graphs.twists(2), default_cartan(2)
+        kwargs = dict(c_offset=0.4, directions=12, radii=4, record_sep=0.3)
+        stacked = thimble.trace_thimble(twists, h, rng=np.random.default_rng(0), **kwargs)
+        rng = np.random.default_rng(0)
+        for t, twist in enumerate(twists):
+            block = stacked[stacked.twist == t]
+            alone = thimble.trace_thimble([twist], h, rng=rng, **kwargs)
+            assert t < 3 or block.flow_index.max() >= len(block)
+            assert verification._topology_proxy(block) == verification._topology_proxy(alone) == 0.0
+            rows = np.flatnonzero(block.flow_index == np.bincount(block.flow_index).argmax())
+            assert len(rows) >= 3
+            block.f1[rows[np.argsort(block.arc[rows])][len(rows) // 2]] -= 1.0
+            assert verification._topology_proxy(block) == 1.0
 
     @pytest.mark.parametrize("n", (2, 6))
     @pytest.mark.parametrize("planted", (False, True))
@@ -196,3 +216,16 @@ def test_realified_root_directions_have_gram_weyl_scale_squared(n):
     gram = flat @ flat.T
     assert np.array_equal(gram, rs.weyl_scale ** 2 * np.eye(len(flat)))
     np.testing.assert_allclose(np.diag(gram), 1.0 / (2 * (n + 1)), rtol=1e-15)
+
+
+def test_each_piece_is_built_once(monkeypatch):
+    # thimble_suite traces every twist in one call, and flow_suite, with
+    # stable_unstable_measure, linearizes each critical point once
+    n, calls = 4, []
+    trace, linearize = thimble.trace_thimble, flow.linearize
+    monkeypatch.setattr(thimble, "trace_thimble",
+                        lambda *args, **kwargs: calls.append("trace") or trace(*args, **kwargs))
+    monkeypatch.setattr(flow, "linearize",
+                        lambda *args: calls.append("linearize") or linearize(*args))
+    assert failing(verification.thimble_suite, n) == set() and calls.count("trace") == 1
+    assert failing(verification.flow_suite, n) == set() and calls.count("linearize") == n + 1
