@@ -60,6 +60,8 @@ class RunConfig:
         self.h = np.asarray(self.h, dtype=float)
         if len(self.h) != self.n + 1:
             raise ConfigError(f"H has {len(self.h)} entries, expected {self.n + 1}")
+        if not np.isfinite(self.h).all():
+            raise ConfigError(f"H has entries that are not finite: {self.h.tolist()}")
         if abs(self.h.sum()) > 1e-12:
             raise ConfigError(f"H must sum to zero, got {self.h.sum():.3e}")
         for i in range(self.n + 1):
@@ -82,15 +84,15 @@ class RunConfig:
         for name in ("directions", "steps"):
             if name in knobs and getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
-        for name in ("c_offset", "step_size"):
-            value = getattr(self, name)
-            if name in knobs and value is not None and not value > 0:
-                raise ConfigError(f"{name} must be positive, got {value}")
         reads = TOLERANCES.get(self.command, ())
         unknown = sorted(set(self.tolerances) - set(reads))
         if unknown:
             raise ConfigError(f"{unknown[0]} is an unknown tolerance for the {self.command} "
                               f"command, which reads {', '.join(reads) or 'none'}")
+        scales = {name: getattr(self, name) for name in ("c_offset", "step_size") if name in knobs}
+        for name, value in {**scales, **self.tolerances}.items():
+            if value is not None and not 0 < value < np.inf:
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
         self.tolerances = {**{key: DEFAULT_TOLERANCES[key] for key in reads}, **self.tolerances}
 
     def as_dict(self):

@@ -85,9 +85,10 @@ def flag_sample(n, count, radius, rng):
 def vanishing_sphere(h, c, count, rng):
     """Sample the level f1 = c of the flag, the graph of m_1^- = 1, below
     its maximum [e_1]: the landed ends of ``count`` flows of its thimble
-    (``trace_thimble([(1, "-")], ...)``, one seed radius), in flow order, with
-    normal = line.  Raises ValueError when count < 1, and LevelRangeError
-    unless f1 peaks at [e_1] and c lies between its two largest values."""
+    (``trace_thimble([(1, "-")], ...)``, one seed radius), in flow order,
+    as the points of the pairs (u, u) of their unit lines u.  Raises
+    ValueError when count < 1, and LevelRangeError unless f1 peaks at [e_1]
+    and c lies between its two largest values."""
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     values = line_height(np.asarray(h, dtype=float), 1.0, np.eye(len(h)))
@@ -98,4 +99,4 @@ def vanishing_sphere(h, c, count, rng):
         raise LevelRangeError(f"level {c} outside the attracting range ({second}, {top})")
     landed = trace_thimble([(1, "-")], h, top - c, count, radii=1, rng=rng,
                            record_sep=np.inf)[-count:]
-    return [OrbitPoint(x=x, line=u, normal=u) for u, x in zip(landed.line, landed.x)]
+    return [OrbitPoint(u, u) for u in landed.line]

@@ -149,7 +149,8 @@ def default_step(n, h):
 @dataclass(frozen=True)
 class Trajectory:
     """A flow of B pairs over T steps: ``times`` (T,), per step and row the unit
-    ``lines`` and ``normals`` (T, B, d) and |Z| ``z_norms`` (T, B), NaN where no
+    ``lines`` and ``normals`` (T, B, d), views of one record of unit pairs
+    (T, B, 2, d), and |Z| ``z_norms`` (T, B), NaN where no
     row could freeze (conv_tol <= 0), and, assembled on first use, the chart
     ``points`` (T, B, d, d) and f_H ``potentials`` (T, B).  A frozen row repeats
     its last entry.  ``steps`` (B,) counts the steps of each row, and
@@ -183,8 +184,9 @@ def integrate(pairs, h, direction="forward", step=None, max_steps=10000, conv_to
     scales the line, so a stack with no mixed-twist graph row evaluates the Z rule
     once per step.  A row freezes once its |Z|,
     ``orbit.z_norm``, drops below conv_tol; the flow stops when every row has, or
-    after max_steps.  Every kernel reduces row by row, so a row flows bit for bit
-    as it does alone."""
+    after max_steps.  Each step's pairs are recorded once, as unit pairs, and
+    stacked once at the end.  Every kernel reduces row by row, so a row flows bit
+    for bit as it does alone."""
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
     sign = 1.0 if direction == "forward" else -1.0
@@ -198,11 +200,12 @@ def integrate(pairs, h, direction="forward", step=None, max_steps=10000, conv_to
     pairs[on_graph, 1] = m[on_graph] * u0[on_graph]  # every recorded normal is m u
     state, r0, weights = np.zeros((len(pairs), 2)), np.abs(u0), thimble._weights(h, m)
 
-    record = [pairs.copy()]
-    zn, z_norms = np.full(len(pairs), np.nan), []  # |Z| only of rows that can still freeze
+    record, z_norms = [], []  # per step, the unit pairs and |Z|
+    zn = np.full(len(pairs), np.nan)  # |Z| only of rows that can still freeze
     active = np.ones(len(pairs), dtype=bool)
     steps = np.zeros(len(pairs), dtype=int)
     while True:
+        record.append(pairs / np.linalg.norm(pairs, axis=-1, keepdims=True))
         if conv_tol > 0:
             zn[active] = z_norm(pairs[active], h)
             active &= ~(zn < conv_tol)
@@ -218,12 +221,10 @@ def integrate(pairs, h, direction="forward", step=None, max_steps=10000, conv_to
         line = thimble.graph_lines(u0[graph], h, m[graph], state[graph])
         pairs[graph] = np.stack([line, m[graph] * line], axis=1)
         steps[active] += 1
-        record.append(pairs.copy())
     record = np.array(record)
-    unit = record / np.linalg.norm(record, axis=-1, keepdims=True)
     times = np.cumsum([0.0] + [dt] * (len(record) - 1))  # t += dt, step by step
-    limit = np.where(zn < conv_tol, np.argmax(np.abs(unit[-1, :, 0]), axis=-1) + 1, 0)
-    return Trajectory(times, unit[..., 0, :], unit[..., 1, :], np.array(z_norms), steps, limit, h)
+    limit = np.where(zn < conv_tol, np.argmax(np.abs(record[-1, :, 0]), axis=-1) + 1, 0)
+    return Trajectory(times, record[..., 0, :], record[..., 1, :], np.array(z_norms), steps, limit, h)
 
 
 def trajectory_csv(traj):

@@ -257,12 +257,12 @@ def hessian_report_csv(reports, h):
     return buf.getvalue()
 
 
-def _transversal_unit(rng, weights, reject=REJECT_TOL):
-    """Random unit vector u with |(u, Du)| above the rejection threshold."""
+def _transversal_unit(rng, weights):
+    """Random unit vector u with |(u, Du)| at least REJECT_TOL."""
     d = len(weights)
     for _ in range(200):
         u = random_unit_vector(rng, d)
-        if abs(np.vdot(weights * u, u)) >= reject:
+        if abs(np.vdot(weights * u, u)) >= REJECT_TOL:
             return u
     raise SamplingError("no transversal sample within the retry budget")
 
@@ -282,13 +282,13 @@ def _measure_imag(u, twist_diag, h):
     return float(abs(f.imag)), float(np.abs(np.diag(x).imag).max())
 
 
-def reality_check(diag, h, samples, rng, reject=REJECT_TOL):
+def reality_check(diag, h, samples, rng):
     """Maximal |Im f_H| and |Im diag| over random points of the graph of an
     invertible diagonal twist D, the chart points Phi([u], (D u)^perp).
 
     For the sign involutions and for real D both are zero in exact
     arithmetic; the return value measures the numerical defect.  Samples
-    with |(u, D u)| / max |D_i| below ``reject`` are redrawn.
+    with |(u, D u)| / max |D_i| below REJECT_TOL are redrawn.
     """
     diag = np.asarray(diag, dtype=complex)
     if np.abs(diag).min() < 1e-12:
@@ -297,7 +297,7 @@ def reality_check(diag, h, samples, rng, reject=REJECT_TOL):
     max_im_f = 0.0
     max_im_diag = 0.0
     for _ in range(samples):
-        u = _transversal_unit(rng, weights, reject)
+        u = _transversal_unit(rng, weights)
         im_f, im_diag = _measure_imag(u, diag, h)
         max_im_f = max(max_im_f, im_f)
         max_im_diag = max(max_im_diag, im_diag)

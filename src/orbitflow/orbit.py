@@ -16,22 +16,23 @@ input, extended precision included:
   ``pair_of`` returns it for an OrbitPoint or stacked matrices;
 * ``assemble`` is the formula above and ``pair_tangent`` its derivative;
 * ``complement`` is an orthonormal basis of the hyperplane of a normal;
-* ``project_pair`` is the rank-two closed-form projection onto the tangent
-  space im ad(x) = {u b^H : b ⊥ u} + {c v^H : c ⊥ v}, and ``invert_pair``
+* ``tangent_project`` is the rank-two closed-form projection onto the tangent
+  space im ad(x) = {u b^H : b ⊥ u} + {c v^H : c ⊥ v}, and ``invert_at``
   the minimum-norm inverse of ad(x), the same form at the pair (v, u);
   both run one kernel (``_project_rows``) on the pair's frame, the constants
-  conj u, conj v, s = v^H u, conj s and 2 - |s|^2 (``_frame``);
+  conj u, conj v, s = v^H u, conj s and 2 - |s|^2 (``_frame``), and take an
+  OrbitPoint, a (line, normal) tuple or a stack of matrices;
 * ``lax_velocity`` is the pair velocity of Z, and ``z_norm`` the length of Z.
 
-Everything else here is a view over these nine; ``tangent_project``,
-``invert_at`` and ``potential`` take an OrbitPoint or a stack of matrices.
-An OrbitPoint caches its frame (``OrbitPoint.frame``); a stack of matrices
-builds one per call.  ``advance``, the
-one stepper and its guard, moves stacks of pairs (batch, 2, d) by velocities
-such as ``lax_velocity``, or the two scalars (s, B) of graph lines
-u0 e^{m (h s - B)} (``thimble.flow_to_level``, ``flow.integrate``).  Samplers
-build pairs; only the snaps (``retract``, ``split_eigen``), for matrices from
-outside the library, assemble a split and measure how far that moves x.
+Everything else here is a view over these nine; ``potential`` also takes an
+OrbitPoint or a stack of matrices.  An OrbitPoint holds its pair alone and
+derives its matrix ``x`` and its frame on first use; a tuple or a stack of
+matrices builds its frame per call.  ``advance``, the one stepper and its
+guard, moves stacks of pairs (batch, 2, d) by velocities such as
+``lax_velocity``, or the two scalars (s, B) of graph lines u0 e^{m (h s - B)}
+(``thimble.flow_to_level``, ``flow.integrate``).  Samplers build pairs; only
+the snaps (``retract``, ``split_eigen``), for matrices from outside the
+library, assemble a split and measure how far that moves x.
 """
 
 from dataclasses import dataclass
@@ -117,13 +118,13 @@ def assemble(u, v):
 
 
 def _snap(xs):
-    """Pair of near-orbit matrices, its chart points, and how far the chart
-    moves the matrices in Frobenius norm: zero up to rounding on the orbit
-    and first order in the distance off it."""
+    """Pair of near-orbit matrices and how far its chart point moves the
+    matrices in Frobenius norm: zero up to rounding on the orbit and first
+    order in the distance off it."""
     xs = np.asarray(xs)
     u, v = split(xs)
     ys = assemble(u, v)
-    return u, v, ys, np.sqrt((np.abs(ys - xs) ** 2).sum(axis=(-2, -1)))
+    return u, v, np.sqrt((np.abs(ys - xs) ** 2).sum(axis=(-2, -1)))
 
 
 def pair_tangent(u, v, du, dv):
@@ -170,7 +171,7 @@ def _frame_of(x):
 
 
 def _project_rows(frame, r, c):
-    """``project_pair`` at a frame of (u, v) of the m with u^H m = r and m v = c."""
+    """``tangent_project`` at a frame of (u, v) of the m with u^H m = r and m v = c."""
     u, v, u_c, v_c, s, s_c, g = frame
     a_uv = (r * v).sum(axis=-1, keepdims=True)
     k = ((r * u + v_c * c).sum(axis=-1, keepdims=True) - s * a_uv) / g
@@ -178,15 +179,10 @@ def _project_rows(frame, r, c):
     return u[..., :, None] * row[..., None, :] + (c - k * v)[..., :, None] * v_c[..., None, :]
 
 
-def _project(frame, m):
-    v, u_c = frame[1], frame[2]
-    return _project_rows(frame, (m.swapaxes(-1, -2) @ u_c[..., None])[..., 0],
-                         (m @ v[..., None])[..., 0])
-
-
-def project_pair(u, v, m):
-    """Hermitian-orthogonal projection of m onto {u b^H : b ⊥ u} + {c v^H : c ⊥ v},
-    the tangent space im ad(x) at the chart point x of unit u, v.
+def tangent_project(x, m):
+    """Hermitian-orthogonal projection of one matrix m or a stack onto im ad(x) =
+    {u b^H : b ⊥ u} + {c v^H : c ⊥ v}, at an OrbitPoint or a (line, normal)
+    tuple of unit u, v, or at each of stacked orbit matrices.
 
     With s = v^H u, P_w = I - w w^H and N = u u^H + v v^H - conj(s) u v^H,
     the complement ker ad(x^H) is {P_u m P_v} + C N and |N|^2 = 2 - |s|^2, so
@@ -197,7 +193,32 @@ def project_pair(u, v, m):
     products, with no division by |s|.  Each per-matrix scalar is a (..., 1)
     array, not 0-d, so a stack of m gives each matrix bit for bit what it gives alone.
     """
-    return _project(_frame(u, v), m)
+    frame, m = _frame_of(x), np.asarray(m, dtype=complex)
+    return _project_rows(frame, (m.swapaxes(-1, -2) @ frame[2][..., None])[..., 0],
+                         (m @ frame[1][..., None])[..., 0])
+
+
+def invert_at(x, m):
+    """Minimum-norm w with [x, w] = m, and the part of m outside im ad(x),
+    which [x, w] misses, for one matrix m or a stack at an OrbitPoint or a
+    (line, normal) tuple, or at each of stacked orbit matrices.
+
+    With s = v^H u, P = u v^H / s and x = (n+1) P - I, the rank-two
+    w0 = [P, m] / (n+1) = (u (v^H m) - (m u) v^H) / (s (n+1)) solves the
+    equation on im ad(x), where [P, [P, m]] = m.  The kernel of ad(x) is
+    orthogonal to im ad(x^H), the tangent space of the swapped pair (v, u),
+    so ``tangent_project`` there of w0, from the vectors v^H w0 and w0 u, is the
+    minimum-norm solution, with scalars kept as (..., 1) arrays.  The missed
+    part is P m P + (I - P) m (I - P) = m - u (v^H m / s - 2 (v^H m u / s^2) v^H)
+    - (m u / s) v^H.
+    """
+    u, v, u_c, v_c, s, s_c, g = _frame_of(x)
+    d = u.shape[-1]
+    mu, vm = (m @ u[..., None])[..., 0], (m.swapaxes(-1, -2) @ v_c[..., None])[..., 0]
+    vmu = (vm * u).sum(axis=-1, keepdims=True) / s
+    w = _project_rows((v, u, v_c, u_c, s_c, s, g), (vm - vmu * v_c) / d, (vmu * u - mu) / d)
+    return w, (m - u[..., :, None] * ((vm - 2.0 * vmu * v_c) / s)[..., None, :]
+               - (mu / s)[..., :, None] * v_c[..., None, :])
 
 
 def lax_velocity(pairs, h):
@@ -266,53 +287,19 @@ def chart(pairs):
     return u, v, assemble(u, v)
 
 
-def _invert(frame, m):
-    u, v, u_c, v_c, s, s_c, g = frame
-    d = u.shape[-1]
-    mu, vm = (m @ u[..., None])[..., 0], (m.swapaxes(-1, -2) @ v_c[..., None])[..., 0]
-    vmu = (vm * u).sum(axis=-1, keepdims=True) / s
-    w = _project_rows((v, u, v_c, u_c, s_c, s, g), (vm - vmu * v_c) / d, (vmu * u - mu) / d)
-    return w, (m - u[..., :, None] * ((vm - 2.0 * vmu * v_c) / s)[..., None, :]
-               - (mu / s)[..., :, None] * v_c[..., None, :])
-
-
-def invert_pair(u, v, m):
-    """Minimum-norm w with [x, w] = m at the chart point x of (u, v), and
-    the part of m outside im ad(x), which [x, w] misses.
-
-    With s = v^H u, P = u v^H / s and x = (n+1) P - I, the rank-two
-    w0 = [P, m] / (n+1) = (u (v^H m) - (m u) v^H) / (s (n+1)) solves the
-    equation on im ad(x), where [P, [P, m]] = m.  The kernel of ad(x) is
-    orthogonal to im ad(x^H), the tangent space of the swapped pair (v, u),
-    so ``project_pair`` there of w0, from the vectors v^H w0 and w0 u, is the
-    minimum-norm solution, with scalars kept as (..., 1) arrays.  The missed
-    part is P m P + (I - P) m (I - P) = m - u (v^H m / s - 2 (v^H m u / s^2) v^H)
-    - (m u / s) v^H.
-    """
-    return _invert(_frame(u, v), m)
-
-
-def invert_at(x, m):
-    """``invert_pair`` at an OrbitPoint (one matrix or a stack) or at each of
-    stacked orbit matrices."""
-    return _invert(_frame_of(x), m)
-
-
 @dataclass(frozen=True)
 class OrbitPoint:
-    """Orbit point with its cached pair coordinates.
+    """Orbit point of its unit pair, its only state: ``line`` spans the
+    eigenline for eigenvalue n and ``normal`` is the unit normal of the
+    (-1)-eigenspace.  The point owns them, read-only (a view is copied), so
+    the matrix ``x`` and the ``frame`` are derived on first use and cached,
+    read-only too."""
 
-    ``line`` is a unit vector spanning the eigenline for eigenvalue n and
-    ``normal`` the unit normal of the (-1)-eigenspace.  The point owns its
-    arrays, read-only (a view is copied), so ``frame`` can be cached.
-    """
-
-    x: np.ndarray
     line: np.ndarray
     normal: np.ndarray
 
     def __post_init__(self):
-        for name in ("x", "line", "normal"):
+        for name in ("line", "normal"):
             arr = getattr(self, name)
             if not arr.flags.owndata:
                 arr = arr.copy()
@@ -320,9 +307,16 @@ class OrbitPoint:
             arr.setflags(write=False)
 
     @cached_property
+    def x(self):
+        """The chart point ``assemble(line, normal)``."""
+        x = assemble(self.line, self.normal)
+        x.setflags(write=False)
+        return x
+
+    @cached_property
     def frame(self):
         """Pair frame of (line, normal) that ``tangent_project`` and
-        ``invert_at`` read, built on first use (``_frame``)."""
+        ``invert_at`` read (``_frame``)."""
         frame = _frame(self.line, self.normal)
         for arr in frame[2:]:
             arr.setflags(write=False)
@@ -330,7 +324,7 @@ class OrbitPoint:
 
     @property
     def n(self):
-        return self.x.shape[0] - 1
+        return len(self.line) - 1
 
     @property
     def transversality(self):
@@ -350,11 +344,10 @@ class OrbitPoint:
 
     @staticmethod
     def from_json(obj, m=None):
-        """The point of a ``to_json`` record, exactly: its x is
-        ``assemble`` of the stored unit line u and normal v, with no
-        renormalization.  Given the real diagonal m = +/-1 of a graph (the
-        ``twist`` of a thimble file), the normal is m u, the v that ``chart``
-        made of the pair (u, m u).
+        """The point of a ``to_json`` record, exactly: the stored unit line u
+        and normal v, with no renormalization.  Given the real diagonal
+        m = +/-1 of a graph (the ``twist`` of a thimble file), the normal is
+        m u, the v that ``chart`` made of the pair (u, m u).
 
         Raises ShapeError naming the key when ``line`` or ``normal`` does not
         have n+1 entries, when the record has no ``normal`` and no m is given,
@@ -377,7 +370,7 @@ class OrbitPoint:
         trans = float(abs(_vdot(v, u)))
         if trans < TRANSVERSALITY_TOL:
             raise TransversalityError(f"normal^H line is {trans:.3e}, below {TRANSVERSALITY_TOL:.1e}")
-        return OrbitPoint(x=assemble(u, v), line=u, normal=v)
+        return OrbitPoint(u, v)
 
 
 def _re_im(a):
@@ -416,7 +409,7 @@ def pair_point(line, normal):
     trans = float(abs(_vdot(v, u)))
     if not trans >= TRANSVERSALITY_TOL:
         raise TransversalityError(f"line lies in hyperplane within tolerance ({trans:.3e})")
-    return OrbitPoint(x=assemble(u, v), line=u, normal=v)
+    return OrbitPoint(u, v)
 
 
 def phi_pair(line, hyper):
@@ -443,7 +436,7 @@ def split_eigen(x):
     Raises MembershipError when x is further than MEMBERSHIP_TOL from the
     orbit point its pair coordinates assemble to.
     """
-    u, v, _, moved = _snap(np.asarray(x, dtype=complex))
+    u, v, moved = _snap(np.asarray(x, dtype=complex))
     if not moved <= MEMBERSHIP_TOL:
         raise MembershipError(f"matrix is {moved:.3e} off the orbit (tolerance {MEMBERSHIP_TOL:.1e})")
     return u, complement(v)
@@ -455,10 +448,10 @@ def retract(x):
     Points on the orbit are fixed to rounding; off it the move is first
     order in the distance.  Raises StepSizeError past DRIFT_LIMIT.
     """
-    u, v, y, moved = _snap(np.asarray(x, dtype=complex))
+    u, v, moved = _snap(np.asarray(x, dtype=complex))
     if not moved <= DRIFT_LIMIT:
         raise StepSizeError(f"retraction moved a point by {moved:.3e} > {DRIFT_LIMIT}")
-    return OrbitPoint(x=y, line=u, normal=v)
+    return OrbitPoint(u, v)
 
 
 def _near_base(a):
@@ -517,9 +510,3 @@ def tangent_frame(pt):
     ])
     q, _ = np.linalg.qr(cands.reshape(len(cands), -1).T)
     return list(q.T.reshape(-1, d, d) / np.sqrt(2.0 * d))
-
-
-def tangent_project(x, v):
-    """Hermitian-orthogonal projection of ambient matrices onto im ad(x), at an
-    OrbitPoint (one matrix or a stack) or at each of stacked orbit matrices."""
-    return _project(_frame_of(x), np.asarray(v, dtype=complex))

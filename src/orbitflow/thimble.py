@@ -385,7 +385,7 @@ def seed_lines(j, d, coeffs, radii):
 
 
 def trace_thimble(twists, h, c_offset=0.5, directions=64, step=None, radii=8, rng=None,
-                  record_sep=0.03, max_steps=4000, residual_limit=RESIDUAL_LIMIT):
+                  record_sep=0.03, max_steps=4000):
     """Trace the real Lagrangian thimble of [e_j] inside the definite graph of
     m_j^sign for every twist (j, sign) of the list ``twists``, as one stack.
 
@@ -397,7 +397,7 @@ def trace_thimble(twists, h, c_offset=0.5, directions=64, step=None, radii=8, rn
     else by chart distance.  Samples are the pairs (u, m u), u = u0 e^{m (h s
     - B)}, so they lie on the graph and the surface of their seed by
     construction and their residual measures only rounding; one above
-    ``residual_limit`` raises GraphIntegrityError.
+    RESIDUAL_LIMIT raises GraphIntegrityError.
 
     Returns one ``np.recarray``, a row per sample, with fields ``line`` (d,)
     the unit line u, ``x`` (d, d) its chart point, ``f1``, ``f2``,
@@ -455,7 +455,7 @@ def trace_thimble(twists, h, c_offset=0.5, directions=64, step=None, radii=8, rn
     f = potential(h, mats)
     res = graph_membership((u, v), m)
     bad = np.argmax(np.where(np.isfinite(f.real), res, np.nan))  # the first NaN, if any
-    if not (res[bad] <= residual_limit and np.isfinite(f[bad].real)):
+    if not (res[bad] <= RESIDUAL_LIMIT and np.isfinite(f[bad].real)):
         raise GraphIntegrityError(f"flow left the graph or is not finite: residual {res[bad]:.3e} "
                                   f"at seed {indices[bad] // radii}, f1={f[bad].real:.6f}")
     cols = {"line": u, "x": mats, "f1": f.real, "f2": f.imag, "graph_residual": res,

@@ -118,6 +118,47 @@ class TestConfigLayers:
         assert main(argv) == 2
         assert re.match(rf"config error: {field}\b", capsys.readouterr().err)
 
+    @pytest.mark.parametrize("layer", ["flag", "config", "json"])
+    @pytest.mark.parametrize("argv, key, value", [
+        (["spectrum", "--n", "1"], "H", "nan,nan"),
+        (["verify", "--n", "1"], "H", "inf,-inf"),
+        (["verify", "--n", "2"], "H", "nan,1,-1"),
+        (["thimble", "--n", "2"], "c_offset", "inf"),
+        (["thimble", "--n", "2"], "c_offset", "nan"),
+        (["thimble", "--n", "2"], "step_size", "inf"),
+        (["flow", "--n", "2"], "step_size", "nan"),
+        (["flow", "--n", "2"], "tol.convergence", "nan"),
+        (["flow", "--n", "2"], "tol.convergence", "-inf"),
+        (["verify", "--n", "1"], "tol.algebraic", "inf"),
+        (["verify", "--n", "1"], "tol.algebraic", "0"),
+    ])
+    def test_values_that_are_not_finite_exit_2_naming_the_field(self, layer, argv, key, value,
+                                                                 capsys, tmp_path):
+        # from a flag, a config file or inline JSON (which reads NaN and
+        # Infinity), H entries, c_offset, step_size and tolerances must be
+        # finite, and the last three positive; nothing is written
+        if layer == "config":
+            (tmp_path / "run.cfg").write_text(f"{key}={value}\n")
+            extra = ["--config", str(tmp_path / "run.cfg")]
+        elif layer == "json":
+            floats = [float(v) for v in value.split(",")]
+            if key == "H":
+                obj = {"H": floats}
+            elif key.startswith("tol."):
+                obj = {"tolerances": {key[4:]: floats[0]}}
+            else:
+                obj = {key: floats[0]}
+            extra = ["--json-config", json.dumps(obj)]
+        elif key.startswith("tol."):
+            extra = ["--tol", f"{key[4:]}={value}"]
+        else:
+            extra = ["--" + key.replace("_", "-"), value]
+        out = tmp_path / ("out.csv" if argv[0] == "flow" else "out.json")
+        assert main([*argv, *extra, "--out", str(out)]) == 2
+        field = key.removeprefix("tol.")
+        assert re.match(rf"config error: {field}\b", capsys.readouterr().err)
+        assert not out.exists()
+
     def test_config_echoes_only_the_knobs_a_command_reads(self):
         parser = make_parser()
         echoed = {name: set(build_config(parser.parse_args([name])).as_dict())

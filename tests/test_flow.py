@@ -244,17 +244,22 @@ class TestMetric:
 
     @pytest.mark.parametrize("n", (2, 5, 12))
     def test_point_kernels_are_the_pair_kernels_bit_for_bit(self, n):
-        # the frame cached on a point gives what the pair kernels build per call
-        from orbitflow.orbit import invert_pair, project_pair
+        # the frame cached on a point is the frame a (line, normal) tuple builds
+        # per call, so the kernels give the same bits at either
+        from orbitflow.orbit import _frame_of, invert_at
         from orbitflow.util import random_traceless
 
         rng = np.random.default_rng(90 + n)
         for pt in (random_orbit_point(rng, n), critical_points(n)[0]):
+            pair = (pt.line, pt.normal)
+            built = _frame_of(pair)
+            assert len(pt.frame) == len(built) == 7
+            assert all(np.array_equal(a, b) for a, b in zip(pt.frame, built))
             ms = np.array([random_traceless(rng, n + 1) for _ in range(3)])
             vs = np.array([random_tangent(rng, pt) for _ in range(3)])
             for m, v in ((ms[0], vs[0]), (ms, vs)):
-                assert np.array_equal(tangent_project(pt, m), project_pair(pt.line, pt.normal, m))
-                assert np.array_equal(ad_inverse(pt, v), invert_pair(pt.line, pt.normal, v)[0])
+                assert np.array_equal(tangent_project(pt, m), tangent_project(pair, m))
+                assert np.array_equal(ad_inverse(pt, v), invert_at(pair, v)[0])
 
 
 class TestLinearize:

@@ -371,10 +371,12 @@ class TestReality:
         out = reality_check(g.m_diag, h, 100, rng)
         assert out["max_im_f"] > 1e-3
 
-    def test_sampling_error_when_rejection_unsatisfiable(self):
+    def test_sampling_error_when_rejection_unsatisfiable(self, monkeypatch):
+        from orbitflow import graphs
         from orbitflow.errors import SamplingError
 
         rng = np.random.default_rng(7)
         h = default_cartan(2)
+        monkeypatch.setattr(graphs, "REJECT_TOL", 2.0)
         with pytest.raises(SamplingError):
-            reality_check(m_j_pm(2, 1, "+").m_diag, h, 1, rng, reject=2.0)
+            reality_check(m_j_pm(2, 1, "+").m_diag, h, 1, rng)

@@ -24,7 +24,7 @@ from orbitflow.orbit import (
     assemble,
     complement,
     critical_points,
-    invert_pair,
+    invert_at,
     lax_velocity,
     membership_residual,
     pair_point,
@@ -282,6 +282,38 @@ class TestMembership:
             assert membership_residual(random_compact(rng, 3, scale=1.5)) > 0.5
 
 
+class TestPointState:
+    def test_every_point_derives_its_matrix_from_its_pair(self):
+        # a point holds (line, normal) alone: x is assemble of the pair, bit
+        # for bit, built once, read-only, and no constructor takes it
+        import dataclasses
+
+        from orbitflow.cycles import vanishing_sphere
+
+        rng = np.random.default_rng(21)
+        n = 3
+        u, v = random_unit_vector(rng, n + 1), random_unit_vector(rng, n + 1)
+        g = m_j_pm(n, 2, "+")
+        graph = graph_point(random_unit_vector(rng, n + 1), g)
+        record = json.loads(json.dumps(graph.to_json()))
+        del record["normal"]
+        points = [OrbitPoint(line=u, normal=v), pair_point(u, v), graph,
+                  OrbitPoint.from_json(pair_point(u, v).to_json()),
+                  OrbitPoint.from_json(record, g.m_diag.real),
+                  retract(pair_point(u, v).x + 1e-9 * random_traceless(rng, n + 1)),
+                  *critical_points(n), *vanishing_sphere(minimal_cartan(n), 30.0, 3, rng)]
+        assert [f.name for f in dataclasses.fields(OrbitPoint)] == ["line", "normal"]
+        for pt in points:
+            assert pt.x is pt.x and not pt.x.flags.writeable
+            assert pt.x.tobytes() == assemble(pt.line, pt.normal).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                pt.x[0, 0] = 0.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                pt.x = np.zeros((n + 1, n + 1))
+        with pytest.raises(TypeError):
+            OrbitPoint(x=points[0].x, line=u, normal=v)
+
+
 class TestSerialization:
     def test_json_roundtrip(self):
         rng = np.random.default_rng(8)
@@ -429,7 +461,7 @@ class TestPairKernel:
             a = cands.reshape(len(cands), -1).T
             want = a @ np.linalg.lstsq(a, m.ravel(), rcond=None)[0]
             assert np.linalg.norm(tangent_project(pt, m).ravel() - want) < 1e-12 * np.linalg.norm(m)
-            inv, outside = invert_pair(u, v, m)
+            inv, outside = invert_at((u, v), m)
             ad = np.kron(pt.x, np.eye(d)) - np.kron(np.eye(d), pt.x.T)
             ref = (np.linalg.pinv(ad, rcond=1e-13) @ (m - outside).ravel()).reshape(d, d)
             assert np.linalg.norm(inv - ref) < 1e-12 * np.linalg.norm(ref)
@@ -443,7 +475,7 @@ class TestPairKernel:
         for _ in range(6):
             pt = random_orbit_point(rng, n)
             m = random_traceless(rng, n + 1)
-            w, outside = invert_pair(pt.line, pt.normal, m)
+            w, outside = invert_at((pt.line, pt.normal), m)
             assert np.linalg.norm(bracket(pt.x, w) + outside - m) < 1e-12
             assert np.linalg.norm(bracket(pt.x, outside)) < 1e-12
 

@@ -971,11 +971,12 @@ class TestTraceThimble:
                 assert max(abs(x.f2) for x in samples) < 1e-8
                 assert lagrangian_check(samples.x, m_j_pm(4, j, s).m_diag.real) < 1e-5
 
-    def test_integrity_error_reports_worst_sample(self):
+    def test_integrity_error_reports_worst_sample(self, monkeypatch):
         h = default_cartan(2)
+        monkeypatch.setattr(thimble, "RESIDUAL_LIMIT", 0.0)
         with pytest.raises(GraphIntegrityError, match="residual"):
             trace_thimble([(1, "-")], h, c_offset=0.3, directions=2, radii=2,
-                          rng=np.random.default_rng(11), residual_limit=0.0)
+                          rng=np.random.default_rng(11))
 
     @pytest.mark.parametrize("name", ["graph_membership", "potential"])
     def test_a_non_finite_sample_raises_naming_its_seed(self, name, monkeypatch):
