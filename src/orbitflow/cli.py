@@ -199,11 +199,11 @@ def cmd_spectrum(cfg):
     n, h = cfg.n, cfg.h
     spectra = []
     for jj, pt in enumerate(critical_points(n), start=1):
-        spec = flow.linearize(pt, h)
+        spec, f = flow.linearize(pt, h), potential(h, pt)
         spectra.append(
             {
                 "j": jj,
-                "f": [potential(h, pt).real, potential(h, pt).imag],
+                "f": [f.real, f.imag],
                 "rates": [
                     {
                         "root": list(r.root),

@@ -84,9 +84,9 @@ class RootRate:
 
     root: tuple
     rate: float              # alpha(x) alpha(H)
-    degenerate: bool
-    stable: tuple            # real 2-dim eigenspace for eigenvalue -|rate|
-    unstable: tuple
+    degenerate: bool         # rate 0: the root vanishes on x
+    stable: tuple            # real 2-dim eigenspace for eigenvalue -|rate|; () if degenerate
+    unstable: tuple          # the one for +|rate|; () if degenerate
 
 
 @dataclass(frozen=True)
@@ -102,10 +102,10 @@ class LinearizationSpectrum:
         return sorted(out)
 
     def v_minus(self):
-        return [v for r in self.rates if not r.degenerate for v in r.stable]
+        return [v for r in self.rates for v in r.stable]
 
     def v_plus(self):
-        return [v for r in self.rates if not r.degenerate for v in r.unstable]
+        return [v for r in self.rates for v in r.unstable]
 
 
 def linearize(pt, h):
@@ -115,7 +115,7 @@ def linearize(pt, h):
     each realified root pair, the minus sign on the compact generators
     {A_a, Z_a} and the plus sign on the Hermitian ones {S_a, iA_a}.  Roots
     vanishing on x (the minimal orbit is non-regular for n >= 2) are
-    reported with rate zero and flagged degenerate.
+    reported with rate zero, flagged degenerate and given no eigenbases.
     """
     zn = b_norm(z_field(pt, h))
     if zn > 1e-8:
@@ -127,16 +127,14 @@ def linearize(pt, h):
     for alpha in rs.positive_roots:
         rate = float(np.real(root_eval(alpha, xdiag) * root_eval(alpha, h)))
         degenerate = abs(rate) < 1e-14
-        compact = (rs.a_alpha(alpha), rs.z_alpha(alpha))
-        hermit = (rs.s_alpha(alpha), 1j * rs.a_alpha(alpha))
-        if rate >= 0:
-            stable, unstable = compact, hermit
+        if degenerate:
+            stable = unstable = ()
         else:
-            stable, unstable = hermit, compact
-        rates.append(
-            RootRate(root=alpha, rate=rate, degenerate=degenerate,
-                     stable=stable, unstable=unstable)
-        )
+            compact = (rs.a_alpha(alpha), rs.z_alpha(alpha))
+            hermit = (rs.s_alpha(alpha), 1j * rs.a_alpha(alpha))
+            stable, unstable = (compact, hermit) if rate >= 0 else (hermit, compact)
+        rates.append(RootRate(root=alpha, rate=rate, degenerate=degenerate,
+                              stable=stable, unstable=unstable))
     return LinearizationSpectrum(point=pt, rates=tuple(rates))
 
 

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import GraphIntegrityError, ParityError, SamplingError
 from .liecore import (
     RootSystemAn,
-    b_tau,
     bracket,
     cartan_matrix,
     killing_form,
@@ -28,7 +27,7 @@ from .liecore import (
     weyl_action,
 )
 from .orbit import OrbitPoint, assemble, complement, pair_of, pair_point, pair_tangent, potential
-from .util import gram_schmidt_real, random_unit_vector
+from .util import random_unit_vector, realify, unrealify
 
 REJECT_TOL = 1e-6
 
@@ -137,23 +136,24 @@ def untwist(pt, g):
 
 
 def graph_tangent_frame(pt, m):
-    """b_tau-orthonormal real frame at pt of the graph of the diagonal m.
+    """b_tau-orthonormal real frame (2n, d, d) at pt of the graph of the diagonal m.
 
     The graph of any unit-modulus twist m is the image of u -> assemble(u, m u),
     so its tangent space is spanned by the chart derivative along c_k and
-    i c_k, with c_k the columns of complement(u).  Raises
-    GraphIntegrityError unless the frame has 2n vectors.
+    i c_k, with c_k the columns of complement(u): one QR of these 2n, realified
+    (b_tau is 2d times the real dot product), each vector flipped by the sign
+    of its pivot, orthonormalizes them in order as one by one, up to rounding.
+    Raises GraphIntegrityError unless each pivot is above 1e-10 in b_tau length.
     """
-    u = pt.line
+    u, d = pt.line, pt.n + 1
     c = complement(u).T
-    deltas = np.stack([c, 1j * c], axis=1).reshape(-1, len(u))
-    mats = pair_tangent(u, m * u, deltas, m * deltas)
-    frame = gram_schmidt_real(mats, b_tau)
-    if len(frame) != 2 * pt.n:
-        raise GraphIntegrityError(
-            f"graph tangent frame has dimension {len(frame)}, expected {2 * pt.n}"
-        )
-    return frame
+    deltas = np.stack([c, 1j * c], axis=1).reshape(-1, d)
+    q, r = np.linalg.qr(realify(pair_tangent(u, m * u, deltas, m * deltas)).T)
+    pivots = np.sqrt(2.0 * d) * np.diag(r)
+    rank = np.count_nonzero(np.abs(pivots) > 1e-10)
+    if rank != 2 * pt.n:
+        raise GraphIntegrityError(f"graph tangent frame has dimension {rank}, expected {2 * pt.n}")
+    return unrealify((q * np.sign(pivots)).T / np.sqrt(2.0 * d), d)
 
 
 def graph_generators(g, j):

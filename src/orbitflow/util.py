@@ -61,15 +61,3 @@ def subspace_intersection_real(rows_a, rows_b, cutoff=1e-8):
     mask = s >= 1.0 - cutoff
     return (qa.T @ u[:, mask]).T
 
-
-def gram_schmidt_real(mats, inner):
-    """Gram-Schmidt with real coefficients under a real inner product."""
-    basis = []
-    for m in mats:
-        v = m.astype(complex).copy()
-        for b in basis:
-            v = v - inner(v, b) * b
-        nrm = np.sqrt(inner(v, v))
-        if nrm > 1e-10:
-            basis.append(v / nrm)
-    return basis

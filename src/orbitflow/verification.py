@@ -251,32 +251,35 @@ def fd_jacobian_eigenvalues(pt, h):
 
 
 def double_bracket_solution(lines, h, times):
-    """Chart points (T, B, d, d) at ``times`` (T,) of the exact Hermitian flow
-    of Z from unit lines (B, d): there Z = -[x, [x, H]] is Brockett's
-    double-bracket flow, and x = d u u^H - I moves as u(t) ~ exp(-d t H) u(0)."""
+    """Unit lines (T, B, d) at ``times`` (T,) of the exact Hermitian flow of Z
+    from unit lines (B, d): there Z = -[x, [x, H]] is Brockett's double-bracket
+    flow, and the chart point x = d u u^H - I moves as u(t) ~ exp(-d t H) u(0).
+    ``thimble.pair_gap`` with m = 1 measures the chart distance to them from lines."""
     d = lines.shape[-1]
     expo = -d * np.asarray(times)[:, None, None] * np.asarray(h)
     u = lines * np.exp(expo - expo.max(axis=-1, keepdims=True))
-    u /= np.linalg.norm(u, axis=-1, keepdims=True)
-    return d * u[..., :, None] * u[..., None, :].conj() - np.eye(d)
+    return u / np.linalg.norm(u, axis=-1, keepdims=True)
 
 
 def stable_unstable_measure(cfg, rng, spectra):
     """Two-sided basin test at every singularity [e_j] on the graphs of m_j^+
     and m_j^-, whose tangent spaces V- and V+ of dZ (``spectra``, the
     ``linearize`` of each critical point) span (worst 1 - cos of a principal
-    angle).  100 seeds per side at b_tau radius 1e-4 (``seed_lines``)
-    step on their graph, one ``integrate`` run per side: V- seeds flow back
-    (closest approach, limited by the steps), V+ seeds separate monotonically."""
+    angle, from its sine: 1 - cos itself would round to 1e-16).  100 seeds
+    per side at b_tau radius 1e-4 (``seed_lines``) step on their graph, one
+    ``integrate`` run per side: V- seeds flow back (closest approach, limited
+    by the steps), V+ seeds separate monotonically."""
     n, h = cfg.n, cfg.h
     dt = 30.0 * flow.default_step(n, h)
     worst = 0.0
     for j, (pt, spec) in enumerate(zip(orbit.critical_points(n), spectra), start=1):
         for basis, sign, steps in ((spec.v_minus(), "+", 120), (spec.v_plus(), "-", 10)):
             m = graphs.sign_pattern(n, j, sign)
-            frame = orthonormal_rows(realify(graphs.graph_tangent_frame(pt, m)))
-            cos = np.linalg.svd(orthonormal_rows(realify(basis)) @ frame.T, compute_uv=False)
-            worst = max(worst, 1.0 - cos.min())
+            frame = np.sqrt(2.0 * (n + 1)) * realify(graphs.graph_tangent_frame(pt, m))
+            rows = orthonormal_rows(realify(basis))
+            # the largest principal-angle sine: the length of the part of V-/+ off the frame
+            sin = min(1.0, np.linalg.norm(rows - rows @ frame.T @ frame, 2))
+            worst = max(worst, sin ** 2 / (1.0 + np.sqrt(1.0 - sin ** 2)))  # 1 - cos
             coeff = rng.standard_normal((100, len(basis)))
             coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
             lines = thimble.seed_lines(j, n + 1, coeff, [1e-4])
@@ -327,8 +330,11 @@ def flow_suite(cfg, rng):
     traj = flow.integrate(np.array([[p.line, p.normal] for p in seeds]), h, max_steps=2500,
                           conv_tol=0.0)
     exact = double_bracket_solution(traj.lines[0], h, traj.times)
-    checks.append(_check("flag-flow-matches-double-bracket-solution",
-                         float(np.linalg.norm(traj.points - exact, axis=(-2, -1)).max()), 1e-10,
+    # chart distance of (u, u) to the exact point, plus d |v - u|, to first order
+    # a bound of that of (u, v) to (u, u): a normal off its line is seen too
+    gap = thimble.pair_gap(np.ones(n + 1), traj.lines, exact)
+    gap += (n + 1) * np.linalg.norm(traj.normals - traj.lines, axis=-1)
+    checks.append(_check("flag-flow-matches-double-bracket-solution", float(gap.max()), 1e-10,
                          "the Hermitian flow is Brockett's exp(-d t H) u0 in closed form"))
     return checks
 

@@ -8,6 +8,21 @@ from orbitflow.orbit import potential, retract
 from orbitflow.util import complex_gaussian, realify
 
 
+def gram_schmidt_real(mats, inner):
+    """Gram-Schmidt with real coefficients under a real inner product,
+    dropping a vector of length 1e-10 or less: the reference for frames
+    that ``graphs.graph_tangent_frame`` builds by one QR."""
+    basis = []
+    for m in mats:
+        v = m.astype(complex).copy()
+        for b in basis:
+            v = v - inner(v, b) * b
+        nrm = np.sqrt(inner(v, v))
+        if nrm > 1e-10:
+            basis.append(v / nrm)
+    return basis
+
+
 def identity_weyl(d):
     return WeylElement(tuple(range(1, d + 1)))
 

@@ -276,6 +276,27 @@ class TestLinearize:
         assert by_root[(1, 3)].rate == pytest.approx(6.0)
         assert by_root[(2, 3)].rate == pytest.approx(0.0)
         assert by_root[(2, 3)].degenerate
+        assert by_root[(2, 3)].stable == by_root[(2, 3)].unstable == ()
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 4))
+    def test_bases_are_the_root_generators_the_rate_selects(self, n):
+        # V- holds the compact pair (A_a, Z_a) of a root of positive rate and
+        # the Hermitian pair (S_a, i A_a) of one of negative rate, V+ the other
+        # pair, in root order; a degenerate root adds to neither
+        rs, h = RootSystemAn(n), default_cartan(n)
+        for pt in critical_points(n):
+            spec = linearize(pt, h)
+            want_minus, want_plus = [], []
+            for r in spec.rates:
+                if r.degenerate:
+                    continue
+                compact = [rs.a_alpha(r.root), rs.z_alpha(r.root)]
+                hermit = [rs.s_alpha(r.root), 1j * rs.a_alpha(r.root)]
+                want_minus += compact if r.rate > 0 else hermit
+                want_plus += hermit if r.rate > 0 else compact
+            for got, want in ((spec.v_minus(), want_minus), (spec.v_plus(), want_plus)):
+                assert len(got) == len(want) == 2 * n
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_fd_jacobian_matches(self):
         for n in (1, 2):
@@ -370,6 +391,8 @@ class TestIntegrate:
         traj = integrate(stack([pt]), h, max_steps=20000)
         assert traj.limit_index[0] > 0
         exact = double_bracket_solution(traj.lines[0], h, traj.times)
+        assert exact.shape == traj.lines.shape
+        exact = assemble(exact, exact)
         assert np.linalg.norm(traj.points - exact, axis=(-2, -1)).max() < 1e-8
 
     @pytest.mark.parametrize("n", (2, 3))
@@ -421,6 +444,7 @@ class TestIntegrate:
         for k in (0, 1):
             steps = traj.steps[k] + 1
             exact = double_bracket_solution(traj.lines[0, k:k + 1], h, traj.times[:steps])[:, 0]
+            exact = assemble(exact, exact)
             assert np.linalg.norm(traj.points[:steps, k] - exact, axis=(-2, -1)).max() <= 1e-12
 
     def test_a_seed_with_zero_entries_freezes_only_next_to_its_limit(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from orbitflow.errors import ParityError
+from orbitflow.errors import GraphIntegrityError, ParityError
 from orbitflow.graphs import (
     GraphSpec,
     graph_generators,
@@ -29,9 +29,8 @@ from orbitflow.liecore import (
     minimal_cartan,
     omega,
 )
-from orbitflow.orbit import critical_points, phi_pair, r_w0_basis, tangent_frame
+from orbitflow.orbit import critical_points, pair_point, phi_pair, r_w0_basis, tangent_frame
 from orbitflow.util import (
-    gram_schmidt_real,
     orthonormal_rows,
     random_unit_vector,
     realify,
@@ -40,7 +39,7 @@ from orbitflow.util import (
 )
 from orbitflow.verification import word_with_slot
 
-from helpers import identity_weyl, random_special_unitary
+from helpers import gram_schmidt_real, identity_weyl, random_special_unitary
 
 
 class TestInvolutions:
@@ -135,6 +134,14 @@ class TestMembership:
                 graph_membership(pt, g)
                 - graph_membership(untwist(pt, g), identity_graph(2))
             ) < 1e-10
+
+
+def test_tangent_frame_refuses_a_pair_on_the_incidence_divisor():
+    # (u, m u) with (m u)^H u = 0: the chart derivatives are not finite, so no
+    # pivot of the QR counts and the frame is refused
+    u = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    with np.errstate(all="ignore"), pytest.raises(GraphIntegrityError, match="dimension 0"):
+        graph_tangent_frame(pair_point(u, u), np.array([1.0, -1.0]))
 
 
 def _critical_frame(g, j):
@@ -232,23 +239,25 @@ class TestTangentFrame:
                 assert _same_span(graph_tangent_frame(pt, g.m_diag), unrealify(rows, n + 1))
 
     def test_generic_twist_matches_central_differences(self, n):
+        # every twist, the sign twists included: the QR frame, each vector
+        # flipped by its pivot's sign, is Gram-Schmidt's of the chart derivatives
         rng = np.random.default_rng(100 + n)
-        g = _twist_cases(n)[-1]
-        assert not np.isin(g.m_diag, (1.0, -1.0)).all()
+        assert not np.isin(_twist_cases(n)[-1].m_diag, (1.0, -1.0)).all()
         step = 1e-6
-        for pt in _graph_points(rng, g):
-            u = pt.line
-            diffs = []
-            for k in range(n):
-                for phase in (1.0, 1j):
-                    delta = phase * r_w0_basis(u)[:, k]
-                    plus = graph_point(u + step * delta, g).x
-                    minus = graph_point(u - step * delta, g).x
-                    diffs.append((plus - minus) / (2.0 * step))
-            expected = gram_schmidt_real(diffs, b_tau)
-            frame = graph_tangent_frame(pt, g.m_diag)
-            assert len(expected) == len(frame) == 2 * n
-            assert max(np.abs(a - b).max() for a, b in zip(frame, expected)) < 1e-7
+        for g in _twist_cases(n):
+            for pt in _graph_points(rng, g):
+                u = pt.line
+                diffs = []
+                for k in range(n):
+                    for phase in (1.0, 1j):
+                        delta = phase * r_w0_basis(u)[:, k]
+                        plus = graph_point(u + step * delta, g).x
+                        minus = graph_point(u - step * delta, g).x
+                        diffs.append((plus - minus) / (2.0 * step))
+                expected = gram_schmidt_real(diffs, b_tau)
+                frame = graph_tangent_frame(pt, g.m_diag)
+                assert len(expected) == len(frame) == 2 * n
+                assert max(np.abs(a - b).max() for a, b in zip(frame, expected)) < 1e-7
 
     def test_critical_frame_spans_generator_brackets(self, n):
         for g in _twist_cases(n):

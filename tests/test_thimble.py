@@ -34,10 +34,11 @@ from orbitflow.thimble import (
     thimble_json,
     trace_thimble,
 )
-from orbitflow.util import random_unit_vector, gram_schmidt_real
+from orbitflow.util import random_unit_vector
 from orbitflow.verification import random_orbit_point, random_tangent
 
-from helpers import ambient_lagrangian_check, phi_landing, phi_rate, phi_rk4, vanishing_sphere_point
+from helpers import (ambient_lagrangian_check, gram_schmidt_real, phi_landing, phi_rate, phi_rk4,
+                     vanishing_sphere_point)
 
 
 def _graph_seed_stack(n, directions=8):

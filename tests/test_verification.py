@@ -4,6 +4,8 @@ the unit-determinant check fails when a twist of determinant -1 is listed,
 and the thimble topology proxy fails on repeated samples of two seeds and on
 flows whose height turns."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,24 @@ class TestFlippedZSign:
 
 @pytest.mark.usefixtures("d_plus_one")
 def test_d_plus_one_breaks_the_flag_flow():
+    assert failing(verification.flow_suite, 2) == {"flag-flow-matches-double-bracket-solution"}
+
+
+def test_normals_off_their_lines_break_the_flag_flow(monkeypatch):
+    # the lines stay on the double-bracket solution; the normals drift off
+    # them, so the pairs leave the Hermitian locus and their chart points move
+    integrate = flow.integrate
+
+    def drifting(pairs, h, **kwargs):
+        traj = integrate(pairs, h, **kwargs)
+        drift = 1e-9 * (traj.times / traj.times[-1])[:, None, None] * np.roll(traj.lines, 1, -1)
+        normals = traj.normals + drift
+        normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
+        return dataclasses.replace(traj, normals=normals)
+
+    monkeypatch.setattr(verification, "stable_unstable_measure", lambda cfg, rng, spectra: 0.0)
+    assert failing(verification.flow_suite, 2) == set()
+    monkeypatch.setattr(flow, "integrate", drifting)
     assert failing(verification.flow_suite, 2) == {"flag-flow-matches-double-bracket-solution"}
 
 
