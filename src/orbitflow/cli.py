@@ -284,7 +284,7 @@ def cmd_thimble(cfg):
         max_steps=cfg.steps,
     )
     twist = graphs.m_j_pm(cfg.n, cfg.j, cfg.sign).m_diag.real
-    max_omega = thimble.lagrangian_check(samples.x, twist)
+    max_omega = thimble.lagrangian_check(samples.line, twist)
     f1_range = [float(samples.f1.min()), float(samples.f1.max())]
     summary = {
         "max_graph_residual": float(samples.graph_residual.max()),

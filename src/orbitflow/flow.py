@@ -151,9 +151,10 @@ class Trajectory:
     (T, B, 2, d), and |Z| ``z_norms`` (T, B), NaN where no
     row could freeze (conv_tol <= 0), and, assembled on first use, the chart
     ``points`` (T, B, d, d) and f_H ``potentials`` (T, B).  A frozen row repeats
-    its last entry.  ``steps`` (B,) counts the steps of each row, and
-    ``limit_index`` (B,) is the slot j = argmax |u| of the [e_j] a converged row
-    reached, or 0."""
+    its last entry.  A flow that keeps only its last entry (``integrate(...,
+    last_only=True)``) has T = 1: the final time and state.  ``steps`` (B,)
+    counts the steps of each row, and ``limit_index`` (B,) is the slot j =
+    argmax |u| of the [e_j] a converged row reached, or 0."""
 
     times: np.ndarray
     lines: np.ndarray
@@ -172,7 +173,8 @@ class Trajectory:
         return potential(self.h, self.points)
 
 
-def integrate(pairs, h, direction="forward", step=None, max_steps=10000, conv_tol=CONV_TOL):
+def integrate(pairs, h, direction="forward", step=None, max_steps=10000, conv_tol=CONV_TOL,
+              last_only=False):
     """Flow a stack of pairs (u, v), shape (batch, 2, d), along +/-Z by
     ``advance`` on one grid in t: a row (u0, e^{i theta} m u0), m = +/-1
     (m = 1: Hermitian), steps the state (s, B) of its lines u0 e^{m (h s - B)}
@@ -183,8 +185,10 @@ def integrate(pairs, h, direction="forward", step=None, max_steps=10000, conv_to
     once per step.  A row freezes once its |Z|,
     ``orbit.z_norm``, drops below conv_tol; the flow stops when every row has, or
     after max_steps.  Each step's pairs are recorded once, as unit pairs, and
-    stacked once at the end.  Every kernel reduces row by row, so a row flows bit
-    for bit as it does alone."""
+    stacked once at the end; with ``last_only`` only the last step's are kept,
+    and the ``Trajectory`` holds that one entry, bit for bit the last of the full
+    record, with the same ``steps`` and ``limit_index``.  Every kernel reduces row
+    by row, so a row flows bit for bit as it does alone."""
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
     sign = 1.0 if direction == "forward" else -1.0
@@ -198,17 +202,19 @@ def integrate(pairs, h, direction="forward", step=None, max_steps=10000, conv_to
     pairs[on_graph, 1] = m[on_graph] * u0[on_graph]  # every recorded normal is m u
     state, r0, weights = np.zeros((len(pairs), 2)), np.abs(u0), thimble._weights(h, m)
 
-    record, z_norms = [], []  # per step, the unit pairs and |Z|
+    record, z_norms = [], []  # per step (or the last step only), the unit pairs and |Z|
     zn = np.full(len(pairs), np.nan)  # |Z| only of rows that can still freeze
     active = np.ones(len(pairs), dtype=bool)
-    steps = np.zeros(len(pairs), dtype=int)
+    steps, taken = np.zeros(len(pairs), dtype=int), 0
     while True:
+        if last_only:
+            record, z_norms = [], []
         record.append(pairs / np.linalg.norm(pairs, axis=-1, keepdims=True))
         if conv_tol > 0:
             zn[active] = z_norm(pairs[active], h)
             active &= ~(zn < conv_tol)
         z_norms.append(zn.copy())
-        if not active.any() or len(record) > max_steps:
+        if not active.any() or taken >= max_steps:
             break
         free, graph = np.flatnonzero(active & ~on_graph), np.flatnonzero(active & on_graph)
         if free.size:
@@ -219,8 +225,9 @@ def integrate(pairs, h, direction="forward", step=None, max_steps=10000, conv_to
         line = thimble.graph_lines(u0[graph], h, m[graph], state[graph])
         pairs[graph] = np.stack([line, m[graph] * line], axis=1)
         steps[active] += 1
+        taken += 1
     record = np.array(record)
-    times = np.cumsum([0.0] + [dt] * (len(record) - 1))  # t += dt, step by step
+    times = np.cumsum([0.0] + [dt] * taken)[-len(record):]  # t += dt, step by step
     limit = np.where(zn < conv_tol, np.argmax(np.abs(record[-1, :, 0]), axis=-1) + 1, 0)
     return Trajectory(times, record[..., 0, :], record[..., 1, :], np.array(z_norms), steps, limit, h)
 

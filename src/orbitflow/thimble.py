@@ -15,12 +15,14 @@ lines (``graph_lines``).  Twists are row data: one stack may mix them, and
 ``trace_thimble`` traces a list of twists (j, sign) as one stack.
 ``flow_to_level`` steps it with ``orbit.advance`` by chart distance (past
 the accuracy guard where RK4 is exact) and one ``cross_level`` lands it;
-matrices appear once, in the ``chart`` of the recorded lines.  On a scalar
-twist (m = 1 or m = -1 on every entry) an RK4 step takes its first stage as
-every stage (``_stages``), so each step evaluates the field once.
-``lagrangian_check`` searches neighbours on the lines of the chart points, and
-``thimble_json`` writes each sample as its unit line.  The split F1 = G1 - i G2 uses
-``graphs.graph_tangent_frame``; ``flow.integrate`` steps Z by the same rule.
+matrices appear once, in the ``chart`` of the recorded lines, and live only
+until f is read off them: a sample is its unit line.  On a scalar twist (m =
+1 or m = -1 on every entry) an RK4 step takes its first stage as every stage
+(``_stages``), so each step evaluates the field once.  ``lagrangian_check``
+takes the lines and the twist, assembles their chart points once and searches
+neighbours on the lines, and ``thimble_json`` writes each sample as its unit
+line.  The split F1 = G1 - i G2 uses ``graphs.graph_tangent_frame``;
+``flow.integrate`` steps Z by the same rule.
 """
 
 import json
@@ -30,13 +32,15 @@ import numpy as np
 
 from .errors import GraphIntegrityError, MembershipError, NearCriticalError
 from .liecore import b_norm, b_tau, cartan_matrix, root_eval
-from .orbit import DRIFT_LIMIT, advance, chart, complement, potential, rk4_step, tangent_project
+from .orbit import (DRIFT_LIMIT, advance, assemble, chart, complement, potential, rk4_step,
+                    tangent_project)
 from .graphs import graph_membership, graph_tangent_frame, m_j_pm
 
 RESIDUAL_LIMIT = 1e-5
 LEVEL_ULPS = 32
 LEVEL_ITERATIONS = 8
-GRAM_BLOCK = 128  # samples per block of ``lagrangian_check``'s secant Grams
+GRAM_BLOCK = 64  # samples per block of ``lagrangian_check``'s secant Grams
+CHART_BYTES = 2 ** 22  # bytes per block of the chart points ``trace_thimble`` reads f off
 
 
 def kaehler_gradients(pt, h):
@@ -400,7 +404,9 @@ def trace_thimble(twists, h, c_offset=0.5, directions=64, step=None, radii=8, rn
     RESIDUAL_LIMIT raises GraphIntegrityError.
 
     Returns one ``np.recarray``, a row per sample, with fields ``line`` (d,)
-    the unit line u, ``x`` (d, d) its chart point, ``f1``, ``f2``,
+    the unit line u, which with the twist m gives the chart point
+    ``assemble(u, m u)``, ``f1`` and ``f2`` (``potential`` at the chart point
+    of the pair, assembled CHART_BYTES of matrices at a time and not kept),
     ``graph_residual``, ``twist`` (the index of its twist in ``twists``),
     ``seed_index``, ``flow_index`` (one (twist, direction, radius) flow line,
     twist-major; seed_index = flow_index // radii) and ``arc``, the flow
@@ -451,14 +457,18 @@ def trace_thimble(twists, h, c_offset=0.5, directions=64, step=None, radii=8, rn
     indices, states, arcs = (np.concatenate(part) for part in zip(*chunks))
     m = m[indices]
     lines = graph_lines(seeds[indices], h, m, states)
-    u, v, mats = chart(np.stack([lines, m * lines], axis=1))
-    f = potential(h, mats)
+    parts, size = [], max(1, CHART_BYTES // (16 * (n + 1) ** 2))
+    for lo in range(0, len(lines), size):  # the chart points live one block at a time
+        block = slice(lo, lo + size)
+        u, v, mats = chart(np.stack([lines[block], m[block] * lines[block]], axis=1))
+        parts.append((u, v, potential(h, mats)))
+    u, v, f = (np.concatenate(a) for a in zip(*parts))
     res = graph_membership((u, v), m)
     bad = np.argmax(np.where(np.isfinite(f.real), res, np.nan))  # the first NaN, if any
     if not (res[bad] <= RESIDUAL_LIMIT and np.isfinite(f[bad].real)):
         raise GraphIntegrityError(f"flow left the graph or is not finite: residual {res[bad]:.3e} "
                                   f"at seed {indices[bad] // radii}, f1={f[bad].real:.6f}")
-    cols = {"line": u, "x": mats, "f1": f.real, "f2": f.imag, "graph_residual": res,
+    cols = {"line": u, "f1": f.real, "f2": f.imag, "graph_residual": res,
             "twist": indices // flows_per, "seed_index": indices // radii, "flow_index": indices,
             "arc": arcs}
     samples = np.recarray(len(indices), [(k, a.dtype, a.shape[1:]) for k, a in cols.items()])
@@ -467,45 +477,49 @@ def trace_thimble(twists, h, c_offset=0.5, directions=64, step=None, radii=8, rn
     return samples
 
 
-def lagrangian_check(mats, m):
-    """Max normalized |omega| over finite-difference tangent pairs of a
-    stack of chart points, shape (S, d, d), on the graph of the real
-    diagonal m = +/-1, such as the ``x`` and ``twist`` of a trace.
+def lagrangian_check(lines, m):
+    """Max normalized |omega| over finite-difference tangent pairs of the
+    chart points ``assemble(u, m u)`` of a stack of lines u, shape (S, d), on
+    the graph of the real diagonal m = +/-1, such as the ``line`` and
+    ``twist`` of a trace.
 
     Tangents at each sample are secants to its 4 nearest neighbours.  The
-    points, and so the secants X, Y, are fixed by the anti-symplectic
-    involution x -> m x^H m, so tr(X Y^H) = tr(X^H Y) is real: omega
-    vanishes identically on these graphs, and the value reads only the
-    rounding of the Gram sums.  Fixedness is read off the pairs (x_ik, x_ki),
-    i < k, and the imaginary part of the diagonal.  A graph point is its line:
-    x + I = d u beta^H has rank one, and its column at its largest diagonal
-    entry, which is real and at least 1, is u with its phase fixed there.  The
-    neighbours are searched in the 2d real coordinates of those columns; the
-    secant Grams are ambient, GRAM_BLOCK samples at a time, each block one
-    stacked matrix product.  Secants shorter than 1e3 ulps of the largest
-    entry are rounding, not directions, and are skipped.  Raises ValueError
-    naming the worst sample when x -> m x^H m moves one by more than that,
-    and when no sample keeps two secants.
+    points, and so the secants X, Y, are fixed bit for bit by the
+    anti-symplectic involution x -> m x^H m (``assemble``), so tr(X Y^H) =
+    tr(X^H Y) is real: omega vanishes identically on these graphs, and the
+    value reads only the rounding of the Gram sums.  A graph point is its
+    line: x + I = d u beta^H has rank one, and its column at its largest
+    diagonal entry, which is real and at least 1, is u with its phase fixed
+    there.  The neighbours are searched in the 2d real coordinates of those
+    columns; the secant Grams are ambient, GRAM_BLOCK samples at a time,
+    each block one stacked matrix product.  Secants shorter than 1e3 ulps of
+    the largest entry are rounding, not directions, and are skipped.  Raises
+    ValueError when ``lines`` is not a finite (S, d) stack of S >= 3 lines,
+    when m is not d entries of exactly +/-1, and when no sample keeps two
+    secants.
     """
     from scipy.spatial import cKDTree
 
-    if len(mats) < 3:
+    lines, m = np.asarray(lines), np.asarray(m)
+    if lines.ndim != 2 or m.shape != lines.shape[1:]:
+        raise ValueError(f"lines of shape {lines.shape} and m of shape {m.shape}: "
+                         "need (samples, d) and (d,)")
+    if not np.isfinite(lines).all():
+        raise ValueError(f"line {np.flatnonzero(~np.isfinite(lines).all(axis=-1))[0]} "
+                         "is not finite")
+    if not ((m == 1) | (m == -1)).all():
+        raise ValueError(f"m is {m.tolist()}, not +/-1")
+    if len(lines) < 3:
         raise ValueError("need at least three samples")
-    mats = np.ascontiguousarray(mats)
-    nsamp, d = mats.shape[0], mats.shape[-1]
+    mats = assemble(lines, m * lines)
+    nsamp, d = lines.shape
     flat = mats.reshape(nsamp, -1)
     tiny = 1e3 * np.finfo(float).eps * np.abs(flat).max()
-    rows, cols = np.triu_indices(d, 1)
-    diag = np.diagonal(mats, axis1=-2, axis2=-1)
-    pairs = mats[:, rows, cols] - (m[rows] * m[cols]) * mats[:, cols, rows].conj()
-    off = np.maximum(np.abs(pairs).max(axis=-1), 2.0 * np.abs(diag.imag).max(axis=-1))
-    bad = np.argmax(off)
-    if off[bad] > tiny:
-        raise ValueError(f"sample {bad} is off the graph of m: |x - m x^H m| = {off[bad]:.3e}")
-    kk, top = min(4, nsamp - 1), np.argmax(diag.real, axis=-1)
-    lines = mats[np.arange(nsamp), :, top]
-    lines[np.arange(nsamp), top] += 1.0
-    cloud = lines.view(float)
+    kk = min(4, nsamp - 1)
+    top = np.argmax(np.diagonal(mats, axis1=-2, axis2=-1).real, axis=-1)
+    cols = mats[np.arange(nsamp), :, top]
+    cols[np.arange(nsamp), top] += 1.0
+    cloud = cols.view(float)
     _, idx = cKDTree(cloud).query(cloud, k=kk + 1)
     worst, other = -1.0, ~np.eye(kk, dtype=bool)
     for lo in range(0, nsamp, GRAM_BLOCK):

@@ -481,9 +481,11 @@ def _close_pairs(rows, r):
 
 
 def _topology_proxy(samples):
-    """1.0 if two seeds share a sample or a flow's height turns, on a trace or part of one."""
+    """1.0 if two seeds share a sample or a flow's height turns, on a trace or part of one.
+    A flow keeps the phases of its seed, so two samples share a point when
+    their unit lines are within 1e-9."""
     seeds = samples.seed_index
-    pairs = _close_pairs(realify(samples.x), 1e-9)
+    pairs = _close_pairs(realify(samples.line), 1e-9)
     if (seeds[pairs[:, 0]] != seeds[pairs[:, 1]]).any():
         return 1.0
     order = np.lexsort((samples.arc, samples.flow_index))
@@ -499,7 +501,7 @@ def thimble_suite(cfg, rng):
     """Traces the thimble of every twist (j, sign) in one stack, and keeps only
     its maxima and landed lines.  The thimble of m_j^+ (m_j^-) lies in the
     stable (unstable) manifold of Z at [e_j], so its rows flow back there on
-    their graph under +Z (-Z), one run per sign."""
+    their graph under +Z (-Z), one run per sign that keeps only its last step."""
     checks = []
     n, h = cfg.n, cfg.h
     twists, directions, radii = graphs.twists(n), 12, 4
@@ -514,13 +516,13 @@ def thimble_suite(cfg, rng):
         lines = np.concatenate([thimble.seed_lines(j, n + 1, np.eye(2 * n)[0], [1e-3]),
                                 landed[t * directions:(t + 1) * directions]])
         rows[s] += [(j, k == 0, graphs.sign_pattern(n, j, s), u) for k, u in enumerate(lines)]
-    del samples, landed
+    del samples, landed  # the rows hold copies, so the trace is released before the Z returns
     seed_gap = landed_gap = 0.0
     for s, direction in (("+", "forward"), ("-", "backward")):
         slots, seed, m, lines = (np.array(a) for a in zip(*rows[s]))
-        # only the last lines are kept, so each run's trajectory is released before the next
         end = flow.integrate(np.stack([lines, m * lines], axis=1), h, direction,
-                             step=30.0 * flow.default_step(n, h), max_steps=4000).lines[-1].copy()
+                             step=30.0 * flow.default_step(n, h), max_steps=4000,
+                             last_only=True).lines[-1]
         gap = thimble.pair_gap(m, end, np.eye(n + 1)[slots - 1])
         seed_gap, landed_gap = max(seed_gap, gap[seed].max()), max(landed_gap, gap[~seed].max())
     checks.append(_check("thimble-containment-and-openness", max(worst_res, seed_gap), 1e-6,

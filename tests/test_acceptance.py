@@ -161,7 +161,7 @@ def test_criterion_07_thimble_suite():
                 range_ok &= f1c - 0.5 - 1e-9 <= min(f1s) and max(f1s) <= f1c + 1e-9
             else:
                 range_ok &= f1c - 1e-9 <= min(f1s) and max(f1s) <= f1c + 0.5 + 1e-9
-            worst_om = max(worst_om, lagrangian_check(samples.x, m_j_pm(2, j, s).m_diag.real))
+            worst_om = max(worst_om, lagrangian_check(samples.line, m_j_pm(2, j, s).m_diag.real))
     ok = worst_res < 1e-6 and worst_f2 < 1e-8 and worst_om < 1e-5 and range_ok
     _report(
         7,

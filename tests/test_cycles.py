@@ -24,7 +24,7 @@ from orbitflow.liecore import (
     pi_w,
     weyl_group,
 )
-from orbitflow.orbit import critical_points, membership_residual, potential
+from orbitflow.orbit import assemble, critical_points, membership_residual, potential
 from orbitflow.util import random_compact, random_traceless, realify, subspace_intersection_real
 from orbitflow.verification import random_orbit_point, random_tangent
 
@@ -214,9 +214,9 @@ class TestVanishingSphere:
         monkeypatch.setattr(cycles, "trace_thimble", recording_trace)
         got = vanishing_sphere(h, c, count, np.random.default_rng(3))
         assert len(want) > 2 * count and len(traces[0]) == 2 * count
-        for pt, line, x in zip(got, want.line[-count:], want.x[-count:], strict=True):
+        for pt, line in zip(got, want.line[-count:], strict=True):
             assert np.abs(pt.line - line).max() <= 1e-13 and np.array_equal(pt.normal, pt.line)
-            assert np.abs(pt.x - x).max() <= 1e-13
+            assert np.abs(pt.x - assemble(line, line)).max() <= 1e-13
 
     def test_points_own_their_arrays(self, monkeypatch):
         # the landed rows are views into the trace's record array; the points
@@ -233,10 +233,9 @@ class TestVanishingSphere:
         sph = vanishing_sphere(minimal_cartan(2), 17.0, 4, np.random.default_rng(11))
         frames = [pt.frame for pt in sph]
         want = [(pt.x.copy(), pt.line.copy(), [a.copy() for a in pt.frame]) for pt in sph]
-        for name in ("line", "x"):
-            field = traces[0][name]
-            field.flags.writeable = True
-            field[...] = np.nan
+        field = traces[0].line
+        field.flags.writeable = True
+        field[...] = np.nan
         for pt, frame, (x, line, parts) in zip(sph, frames, want, strict=True):
             assert pt.line.flags.owndata and pt.x.flags.owndata
             assert pt.frame is frame

@@ -447,6 +447,43 @@ class TestIntegrate:
             exact = assemble(exact, exact)
             assert np.linalg.norm(traj.points[:steps, k] - exact, axis=(-2, -1)).max() <= 1e-12
 
+    @pytest.mark.parametrize("n", (2, 3))
+    @pytest.mark.parametrize("sign, direction", (("+", "forward"), ("-", "backward")))
+    def test_last_only_keeps_the_last_entry_bit_for_bit(self, n, sign, direction):
+        # Hermitian flag rows; graph rows near [e_1] and [e_{n+1}] of the
+        # twists of one sign, one scalar and one mixed, which flow back to
+        # them under +Z (sign +) or -Z (sign -), as in the thimble suite;
+        # free rows and a row at [e_2]: the one kept entry is the full
+        # record's last
+        from orbitflow.cycles import flag_sample
+        from orbitflow.graphs import sign_pattern
+        from orbitflow.orbit import pair_point
+        from orbitflow.thimble import seed_lines
+
+        h, crit = default_cartan(n), critical_points(n)
+        rng = np.random.default_rng(3)
+        spec = linearize(crit[0], h)
+        toward = spec.v_minus() if sign == "+" else spec.v_plus()
+        rows = [(1, sign_pattern(n, 1, sign)), (n + 1, sign_pattern(n, n + 1, sign))]
+        assert sorted(np.ptp(m) for _, m in rows) == [0.0, 2.0]
+        graph = [pair_point(u, np.exp(0.4j) * m * u) for j, m in rows
+                 for u in seed_lines(j, n + 1, rng.standard_normal((2, 2 * n)), [0.3])]
+        free = [retract(crit[0].x + 1e-3 * toward[0] + 1e-8 * v) for v in toward[1:3]]
+        pairs = stack(flag_sample(n, 2, 0.9, rng) + graph + free + [crit[1]])
+        dt = 3.0 * default_step(n, h)
+        for max_steps, conv_tol in ((4000, 1e-4), (37, 0.0)):
+            full = integrate(pairs, h, direction, step=dt, max_steps=max_steps, conv_tol=conv_tol)
+            last = integrate(pairs, h, direction, step=dt, max_steps=max_steps, conv_tol=conv_tol,
+                             last_only=True)
+            assert len(last.times) == 1 and last.times[0] == full.times[-1]
+            for name in ("lines", "normals", "z_norms"):
+                got, want = getattr(last, name), getattr(full, name)[-1:]
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+            for name in ("steps", "limit_index"):
+                assert np.array_equal(getattr(last, name), getattr(full, name)), name
+        # with conv_tol = 0 no row freezes, and both stop after max_steps
+        assert (last.steps[:-1] == 37).all() and len(full.times) == 38
+
     def test_a_seed_with_zero_entries_freezes_only_next_to_its_limit(self):
         # the seed row of the thimble suite's Z return at n=12: its line has
         # zero entries, so its |Z| is read off a line with some entries 0 all

@@ -1,6 +1,7 @@
 """Kaehler gradients, F/G restriction, thimble tracing and isotropy checks."""
 
 import functools
+import itertools
 import json
 import re
 import warnings
@@ -430,7 +431,8 @@ class TestTraceThimble:
         samples = trace_thimble([(1, "-")], h, c_offset=1e-6, directions=4, radii=2,
                                 rng=np.random.default_rng(0))
         xc = critical_points(2)[0].x
-        assert np.linalg.norm(samples.x - xc, axis=(1, 2)).max() < 5e-3
+        x = assemble(samples.line, m_j_pm(2, 1, "-").m_diag * samples.line)
+        assert np.linalg.norm(x - xc, axis=(1, 2)).max() < 5e-3
 
     def test_trace_assembles_only_its_samples(self, monkeypatch):
         # f1([e_j]) is read on the line, so the one matrix a trace builds is
@@ -448,6 +450,15 @@ class TestTraceThimble:
         samples = trace_thimble([(2, "+")], default_cartan(4), c_offset=0.4, directions=3, radii=2,
                                 rng=np.random.default_rng(14))
         assert shapes == [(len(samples), 5)]
+        # in blocks of CHART_BYTES of matrices, here 7 samples, each assembled
+        # once, with the same bits
+        shapes.clear()
+        monkeypatch.setattr(thimble, "CHART_BYTES", 7 * 16 * 5 ** 2 + 15)
+        blocked = trace_thimble([(2, "+")], default_cartan(4), c_offset=0.4, directions=3, radii=2,
+                                rng=np.random.default_rng(14))
+        sizes = [len(a) for a in np.array_split(samples, range(7, len(samples), 7))]
+        assert [k for k, _ in shapes] == sizes
+        assert blocked.tobytes() == samples.tobytes()
 
     def test_negative_case_rank_two(self):
         h = default_cartan(2)
@@ -541,14 +552,14 @@ class TestTraceThimble:
         h = default_cartan(2)
         samples = trace_thimble([(1, "-")], h, c_offset=0.5, directions=16,
                                 rng=np.random.default_rng(3))
-        assert lagrangian_check(samples.x, m_j_pm(2, 1, "-").m_diag.real) < 1e-5
+        assert lagrangian_check(samples.line, m_j_pm(2, 1, "-").m_diag.real) < 1e-5
 
     def test_zero_section_thimble_isotropic(self):
         # rank one: the plain graph is the Hermitian locus, secants exact
         h0 = minimal_cartan(1)
         samples = trace_thimble([(1, "-")], h0, c_offset=0.5, directions=8,
                                 rng=np.random.default_rng(4))
-        assert lagrangian_check(samples.x, np.ones(2)) < 1e-6
+        assert lagrangian_check(samples.line, np.ones(2)) < 1e-6
 
     def test_boundary_matches_level_sphere_along_meridians(self):
         # rank one, plain graph: the flag is a round sphere and the height
@@ -750,8 +761,10 @@ class TestTraceThimble:
         samples = trace_thimble([(j, sign)], default_cartan(n), c_offset=0.5, directions=8,
                                 rng=np.random.default_rng(0))
         flows = samples[:-8 * 8]  # the landed rows come last
+        m = m_j_pm(n, j, sign).m_diag.real
         for f in np.unique(flows.flow_index):
-            x = flows.x[flows.flow_index == f]
+            line = flows.line[flows.flow_index == f]
+            x = assemble(line, m * line)
             gaps = np.linalg.norm(np.diff(x, axis=0), axis=(1, 2))
             assert gaps.min() >= 0.03 * (1 - 1e-9) and gaps.max() <= 0.06, f
 
@@ -873,17 +886,17 @@ class TestTraceThimble:
         h = default_cartan(2)
         samples = trace_thimble([(1, "-")], h, c_offset=0.4, directions=1, radii=1,
                                 rng=np.random.default_rng(6))
-        line = samples.x[samples.flow_index == 0]
+        line = samples.line[samples.flow_index == 0]
         assert len(line) >= 3
         assert lagrangian_check(line, m_j_pm(2, 1, "-").m_diag.real) < 1e-6
 
     def test_lagrangian_check_rejects_a_cloud_of_rounding(self):
         # copies of one sample a few ulps apart leave only rounding secants
         h = default_cartan(2)
-        x = trace_thimble([(1, "-")], h, c_offset=0.4, directions=1, radii=1,
-                          rng=np.random.default_rng(6)).x[-1]
+        line = trace_thimble([(1, "-")], h, c_offset=0.4, directions=1, radii=1,
+                             rng=np.random.default_rng(6)).line[-1]
         eps = np.finfo(float).eps
-        copies = x * (1.0 + np.arange(5) * eps)[:, None, None]
+        copies = line * (1.0 + np.arange(5) * eps)[:, None]
         with pytest.raises(ValueError, match="rounding"):
             lagrangian_check(copies, m_j_pm(2, 1, "-").m_diag.real)
 
@@ -899,8 +912,8 @@ class TestTraceThimble:
                                            "seed_index", "arc"}
         for rec, s in zip(blob["samples"], samples):
             back = OrbitPoint.from_json(rec, blob["meta"]["twist"])
-            assert np.array_equal(back.x, s.x)
-            assert potential(h, back).real == rec["f1"]
+            assert np.array_equal(back.line, s.line) and np.array_equal(back.normal, twist * s.line)
+            assert potential(h, back).real == rec["f1"] and potential(h, back).imag == rec["f2"]
         csv = thimble_csv(samples).splitlines()
         assert csv[0] == "seed_index,arc,f1,f2,graph_residual"
         assert len(csv) == len(samples) + 1
@@ -943,13 +956,14 @@ class TestTraceThimble:
     def test_json_reloads_every_sample_through_the_twist(self, n, j, sign):
         # m_1^- at n = 2 (m = 1), the mixed m_3^+ at n = 4 and m_4^+ at
         # n = 3 (m = -1): each record's line and the file's twist give back
-        # the traced chart point bit for bit
-        samples = trace_thimble([(j, sign)], default_cartan(n), c_offset=0.4, directions=4, radii=3,
+        # the traced chart point bit for bit, as its f1 and f2 read
+        h = default_cartan(n)
+        samples = trace_thimble([(j, sign)], h, c_offset=0.4, directions=4, radii=3,
                                 rng=np.random.default_rng(9))
         blob = json.loads(thimble_json(samples, {}, m_j_pm(n, j, sign).m_diag.real))
-        back = np.array([OrbitPoint.from_json(rec, blob["meta"]["twist"]).x
-                         for rec in blob["samples"]])
-        assert np.array_equal(back, samples.x)
+        back = potential(h, np.array([OrbitPoint.from_json(rec, blob["meta"]["twist"]).x
+                                      for rec in blob["samples"]]))
+        assert np.array_equal(back.real, samples.f1) and np.array_equal(back.imag, samples.f2)
 
     def test_trace_is_one_record_per_sample(self):
         # the contract a caller counts through: len() and .flow_index of rows
@@ -959,7 +973,8 @@ class TestTraceThimble:
         assert isinstance(samples, np.recarray)
         assert len(samples) == len(samples.f1) > directions * radii
         assert {s.flow_index for s in samples} == set(range(directions * radii))
-        assert samples.line.shape == (len(samples), 3) and samples.x.shape == (len(samples), 3, 3)
+        # a sample is its unit line: the chart point is not kept
+        assert samples.line.shape == (len(samples), 3) and "x" not in samples.dtype.names
 
     def test_rank_four_traces_every_point_both_signs(self):
         h = default_cartan(4)
@@ -970,7 +985,7 @@ class TestTraceThimble:
                                         radii=3, rng=rng)
                 assert max(x.graph_residual for x in samples) < 1e-6
                 assert max(abs(x.f2) for x in samples) < 1e-8
-                assert lagrangian_check(samples.x, m_j_pm(4, j, s).m_diag.real) < 1e-5
+                assert lagrangian_check(samples.line, m_j_pm(4, j, s).m_diag.real) < 1e-5
 
     def test_integrity_error_reports_worst_sample(self, monkeypatch):
         h = default_cartan(2)
@@ -1205,9 +1220,9 @@ class TestLagrangianCheck:
                 return out
 
         monkeypatch.setattr(scipy.spatial, "cKDTree", RecordingTree)
-        value = lagrangian_check(samples.x, m)
+        value = lagrangian_check(samples.line, m)
         monkeypatch.undo()
-        idx, want = ambient_lagrangian_check(samples.x)
+        idx, want = ambient_lagrangian_check(assemble(samples.line, m * samples.line))
         assert len(found) == 1
         same = (np.sort(found[0], axis=1) == np.sort(idx, axis=1)).all(axis=1)
         assert same.mean() >= 0.99, same.mean()
@@ -1217,16 +1232,37 @@ class TestLagrangianCheck:
         # the n = 8 trace spans several blocks of secant Grams
         samples, m = _command_trace(*COMMAND_TRACES[0])
         assert len(samples) > 2 * thimble.GRAM_BLOCK
-        blocked = lagrangian_check(samples.x, m)
+        blocked = lagrangian_check(samples.line, m)
         for size in (len(samples), 7):
             monkeypatch.setattr(thimble, "GRAM_BLOCK", size)
-            assert lagrangian_check(samples.x, m) == blocked
+            assert lagrangian_check(samples.line, m) == blocked
 
-    def test_rejects_points_off_the_graph_of_m(self):
-        # the trace of the mixed-sign m_3^+ checked against m = 1
-        samples, _ = _command_trace(*COMMAND_TRACES[1])
-        x, wrong = samples.x, np.ones(5)
-        off = np.abs(x - x.conj().swapaxes(1, 2)).max(axis=(1, 2))
-        with pytest.raises(ValueError, match=rf"sample {np.argmax(off)} is off the graph of m: "
-                                             rf"\|x - m x\^H m\| = {off.max():.3e}"):
-            lagrangian_check(x, wrong)
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_graph_points_are_fixed_by_the_involution(self, n):
+        # what lagrangian_check assembles, assemble(u, m u), is fixed bit for
+        # bit by x -> m x^H m for every +/-1 diagonal m, scalar or mixed, so
+        # the secant Grams are real up to their own rounding
+        rng = np.random.default_rng(n)
+        u = rng.standard_normal((16, n + 1)) + 1j * rng.standard_normal((16, n + 1))
+        u[:4, 0] = 0.0  # entries that are zero
+        u[4:8] = u[4:8].real  # real lines
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+        for m in itertools.product((1.0, -1.0), repeat=n + 1):
+            m = np.array(m)
+            x = assemble(u, m * u)
+            assert np.array_equal(x, m[:, None] * x.conj().swapaxes(-1, -2) * m), m
+
+    def test_rejects_malformed_lines_or_m(self):
+        samples, m = _command_trace(*COMMAND_TRACES[1])
+        lines = samples.line
+        bad_line = lines.copy()
+        bad_line[5, 2] = np.nan
+        for args, match in (((lines[:, :-1], m), r"shape \(\d+, 4\) and m of shape \(5,\)"),
+                            ((lines[None], m), r"need \(samples, d\) and \(d,\)"),
+                            ((lines, m[None]), r"m of shape \(1, 5\)"),
+                            ((bad_line, m), r"^line 5 is not finite"),
+                            ((lines, np.where(m > 0, 1.0, 0.5)), r"not \+/-1"),
+                            ((lines, 1j * m), r"not \+/-1"),
+                            ((lines[:2], m), r"at least three samples")):
+            with pytest.raises(ValueError, match=match):
+                lagrangian_check(*args)

@@ -210,7 +210,7 @@ class TestTopologyProxy:
     def test_close_pairs_match_the_kd_tree(self, n, planted):
         from scipy.spatial import cKDTree
 
-        rows = realify(trace(n).x)
+        rows = realify(trace(n).line)
         if planted:
             # rows 0.9e-9 and 1.1e-9 from rows 3 and 7 along the sort key, the
             # first coordinate, 0.9e-9 from row 9 along a random direction, and
